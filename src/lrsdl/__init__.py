@@ -18,7 +18,6 @@ from .data import (
     generate_synthetic,
     mean_stats,
     normalize_columns,
-    random_projection_features,
 )
 from .errors import (
     DataError,
@@ -78,7 +77,6 @@ __all__ = [
     "mean_stats",
     "normalize_columns",
     "objective_terms",
-    "random_projection_features",
     "save_labels",
     "save_matrix",
     "save_model",

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _unit_columns
 from .errors import DimensionError, NumericalError, ParameterError
 from .gradients import grad_test_code
 from .prox import SmoothObjective, fista, power_iteration_lipschitz
@@ -42,11 +43,12 @@ def _as_sample(y, d):
 
 
 def _normalize_sample(y):
-    nrm = np.linalg.norm(y)
-    if nrm == 0.0:
+    with np.errstate(over="ignore", under="ignore"):
+        nrm = np.linalg.norm(y)
+    out, zero = _unit_columns(y[:, None], np.array([nrm]))
+    if zero[0]:
         log.warning("zero-norm test sample left unnormalized")
-        return y.copy()
-    return y / nrm
+    return out[:, 0]
 
 
 def test_coding_lipschitz(model):
@@ -79,12 +81,8 @@ def encode_test(y, model, lipschitz=None):
     def grad(x):
         return grad_test_code(dicts, y, x, m0, lam2)
 
-    def value(x):
-        resid = y - dicts.D_total @ x
-        return 0.5 * np.sum(resid**2) + 0.5 * lam2 * np.sum((x[K:] - m0) ** 2)
-
-    obj = SmoothObjective(grad=grad, lipschitz=lipschitz, value=value)
     x0 = np.zeros(K + dicts.k0)
+    obj = SmoothObjective.quadratic(grad, lipschitz, x0.shape)
     return fista(
         obj,
         model.hyper.lambda1,

@@ -47,12 +47,6 @@ def _build_parser():
     p.add_argument("--iters", type=int, default=15)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--w", type=float, default=0.5, help="residual/coefficient score mix")
-    p.add_argument(
-        "--mean-mode",
-        choices=("through", "frozen"),
-        default="through",
-        help="how code means are treated inside the coding solves",
-    )
     p.add_argument("--out", required=True, help="model archive directory")
     p.set_defaults(func=_cmd_train)
 
@@ -117,7 +111,7 @@ def _cmd_train(args):
         outer_iters=args.iters,
         seed=args.seed,
     )
-    config = TrainConfig(hyper=hyper, k_c=args.kc, k0=args.k0, mean_mode=args.mean_mode)
+    config = TrainConfig(hyper=hyper, k_c=args.kc, k0=args.k0)
     model = fit(data, config)
     save_model(model, args.out)
     if model.aborted:

@@ -33,15 +33,39 @@ def _freeze(a, dtype=float):
     return out
 
 
+# below this a column norm may have lost precision to subnormal squares
+_MIN_PLAIN_NORM = np.sqrt(np.finfo(float).tiny)
+
+
+def _unit_columns(M, norms):
+    """Divide each column of M by its plain Euclidean norm ``norms``.
+
+    Where squaring the entries overflowed or underflowed (norm not finite,
+    zero, or below _MIN_PLAIN_NORM) while the column is nonzero, the column
+    is scaled by its largest magnitude first, so every nonzero finite
+    column comes out unit norm. Returns (unit columns, mask of zero
+    columns); zero columns stay zero.
+    """
+    peak = np.max(np.abs(M), axis=0, initial=0.0)
+    zero = peak == 0
+    redo = ~zero & ~((norms >= _MIN_PLAIN_NORM) & np.isfinite(norms))
+    out = M / np.where(zero | redo, 1.0, norms)
+    if redo.any():
+        S = M[:, redo] / peak[redo]
+        out[:, redo] = S / np.linalg.norm(S, axis=0)
+    return out, zero
+
+
 def normalize_columns(M, warn=True):
-    """Scale each column to unit Euclidean norm. Zero columns stay zero."""
+    """Scale each column to unit Euclidean norm, also where squaring its
+    entries overflows or underflows. Zero columns stay zero."""
     M = np.asarray(M, dtype=float)
-    norms = np.linalg.norm(M, axis=0)
-    zero = norms == 0
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(M, axis=0)
+    out, zero = _unit_columns(M, norms)
     if zero.any() and warn:
         warnings.warn(f"{int(zero.sum())} zero column(s) left unnormalized")
-    safe = np.where(zero, 1.0, norms)
-    return M / safe
+    return out
 
 
 @dataclass(frozen=True)
@@ -246,10 +270,6 @@ class CoefBundle:
     def row_block(self, i):
         return slice((i - 1) * self.k_c, i * self.k_c)
 
-    def cols(self, c):
-        """X_c, the codes of class-c samples (K x n_c)."""
-        return self.X[:, self.class_columns(c)]
-
     def rows(self, i):
         """X^i, the rows owned by class dictionary i (k_c x N)."""
         return self.X[self.row_block(i), :]
@@ -257,13 +277,6 @@ class CoefBundle:
     def block(self, i, c):
         """X_c^i, class-c columns restricted to dictionary-i rows."""
         return self.X[self.row_block(i), self.class_columns(c)]
-
-    def shared_cols(self, c):
-        return self.X0[:, self.class_columns(c)]
-
-    def stacked(self):
-        """[X; X0], codes on the total dictionary."""
-        return np.vstack([self.X, self.X0])
 
     @classmethod
     def zeros(cls, C, k_c, k0, n_c):
@@ -302,16 +315,6 @@ class MeanStats:
 
     def class_mean(self, c):
         return self.class_means[:, c - 1]
-
-    def tile_global(self, n):
-        return np.tile(self.global_mean[:, None], (1, n))
-
-    def tile_classwise(self, n_c):
-        """[M_1 .. M_C]: class means tiled over their own columns, K x C*n_c."""
-        return np.repeat(self.class_means, n_c, axis=1)
-
-    def tile_shared(self, n):
-        return np.tile(self.shared_mean[:, None], (1, n))
 
 
 def mean_stats(coefs, labels):
@@ -464,31 +467,3 @@ def generate_synthetic(
     truth = DictionaryBundle(class_dicts=tuple(class_dicts), shared_dict=shared)
     return dataset, truth
 
-
-def random_projection_features(raw, target_dim, seed, matrix=None):
-    """Project raw features to target_dim with a scaled Gaussian matrix,
-    then unit-normalize each output column.
-
-    ``matrix`` overrides the random projection (used by tests to pin the
-    projection to a known value, e.g. the identity).
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[0] < 1 or raw.shape[1] < 1:
-        raise DimensionError(f"raw feature matrix must be non-empty 2-d, got {raw.shape}")
-    if target_dim < 1:
-        raise ParameterError("target_dim must be positive")
-    if target_dim > raw.shape[0]:
-        warnings.warn(
-            f"target_dim={target_dim} exceeds the raw dimension {raw.shape[0]}"
-        )
-    if matrix is None:
-        rng = np.random.default_rng(seed)
-        matrix = rng.standard_normal((target_dim, raw.shape[0])) / np.sqrt(target_dim)
-    else:
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (target_dim, raw.shape[0]):
-            raise DimensionError(
-                f"projection matrix shape {matrix.shape} does not match "
-                f"({target_dim}, {raw.shape[0]})"
-            )
-    return normalize_columns(matrix @ raw)

@@ -119,34 +119,26 @@ def grad_fidelity(gram, X):
     return gram.apply(X) - gram.corr
 
 
-def grad_fisher(X, labels, means=None):
+def grad_fisher(X, labels):
     """Gradient of f(X): 4 X + 2 M - 4 [M_1 .. M_C].
 
-    With means=None the class/global means are recomputed from X
-    (differentiating through them); pass (global_mean, class_means) to hold
-    them fixed at an earlier iterate.
+    The class/global means are recomputed from X, so the gradient
+    differentiates through them.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if labels.shape != (X.shape[1],):
         raise DimensionError("labels length does not match code columns")
-    if means is None:
-        m, class_means = _column_means(X, labels)
-    else:
-        m, class_means = means
-        _check_labels(labels)
+    m, class_means = _column_means(X, labels)
     return 4.0 * X + 2.0 * m[:, None] - 4.0 * class_means[:, labels - 1]
 
 
-def fisher_value(X, labels, means=None):
+def fisher_value(X, labels):
     """f(X) itself (the X part of the code penalty, no lambda factor)."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels, dtype=int)
     _, n_c = _check_labels(labels)
-    if means is None:
-        m, class_means = _column_means(X, labels)
-    else:
-        m, class_means = means
+    m, class_means = _column_means(X, labels)
     within = float(np.sum((X - class_means[:, labels - 1]) ** 2))
     between = n_c * float(np.sum((class_means - m[:, None]) ** 2))
     return within - between + float(np.sum(X * X))

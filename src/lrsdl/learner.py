@@ -23,18 +23,15 @@ from .data import (
     HyperParams,
     IterationRecord,
     LearnedModel,
-    MeanStats,
     mean_stats,
     normalize_columns,
 )
 from .dictupdate import _class_problem, count_dead_atoms, odl_update, update_shared_dict
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 from .gradients import (
     _check_shapes,
     _column_means,
     build_augmented_gram,
-    fidelity_value,
-    fisher_value,
     grad_fidelity,
     grad_fisher,
     grad_shared_codes,
@@ -46,9 +43,8 @@ from .prox import SmoothObjective, fista, power_iteration_lipschitz
 log = logging.getLogger(__name__)
 
 POWER_ITERS = 100
-
-_MEAN_MODES = ("through", "frozen")
-_SWEEP_MODES = ("sequential", "jacobi")
+ODL_SWEEPS = 2  # column sweeps per class dictionary refit
+SEQ_PASSES = 3  # visits of every class block per sequential coding round
 
 
 @dataclass(frozen=True)
@@ -58,27 +54,12 @@ class TrainConfig:
     hyper: HyperParams = field(default_factory=HyperParams)
     k_c: int = 10
     k0: int = 0
-    mean_mode: str = "through"
-    dict_sweep_mode: str = "sequential"
-    trace_every: int = 1
-    odl_sweeps: int = 2
-    seq_passes: int = 3
 
     def __post_init__(self):
         if self.k_c < 1:
             raise ParameterError(f"k_c must be >= 1, got {self.k_c}")
         if self.k0 < 0:
             raise ParameterError(f"k0 must be >= 0, got {self.k0}")
-        if self.mean_mode not in _MEAN_MODES:
-            raise ParameterError(f"unknown mean_mode {self.mean_mode!r}")
-        if self.dict_sweep_mode not in _SWEEP_MODES:
-            raise ParameterError(f"unknown dict_sweep_mode {self.dict_sweep_mode!r}")
-        if self.trace_every < 1:
-            raise ParameterError("trace_every must be >= 1")
-        if self.odl_sweeps < 1:
-            raise ParameterError("odl_sweeps must be >= 1")
-        if self.seq_passes < 1:
-            raise ParameterError("seq_passes must be >= 1")
 
 
 def initialize(data, config, seed):
@@ -151,24 +132,17 @@ def _solve_shared_codes(data, dicts, X, X0_warm, hyper):
     def grad(W):
         return grad_shared_codes(D0, Ysum, W, M0, lam2)
 
-    def value(W):
-        fit_term = np.sum((0.5 * Ysum - D0 @ W) ** 2)
-        return fit_term + 0.5 * lam2 * np.sum((W - M0) ** 2)
-
-    obj = SmoothObjective(grad=grad, lipschitz=L, value=value)
+    obj = SmoothObjective.quadratic(grad, L, X0_warm.shape)
     return fista(obj, hyper.lambda1, X0_warm, max_iter=hyper.fista_iters, tol=hyper.fista_tol)
 
 
-def sparse_code_train(data, dicts, coefs, hyper, mean_mode="through"):
+def sparse_code_train(data, dicts, coefs, hyper):
     """One coding round: refit all class coefficients jointly, then X0.
 
-    mean_mode "through" differentiates the mean-separation term exactly
-    (the column means are functions of the iterate); "frozen" fixes the
-    means at the warm start, giving a majorize-minimize step. Both keep
-    the full objective non-increasing.
+    The mean-separation term is differentiated exactly (the column means
+    are functions of the iterate), so the solve keeps the full objective
+    non-increasing.
     """
-    if mean_mode not in _MEAN_MODES:
-        raise ParameterError(f"unknown mean_mode {mean_mode!r}")
     _check_shapes(data, dicts, coefs)
     labels = data.labels
     n_c = data.n_c
@@ -178,71 +152,29 @@ def sparse_code_train(data, dicts, coefs, hyper, mean_mode="through"):
     gram = build_augmented_gram(dicts, shifted, n_c)
     L = _fidelity_lipschitz(gram, dicts.K, hyper.seed) + 2.0 * lam2
 
-    if mean_mode == "through":
+    def grad(X):
+        return grad_fidelity(gram, X) + 0.5 * lam2 * grad_fisher(X, labels)
 
-        def grad(X):
-            return grad_fidelity(gram, X) + 0.5 * lam2 * grad_fisher(X, labels)
-
-        def value(X):
-            return fidelity_value(shifted, dicts, X, n_c) + 0.5 * lam2 * fisher_value(
-                X, labels
-            )
-
-    else:
-        gmean, cmeans = _column_means(coefs.X, labels)
-        lin = 2.0 * gmean[:, None] - 4.0 * cmeans[:, labels - 1]
-
-        def grad(X):
-            return grad_fidelity(gram, X) + 0.5 * lam2 * (4.0 * X + lin)
-
-        def value(X):
-            quad = 2.0 * np.sum(X * X) + np.sum(lin * X)
-            return fidelity_value(shifted, dicts, X, n_c) + 0.5 * lam2 * quad
-
-    obj = SmoothObjective(grad=grad, lipschitz=L, value=value)
+    obj = SmoothObjective.quadratic(grad, L, coefs.X.shape)
     Xnew = fista(obj, hyper.lambda1, coefs.X, max_iter=hyper.fista_iters, tol=hyper.fista_tol)
     X0new = _solve_shared_codes(data, dicts, Xnew, coefs.X0, hyper)
     return CoefBundle(X=Xnew, X0=X0new, k_c=dicts.k_c, n_c=n_c)
 
 
-def _class_fidelity(shifted_block, dicts, W, c):
-    """Fidelity restricted to class c's columns, W being those columns."""
-    full = np.sum((shifted_block - dicts.D @ W) ** 2)
-    own_recon = dicts.class_dict(c) @ W[_rows(dicts.k_c, c)]
-    own = np.sum((shifted_block - own_recon) ** 2)
-    cross = -np.sum(own_recon**2)
-    for i in range(1, dicts.C + 1):
-        Wi = dicts.class_dict(i) @ W[_rows(dicts.k_c, i)]
-        cross += np.sum(Wi**2)
-    return 0.5 * (full + own + cross)
-
-
-def _rows(k_c, i):
-    return slice((i - 1) * k_c, i * k_c)
-
-
-def sparse_code_sequential(
-    data, dicts, coefs, hyper, mean_mode="through", passes=3, per_solve_iters=None
-):
+def sparse_code_sequential(data, dicts, coefs, hyper):
     """Baseline coder: cycle class-by-class solves instead of one joint solve.
 
-    Each class block gets fista_iters/passes iterations per visit so the
-    total per-column iteration budget matches the joint coder. Cross-class
-    coupling (the shared Gram off-diagonal and the mean terms) is only
-    refreshed between visits, which is what the joint solver avoids.
+    Each class block gets fista_iters/SEQ_PASSES iterations per visit so
+    the total per-column iteration budget matches the joint coder.
+    Cross-class coupling (the shared Gram off-diagonal and the mean terms)
+    is only refreshed between visits, which is what the joint solver avoids.
     """
-    if mean_mode not in _MEAN_MODES:
-        raise ParameterError(f"unknown mean_mode {mean_mode!r}")
-    if passes < 1:
-        raise ParameterError("passes must be >= 1")
     _check_shapes(data, dicts, coefs)
     labels = data.labels
     n_c = data.n_c
     C = data.C
     lam2 = hyper.lambda2
-    budget = per_solve_iters
-    if budget is None:
-        budget = max(1, math.ceil(hyper.fista_iters / passes))
+    budget = max(1, math.ceil(hyper.fista_iters / SEQ_PASSES))
 
     shifted = data.Y - dicts.shared_dict @ coefs.X0
     gram = build_augmented_gram(dicts, shifted, n_c)
@@ -250,76 +182,44 @@ def sparse_code_sequential(
 
     X = coefs.X.copy()
     _, cmeans = _column_means(X, labels)
-    Xpatch = X.copy()
 
-    for _ in range(passes):
+    for _ in range(SEQ_PASSES):
         for c in range(1, C + 1):
             cols = coefs.class_columns(c)
             corr_c = gram.corr[:, cols]
-            block_c = shifted[:, cols]
+            other_sum = cmeans.sum(axis=1) - cmeans[:, c - 1]
 
-            if mean_mode == "through":
-                other_sum = cmeans.sum(axis=1) - cmeans[:, c - 1]
+            def grad(W, _corr=corr_c, _S=other_sum):
+                mc = W.mean(axis=1)
+                m = (mc + _S) / C
+                fisher = 4.0 * W + 2.0 * m[:, None] - 4.0 * mc[:, None]
+                return gram.apply(W) - _corr + 0.5 * lam2 * fisher
 
-                def grad(W, _corr=corr_c, _S=other_sum):
-                    mc = W.mean(axis=1)
-                    m = (mc + _S) / C
-                    fisher = 4.0 * W + 2.0 * m[:, None] - 4.0 * mc[:, None]
-                    return gram.apply(W) - _corr + 0.5 * lam2 * fisher
-
-                def value(W, _cols=cols, _blk=block_c, _c=c):
-                    Xpatch[:, _cols] = W
-                    return _class_fidelity(_blk, dicts, W, _c) + 0.5 * lam2 * fisher_value(
-                        Xpatch, labels
-                    )
-
-            else:
-                gmean = X.mean(axis=1)
-                lin_c = (2.0 * gmean - 4.0 * cmeans[:, c - 1])[:, None]
-
-                def grad(W, _corr=corr_c, _lin=lin_c):
-                    return gram.apply(W) - _corr + 0.5 * lam2 * (4.0 * W + _lin)
-
-                def value(W, _blk=block_c, _lin=lin_c, _c=c):
-                    quad = 2.0 * np.sum(W * W) + np.sum(_lin * W)
-                    return _class_fidelity(_blk, dicts, W, _c) + 0.5 * lam2 * quad
-
-            obj = SmoothObjective(grad=grad, lipschitz=L, value=value)
+            obj = SmoothObjective.quadratic(grad, L, (dicts.K, n_c))
             Wnew = fista(obj, hyper.lambda1, X[:, cols], max_iter=budget, tol=hyper.fista_tol)
             X[:, cols] = Wnew
-            Xpatch[:, cols] = Wnew
             cmeans[:, c - 1] = Wnew.mean(axis=1)
 
     X0new = _solve_shared_codes(data, dicts, X, coefs.X0, hyper)
     return CoefBundle(X=X, X0=X0new, k_c=dicts.k_c, n_c=n_c)
 
 
-def _update_class_dicts(data, dicts, coefs, sweep_mode, sweeps):
+def _update_class_dicts(data, dicts, coefs):
     """One round of per-class dictionary refits.
 
-    sequential mode folds each class's new dictionary into the residual
-    before moving on (Gauss-Seidel); jacobi builds every subproblem from
-    the same snapshot. Both leave column norms at <= 1.
+    Each class's new dictionary is folded into the residual before the
+    next class is visited (Gauss-Seidel). Column norms stay at <= 1.
     """
     shifted = data.Y - dicts.shared_dict @ coefs.X0
     R = shifted - dicts.D @ coefs.X
     dead = 0
     new_dicts = list(dicts.class_dicts)
-    if sweep_mode == "sequential":
-        for c in range(1, dicts.C + 1):
-            prob = _class_problem(c, shifted, R, new_dicts[c - 1], coefs)
-            dead += count_dead_atoms(prob)
-            Dc = odl_update(prob, new_dicts[c - 1], sweeps=sweeps)
-            R += (new_dicts[c - 1] - Dc) @ coefs.rows(c)
-            new_dicts[c - 1] = Dc
-    else:
-        problems = [
-            _class_problem(c, shifted, R, new_dicts[c - 1], coefs)
-            for c in range(1, dicts.C + 1)
-        ]
-        for c, prob in enumerate(problems, start=1):
-            dead += count_dead_atoms(prob)
-            new_dicts[c - 1] = odl_update(prob, new_dicts[c - 1], sweeps=sweeps)
+    for c in range(1, dicts.C + 1):
+        prob = _class_problem(c, shifted, R, new_dicts[c - 1], coefs)
+        dead += count_dead_atoms(prob)
+        Dc = odl_update(prob, new_dicts[c - 1], sweeps=ODL_SWEEPS)
+        R += (new_dicts[c - 1] - Dc) @ coefs.rows(c)
+        new_dicts[c - 1] = Dc
     if dead:
         log.debug("skipped %d dead atoms in dictionary sweep", dead)
     return DictionaryBundle(class_dicts=tuple(new_dicts), shared_dict=dicts.shared_dict)
@@ -328,8 +228,8 @@ def _update_class_dicts(data, dicts, coefs, sweep_mode, sweeps):
 def fit(data, config, coder="joint", iteration_callback=None):
     """Train a model. Feature columns are unit-normalized before anything else.
 
-    Returns a LearnedModel whose trace holds one record per traced outer
-    iteration (always including the last). A numerical failure mid-run
+    Returns a LearnedModel whose trace holds one record per completed
+    outer iteration. A numerical failure mid-run
     aborts the loop and returns the last completed iterate with
     aborted=True instead of raising.
     """
@@ -349,14 +249,10 @@ def fit(data, config, coder="joint", iteration_callback=None):
         prev = (dicts, coefs)
         try:
             if coder == "joint":
-                coefs = sparse_code_train(data, dicts, coefs, hyper, config.mean_mode)
+                coefs = sparse_code_train(data, dicts, coefs, hyper)
             else:
-                coefs = sparse_code_sequential(
-                    data, dicts, coefs, hyper, config.mean_mode, passes=config.seq_passes
-                )
-            dicts = _update_class_dicts(
-                data, dicts, coefs, config.dict_sweep_mode, config.odl_sweeps
-            )
+                coefs = sparse_code_sequential(data, dicts, coefs, hyper)
+            dicts = _update_class_dicts(data, dicts, coefs)
             if config.k0 > 0:
                 before = objective_terms(data, dicts, coefs, hyper).total
                 Ybar, Ytilde = residual_matrices(data, dicts, coefs)
@@ -375,18 +271,17 @@ def fit(data, config, coder="joint", iteration_callback=None):
             dicts, coefs = prev
             aborted = True
             break
-        if it % config.trace_every == 0 or it == hyper.outer_iters:
-            records.append(
-                IterationRecord(
-                    iteration=it,
-                    objective=terms.total,
-                    fidelity=terms.fidelity,
-                    l1=terms.l1,
-                    fisher=terms.fisher,
-                    nuclear=terms.nuclear,
-                    seconds=perf_counter() - start,
-                )
+        records.append(
+            IterationRecord(
+                iteration=it,
+                objective=terms.total,
+                fidelity=terms.fidelity,
+                l1=terms.l1,
+                fisher=terms.fisher,
+                nuclear=terms.nuclear,
+                seconds=perf_counter() - start,
             )
+        )
         if iteration_callback is not None:
             iteration_callback(it, data, dicts, coefs)
 

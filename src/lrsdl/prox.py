@@ -19,9 +19,10 @@ class SmoothObjective:
     """Smooth part of a composite objective g(W) + lam * ||W||_1.
 
     grad maps a matrix to its gradient, lipschitz is a bound on the
-    gradient's Lipschitz constant, and value (optional) evaluates g. When
-    value is provided, :func:`fista` runs a monotone safeguard so the
-    composite objective never increases along the returned iterates.
+    gradient's Lipschitz constant, and value (optional) evaluates g up to
+    an additive constant. When value is provided, :func:`fista` runs a
+    monotone safeguard so the composite objective never increases along
+    the returned iterates.
     """
 
     grad: Callable
@@ -31,6 +32,25 @@ class SmoothObjective:
     def __post_init__(self):
         if not np.isfinite(self.lipschitz) or self.lipschitz <= 0:
             raise ParameterError(f"lipschitz must be positive, got {self.lipschitz}")
+
+    @classmethod
+    def quadratic(cls, grad, lipschitz, shape):
+        """Objective for a quadratic g, with value derived from grad.
+
+        For g(W) = 1/2 <W, H W> - <B, W> + c the gradient is H W - B, so
+        g(W) - g(0) = 1/2 <W, grad(W) + grad(0)>. The constant g(0) never
+        changes which FISTA candidate is accepted, so this value is all the
+        monotone safeguard needs. grad(0) is computed once, on a zero matrix
+        of the given shape. value calls the grad given here rather than
+        obj.grad, so a copy of the objective with a wrapped grad keeps the
+        same value.
+        """
+        g0 = grad(np.zeros(shape))
+        return cls(
+            grad=grad,
+            lipschitz=lipschitz,
+            value=lambda W: 0.5 * float(np.vdot(W, grad(W) + g0)),
+        )
 
 
 def soft_threshold(W, tau):

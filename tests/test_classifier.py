@@ -127,6 +127,18 @@ class TestEncodeTest:
         with pytest.raises(NumericalError):
             encode_test(np.full(model.d, np.nan), model)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_sample_scale_keeps_labels(self, scale):
+        # squaring these entries overflows or underflows; the sample must
+        # still be normalized, not coded as the zero vector
+        data, model = fitted_model(seed=7)
+        for j in range(data.N):
+            y = data.Y[:, j]
+            want = classify(y, model)
+            got = classify(y * scale, model)
+            assert got.label == want.label
+            assert np.allclose(got.code, want.code, atol=1e-6)
+
     def test_lipschitz_bounds_gram(self):
         _, model = fitted_model(seed=6)
         Dt = model.dict_bundle.D_total

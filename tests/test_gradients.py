@@ -263,21 +263,6 @@ class TestGradFisher:
         fd = fd_grad(f, X, eps=1e-6)
         assert rel_err(grad_fisher(X, labels), fd) < 1e-4
 
-    def test_finite_difference_frozen_surrogate(self):
-        # with means held fixed the gradient matches the majorizing
-        # quadratic 2||X||^2 + <2m - 4m_c, X>
-        rng = np.random.default_rng(29)
-        X = rng.standard_normal((4, 6))
-        labels = np.repeat([1, 2, 3], 2)
-        m, cm = _column_means(X, labels)
-        lin = 2.0 * m[:, None] - 4.0 * cm[:, labels - 1]
-
-        def q(M):
-            return 2.0 * float(np.sum(M * M)) + float(np.sum(lin * M))
-
-        fd = fd_grad(q, X, eps=1e-6)
-        assert rel_err(grad_fisher(X, labels, means=(m, cm)), fd) < 1e-4
-
     def test_fisher_value_nonnegative(self):
         # f(X) >= 0: within-class scatter minus between-class plus ||X||^2
         rng = np.random.default_rng(30)

@@ -6,6 +6,8 @@ route for singular value thresholding, and projected subgradient descent for
 the nuclear-norm regression. Closed-form cases are asserted directly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,38 @@ class TestFista:
         keep = W0.copy()
         fista(obj, 0.1, W0, max_iter=5)
         assert np.array_equal(W0, keep)
+
+
+class TestQuadraticObjective:
+    def setup_method(self):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((5, 5))
+        self.H = A @ A.T + 0.1 * np.eye(5)  # random SPD
+        self.B = rng.standard_normal((5, 3))
+        self.rng = rng
+        self.calls = 0
+
+    def grad(self, W):
+        self.calls += 1
+        return self.H @ W - self.B
+
+    def explicit(self, W):
+        return 0.5 * float(np.sum(W * (self.H @ W))) - float(np.sum(self.B * W))
+
+    def test_value_matches_explicit_quadratic(self):
+        obj = SmoothObjective.quadratic(self.grad, 1.0, (5, 3))
+        for _ in range(5):
+            W = self.rng.standard_normal((5, 3))
+            assert obj.value(W) == pytest.approx(self.explicit(W), rel=1e-12, abs=1e-12)
+        assert obj.value(np.zeros((5, 3))) == 0.0
+
+    def test_grad_at_zero_computed_once_and_value_skips_obj_grad(self):
+        obj = SmoothObjective.quadratic(self.grad, 1.0, (5, 3))
+        assert self.calls == 1
+        wrapped = dataclasses.replace(obj, grad=lambda W: pytest.fail("obj.grad called"))
+        W = self.rng.standard_normal((5, 3))
+        assert wrapped.value(W) == obj.value(W)
+        assert self.calls == 3
 
 
 class TestSvt:
