@@ -1,10 +1,16 @@
-"""Classification: sparse-code a test sample, then score each class.
+"""Classification: sparse-code test samples, then score each class.
 
 A test sample is coded against the full stacked dictionary with an l1
 penalty plus a pull of the shared part toward the training shared-code
 mean. The shared reconstruction is subtracted out and each class is
 scored by a weighted mix of its reconstruction residual and the distance
 of the code to the class's training code mean. Smallest score wins.
+
+Every entry point takes one sample (d,) or a batch (d, N). A batch is
+coded in one FISTA solve over the precomputed Gram matrix; its safeguard
+accepts, rejects and stops each column on its own, so each sample takes
+the steps a solve of that sample alone takes. Only round-off differs
+(BLAS sums a matrix product in another order than a matrix-vector one).
 """
 
 import logging
@@ -13,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _unit_columns
-from .errors import DimensionError, NumericalError, ParameterError
-from .gradients import grad_test_code
+from .errors import DataError, DimensionError, NumericalError, ParameterError
+from .gradients import build_test_gram
 from .prox import SmoothObjective, fista, power_iteration_lipschitz
 
 log = logging.getLogger(__name__)
@@ -26,33 +32,41 @@ POWER_ITERS = 100
 @dataclass(frozen=True)
 class Prediction:
     """label is the 1-based argmin of per_class_scores (ties go low);
-    code is the full coefficient vector, class part first."""
+    code is the full coefficient vector, class part first.
 
-    label: int
+    For one sample label is an int, per_class_scores has shape (C,) and
+    code (K + k0,). For a batch of N samples label is an int array (N,),
+    per_class_scores has shape (C, N) and code (K + k0, N).
+    """
+
+    label: int | np.ndarray
     per_class_scores: np.ndarray
     code: np.ndarray
 
 
-def _as_sample(y, d):
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape != (d,):
-        raise DimensionError(f"sample has {y.shape[0]} features, model expects {d}")
-    if not np.all(np.isfinite(y)):
-        raise NumericalError("test sample contains non-finite values")
-    return y
+def _as_samples(Y, d):
+    """One sample (d,) or a batch (d, N) as a validated (d, N) matrix."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim not in (1, 2) or Y.shape[0] != d:
+        raise DimensionError(
+            f"samples of shape {Y.shape} do not have the {d} features the model expects"
+        )
+    if not np.all(np.isfinite(Y)):
+        raise NumericalError("test samples contain non-finite values")
+    return Y.reshape(d, -1)
 
 
-def _normalize_sample(y):
+def _normalize_samples(Y):
     with np.errstate(over="ignore", under="ignore"):
-        nrm = np.linalg.norm(y)
-    out, zero = _unit_columns(y[:, None], np.array([nrm]))
-    if zero[0]:
-        log.warning("zero-norm test sample left unnormalized")
-    return out[:, 0]
+        norms = np.linalg.norm(Y, axis=0)
+    out, zero = _unit_columns(Y, norms)
+    if zero.any():
+        log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())
+    return out
 
 
 def test_coding_lipschitz(model):
-    """Step-size bound for the test-coding solves; reusable across samples."""
+    """Step-size bound for the test-coding solves; the same for every sample."""
     Dt = model.dict_bundle.D_total
     L = power_iteration_lipschitz(
         lambda v: Dt.T @ (Dt @ v),
@@ -63,79 +77,95 @@ def test_coding_lipschitz(model):
     return L + model.hyper.lambda2
 
 
-def encode_test(y, model, lipschitz=None):
-    """Code one sample against the stacked dictionary.
+def encode_test(Y, model):
+    """Code one sample (d,) or each column of a batch (d, N) against the
+    stacked dictionary.
 
-    Minimizes 1/2 ||y - D_total x||^2 + lambda2/2 ||x0 - m0||^2
-    + lambda1 ||x||_1 over the stacked code x. The sample is unit
-    normalized first, matching training.
+    For each sample y, minimizes 1/2 ||y - D_total x||^2
+    + lambda2/2 ||x0 - m0||^2 + lambda1 ||x||_1 over the stacked code x.
+    Samples are unit normalized first, matching training. Returns a
+    (K + k0,) code for one sample and a (K + k0, N) matrix for a batch,
+    whose columns fista accepts, rejects and stops one by one.
     """
     dicts = model.dict_bundle
-    y = _normalize_sample(_as_sample(y, dicts.d))
-    m0 = model.mean_stats.shared_mean
-    lam2 = model.hyper.lambda2
-    K = dicts.K
-    if lipschitz is None:
-        lipschitz = test_coding_lipschitz(model)
+    Yn = _normalize_samples(_as_samples(Y, dicts.d)).reshape(np.shape(Y))
+    H, B = build_test_gram(
+        dicts, Yn, model.mean_stats.shared_mean, model.hyper.lambda2
+    )
 
-    def grad(x):
-        return grad_test_code(dicts, y, x, m0, lam2)
+    def grad(X):
+        return H @ X - B
 
-    x0 = np.zeros(K + dicts.k0)
-    obj = SmoothObjective.quadratic(grad, lipschitz, x0.shape)
+    obj = SmoothObjective.quadratic(
+        grad, test_coding_lipschitz(model), B.shape, per_column=B.ndim == 2
+    )
     return fista(
         obj,
         model.hyper.lambda1,
-        x0,
+        np.zeros(B.shape),
         max_iter=TEST_CODING_ITERS,
         tol=model.hyper.fista_tol,
     )
 
 
-def class_scores(y, model, code, w):
-    """Score vector for an already-coded, already-validated sample."""
+def class_scores(Y, model, code, w):
+    """Class scores of already-coded samples: (C,) for one sample (d,),
+    (C, N) for a batch (d, N) with codes (K + k0, N)."""
     dicts = model.dict_bundle
-    y = _normalize_sample(_as_sample(y, dicts.d))
-    K = dicts.K
-    x, x0 = code[:K], code[K:]
-    ybar = y - dicts.shared_dict @ x0
-    scores = np.empty(dicts.C)
+    Yn = _normalize_samples(_as_samples(Y, dicts.d))
+    code = np.reshape(code, (dicts.K + dicts.k0, -1))
+    X, X0 = code[: dicts.K], code[dicts.K :]
+    Ybar = Yn - dicts.shared_dict @ X0
+    scores = np.empty((dicts.C, Yn.shape[1]))
     for c in range(1, dicts.C + 1):
-        resid = ybar - dicts.class_dict(c) @ x[dicts.row_block(c)]
-        coef_dist = x - model.mean_stats.class_mean(c)
-        scores[c - 1] = w * np.sum(resid**2) + (1.0 - w) * np.sum(coef_dist**2)
-    return scores
+        resid = Ybar - dicts.class_dict(c) @ X[dicts.row_block(c)]
+        coef_dist = X - model.mean_stats.class_mean(c)[:, None]
+        scores[c - 1] = w * np.sum(resid**2, axis=0) + (1.0 - w) * np.sum(
+            coef_dist**2, axis=0
+        )
+    return scores[:, 0] if np.ndim(Y) == 1 else scores
 
 
-def classify(y, model, w=None, lipschitz=None):
-    """Two-stage rule: sparse code, then argmin of the class scores."""
+def classify(Y, model, w=None):
+    """Two-stage rule for one sample (d,) or a batch (d, N): sparse code,
+    then argmin of the class scores. See :class:`Prediction` for shapes."""
     if w is None:
         w = model.hyper.w
     if not 0.0 <= w <= 1.0:
         raise ParameterError(f"w must lie in [0, 1], got {w}")
-    code = encode_test(y, model, lipschitz=lipschitz)
-    scores = class_scores(y, model, code, w)
-    return Prediction(label=int(np.argmin(scores)) + 1, per_class_scores=scores, code=code)
+    code = encode_test(Y, model)
+    scores = class_scores(Y, model, code, w)
+    label = np.argmin(scores, axis=0) + 1
+    return Prediction(
+        label=int(label) if scores.ndim == 1 else label,
+        per_class_scores=scores,
+        code=code,
+    )
+
+
+def score_predictions(labels, predicted, C):
+    """Accuracy and confusion matrix of predicted against true labels.
+
+    confusion[i, j] counts true class i+1 predicted as j+1, so rows sum
+    to the per-class counts. True labels outside 1..C raise DataError.
+    """
+    labels = np.asarray(labels, dtype=int)
+    predicted = np.asarray(predicted, dtype=int)
+    if labels.size and (labels.min() < 1 or labels.max() > C):
+        raise DataError(f"true labels must lie in 1..{C}")
+    confusion = np.zeros((C, C), dtype=int)
+    np.add.at(confusion, (labels - 1, predicted - 1), 1)
+    return float(np.mean(labels == predicted)), confusion
 
 
 def evaluate(test, model, w=None):
-    """Accuracy and confusion matrix over a labeled test set.
-
-    confusion[i, j] counts true class i+1 predicted as j+1; rows sum to
-    the per-class test counts.
-    """
+    """Accuracy and confusion matrix (see :func:`score_predictions`) over a
+    labeled test set, all samples classified in one batch."""
     if test.d != model.d:
         raise DimensionError(
             f"test features have dimension {test.d}, model expects {model.d}"
         )
     if test.C != model.C:
         raise DimensionError(f"test set has {test.C} classes, model has {model.C}")
-    L = test_coding_lipschitz(model)
-    confusion = np.zeros((model.C, model.C), dtype=int)
-    hits = 0
-    for j in range(test.N):
-        pred = classify(test.Y[:, j], model, w=w, lipschitz=L)
-        true = int(test.labels[j])
-        confusion[true - 1, pred.label - 1] += 1
-        hits += pred.label == true
-    return hits / test.N, confusion
+    pred = classify(test.Y, model, w=w)
+    return score_predictions(test.labels, pred.label, model.C)

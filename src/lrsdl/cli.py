@@ -9,7 +9,7 @@ import os
 import sys
 
 from .archive import load_model, save_model, write_trace
-from .classifier import classify, evaluate, test_coding_lipschitz
+from .classifier import classify, evaluate, score_predictions
 from .data import Dataset, HyperParams, generate_synthetic
 from .errors import DimensionError, NumericalError, ToolkitError
 from .learner import TrainConfig, bench_joint_vs_sequential, fit
@@ -137,27 +137,22 @@ def _cmd_classify(args):
             raise DimensionError(
                 f"{labels.shape[0]} labels for {Y.shape[1]} samples"
             )
-    w = model.hyper.w if args.w is None else args.w
+    pred = classify(Y, model, w=args.w)
+    if labels is not None:
+        accuracy, confusion = score_predictions(labels, pred.label, model.C)
 
     os.makedirs(args.out, exist_ok=True)
-    L = test_coding_lipschitz(model)
-    hits = 0
-    confusion = [[0] * model.C for _ in range(model.C)]
     with open(os.path.join(args.out, "predictions.csv"), "w") as fh:
         fh.write("index,true_label,pred_label,score_pred\n")
-        for j in range(Y.shape[1]):
-            pred = classify(Y[:, j], model, w=w, lipschitz=L)
+        for j, label in enumerate(pred.label):
             true = int(labels[j]) if labels is not None else 0
-            score = pred.per_class_scores[pred.label - 1]
-            fh.write(f"{j + 1},{true},{pred.label},{score:.17g}\n")
-            if labels is not None and 1 <= true <= model.C:
-                confusion[true - 1][pred.label - 1] += 1
-                hits += pred.label == true
+            score = pred.per_class_scores[label - 1, j]
+            fh.write(f"{j + 1},{true},{label},{score:.17g}\n")
     if labels is not None:
         with open(os.path.join(args.out, "confusion.csv"), "w") as fh:
             for row in confusion:
                 fh.write(",".join(str(v) for v in row) + "\n")
-        print(f"accuracy={hits / Y.shape[1]:.4f}")
+        print(f"accuracy={accuracy:.4f}")
     return 0
 
 

@@ -165,25 +165,41 @@ def grad_shared_codes(D0, Ysum, X0, M0, lambda2):
     return 2.0 * (D0.T @ (D0 @ X0)) - D0.T @ Ysum + lambda2 * (X0 - M0)
 
 
-def grad_test_code(dicts, y, xbar, m0, lambda2):
-    """Gradient of the test-coding smooth part
+def build_test_gram(dicts, Y, m0, lambda2):
+    """Gram form (H, B) of the test-coding smooth part for one sample y
+    (d,) or, summed over its columns y, a batch Y (d, N):
 
         1/2 ||y - D_total x||^2 + lambda2/2 ||x0 - m0||^2
 
-    namely D_total^T (D_total x - y) + lambda2 [0; x0 - m0].
+    Its gradient in the code x (or code matrix X, one column per sample)
+    is H X - B with
+
+        H = D_total^T D_total + lambda2 [0 0; 0 I],
+        B = D_total^T Y + lambda2 [0; m0 1^T],
+
+    so H acts on each column separately and one product serves all samples.
     """
-    y = np.asarray(y, dtype=float)
-    xbar = np.asarray(xbar, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    m0 = np.asarray(m0, dtype=float)
     Dt = dicts.D_total
-    if y.shape != (dicts.d,) or xbar.shape != (Dt.shape[1],):
+    if Y.ndim not in (1, 2) or Y.shape[0] != dicts.d or m0.shape != (dicts.k0,):
         raise DimensionError(
-            f"y shape {y.shape} or code shape {xbar.shape} does not match "
-            f"dictionary {Dt.shape}"
+            f"samples of shape {Y.shape} or shared mean of shape {m0.shape} "
+            f"do not match dictionary {Dt.shape}"
         )
-    g = Dt.T @ (Dt @ xbar - y)
-    if dicts.k0:
-        g[dicts.K :] += lambda2 * (xbar[dicts.K :] - np.asarray(m0, dtype=float))
-    return g
+    K = dicts.K
+    H = Dt.T @ Dt
+    H[K:, K:] += lambda2 * np.eye(dicts.k0)
+    B = Dt.T @ Y
+    B[K:] += lambda2 * m0.reshape((-1,) + (1,) * (Y.ndim - 1))
+    return H, B
+
+
+def grad_test_code(dicts, y, xbar, m0, lambda2):
+    """Gradient D_total^T (D_total x - y) + lambda2 [0; x0 - m0] of the
+    test-coding smooth part at one code, from :func:`build_test_gram`."""
+    H, B = build_test_gram(dicts, y, m0, lambda2)
+    return H @ np.asarray(xbar, dtype=float) - B
 
 
 def residual_matrices(data, dicts, coefs):

@@ -34,7 +34,7 @@ class SmoothObjective:
             raise ParameterError(f"lipschitz must be positive, got {self.lipschitz}")
 
     @classmethod
-    def quadratic(cls, grad, lipschitz, shape):
+    def quadratic(cls, grad, lipschitz, shape, per_column=False):
         """Objective for a quadratic g, with value derived from grad.
 
         For g(W) = 1/2 <W, H W> - <B, W> + c the gradient is H W - B, so
@@ -44,13 +44,25 @@ class SmoothObjective:
         of the given shape. value calls the grad given here rather than
         obj.grad, so a copy of the objective with a wrapped grad keeps the
         same value.
+
+        With per_column, value returns one number per column of W (the
+        same inner product, summed down each column), and :func:`fista`
+        applies its safeguard to each column on its own. That is only
+        meaningful when the columns are independent problems, i.e. H acts
+        on each column separately.
         """
         g0 = grad(np.zeros(shape))
-        return cls(
-            grad=grad,
-            lipschitz=lipschitz,
-            value=lambda W: 0.5 * float(np.vdot(W, grad(W) + g0)),
-        )
+        if per_column:
+
+            def value(W):
+                return 0.5 * _column_sums(W * (grad(W) + g0))
+
+        else:
+
+            def value(W):
+                return 0.5 * float(np.vdot(W, grad(W) + g0))
+
+        return cls(grad=grad, lipschitz=lipschitz, value=value)
 
 
 def soft_threshold(W, tau):
@@ -65,6 +77,17 @@ def soft_threshold(W, tau):
     return np.sign(W) * np.maximum(np.abs(W) - tau, 0.0)
 
 
+def _column_sums(M):
+    """Sum down each column of M. Each column is summed as a contiguous
+    row of the transpose, so its sum does not depend on the other columns
+    and a column gets the same bits in a batch as on its own."""
+    return np.ascontiguousarray(M.T).sum(axis=1)
+
+
+def _pick(keep, a, b):
+    return a if keep else b
+
+
 def fista(obj, lam, W0, max_iter=100, tol=1e-6):
     """Accelerated proximal gradient descent for g(W) + lam * ||W||_1.
 
@@ -74,12 +97,23 @@ def fista(obj, lam, W0, max_iter=100, tol=1e-6):
         W0: warm start (copied, never modified).
         max_iter: iteration budget.
         tol: stop when the relative iterate change
-            ||W_k - W_{k-1}||_F / max(1, ||W_{k-1}||_F) drops below tol.
+            ||W_k - W_{k-1}||_F / max(1, ||W_{k-1}||_F) drops below tol
+            on an accepted step.
 
     Returns the final iterate. With obj.value given, candidates that would
     increase the composite objective are rejected (the previous iterate is
     kept while the momentum sequence still advances on the candidate), so
     recorded objective values are non-increasing.
+
+    The safeguard works on blocks: the whole matrix when obj.value returns
+    one number, each column when it returns one number per column. A
+    column block is accepted or rejected, and stops, on its own values and
+    its own relative change; once stopped it is frozen, and the solve ends
+    when every block has stopped or the budget is spent. The momentum
+    weight t depends only on the iteration count, so when grad and value
+    compute each column by the same arithmetic in a batch as alone, each
+    column of a per-column solve gets the bits a solve of that column
+    alone returns.
     """
     if lam < 0:
         raise ParameterError(f"l1 weight must be >= 0, got {lam}")
@@ -87,36 +121,53 @@ def fista(obj, lam, W0, max_iter=100, tol=1e-6):
         raise ParameterError("max_iter must be positive")
     L = obj.lipschitz
     W = np.array(W0, dtype=float)
-    W_prev = W
     Z = W
     t = 1.0
     monotone = obj.value is not None
+    F = obj.value(W) if monotone else None
+    if np.ndim(F) == 1:
+        # one block per column: boolean masks over the columns
 
-    def composite(M):
-        return obj.value(M) + lam * np.abs(M).sum()
+        def l1(M):
+            return _column_sums(np.abs(M))
 
-    F = composite(W) if monotone else None
+        def norm(M):
+            return np.sqrt(_column_sums(M * M))
+
+        select, any_live = np.where, np.ndarray.any
+        live = np.ones(F.shape, dtype=bool)
+    else:
+        # the whole matrix is one block: plain scalars
+
+        def l1(M):
+            return np.abs(M).sum()
+
+        norm, select, any_live = np.linalg.norm, _pick, bool
+        live = np.True_
+    if monotone:
+        F = F + lam * l1(W)
     for k in range(1, max_iter + 1):
         G = obj.grad(Z)
         if not np.isfinite(G).all():
             raise NumericalError(f"non-finite gradient at iteration {k}")
         cand = soft_threshold(Z - G / L, lam / L)
-        accepted = True
         if monotone:
-            F_cand = composite(cand)
-            if not np.isfinite(F_cand):
+            F_cand = obj.value(cand) + lam * l1(cand)
+            if not np.isfinite(F_cand).all():
                 raise NumericalError(f"non-finite objective at iteration {k}")
-            if F_cand <= F:
-                W_new, F = cand, F_cand
-            else:
-                W_new, accepted = W, False
+            accepted = live & (F_cand <= F)
+            W_new = select(accepted, cand, W)
+            F = select(accepted, F_cand, F)
         else:
+            accepted = live
             W_new = cand
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        Z = W_new + (t / t_new) * (cand - W_new) + ((t - 1.0) / t_new) * (W_new - W)
-        rel = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))
-        W_prev, W, t = W, W_new, t_new
-        if accepted and rel < tol:
+        step = W_new - W
+        Z = W_new + (t / t_new) * (cand - W_new) + ((t - 1.0) / t_new) * step
+        rel = norm(step) / np.maximum(1.0, norm(W))
+        W, t = W_new, t_new
+        live = live & ~(accepted & (rel < tol))
+        if not any_live(live):
             break
     return W
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lrsdl.archive import _parse_trace, load_model
+from lrsdl.classifier import classify
 from lrsdl.cli import main
 from lrsdl.matio import load_matrix
 
@@ -178,6 +179,37 @@ class TestClassify:
         assert first[0] == "1" and first[1] == "1"
         confusion = np.loadtxt(os.path.join(out, "confusion.csv"), delimiter=",")
         assert confusion.sum() == 15
+
+    def test_predictions_match_library_batch(self, capsys, tmp_path, dataset):
+        model_dir = self.fit_model(capsys, tmp_path, dataset)
+        out = str(tmp_path / "preds")
+        run(
+            capsys, "classify", "--model", model_dir,
+            "--data", os.path.join(dataset, "Y.lmx"), "--out", out,
+        )
+        rows = np.loadtxt(os.path.join(out, "predictions.csv"), delimiter=",", skiprows=1)
+        pred = classify(load_matrix(os.path.join(dataset, "Y.lmx")), load_model(model_dir))
+        assert np.array_equal(rows[:, 2], pred.label)
+        assert np.array_equal(
+            rows[:, 3], pred.per_class_scores[pred.label - 1, np.arange(pred.label.size)]
+        )
+
+    def test_labels_outside_model_classes_exit_2(self, capsys, tmp_path, dataset):
+        model_dir = self.fit_model(capsys, tmp_path, dataset)
+        labels = np.loadtxt(os.path.join(dataset, "labels.csv"), dtype=int)
+        labels[::3] = 7  # the model has 3 classes
+        bad = tmp_path / "bad_labels.csv"
+        bad.write_text("".join(f"{v}\n" for v in labels))
+        out = str(tmp_path / "preds")
+        code, stdout, err = run(
+            capsys, "classify", "--model", model_dir,
+            "--data", os.path.join(dataset, "Y.lmx"),
+            "--labels", str(bad), "--out", out,
+        )
+        assert code == 2
+        assert "1..3" in err
+        assert "accuracy=" not in stdout
+        assert not os.path.exists(out)
 
     def test_unlabeled_run(self, capsys, tmp_path, dataset):
         model_dir = self.fit_model(capsys, tmp_path, dataset)

@@ -9,7 +9,9 @@ site, evaluated independently:
 * shared codes: the fidelity from objective_terms as a function of X0 plus
   the pull 1/2 lambda2 ||X0 - M0||^2 toward the warm-start mean,
 * sequential class blocks: the same terms with only block c varied,
-* test codes: 1/2 ||y - D_total x||^2 + lambda2/2 ||x0 - m0||^2.
+* test codes: 1/2 ||y - D_total x||^2 + lambda2/2 ||x0 - m0||^2 for each
+  sample y of a batch; the test-coding value returns one number per code
+  column, and each must match the literal objective of its own sample.
 
 ``fista`` is replaced by a stub that records the objective and returns the
 warm start, so every site sees the unchanged inputs.
@@ -47,10 +49,13 @@ def capture(mp, module):
     return seen
 
 
-def assert_same_differences(obj, literal, W1, W2):
-    lit1, lit2 = literal(W1), literal(W2)
+def assert_same_difference(v1, v2, lit1, lit2):
     scale = max(1.0, abs(lit1), abs(lit2))
-    assert abs((obj.value(W1) - obj.value(W2)) - (lit1 - lit2)) <= REL * scale
+    assert abs((v1 - v2) - (lit1 - lit2)) <= REL * scale
+
+
+def assert_same_differences(obj, literal, W1, W2):
+    assert_same_difference(obj.value(W1), obj.value(W2), literal(W1), literal(W2))
 
 
 def smooth_terms(data, dicts, X, X0, hyper):
@@ -67,10 +72,13 @@ def smooth_terms(data, dicts, X, X0, hyper):
     k_c=st.integers(1, 3),
     k0=st.integers(1, 3),
     d=st.integers(2, 8),
+    n_test=st.integers(1, 4),
     lambda2=st.floats(0.0, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_site_values_match_literal_objectives(shared, C, n_c, k_c, k0, d, lambda2, seed):
+def test_site_values_match_literal_objectives(
+    shared, C, n_c, k_c, k0, d, n_test, lambda2, seed
+):
     k0 = k0 if shared else 0
     rng = np.random.default_rng(seed)
     N = C * n_c
@@ -126,16 +134,23 @@ def test_site_values_match_literal_objectives(shared, C, n_c, k_c, k0, d, lambda
     model = LearnedModel(
         dict_bundle=dicts, mean_stats=mean_stats(coefs, data.labels), hyper=hyper, trace=()
     )
-    y = rng.standard_normal(d)
-    yn = y / np.linalg.norm(y)
+    Y = rng.standard_normal((d, n_test))
+    Yn = Y / np.linalg.norm(Y, axis=0)
     m0 = model.mean_stats.shared_mean
     with pytest.MonkeyPatch.context() as mp:
         test = capture(mp, classifier)
-        classifier.encode_test(y, model)
+        classifier.encode_test(Y, model)
     assert len(test) == 1
 
-    def test_literal(x):
-        fit_term = 0.5 * float(np.sum((yn - dicts.D_total @ x) ** 2))
-        return fit_term + 0.5 * lambda2 * float(np.sum((x[K:] - m0) ** 2))
+    W1, W2 = draw((K + k0, n_test))
+    v1, v2 = test[0].value(W1), test[0].value(W2)
+    assert v1.shape == v2.shape == (n_test,)
+    for j in range(n_test):
 
-    assert_same_differences(test[0], test_literal, *draw(K + k0))
+        def test_literal(x, yn=Yn[:, j]):
+            fit_term = 0.5 * float(np.sum((yn - dicts.D_total @ x) ** 2))
+            return fit_term + 0.5 * lambda2 * float(np.sum((x[K:] - m0) ** 2))
+
+        assert_same_difference(
+            v1[j], v2[j], test_literal(W1[:, j]), test_literal(W2[:, j])
+        )

@@ -22,12 +22,12 @@ from lrsdl.gradients import (
     ObjectiveTerms,
     _column_means,
     build_augmented_gram,
+    build_test_gram,
     fidelity_value,
     fisher_value,
     grad_fidelity,
     grad_fisher,
     grad_shared_codes,
-    grad_test_code,
     lrsdl_objective,
     objective_terms,
     residual_matrices,
@@ -318,44 +318,62 @@ class TestGradSharedCodes:
             )
 
 
-class TestGradTestCode:
+class TestBuildTestGram:
+    """The Gram form (H, B) of test coding: its gradient H X - B, checked
+    on a batch of samples, one code column each."""
+
+    def grad(self, dicts, Y, X, m0, lambda2):
+        H, B = build_test_gram(dicts, Y, m0, lambda2)
+        return H @ X - B
+
     def test_zero_code_no_penalty(self):
         data, dicts, _ = random_problem(33, k0=2)
-        y = np.random.default_rng(0).standard_normal(dicts.d)
-        x = np.zeros(dicts.K + dicts.k0)
-        g = grad_test_code(dicts, y, x, np.zeros(dicts.k0), lambda2=0.0)
-        assert np.allclose(g, -dicts.D_total.T @ y, atol=1e-12)
+        Y = np.random.default_rng(0).standard_normal((dicts.d, 3))
+        X = np.zeros((dicts.K + dicts.k0, 3))
+        g = self.grad(dicts, Y, X, np.zeros(dicts.k0), lambda2=0.0)
+        assert np.allclose(g, -dicts.D_total.T @ Y, atol=1e-12)
 
     def test_zero_at_consistent_point(self):
         rng = np.random.default_rng(34)
         _, dicts, _ = random_problem(35, k0=2)
         x = rng.standard_normal(dicts.K + dicts.k0)
-        y = dicts.D_total @ x
+        X = np.stack([x, x], axis=1)  # the shared mean is one vector for all samples
+        Y = dicts.D_total @ X
         m0 = x[dicts.K :].copy()
-        g = grad_test_code(dicts, y, x, m0, lambda2=0.9)
+        g = self.grad(dicts, Y, X, m0, lambda2=0.9)
         assert np.max(np.abs(g)) < 1e-10
 
     def test_finite_difference(self):
         rng = np.random.default_rng(36)
         _, dicts, _ = random_problem(37, k0=2)
-        y = rng.standard_normal(dicts.d)
-        x = rng.standard_normal(dicts.K + dicts.k0)
+        Y = rng.standard_normal((dicts.d, 3))
+        X = rng.standard_normal((dicts.K + dicts.k0, 3))
         m0 = rng.standard_normal(dicts.k0)
         lam2 = 0.4
 
-        def f(v):
-            fit = 0.5 * float(np.sum((y - dicts.D_total @ v) ** 2))
-            return fit + 0.5 * lam2 * float(np.sum((v[dicts.K :] - m0) ** 2))
+        def f(V):
+            fit = 0.5 * float(np.sum((Y - dicts.D_total @ V) ** 2))
+            return fit + 0.5 * lam2 * float(np.sum((V[dicts.K :] - m0[:, None]) ** 2))
 
-        fd = fd_grad(f, x, eps=1e-6)
-        assert rel_err(grad_test_code(dicts, y, x, m0, lam2), fd) < 1e-4
+        fd = fd_grad(f, X, eps=1e-6)
+        assert rel_err(self.grad(dicts, Y, X, m0, lam2), fd) < 1e-4
+        # one sample (d,) is the same quadratic with vector B
+        g1 = self.grad(dicts, Y[:, 0], X[:, 0], m0, lam2)
+        assert np.allclose(g1, self.grad(dicts, Y, X, m0, lam2)[:, 0], atol=1e-12)
 
     def test_no_shared_atoms(self):
         _, dicts, _ = random_problem(38, k0=0)
-        y = np.random.default_rng(1).standard_normal(dicts.d)
-        x = np.random.default_rng(2).standard_normal(dicts.K)
-        g = grad_test_code(dicts, y, x, np.zeros(0), lambda2=0.5)
-        assert np.allclose(g, dicts.D.T @ (dicts.D @ x - y), atol=1e-12)
+        Y = np.random.default_rng(1).standard_normal((dicts.d, 3))
+        X = np.random.default_rng(2).standard_normal((dicts.K, 3))
+        g = self.grad(dicts, Y, X, np.zeros(0), lambda2=0.5)
+        assert np.allclose(g, dicts.D.T @ (dicts.D @ X - Y), atol=1e-12)
+
+    def test_shape_checks(self):
+        _, dicts, _ = random_problem(38, k0=2)
+        with pytest.raises(DimensionError):
+            build_test_gram(dicts, np.zeros((dicts.d + 1, 2)), np.zeros(2), 0.1)
+        with pytest.raises(DimensionError):
+            build_test_gram(dicts, np.zeros((dicts.d, 2)), np.zeros(3), 0.1)
 
 
 class TestObjective:

@@ -29,6 +29,7 @@ from lrsdl.prox import (
 from oracles import (
     cd_lasso,
     lasso_objective,
+    mfista_one_block,
     nuclear_norm,
     subgrad_nuclear_descent,
     svt_eigh,
@@ -169,6 +170,110 @@ class TestFista:
         assert np.array_equal(W0, keep)
 
 
+def least_squares_columns(A, B):
+    """grad and per-column value of sum_j 1/2 ||A w_j - b_j||^2, each column
+    computed on its own, so a batch and a lone column share every bit."""
+
+    def column(W, j):
+        return np.ascontiguousarray(W[:, j])
+
+    def grad(W):
+        return np.stack(
+            [A.T @ (A @ column(W, j) - B[:, j]) for j in range(W.shape[1])], axis=1
+        )
+
+    def value(W):
+        return np.array(
+            [
+                0.5 * float(np.sum((A @ column(W, j) - B[:, j]) ** 2))
+                for j in range(W.shape[1])
+            ]
+        )
+
+    return grad, value
+
+
+class TestFistaColumnBlocks:
+    """fista with a value that returns one number per column."""
+
+    def problem(self, seed=7):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((12, 8)) * np.geomspace(1.0, 0.02, 8)
+        B = rng.standard_normal((12, 4))
+        B[:, 0] = 0.0  # optimal at the zero start: stops at iteration 1
+        B[:, 2] = A @ np.where(np.arange(8) < 3, 1.0, 0.0)  # well fit by 3 atoms
+        L = 1.01 * float(np.linalg.eigvalsh(A.T @ A)[-1])
+        return A, B, L
+
+    def solve(self, A, B, L, lam, W0, max_iter, tol):
+        grad, value = least_squares_columns(A, B)
+        calls = []
+
+        def counted(W):
+            calls.append(1)
+            return grad(W)
+
+        obj = SmoothObjective(grad=counted, lipschitz=L, value=value)
+        return fista(obj, lam, W0, max_iter=max_iter, tol=tol), len(calls)
+
+    def test_batch_equals_each_column_alone(self):
+        A, B, L = self.problem()
+        W0 = np.zeros((8, 4))
+        batch, batch_iters = self.solve(A, B, L, 0.05, W0, 400, 1e-6)
+        iters = []
+        for j in range(4):
+            alone, n = self.solve(A, B[:, [j]], L, 0.05, W0[:, [j]], 400, 1e-6)
+            assert np.array_equal(batch[:, j], alone[:, 0]), f"column {j}"
+            iters.append(n)
+        assert iters[0] == 1  # all-zero target: accepted, no change, stop
+        assert max(iters) == 400  # the slowest column spends the budget
+        assert batch_iters == max(iters)
+        # column 2 stops on tolerance while further steps would still move
+        # it, so the batch must freeze it there
+        assert 1 < iters[2] < 400
+        longer, _ = self.solve(A, B[:, [2]], L, 0.05, W0[:, [2]], 400, 0.0)
+        assert not np.array_equal(batch[:, 2], longer[:, 0])
+
+    def test_stops_when_every_column_has_stopped(self):
+        A, B, L = self.problem()
+        _, n = self.solve(A, B[:, [0, 0]], L, 0.05, np.zeros((8, 2)), 400, 1e-9)
+        assert n == 1
+
+    def test_each_column_objective_never_increases(self):
+        A, B, L = self.problem(seed=8)
+        lam = 0.05
+        W0 = np.random.default_rng(9).standard_normal((8, 4))
+
+        def objectives(W):
+            return np.array([lasso_objective(A, B[:, j], lam, W[:, j]) for j in range(4)])
+
+        prev = objectives(W0)
+        for n in range(1, 60):
+            W, _ = self.solve(A, B, L, lam, W0, n, 0.0)
+            now = objectives(W)
+            assert np.all(now <= prev + 1e-12 * np.maximum(1.0, np.abs(prev))), n
+            prev = now
+
+    def test_scalar_value_matches_one_block_reference_bit_for_bit(self):
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((15, 9))
+        B = rng.standard_normal((15, 3))
+        L = 1.01 * float(np.linalg.eigvalsh(A.T @ A)[-1])
+
+        def grad(W):
+            return A.T @ (A @ W - B)
+
+        def value(W):
+            return 0.5 * float(np.sum((A @ W - B) ** 2))
+
+        W0 = rng.standard_normal((9, 3))
+        for v in (value, None):
+            obj = SmoothObjective(grad=grad, lipschitz=L, value=v)
+            out = fista(obj, 0.1, W0, max_iter=150, tol=1e-7)
+            ref = mfista_one_block(grad, v, L, 0.1, W0, 150, 1e-7)
+            assert out.tobytes() == ref.tobytes()
+
+
 class TestQuadraticObjective:
     def setup_method(self):
         rng = np.random.default_rng(6)
@@ -199,6 +304,16 @@ class TestQuadraticObjective:
         W = self.rng.standard_normal((5, 3))
         assert wrapped.value(W) == obj.value(W)
         assert self.calls == 3
+
+    def test_per_column_value_is_each_column_quadratic(self):
+        obj = SmoothObjective.quadratic(self.grad, 1.0, (5, 3), per_column=True)
+        W = self.rng.standard_normal((5, 3))
+        got = obj.value(W)
+        assert got.shape == (3,)
+        for j in range(3):
+            w, b = W[:, j], self.B[:, j]
+            want = 0.5 * float(w @ self.H @ w) - float(b @ w)
+            assert got[j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestSvt:
