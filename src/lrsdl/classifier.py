@@ -26,7 +26,6 @@ from .prox import SmoothObjective, fista, power_iteration_lipschitz
 log = logging.getLogger(__name__)
 
 TEST_CODING_ITERS = 300
-POWER_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -68,13 +67,7 @@ def _normalize_samples(Y):
 def test_coding_lipschitz(model):
     """Step-size bound for the test-coding solves; the same for every sample."""
     Dt = model.dict_bundle.D_total
-    L = power_iteration_lipschitz(
-        lambda v: Dt.T @ (Dt @ v),
-        (Dt.shape[1], 1),
-        iters=POWER_ITERS,
-        seed=model.hyper.seed,
-    )
-    return L + model.hyper.lambda2
+    return power_iteration_lipschitz(Dt.T @ Dt, seed=model.hyper.seed) + model.hyper.lambda2
 
 
 def encode_test(Y, model):
@@ -104,7 +97,6 @@ def encode_test(Y, model):
         model.hyper.lambda1,
         np.zeros(B.shape),
         max_iter=TEST_CODING_ITERS,
-        tol=model.hyper.fista_tol,
     )
 
 

@@ -64,11 +64,6 @@ def _build_parser():
     p.add_argument("--iters", type=int, default=15)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory for trace CSVs")
-    p.add_argument(
-        "--force-identical-coders",
-        action="store_true",
-        help=argparse.SUPPRESS,
-    )
     p.set_defaults(func=_cmd_bench)
     return parser
 
@@ -162,9 +157,7 @@ def _cmd_bench(args):
     # coders face the same objective
     hyper = HyperParams(outer_iters=args.iters, seed=args.seed)
     config = TrainConfig(hyper=hyper, k_c=data.n_c, k0=0)
-    result = bench_joint_vs_sequential(
-        data, config, force_identical=args.force_identical_coders
-    )
+    result = bench_joint_vs_sequential(data, config)
     os.makedirs(args.out, exist_ok=True)
     write_trace(result.joint_trace, os.path.join(args.out, "joint.csv"))
     write_trace(result.sequential_trace, os.path.join(args.out, "sequential.csv"))

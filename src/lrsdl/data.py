@@ -317,23 +317,32 @@ class MeanStats:
         return self.class_means[:, c - 1]
 
 
+def class_means(X, C):
+    """Per-class means (rows x C) of the columns of X in the class layout:
+    C contiguous blocks of equal size."""
+    return X.reshape(X.shape[0], C, -1).mean(axis=2)
+
+
+def check_class_layout(labels, N):
+    """Class count C of a label vector of length N in the class layout
+    (labels 1..C in contiguous blocks of N / C columns each). Raises
+    DimensionError for a wrong length, DomainError for any other layout."""
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape != (N,):
+        raise DimensionError(f"labels length {labels.shape} does not match {N} columns")
+    C = int(labels.max(initial=0))
+    if C < 1 or N % C or not np.array_equal(labels, np.repeat(np.arange(1, C + 1), N // C)):
+        raise DomainError("labels must be 1..C in contiguous blocks of equal size")
+    return C
+
+
 def mean_stats(coefs, labels):
     """Compute MeanStats from a CoefBundle and its column labels."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape != (coefs.N,):
-        raise DimensionError(
-            f"labels length {labels.shape} does not match {coefs.N} columns"
-        )
-    C = coefs.C
-    class_means = np.empty((coefs.K, C))
-    for c in range(1, C + 1):
-        mask = labels == c
-        if not mask.any():
-            raise DomainError(f"class {c} has zero samples")
-        class_means[:, c - 1] = coefs.X[:, mask].mean(axis=1)
+    if check_class_layout(labels, coefs.N) != coefs.C:
+        raise DomainError(f"labels do not name the {coefs.C} classes of the codes")
     return MeanStats(
         global_mean=coefs.X.mean(axis=1),
-        class_means=class_means,
+        class_means=class_means(coefs.X, coefs.C),
         shared_mean=coefs.X0.mean(axis=1) if coefs.k0 else np.zeros(0),
     )
 
@@ -349,8 +358,6 @@ class HyperParams:
     outer_iters: int = 15
     fista_iters: int = 100
     admm_iters: int = 100
-    fista_tol: float = 1e-6
-    admm_rho: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -360,10 +367,6 @@ class HyperParams:
             raise ParameterError(f"w={self.w} outside [0, 1]")
         if min(self.outer_iters, self.fista_iters, self.admm_iters) < 1:
             raise ParameterError("iteration budgets must be positive")
-        if self.fista_tol <= 0:
-            raise ParameterError("fista_tol must be positive")
-        if self.admm_rho <= 0:
-            raise ParameterError("admm_rho must be positive")
 
 
 @dataclass(frozen=True)
@@ -407,7 +410,6 @@ def generate_synthetic(
     shared_rank,
     noise_sigma,
     seed,
-    class_scale=1.0,
     shared_scale=1.0,
 ):
     """Draw a planted-model dataset and return (Dataset, ground-truth bundle).
@@ -453,7 +455,7 @@ def generate_synthetic(
         for j in range(n_c):
             a = np.zeros(k_c)
             idx = rng.choice(k_c, size=s_c, replace=False)
-            a[idx] = class_scale * rng.standard_normal(s_c)
+            a[idx] = rng.standard_normal(s_c)
             block[:, j] = class_dicts[c] @ a
             if k0 > 0:
                 b = np.zeros(k0)

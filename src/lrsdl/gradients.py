@@ -19,69 +19,26 @@ with M_c / M the tiled class / global code means, plus ||X0 - M0||^2 for
 the shared codes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError
-
-
-def _check_labels(labels):
-    """Return (C, n_c) for an equal-size label vector, else DomainError."""
-    labels = np.asarray(labels, dtype=int)
-    C = int(labels.max())
-    counts = np.bincount(labels, minlength=C + 1)[1:]
-    if (counts == 0).any() or len(set(counts.tolist())) != 1:
-        raise DomainError(f"unequal or empty class sizes {counts.tolist()}")
-    return C, int(counts[0])
-
-
-def _column_means(X, labels):
-    """Global mean (K,) and per-class means (K x C) of code columns."""
-    labels = np.asarray(labels, dtype=int)
-    C, n_c = _check_labels(labels)
-    contiguous = np.array_equal(labels, np.repeat(np.arange(1, C + 1), n_c))
-    if contiguous:
-        class_means = X.reshape(X.shape[0], C, n_c).mean(axis=2)
-    else:
-        class_means = np.empty((X.shape[0], C))
-        for c in range(1, C + 1):
-            class_means[:, c - 1] = X[:, labels == c].mean(axis=1)
-    return X.mean(axis=1), class_means
+from .data import check_class_layout, class_means
+from .errors import DimensionError, NumericalError
 
 
 @dataclass(frozen=True)
 class AugmentedGram:
     """Normal-equation pieces of the stacked fidelity system.
 
-    gram is D^T D (K x K), class_grams the per-class D_c^T D_c blocks, and
-    corr the assembled dictionary/data correlation: D^T Ys plus, in row
-    block c and column block c, an extra D_c^T Ys_c.
+    combined is D^T D plus the block diagonal of the per-class
+    D_c^T D_c (K x K, symmetric), and corr the assembled dictionary/data
+    correlation: D^T Ys plus, in row block c and column block c, an extra
+    D_c^T Ys_c.
     """
 
-    gram: np.ndarray
-    class_grams: tuple
+    combined: np.ndarray
     corr: np.ndarray
-    k_c: int
-    n_c: int
-    combined: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # gram plus the block diagonal, materialized once; K is desk scale
-        combined = np.array(self.gram)
-        combined = 0.5 * (combined + combined.T)
-        for i, Gc in enumerate(self.class_grams):
-            rows = slice(i * self.k_c, (i + 1) * self.k_c)
-            combined[rows, rows] += 0.5 * (Gc + Gc.T)
-        object.__setattr__(self, "combined", combined)
-
-    @property
-    def C(self):
-        return len(self.class_grams)
-
-    def apply(self, X):
-        """(D^T D + blockdiag(D_c^T D_c)) @ X for a K x m matrix X."""
-        return self.combined @ X
 
 
 def build_augmented_gram(dicts, shifted, n_c):
@@ -93,21 +50,17 @@ def build_augmented_gram(dicts, shifted, n_c):
             f"({dicts.d}, {dicts.C * n_c})"
         )
     D = dicts.D
+    gram = D.T @ D
+    combined = 0.5 * (gram + gram.T)
     corr = D.T @ shifted
-    class_grams = []
     for c in range(1, dicts.C + 1):
         Dc = dicts.class_dict(c)
-        class_grams.append(Dc.T @ Dc)
+        Gc = Dc.T @ Dc
         rows = dicts.row_block(c)
+        combined[rows, rows] += 0.5 * (Gc + Gc.T)
         cols = slice((c - 1) * n_c, c * n_c)
         corr[rows, cols] += Dc.T @ shifted[:, cols]
-    return AugmentedGram(
-        gram=D.T @ D,
-        class_grams=tuple(class_grams),
-        corr=corr,
-        k_c=dicts.k_c,
-        n_c=n_c,
-    )
+    return AugmentedGram(combined=combined, corr=corr)
 
 
 def grad_fidelity(gram, X):
@@ -116,32 +69,61 @@ def grad_fidelity(gram, X):
     X = np.asarray(X, dtype=float)
     if X.shape != gram.corr.shape:
         raise DimensionError(f"codes shape {X.shape} != {gram.corr.shape}")
-    return gram.apply(X) - gram.corr
+    return gram.combined @ X - gram.corr
+
+
+def _grad_fisher(X, C):
+    """grad_fisher for codes in the class layout with C classes."""
+    K, N = X.shape
+    G = (4.0 * X + 2.0 * X.mean(axis=1)[:, None]).reshape(K, C, N // C)
+    return (G - 4.0 * class_means(X, C)[:, :, None]).reshape(K, N)
 
 
 def grad_fisher(X, labels):
     """Gradient of f(X): 4 X + 2 M - 4 [M_1 .. M_C].
 
     The class/global means are recomputed from X, so the gradient
-    differentiates through them.
+    differentiates through them. The labels must be in the class layout.
     """
     X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape != (X.shape[1],):
-        raise DimensionError("labels length does not match code columns")
-    m, class_means = _column_means(X, labels)
-    return 4.0 * X + 2.0 * m[:, None] - 4.0 * class_means[:, labels - 1]
+    return _grad_fisher(X, check_class_layout(labels, X.shape[1]))
+
+
+def _fisher_value(X, C):
+    """fisher_value for codes in the class layout with C classes."""
+    K, N = X.shape
+    m, cm = X.mean(axis=1), class_means(X, C)
+    within = float(np.sum((X.reshape(K, C, N // C) - cm[:, :, None]) ** 2))
+    between = (N // C) * float(np.sum((cm - m[:, None]) ** 2))
+    return within - between + float(np.sum(X * X))
 
 
 def fisher_value(X, labels):
     """f(X) itself (the X part of the code penalty, no lambda factor)."""
     X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    _, n_c = _check_labels(labels)
-    m, class_means = _column_means(X, labels)
-    within = float(np.sum((X - class_means[:, labels - 1]) ** 2))
-    between = n_c * float(np.sum((class_means - m[:, None]) ** 2))
-    return within - between + float(np.sum(X * X))
+    return _fisher_value(X, check_class_layout(labels, X.shape[1]))
+
+
+def gram_form(G, corr, mean, lambda2):
+    """Gram form (H, B) of a least-squares fit plus a lambda2 pull of the
+    last p code rows toward a mean (p = len(mean); mean broadcasts over the
+    columns of corr):
+
+        1/2 <X, G X> - <corr, X> + lambda2/2 ||X_p - mean||^2
+
+    where G = w A^T A and corr = A^T Y come from a dictionary A, data Y
+    and a weight w. Its gradient is H X - B with
+
+        H = G + lambda2 [0 0; 0 I],  B = corr + lambda2 [0; mean],
+
+    so a solve needs only products with the small matrix H.
+    """
+    n, p = G.shape[0], np.shape(mean)[0]
+    H = np.array(G, dtype=float)
+    H[n - p :, n - p :] += lambda2 * np.eye(p)
+    B = np.array(corr, dtype=float)
+    B[n - p :] += lambda2 * mean
+    return H, B
 
 
 def grad_shared_codes(D0, Ysum, X0, M0, lambda2):
@@ -150,7 +132,8 @@ def grad_shared_codes(D0, Ysum, X0, M0, lambda2):
         2 D0^T D0 X0 - D0^T (Ybar + Ytilde) + lambda2 (X0 - M0)
 
     where Ysum = Ybar + Ytilde is the sum of the two residual matrices and
-    M0 is the (frozen) tiled shared-code mean.
+    M0 is the (frozen) tiled shared-code mean. It is H X0 - B for the
+    :func:`gram_form` of G = 2 D0^T D0 and corr = D0^T Ysum.
     """
     D0 = np.asarray(D0, dtype=float)
     X0 = np.asarray(X0, dtype=float)
@@ -162,7 +145,8 @@ def grad_shared_codes(D0, Ysum, X0, M0, lambda2):
         )
     if M0.shape != X0.shape:
         raise DimensionError(f"mean tile shape {M0.shape} != codes {X0.shape}")
-    return 2.0 * (D0.T @ (D0 @ X0)) - D0.T @ Ysum + lambda2 * (X0 - M0)
+    H, B = gram_form(2.0 * (D0.T @ D0), D0.T @ Ysum, M0, lambda2)
+    return H @ X0 - B
 
 
 def build_test_gram(dicts, Y, m0, lambda2):
@@ -177,6 +161,7 @@ def build_test_gram(dicts, Y, m0, lambda2):
         H = D_total^T D_total + lambda2 [0 0; 0 I],
         B = D_total^T Y + lambda2 [0; m0 1^T],
 
+    (:func:`gram_form` of G = D_total^T D_total and corr = D_total^T Y),
     so H acts on each column separately and one product serves all samples.
     """
     Y = np.asarray(Y, dtype=float)
@@ -187,12 +172,9 @@ def build_test_gram(dicts, Y, m0, lambda2):
             f"samples of shape {Y.shape} or shared mean of shape {m0.shape} "
             f"do not match dictionary {Dt.shape}"
         )
-    K = dicts.K
-    H = Dt.T @ Dt
-    H[K:, K:] += lambda2 * np.eye(dicts.k0)
-    B = Dt.T @ Y
-    B[K:] += lambda2 * m0.reshape((-1,) + (1,) * (Y.ndim - 1))
-    return H, B
+    return gram_form(
+        Dt.T @ Dt, Dt.T @ Y, m0.reshape((-1,) + (1,) * (Y.ndim - 1)), lambda2
+    )
 
 
 def grad_test_code(dicts, y, xbar, m0, lambda2):
@@ -272,7 +254,7 @@ def objective_terms(data, dicts, coefs, hyper):
     if not np.isfinite(l1):
         raise NumericalError("l1 term is non-finite")
 
-    f = fisher_value(coefs.X, data.labels)
+    f = _fisher_value(coefs.X, data.C)
     if coefs.k0:
         m0 = coefs.X0.mean(axis=1)
         f += float(np.sum((coefs.X0 - m0[:, None]) ** 2))

@@ -23,6 +23,7 @@ from .data import (
     HyperParams,
     IterationRecord,
     LearnedModel,
+    class_means,
     mean_stats,
     normalize_columns,
 )
@@ -30,11 +31,10 @@ from .dictupdate import _class_problem, count_dead_atoms, odl_update, update_sha
 from .errors import NumericalError, ParameterError
 from .gradients import (
     _check_shapes,
-    _column_means,
+    _grad_fisher,
     build_augmented_gram,
     grad_fidelity,
-    grad_fisher,
-    grad_shared_codes,
+    gram_form,
     objective_terms,
     residual_matrices,
 )
@@ -42,9 +42,9 @@ from .prox import SmoothObjective, fista, power_iteration_lipschitz
 
 log = logging.getLogger(__name__)
 
-POWER_ITERS = 100
 ODL_SWEEPS = 2  # column sweeps per class dictionary refit
 SEQ_PASSES = 3  # visits of every class block per sequential coding round
+ADMM_RHO = 1.0  # ADMM penalty of the shared-dictionary update
 
 
 @dataclass(frozen=True)
@@ -103,37 +103,27 @@ def initialize(data, config, seed):
     return dicts, coefs
 
 
-def _fidelity_lipschitz(gram, K, seed):
-    L = power_iteration_lipschitz(gram.apply, (K, 1), iters=POWER_ITERS, seed=seed)
-    return L
-
-
 def _solve_shared_codes(data, dicts, X, X0_warm, hyper):
     """Refit the shared coefficients with class coefficients held fixed.
 
     The mean-pull target m0 is frozen at the warm start, which keeps the
     subproblem a strict majorizer of the full objective in X0.
     """
-    k0 = dicts.k0
-    if k0 == 0:
+    if dicts.k0 == 0:
         return X0_warm.copy()
     D0 = dicts.shared_dict
     tmp = CoefBundle(X=X, X0=X0_warm, k_c=dicts.k_c, n_c=data.n_c)
     Ybar, Ytilde = residual_matrices(data, dicts, tmp)
-    Ysum = Ybar + Ytilde
-    M0 = np.tile(X0_warm.mean(axis=1)[:, None], (1, data.N))
-    lam2 = hyper.lambda2
-
-    L = power_iteration_lipschitz(
-        lambda v: 2.0 * (D0.T @ (D0 @ v)), (k0, 1), iters=POWER_ITERS, seed=hyper.seed
-    )
-    L = L + lam2
+    G = 2.0 * (D0.T @ D0)
+    m0 = X0_warm.mean(axis=1)[:, None]
+    H, B = gram_form(G, D0.T @ (Ybar + Ytilde), m0, hyper.lambda2)
+    L = power_iteration_lipschitz(G, seed=hyper.seed) + hyper.lambda2
 
     def grad(W):
-        return grad_shared_codes(D0, Ysum, W, M0, lam2)
+        return H @ W - B
 
     obj = SmoothObjective.quadratic(grad, L, X0_warm.shape)
-    return fista(obj, hyper.lambda1, X0_warm, max_iter=hyper.fista_iters, tol=hyper.fista_tol)
+    return fista(obj, hyper.lambda1, X0_warm, max_iter=hyper.fista_iters)
 
 
 def sparse_code_train(data, dicts, coefs, hyper):
@@ -144,19 +134,19 @@ def sparse_code_train(data, dicts, coefs, hyper):
     non-increasing.
     """
     _check_shapes(data, dicts, coefs)
-    labels = data.labels
     n_c = data.n_c
+    C = data.C
     lam2 = hyper.lambda2
 
     shifted = data.Y - dicts.shared_dict @ coefs.X0
     gram = build_augmented_gram(dicts, shifted, n_c)
-    L = _fidelity_lipschitz(gram, dicts.K, hyper.seed) + 2.0 * lam2
+    L = power_iteration_lipschitz(gram.combined, seed=hyper.seed) + 2.0 * lam2
 
     def grad(X):
-        return grad_fidelity(gram, X) + 0.5 * lam2 * grad_fisher(X, labels)
+        return grad_fidelity(gram, X) + 0.5 * lam2 * _grad_fisher(X, C)
 
     obj = SmoothObjective.quadratic(grad, L, coefs.X.shape)
-    Xnew = fista(obj, hyper.lambda1, coefs.X, max_iter=hyper.fista_iters, tol=hyper.fista_tol)
+    Xnew = fista(obj, hyper.lambda1, coefs.X, max_iter=hyper.fista_iters)
     X0new = _solve_shared_codes(data, dicts, Xnew, coefs.X0, hyper)
     return CoefBundle(X=Xnew, X0=X0new, k_c=dicts.k_c, n_c=n_c)
 
@@ -170,7 +160,6 @@ def sparse_code_sequential(data, dicts, coefs, hyper):
     is only refreshed between visits, which is what the joint solver avoids.
     """
     _check_shapes(data, dicts, coefs)
-    labels = data.labels
     n_c = data.n_c
     C = data.C
     lam2 = hyper.lambda2
@@ -178,10 +167,10 @@ def sparse_code_sequential(data, dicts, coefs, hyper):
 
     shifted = data.Y - dicts.shared_dict @ coefs.X0
     gram = build_augmented_gram(dicts, shifted, n_c)
-    L = _fidelity_lipschitz(gram, dicts.K, hyper.seed) + 2.0 * lam2
+    L = power_iteration_lipschitz(gram.combined, seed=hyper.seed) + 2.0 * lam2
 
     X = coefs.X.copy()
-    _, cmeans = _column_means(X, labels)
+    cmeans = class_means(X, C)
 
     for _ in range(SEQ_PASSES):
         for c in range(1, C + 1):
@@ -193,10 +182,10 @@ def sparse_code_sequential(data, dicts, coefs, hyper):
                 mc = W.mean(axis=1)
                 m = (mc + _S) / C
                 fisher = 4.0 * W + 2.0 * m[:, None] - 4.0 * mc[:, None]
-                return gram.apply(W) - _corr + 0.5 * lam2 * fisher
+                return gram.combined @ W - _corr + 0.5 * lam2 * fisher
 
             obj = SmoothObjective.quadratic(grad, L, (dicts.K, n_c))
-            Wnew = fista(obj, hyper.lambda1, X[:, cols], max_iter=budget, tol=hyper.fista_tol)
+            Wnew = fista(obj, hyper.lambda1, X[:, cols], max_iter=budget)
             X[:, cols] = Wnew
             cmeans[:, c - 1] = Wnew.mean(axis=1)
 
@@ -253,19 +242,18 @@ def fit(data, config, coder="joint", iteration_callback=None):
             else:
                 coefs = sparse_code_sequential(data, dicts, coefs, hyper)
             dicts = _update_class_dicts(data, dicts, coefs)
+            terms = objective_terms(data, dicts, coefs, hyper)
             if config.k0 > 0:
-                before = objective_terms(data, dicts, coefs, hyper).total
                 Ybar, Ytilde = residual_matrices(data, dicts, coefs)
                 shared = update_shared_dict(
-                    Ybar, Ytilde, coefs.X0, hyper.eta, hyper.admm_rho, hyper.admm_iters
+                    Ybar, Ytilde, coefs.X0, hyper.eta, ADMM_RHO, hyper.admm_iters
                 )
                 cand = DictionaryBundle(class_dicts=dicts.class_dicts, shared_dict=shared)
-                after = objective_terms(data, cand, coefs, hyper).total
+                after = objective_terms(data, cand, coefs, hyper)
                 # the unit-norm cap can push the fit back up; keep the old
                 # shared dictionary when that happens
-                if after <= before:
-                    dicts = cand
-            terms = objective_terms(data, dicts, coefs, hyper)
+                if after.total <= terms.total:
+                    dicts, terms = cand, after
         except NumericalError as exc:
             log.warning("aborting at iteration %d: %s", it, exc)
             dicts, coefs = prev
@@ -303,18 +291,16 @@ class BenchResult:
     sequential_model: LearnedModel
 
 
-def bench_joint_vs_sequential(data, config, force_identical=False):
+def bench_joint_vs_sequential(data, config):
     """Train twice, once per coder, under the same config and budget.
 
     The sequential run gets the same total inner-iteration budget as the
-    joint one (see sparse_code_sequential). force_identical swaps the
-    sequential run for a second joint run; it exists to sanity-check the
-    harness itself.
+    joint one (see sparse_code_sequential).
     """
     if config.k0 != 0:
         raise ParameterError("coder benchmark requires k0=0")
     joint = fit(data, config, coder="joint")
-    other = fit(data, config, coder="joint" if force_identical else "sequential")
+    other = fit(data, config, coder="sequential")
     return BenchResult(
         joint_trace=joint.trace,
         sequential_trace=other.trace,

@@ -7,7 +7,7 @@ and are deterministic given their inputs and an explicit seed.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -19,15 +19,14 @@ class SmoothObjective:
     """Smooth part of a composite objective g(W) + lam * ||W||_1.
 
     grad maps a matrix to its gradient, lipschitz is a bound on the
-    gradient's Lipschitz constant, and value (optional) evaluates g up to
-    an additive constant. When value is provided, :func:`fista` runs a
-    monotone safeguard so the composite objective never increases along
-    the returned iterates.
+    gradient's Lipschitz constant, and value evaluates g up to an additive
+    constant; :func:`fista` uses it for a monotone safeguard, so the
+    composite objective never increases along the returned iterates.
     """
 
     grad: Callable
     lipschitz: float
-    value: Optional[Callable] = None
+    value: Callable
 
     def __post_init__(self):
         if not np.isfinite(self.lipschitz) or self.lipschitz <= 0:
@@ -88,11 +87,14 @@ def _pick(keep, a, b):
     return a if keep else b
 
 
-def fista(obj, lam, W0, max_iter=100, tol=1e-6):
+FISTA_TOL = 1e-6  # relative iterate change that ends every coding solve
+
+
+def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     """Accelerated proximal gradient descent for g(W) + lam * ||W||_1.
 
     Args:
-        obj: SmoothObjective with grad, lipschitz, and optionally value.
+        obj: SmoothObjective with grad, lipschitz and value.
         lam: l1 weight, >= 0.
         W0: warm start (copied, never modified).
         max_iter: iteration budget.
@@ -100,10 +102,10 @@ def fista(obj, lam, W0, max_iter=100, tol=1e-6):
             ||W_k - W_{k-1}||_F / max(1, ||W_{k-1}||_F) drops below tol
             on an accepted step.
 
-    Returns the final iterate. With obj.value given, candidates that would
-    increase the composite objective are rejected (the previous iterate is
-    kept while the momentum sequence still advances on the candidate), so
-    recorded objective values are non-increasing.
+    Returns the final iterate. Candidates that would increase the
+    composite objective are rejected (the previous iterate is kept while
+    the momentum sequence still advances on the candidate), so recorded
+    objective values are non-increasing.
 
     The safeguard works on blocks: the whole matrix when obj.value returns
     one number, each column when it returns one number per column. A
@@ -123,8 +125,7 @@ def fista(obj, lam, W0, max_iter=100, tol=1e-6):
     W = np.array(W0, dtype=float)
     Z = W
     t = 1.0
-    monotone = obj.value is not None
-    F = obj.value(W) if monotone else None
+    F = obj.value(W)
     if np.ndim(F) == 1:
         # one block per column: boolean masks over the columns
 
@@ -144,23 +145,18 @@ def fista(obj, lam, W0, max_iter=100, tol=1e-6):
 
         norm, select, any_live = np.linalg.norm, _pick, bool
         live = np.True_
-    if monotone:
-        F = F + lam * l1(W)
+    F = F + lam * l1(W)
     for k in range(1, max_iter + 1):
         G = obj.grad(Z)
         if not np.isfinite(G).all():
             raise NumericalError(f"non-finite gradient at iteration {k}")
         cand = soft_threshold(Z - G / L, lam / L)
-        if monotone:
-            F_cand = obj.value(cand) + lam * l1(cand)
-            if not np.isfinite(F_cand).all():
-                raise NumericalError(f"non-finite objective at iteration {k}")
-            accepted = live & (F_cand <= F)
-            W_new = select(accepted, cand, W)
-            F = select(accepted, F_cand, F)
-        else:
-            accepted = live
-            W_new = cand
+        F_cand = obj.value(cand) + lam * l1(cand)
+        if not np.isfinite(F_cand).all():
+            raise NumericalError(f"non-finite objective at iteration {k}")
+        accepted = live & (F_cand <= F)
+        W_new = select(accepted, cand, W)
+        F = select(accepted, F_cand, F)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         step = W_new - W
         Z = W_new + (t / t_new) * (cand - W_new) + ((t - 1.0) / t_new) * step
@@ -244,27 +240,29 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
     return (Z, residuals) if return_residuals else Z
 
 
-def power_iteration_lipschitz(apply, shape, iters=100, seed=0):
-    """Estimate the largest eigenvalue of a symmetric PSD linear operator
-    on matrices of the given shape, scaled by a 1% safety margin.
+def power_iteration_lipschitz(G, iters=100, seed=0):
+    """Estimate the largest eigenvalue of a symmetric PSD matrix G, scaled
+    by a 1% safety margin.
 
-    ``apply`` must be linear; the estimate is the final Rayleigh quotient
-    of a seeded random power iteration, floored at 1e-12 (a zero operator
-    returns the floor).
+    The estimate is the final Rayleigh quotient of a seeded random power
+    iteration, floored at 1e-12 (a zero matrix returns the floor).
     """
     if iters < 1:
         raise ParameterError("iters must be positive")
+    G = np.asarray(G, dtype=float)
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {G.shape}")
     rng = np.random.default_rng(seed)
-    V = rng.standard_normal(shape)
+    V = rng.standard_normal((G.shape[0], 1))
     nv = np.linalg.norm(V)
     if nv == 0:
         raise NumericalError("degenerate random start")
     V = V / nv
     lam = 0.0
     for _ in range(iters):
-        W = apply(V)
+        W = G @ V
         if not np.isfinite(W).all():
-            raise NumericalError("operator produced non-finite values")
+            raise NumericalError("matrix produced non-finite values")
         nw = np.linalg.norm(W)
         if nw < 1e-300:
             return 1e-12

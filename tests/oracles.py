@@ -215,9 +215,9 @@ def mfista_one_block(grad, value, L, lam, W0, max_iter, tol):
     """Monotone FISTA (Beck & Teboulle 2009) with the whole matrix as one
     safeguard block, written out with Python scalars: a candidate is kept
     only if it does not raise g + lam ||.||_1, and the solve stops on an
-    accepted step whose relative change is below tol. value=None runs plain
-    FISTA. Operation for operation this is the arithmetic prox.fista uses
-    for a scalar-valued objective, so the two agree bit for bit.
+    accepted step whose relative change is below tol. Operation for
+    operation this is the arithmetic prox.fista uses for a scalar-valued
+    objective, so the two agree bit for bit.
     """
     W = np.array(W0, dtype=float)
     Z = W
@@ -226,17 +226,15 @@ def mfista_one_block(grad, value, L, lam, W0, max_iter, tol):
     def shrink(V, tau):
         return np.sign(V) * np.maximum(np.abs(V) - tau, 0.0)
 
-    F = None if value is None else value(W) + lam * np.abs(W).sum()
+    F = value(W) + lam * np.abs(W).sum()
     for _ in range(max_iter):
         cand = shrink(Z - grad(Z) / L, lam / L)
-        accepted = True
-        W_new = cand
-        if value is not None:
-            F_cand = value(cand) + lam * np.abs(cand).sum()
-            if F_cand <= F:
-                F = F_cand
-            else:
-                W_new, accepted = W, False
+        W_new, accepted = cand, True
+        F_cand = value(cand) + lam * np.abs(cand).sum()
+        if F_cand <= F:
+            F = F_cand
+        else:
+            W_new, accepted = W, False
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         Z = W_new + (t / t_new) * (cand - W_new) + ((t - 1.0) / t_new) * (W_new - W)
         rel = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))

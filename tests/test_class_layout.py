@@ -1,0 +1,109 @@
+"""Property tests of the class-layout helpers and the k0=0 reduction.
+
+Codes follow the class layout: C contiguous column blocks of n_c columns,
+one per class. On generated C, n_c and K (C=1 and n_c=1 included),
+class_means, grad_fisher, fisher_value and mean_stats are checked against
+the per-label loop in oracles.column_means_by_class and against finite
+differences, and with no shared dictionary the training objective must
+equal the literal FDDL objective.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lrsdl.data import (
+    CoefBundle,
+    Dataset,
+    DictionaryBundle,
+    HyperParams,
+    class_means,
+    mean_stats,
+    normalize_columns,
+)
+from lrsdl.gradients import fisher_value, grad_fisher, lrsdl_objective
+
+from oracles import column_means_by_class, fd_grad, fddl_objective, rel_err
+
+shapes = dict(C=st.integers(1, 4), n_c=st.integers(1, 4), K=st.integers(1, 5))
+
+
+def layout(C, n_c, K, seed):
+    """Random codes (K x C n_c) and their class-contiguous labels."""
+    X = np.random.default_rng(seed).standard_normal((K, C * n_c))
+    return X, np.repeat(np.arange(1, C + 1), n_c)
+
+
+def literal_fisher(X, labels):
+    """sum_c (||X_c - M_c||^2 - n_c ||m_c - m||^2) + ||X||^2 from the
+    per-label oracle means."""
+    m, means = column_means_by_class(X, labels)
+    total = float(np.sum(X * X))
+    for c, mc in means.items():
+        cols = labels == c
+        total += float(np.sum((X[:, cols] - mc[:, None]) ** 2))
+        total -= cols.sum() * float(np.sum((mc - m) ** 2))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(**shapes, seed=st.integers(0, 2**32 - 1))
+def test_class_means_match_per_label_loop(C, n_c, K, seed):
+    X, labels = layout(C, n_c, K, seed)
+    cm = class_means(X, C)
+    assert cm.shape == (K, C)
+    _, means = column_means_by_class(X, labels)
+    for c, mc in means.items():
+        np.testing.assert_allclose(cm[:, c - 1], mc, rtol=1e-13, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**shapes, seed=st.integers(0, 2**32 - 1))
+def test_fisher_value_and_gradient(C, n_c, K, seed):
+    X, labels = layout(C, n_c, K, seed)
+    want = literal_fisher(X, labels)
+    assert abs(fisher_value(X, labels) - want) <= 1e-11 * max(1.0, abs(want))
+    # f is quadratic, so central differences are exact up to round-off
+    fd = fd_grad(lambda M: fisher_value(M, labels), X, eps=1e-3)
+    assert rel_err(grad_fisher(X, labels), fd) < 1e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(**shapes, k_c=st.integers(1, 3), k0=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_mean_stats_match_per_label_loop(C, n_c, K, k_c, k0, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((C * k_c, C * n_c))
+    X0 = rng.standard_normal((k0, C * n_c))
+    labels = np.repeat(np.arange(1, C + 1), n_c)
+    ms = mean_stats(CoefBundle(X=X, X0=X0, k_c=k_c, n_c=n_c), labels)
+    m, means = column_means_by_class(X, labels)
+    np.testing.assert_allclose(ms.global_mean, m, rtol=1e-13, atol=1e-14)
+    for c, mc in means.items():
+        np.testing.assert_allclose(ms.class_mean(c), mc, rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(ms.shared_mean, X0.mean(axis=1), rtol=1e-13, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    C=st.integers(1, 3),
+    n_c=st.integers(1, 4),
+    k_c=st.integers(1, 3),
+    d=st.integers(2, 8),
+    lambda1=st.floats(0.0, 1.0),
+    lambda2=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_shared_dictionary_is_fddl(C, n_c, k_c, d, lambda1, lambda2, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(1, C + 1), n_c)
+    data = Dataset.from_arrays(rng.standard_normal((d, C * n_c)), labels)
+    class_dicts = tuple(
+        normalize_columns(rng.standard_normal((d, k_c)), warn=False) for _ in range(C)
+    )
+    dicts = DictionaryBundle(class_dicts=class_dicts, shared_dict=np.zeros((d, 0)))
+    X = rng.standard_normal((C * k_c, C * n_c))
+    coefs = CoefBundle(X=X, X0=np.zeros((0, C * n_c)), k_c=k_c, n_c=n_c)
+    hyper = HyperParams(lambda1=lambda1, lambda2=lambda2, eta=0.3)
+    mine = lrsdl_objective(data, dicts, coefs, hyper)
+    want = fddl_objective(data.Y, list(class_dicts), X, labels, lambda1, lambda2)
+    assert abs(mine - want) <= 1e-10 * max(1.0, abs(want))

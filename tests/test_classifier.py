@@ -29,6 +29,7 @@ from lrsdl.data import (
 )
 from lrsdl.errors import DimensionError, NumericalError, ParameterError
 from lrsdl.learner import TrainConfig, fit
+from lrsdl.prox import FISTA_TOL
 
 from oracles import cd_lasso, lasso_objective
 
@@ -424,7 +425,7 @@ def test_batch_equals_per_sample(
         return 0.5 * r @ r + 0.5 * lambda2 * s @ s + lambda1 * np.abs(x).sum()
 
     batch = classify(Y, model)
-    tol = model.hyper.fista_tol
+    tol = FISTA_TOL
     for j in range(Y.shape[1]):
         one = classify(Y[:, j], model)
         assert batch.label[j] == one.label

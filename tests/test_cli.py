@@ -259,21 +259,6 @@ class TestClassify:
 
 
 class TestBench:
-    def test_forced_identical_control(self, capsys, tmp_path):
-        data = str(tmp_path / "data")
-        synth(capsys, data, classes=3, dim=12, per_class=4, kc=4, k0=0)
-        out = str(tmp_path / "bench")
-        code, stdout, _ = run(
-            capsys, "bench",
-            "--data", os.path.join(data, "Y.lmx"),
-            "--labels", os.path.join(data, "labels.csv"),
-            "--iters", "1", "--force-identical-coders", "--out", out,
-        )
-        assert code == 0
-        line = stdout.splitlines()[0]
-        fields = dict(kv.split("=") for kv in line.split())
-        assert float(fields["joint_final"]) == float(fields["seq_final"])
-
     def test_summary_and_traces(self, capsys, tmp_path):
         data = str(tmp_path / "data")
         synth(capsys, data, classes=3, dim=12, per_class=4, kc=4, k0=0)

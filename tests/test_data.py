@@ -232,10 +232,6 @@ class TestHyperParams:
             HyperParams(w=1.5)
         with pytest.raises(ParameterError):
             HyperParams(outer_iters=0)
-        with pytest.raises(ParameterError):
-            HyperParams(fista_tol=0.0)
-        with pytest.raises(ParameterError):
-            HyperParams(admm_rho=0.0)
 
     def test_zero_weights_allowed(self):
         h = HyperParams(lambda1=0.0, lambda2=0.0, eta=0.0)

@@ -14,13 +14,14 @@ from lrsdl.data import (
     Dataset,
     DictionaryBundle,
     HyperParams,
+    class_means,
     generate_synthetic,
+    mean_stats,
     normalize_columns,
 )
 from lrsdl.errors import DimensionError, DomainError, NumericalError
 from lrsdl.gradients import (
     ObjectiveTerms,
-    _column_means,
     build_augmented_gram,
     build_test_gram,
     fidelity_value,
@@ -77,25 +78,26 @@ class TestColumnMeans:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((4, 9))
         labels = np.repeat([1, 2, 3], 3)
-        m, cm = _column_means(X, labels)
-        m_ref, by_class = column_means_by_class(X, labels)
-        assert np.max(np.abs(m - m_ref)) < 1e-14
+        cm = class_means(X, 3)
+        _, by_class = column_means_by_class(X, labels)
         for c, mean in by_class.items():
             assert np.max(np.abs(cm[:, c - 1] - mean)) < 1e-14
 
-    def test_matches_loop_oracle_interleaved(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((3, 6))
+    def test_interleaved_labels_rejected(self):
+        X = np.random.default_rng(1).standard_normal((4, 6))
         labels = np.array([1, 2, 1, 2, 1, 2])
-        m, cm = _column_means(X, labels)
-        m_ref, by_class = column_means_by_class(X, labels)
-        assert np.max(np.abs(m - m_ref)) < 1e-14
-        for c, mean in by_class.items():
-            assert np.max(np.abs(cm[:, c - 1] - mean)) < 1e-14
+        coefs = CoefBundle(X=X, X0=np.zeros((0, 6)), k_c=2, n_c=3)
+        for call in (
+            lambda: grad_fisher(X, labels),
+            lambda: fisher_value(X, labels),
+            lambda: mean_stats(coefs, labels),
+        ):
+            with pytest.raises(DomainError):
+                call()
 
     def test_unequal_classes_rejected(self):
         with pytest.raises(DomainError):
-            _column_means(np.zeros((2, 3)), np.array([1, 1, 2]))
+            grad_fisher(np.zeros((2, 3)), np.array([1, 1, 2]))
 
 
 class TestResidualMatrices:
@@ -133,7 +135,7 @@ class TestAugmentedGram:
         gram = build_augmented_gram(dicts, Ys, n)
         G = dicts.D.T @ dicts.D
         X = rng.standard_normal((k, n))
-        assert np.allclose(gram.apply(X), 2.0 * G @ X, atol=1e-12)
+        assert np.allclose(gram.combined @ X, 2.0 * G @ X, atol=1e-12)
         assert np.allclose(gram.corr, 2.0 * dicts.D.T @ Ys, atol=1e-12)
 
     def test_orthonormal_dictionary_acts_as_two_x(self):
@@ -145,7 +147,7 @@ class TestAugmentedGram:
         Ys = np.random.default_rng(7).standard_normal((d, C * n_c))
         gram = build_augmented_gram(dicts, Ys, n_c)
         X = np.random.default_rng(8).standard_normal((C * k_c, C * n_c))
-        assert np.allclose(gram.apply(X), 2.0 * X, atol=1e-10)
+        assert np.allclose(gram.combined @ X, 2.0 * X, atol=1e-10)
 
     def test_combined_symmetric_psd(self):
         data, dicts, coefs = random_problem(9)

@@ -291,15 +291,6 @@ class TestBenchHarness:
         with pytest.raises(ParameterError):
             bench_joint_vs_sequential(data, cfg)
 
-    def test_forced_identical_control(self):
-        data = small_data(31)
-        hyper = HyperParams(lambda1=0.01, lambda2=0.05, outer_iters=4, fista_iters=20)
-        cfg = TrainConfig(hyper=hyper, k_c=4, k0=0)
-        br = bench_joint_vs_sequential(data, cfg, force_identical=True)
-        assert [r.objective for r in br.joint_trace] == [
-            r.objective for r in br.sequential_trace
-        ]
-
     def test_both_traces_monotone(self):
         data = small_data(32)
         hyper = HyperParams(lambda1=0.01, lambda2=0.05, outer_iters=6, fista_iters=30)
