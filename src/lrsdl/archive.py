@@ -157,12 +157,7 @@ def load_model(path):
         ),
         shared_dict=D0,
     )
-    # class sizes are equal, so the global mean is the mean of class means
-    means = MeanStats(
-        global_mean=class_means.mean(axis=1),
-        class_means=class_means,
-        shared_mean=m0,
-    )
+    means = MeanStats(class_means=class_means, shared_mean=m0)
     hyper = HyperParams(
         lambda1=meta["lambda1"],
         lambda2=meta["lambda2"],

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import _unit_columns
 from .errors import DataError, DimensionError, NumericalError, ParameterError
-from .gradients import build_test_gram
+from .gradients import gram_form
 from .prox import SmoothObjective, fista, power_iteration_lipschitz
 
 log = logging.getLogger(__name__)
@@ -56,18 +56,16 @@ def _as_samples(Y, d):
 
 
 def _normalize_samples(Y):
+    """Unit-normalized columns of Y and the mask of its zero columns."""
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(Y, axis=0)
-    out, zero = _unit_columns(Y, norms)
-    if zero.any():
-        log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())
-    return out
+    return _unit_columns(Y, norms)
 
 
-def test_coding_lipschitz(model):
-    """Step-size bound for the test-coding solves; the same for every sample."""
-    Dt = model.dict_bundle.D_total
-    return power_iteration_lipschitz(Dt.T @ Dt, seed=model.hyper.seed) + model.hyper.lambda2
+def test_coding_lipschitz(model, G):
+    """Step-size bound for the test-coding solves from the Gram matrix
+    G = D_total^T D_total; the same for every sample."""
+    return power_iteration_lipschitz(G, seed=model.hyper.seed) + model.hyper.lambda2
 
 
 def encode_test(Y, model):
@@ -76,21 +74,28 @@ def encode_test(Y, model):
 
     For each sample y, minimizes 1/2 ||y - D_total x||^2
     + lambda2/2 ||x0 - m0||^2 + lambda1 ||x||_1 over the stacked code x.
-    Samples are unit normalized first, matching training. Returns a
-    (K + k0,) code for one sample and a (K + k0, N) matrix for a batch,
-    whose columns fista accepts, rejects and stops one by one.
+    Samples are unit normalized first, matching training; zero samples
+    are logged here, once per call. Returns a (K + k0,) code for one
+    sample and a (K + k0, N) matrix for a batch, whose columns fista
+    accepts, rejects and stops one by one.
     """
     dicts = model.dict_bundle
-    Yn = _normalize_samples(_as_samples(Y, dicts.d)).reshape(np.shape(Y))
-    H, B = build_test_gram(
-        dicts, Yn, model.mean_stats.shared_mean, model.hyper.lambda2
-    )
+    Yn, zero = _normalize_samples(_as_samples(Y, dicts.d))
+    if zero.any():
+        log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())
+    Yn = Yn.reshape(np.shape(Y))
+    # the test-coding Gram form of gradients.build_test_gram, with
+    # G = D_total^T D_total formed once for it and the step size
+    Dt = dicts.D_total
+    G = Dt.T @ Dt
+    m0 = model.mean_stats.shared_mean.reshape((-1,) + (1,) * (Yn.ndim - 1))
+    H, B = gram_form(G, Dt.T @ Yn, m0, model.hyper.lambda2)
 
     def grad(X):
         return H @ X - B
 
     obj = SmoothObjective.quadratic(
-        grad, test_coding_lipschitz(model), B.shape, per_column=B.ndim == 2
+        grad, test_coding_lipschitz(model, G), B.shape, per_column=B.ndim == 2
     )
     return fista(
         obj,
@@ -104,7 +109,7 @@ def class_scores(Y, model, code, w):
     """Class scores of already-coded samples: (C,) for one sample (d,),
     (C, N) for a batch (d, N) with codes (K + k0, N)."""
     dicts = model.dict_bundle
-    Yn = _normalize_samples(_as_samples(Y, dicts.d))
+    Yn, _ = _normalize_samples(_as_samples(Y, dicts.d))  # encode_test logs zero samples
     code = np.reshape(code, (dicts.K + dicts.k0, -1))
     X, X0 = code[: dicts.K], code[dicts.K :]
     Ybar = Yn - dicts.shared_dict @ X0

@@ -159,15 +159,16 @@ def _cmd_bench(args):
     config = TrainConfig(hyper=hyper, k_c=data.n_c, k0=0)
     result = bench_joint_vs_sequential(data, config)
     os.makedirs(args.out, exist_ok=True)
-    write_trace(result.joint_trace, os.path.join(args.out, "joint.csv"))
-    write_trace(result.sequential_trace, os.path.join(args.out, "sequential.csv"))
-    jf, sf = result.joint_trace[-1], result.sequential_trace[-1]
+    joint, seq = result.joint_model, result.sequential_model
+    write_trace(joint.trace, os.path.join(args.out, "joint.csv"))
+    write_trace(seq.trace, os.path.join(args.out, "sequential.csv"))
+    jf, sf = joint.trace[-1], seq.trace[-1]
     print(
         f"joint_final={jf.objective:.6f} seq_final={sf.objective:.6f} "
         f"joint_time={jf.seconds:.3f} seq_time={sf.seconds:.3f}"
     )
-    j_acc, _ = evaluate(data, result.joint_model)
-    s_acc, _ = evaluate(data, result.sequential_model)
+    j_acc, _ = evaluate(data, joint)
+    s_acc, _ = evaluate(data, seq)
     print(f"joint_train_acc={j_acc:.4f} seq_train_acc={s_acc:.4f}")
     return 0
 

@@ -267,17 +267,6 @@ class CoefBundle:
     def class_columns(self, c):
         return slice((c - 1) * self.n_c, c * self.n_c)
 
-    def row_block(self, i):
-        return slice((i - 1) * self.k_c, i * self.k_c)
-
-    def rows(self, i):
-        """X^i, the rows owned by class dictionary i (k_c x N)."""
-        return self.X[self.row_block(i), :]
-
-    def block(self, i, c):
-        """X_c^i, class-c columns restricted to dictionary-i rows."""
-        return self.X[self.row_block(i), self.class_columns(c)]
-
     @classmethod
     def zeros(cls, C, k_c, k0, n_c):
         return cls(
@@ -292,22 +281,18 @@ class CoefBundle:
 class MeanStats:
     """Column means of the training codes.
 
-    global_mean is the mean over all columns of X, class_means stacks the
-    per-class means as columns (K x C), shared_mean is the mean of X0.
+    class_means stacks the per-class means of X as columns (K x C),
+    shared_mean is the mean of X0.
     """
 
-    global_mean: np.ndarray
     class_means: np.ndarray
     shared_mean: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "global_mean", _freeze(self.global_mean))
         object.__setattr__(self, "class_means", _freeze(self.class_means))
         object.__setattr__(self, "shared_mean", _freeze(self.shared_mean))
         if self.class_means.ndim != 2:
             raise DimensionError("class_means must be K x C")
-        if self.global_mean.shape != (self.class_means.shape[0],):
-            raise DimensionError("global_mean length does not match class_means")
 
     @property
     def C(self):
@@ -321,6 +306,16 @@ def class_means(X, C):
     """Per-class means (rows x C) of the columns of X in the class layout:
     C contiguous blocks of equal size."""
     return X.reshape(X.shape[0], C, -1).mean(axis=2)
+
+
+def block_diagonal(A, C):
+    """The C equal diagonal blocks of A (block c: row block c, column
+    block c) with zeros elsewhere, as a matrix of A's shape."""
+    r, s = A.shape
+    idx = np.arange(C)
+    out = np.zeros((C, r // C, C, s // C))
+    out[idx, :, idx] = np.reshape(A, out.shape)[idx, :, idx]
+    return out.reshape(r, s)
 
 
 def check_class_layout(labels, N):
@@ -341,7 +336,6 @@ def mean_stats(coefs, labels):
     if check_class_layout(labels, coefs.N) != coefs.C:
         raise DomainError(f"labels do not name the {coefs.C} classes of the codes")
     return MeanStats(
-        global_mean=coefs.X.mean(axis=1),
         class_means=class_means(coefs.X, coefs.C),
         shared_mean=coefs.X0.mean(axis=1) if coefs.k0 else np.zeros(0),
     )

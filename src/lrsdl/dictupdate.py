@@ -5,7 +5,8 @@ The class-c subproblem collects every fidelity term containing D_c into
 
     min_D  tr(D^T D A) - 2 tr(D^T B)   s.t. column norms <= 1
 
-with A the code Gram and B the data correlation (QuadDictProblem). The
+with A the code Gram and B the data correlation (QuadDictProblem); both
+are read off one Gram pair for all classes (class_dict_gram). The
 shared dictionary fits the averaged residual (Ybar + Ytilde) / 2 with a
 nuclear-norm penalty.
 """
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import block_diagonal
 from .errors import DataError, DimensionError, NumericalError, ParameterError
-from .gradients import _check_shapes
 from .prox import admm_nuclear
 
 DEAD_ATOM_TOL = 1e-10
@@ -46,37 +47,24 @@ class QuadDictProblem:
         return float(np.sum((D @ self.A) * D) - 2.0 * np.sum(D * self.B))
 
 
-def _class_problem(c, shifted, full_residual, Dc, coefs):
-    """Build the class-c QuadDictProblem given the maintained residual
-    full_residual = shifted - D X and the current class dictionary Dc
-    (keeping the residual up to date is the caller's job)."""
-    Xc_rows = coefs.rows(c)
-    Xcc = coefs.block(c, c)
-    cols = coefs.class_columns(c)
-    E1 = full_residual + Dc @ Xc_rows
-    E2 = shifted[:, cols]
-    A = Xc_rows @ Xc_rows.T + Xcc @ Xcc.T
-    for cp in range(1, coefs.C + 1):
-        if cp == c:
-            continue
-        blk = coefs.block(c, cp)
-        A += blk @ blk.T
-    B = E1 @ Xc_rows.T + E2 @ Xcc.T
-    return QuadDictProblem(A=0.5 * (A + A.T), B=B)
+def class_dict_gram(coefs, shifted):
+    """Gram pair (F, E) of the class-dictionary step for shifted data Ys:
 
+        F = M(X X^T),  E = Ys M(X)^T,  M(A) = A + blockdiag(A),
 
-def assemble_class_problem(c, data, dicts, coefs):
-    """Collect the fidelity terms containing D_c into a QuadDictProblem.
-
-    The derivative of the summed fidelity with respect to D_c is
-    2 (D_c A - B).
+    so the summed fidelity is tr(F D^T D) - 2 tr(E D^T) plus a constant in
+    D. With every other class dictionary held fixed, class c's problem is
+    the QuadDictProblem with A = F_cc and B = E_c - sum_{i != c} D_i F_ic.
     """
-    _check_shapes(data, dicts, coefs)
-    if not 1 <= c <= dicts.C:
-        raise DimensionError(f"class {c} outside 1..{dicts.C}")
-    shifted = data.Y - dicts.shared_dict @ coefs.X0
-    full_residual = shifted - dicts.D @ coefs.X
-    return _class_problem(c, shifted, full_residual, dicts.class_dict(c), coefs)
+    shifted = np.asarray(shifted, dtype=float)
+    if shifted.ndim != 2 or shifted.shape[1] != coefs.N:
+        raise DimensionError(
+            f"shifted data shape {shifted.shape} does not match {coefs.N} code columns"
+        )
+    X = coefs.X
+    XXt = X @ X.T
+    MX = X + block_diagonal(X, coefs.C)
+    return XXt + block_diagonal(XXt, coefs.C), shifted @ MX.T
 
 
 def count_dead_atoms(problem):

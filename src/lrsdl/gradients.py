@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_class_layout, class_means
+from .data import block_diagonal, check_class_layout, class_means
 from .errors import DimensionError, NumericalError
 
 
@@ -31,10 +31,10 @@ from .errors import DimensionError, NumericalError
 class AugmentedGram:
     """Normal-equation pieces of the stacked fidelity system.
 
-    combined is D^T D plus the block diagonal of the per-class
-    D_c^T D_c (K x K, symmetric), and corr the assembled dictionary/data
-    correlation: D^T Ys plus, in row block c and column block c, an extra
-    D_c^T Ys_c.
+    With M(A) = A + blockdiag(A) (the C equal diagonal blocks of A, see
+    :func:`~lrsdl.data.block_diagonal`), combined is M(D^T D) (K x K,
+    symmetric) and corr is M(D^T Ys): D^T Ys plus, in row block c and
+    column block c, an extra D_c^T Ys_c.
     """
 
     combined: np.ndarray
@@ -51,16 +51,11 @@ def build_augmented_gram(dicts, shifted, n_c):
         )
     D = dicts.D
     gram = D.T @ D
-    combined = 0.5 * (gram + gram.T)
     corr = D.T @ shifted
-    for c in range(1, dicts.C + 1):
-        Dc = dicts.class_dict(c)
-        Gc = Dc.T @ Dc
-        rows = dicts.row_block(c)
-        combined[rows, rows] += 0.5 * (Gc + Gc.T)
-        cols = slice((c - 1) * n_c, c * n_c)
-        corr[rows, cols] += Dc.T @ shifted[:, cols]
-    return AugmentedGram(combined=combined, corr=corr)
+    return AugmentedGram(
+        combined=gram + block_diagonal(gram, dicts.C),
+        corr=corr + block_diagonal(corr, dicts.C),
+    )
 
 
 def grad_fidelity(gram, X):
@@ -185,13 +180,11 @@ def grad_test_code(dicts, y, xbar, m0, lambda2):
 
 
 def residual_matrices(data, dicts, coefs):
-    """(Ybar, Ytilde): Ybar = Y - D X, Ytilde_c = Y_c - D_c X_c^c."""
+    """(Ybar, Ytilde): Ybar = Y - D X, Ytilde = Y - D blockdiag(X), whose
+    class-c columns are Y_c - D_c X_c^c."""
     _check_shapes(data, dicts, coefs)
     Ybar = data.Y - dicts.D @ coefs.X
-    Ytilde = np.empty_like(data.Y)
-    for c in range(1, dicts.C + 1):
-        cols = data.class_columns(c)
-        Ytilde[:, cols] = data.Y[:, cols] - dicts.class_dict(c) @ coefs.block(c, c)
+    Ytilde = data.Y - dicts.D @ block_diagonal(coefs.X, data.C)
     return Ybar, Ytilde
 
 

@@ -23,11 +23,18 @@ from .data import (
     HyperParams,
     IterationRecord,
     LearnedModel,
+    block_diagonal,
     class_means,
     mean_stats,
     normalize_columns,
 )
-from .dictupdate import _class_problem, count_dead_atoms, odl_update, update_shared_dict
+from .dictupdate import (
+    QuadDictProblem,
+    class_dict_gram,
+    count_dead_atoms,
+    odl_update,
+    update_shared_dict,
+)
 from .errors import NumericalError, ParameterError
 from .gradients import (
     _check_shapes,
@@ -196,22 +203,25 @@ def sparse_code_sequential(data, dicts, coefs, hyper):
 def _update_class_dicts(data, dicts, coefs):
     """One round of per-class dictionary refits.
 
-    Each class's new dictionary is folded into the residual before the
-    next class is visited (Gauss-Seidel). Column norms stay at <= 1.
+    Classes are visited in order, each against the latest dictionaries of
+    the others (Gauss-Seidel), all from one Gram pair (class_dict_gram).
+    Column norms stay at <= 1.
     """
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-    R = shifted - dicts.D @ coefs.X
+    F, E = class_dict_gram(coefs, shifted)
+    cross = F - block_diagonal(F, dicts.C)  # F with its own-class blocks zeroed
+    D = np.array(dicts.D)
     dead = 0
-    new_dicts = list(dicts.class_dicts)
     for c in range(1, dicts.C + 1):
-        prob = _class_problem(c, shifted, R, new_dicts[c - 1], coefs)
+        rows = dicts.row_block(c)
+        prob = QuadDictProblem(A=F[rows, rows], B=E[:, rows] - D @ cross[:, rows])
         dead += count_dead_atoms(prob)
-        Dc = odl_update(prob, new_dicts[c - 1], sweeps=ODL_SWEEPS)
-        R += (new_dicts[c - 1] - Dc) @ coefs.rows(c)
-        new_dicts[c - 1] = Dc
+        D[:, rows] = odl_update(prob, D[:, rows], sweeps=ODL_SWEEPS)
     if dead:
         log.debug("skipped %d dead atoms in dictionary sweep", dead)
-    return DictionaryBundle(class_dicts=tuple(new_dicts), shared_dict=dicts.shared_dict)
+    return DictionaryBundle(
+        class_dicts=tuple(np.hsplit(D, dicts.C)), shared_dict=dicts.shared_dict
+    )
 
 
 def fit(data, config, coder="joint", iteration_callback=None):
@@ -285,8 +295,6 @@ def fit(data, config, coder="joint", iteration_callback=None):
 
 @dataclass(frozen=True)
 class BenchResult:
-    joint_trace: tuple
-    sequential_trace: tuple
     joint_model: LearnedModel
     sequential_model: LearnedModel
 
@@ -301,9 +309,4 @@ def bench_joint_vs_sequential(data, config):
         raise ParameterError("coder benchmark requires k0=0")
     joint = fit(data, config, coder="joint")
     other = fit(data, config, coder="sequential")
-    return BenchResult(
-        joint_trace=joint.trace,
-        sequential_trace=other.trace,
-        joint_model=joint,
-        sequential_model=other,
-    )
+    return BenchResult(joint_model=joint, sequential_model=other)

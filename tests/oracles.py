@@ -242,3 +242,75 @@ def mfista_one_block(grad, value, L, lam, W0, max_iter, tol):
         if accepted and rel < tol:
             break
     return W
+
+
+def block_diagonal_loop(A, C):
+    """The C equal diagonal blocks of A copied one by one into zeros."""
+    A = np.asarray(A, dtype=float)
+    p, q = A.shape[0] // C, A.shape[1] // C
+    out = np.zeros_like(A)
+    for c in range(C):
+        rows, cols = slice(c * p, (c + 1) * p), slice(c * q, (c + 1) * q)
+        out[rows, cols] = A[rows, cols]
+    return out
+
+
+def augmented_gram_loop(class_dicts, shifted, n_c):
+    """(combined, corr) of the stacked fidelity, one class block at a time:
+    D^T D and D^T Ys plus D_c^T D_c in diagonal block c and D_c^T Ys_c in
+    row block c, column block c."""
+    D = np.hstack(class_dicts)
+    k_c = class_dicts[0].shape[1]
+    gram = D.T @ D
+    combined = 0.5 * (gram + gram.T)
+    corr = D.T @ shifted
+    for c, Dc in enumerate(class_dicts):
+        rows = slice(c * k_c, (c + 1) * k_c)
+        cols = slice(c * n_c, (c + 1) * n_c)
+        Gc = Dc.T @ Dc
+        combined[rows, rows] += 0.5 * (Gc + Gc.T)
+        corr[rows, cols] += Dc.T @ shifted[:, cols]
+    return combined, corr
+
+
+def residuals_loop(Y, class_dicts, X, n_c):
+    """(Ybar, Ytilde): Y - D X and, class by class, Y_c - D_c X_c^c."""
+    k_c = class_dicts[0].shape[1]
+    Ybar = Y - np.hstack(class_dicts) @ X
+    Ytilde = np.empty_like(Y)
+    for c, Dc in enumerate(class_dicts):
+        cols = slice(c * n_c, (c + 1) * n_c)
+        Ytilde[:, cols] = Y[:, cols] - Dc @ X[c * k_c : (c + 1) * k_c, cols]
+    return Ybar, Ytilde
+
+
+def update_class_dicts_residual(shifted, class_dicts, X, n_c, solve):
+    """Gauss-Seidel refit of the class dictionaries on shifted data Ys,
+    with the subproblem of class c built from a maintained residual
+    R = Ys - D X:
+
+        A = X^c X^c^T + X_c^c X_c^c^T + sum_{i != c} X_i^c X_i^c^T
+        B = (R + D_c X^c) X^c^T + Ys_c X_c^c^T
+
+    (X^c the rows of class dictionary c, X_i^c their class-i columns).
+    solve(A, B, D_c) returns the new D_c, which is folded into R before
+    the next class is visited.
+    """
+    C = len(class_dicts)
+    k_c = class_dicts[0].shape[1]
+    dicts = [np.array(Dc, dtype=float) for Dc in class_dicts]
+    R = shifted - np.hstack(dicts) @ X
+    for c in range(C):
+        Xc = X[c * k_c : (c + 1) * k_c]
+        cols = slice(c * n_c, (c + 1) * n_c)
+        Xcc = Xc[:, cols]
+        A = Xc @ Xc.T + Xcc @ Xcc.T
+        for i in range(C):
+            if i != c:
+                blk = Xc[:, i * n_c : (i + 1) * n_c]
+                A += blk @ blk.T
+        B = (R + dicts[c] @ Xc) @ Xc.T + shifted[:, cols] @ Xcc.T
+        new = solve(0.5 * (A + A.T), B, dicts[c])
+        R += (dicts[c] - new) @ Xc
+        dicts[c] = new
+    return dicts

@@ -44,7 +44,6 @@ def block_model(C=3, k_c=3, lambda1=1e-4, lambda2=0.0, w=1.0, class_means=None):
     if class_means is None:
         class_means = np.zeros((K, C))
     means = MeanStats(
-        global_mean=class_means.mean(axis=1),
         class_means=class_means,
         shared_mean=np.zeros(0),
     )
@@ -123,6 +122,18 @@ class TestEncodeTest:
         assert np.array_equal(code, np.zeros_like(code))
         assert any("zero-norm" in r.message for r in caplog.records)
 
+    def test_zero_sample_warns_once_per_classify(self, caplog):
+        import logging
+
+        model = block_model(lambda1=0.1)
+        Y = np.random.default_rng(3).standard_normal((model.d, 4))
+        Y[:, 2] = 0.0
+        with caplog.at_level(logging.WARNING, logger="lrsdl.classifier"):
+            classify(Y, model)
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 zero-norm test sample(s) left unnormalized"
+        ]
+
     def test_bad_samples_rejected(self):
         model = block_model()
         with pytest.raises(DimensionError):
@@ -146,7 +157,7 @@ class TestEncodeTest:
         _, model = fitted_model(seed=6)
         Dt = model.dict_bundle.D_total
         lam_max = float(np.linalg.eigvalsh(Dt.T @ Dt)[-1])
-        L = coding_lipschitz(model)
+        L = coding_lipschitz(model, Dt.T @ Dt)
         assert L >= lam_max + model.hyper.lambda2 - 1e-9
 
 
@@ -181,7 +192,6 @@ class TestDecisionRule:
         base = np.linalg.qr(np.random.default_rng(7).standard_normal((d, k)))[0]
         dicts = DictionaryBundle(class_dicts=(base, base), shared_dict=np.zeros((d, 0)))
         means = MeanStats(
-            global_mean=np.zeros(2 * k),
             class_means=np.zeros((2 * k, 2)),
             shared_mean=np.zeros(0),
         )
@@ -290,7 +300,6 @@ class TestEvaluate:
         base = np.linalg.qr(np.random.default_rng(17).standard_normal((d, k)))[0]
         dicts = DictionaryBundle(class_dicts=(base, base), shared_dict=np.zeros((d, 0)))
         means = MeanStats(
-            global_mean=np.zeros(2 * k),
             class_means=np.zeros((2 * k, 2)),
             shared_mean=np.zeros(0),
         )
@@ -401,7 +410,6 @@ def test_batch_equals_per_sample(
     K = C * k_c
     class_means = 0.3 * rng.standard_normal((K, C))
     means = MeanStats(
-        global_mean=class_means.mean(axis=1),
         class_means=class_means,
         shared_mean=0.3 * rng.standard_normal(k0),
     )

@@ -136,8 +136,7 @@ class TestCoefBundle:
         X0 = np.arange(12.0).reshape(2, 6)
         coefs = CoefBundle(X=X, X0=X0, k_c=2, n_c=3)
         assert coefs.C == 2 and coefs.K == 4 and coefs.k0 == 2 and coefs.N == 6
-        assert np.array_equal(coefs.rows(1), X[:2])
-        assert np.array_equal(coefs.block(2, 1), X[2:4, 0:3])
+        assert coefs.class_columns(2) == slice(3, 6)
 
     def test_zeros_constructor(self):
         coefs = CoefBundle.zeros(C=3, k_c=2, k0=4, n_c=5)
@@ -169,14 +168,12 @@ class TestMeanStats:
         ms = mean_stats(coefs, np.array([1, 2]))
         assert ms.class_mean(1)[0] == pytest.approx(1.0)
         assert ms.class_mean(2)[0] == pytest.approx(3.0)
-        assert ms.global_mean[0] == pytest.approx(2.0)
 
     def test_constant_columns(self):
         col = np.array([2.0, -1.0, 0.5])
         X = np.tile(col[:, None], (1, 4))
         coefs = CoefBundle(X=X, X0=np.zeros((0, 4)), k_c=3, n_c=4)
         ms = mean_stats(coefs, np.array([1, 1, 1, 1]))
-        assert np.allclose(ms.global_mean, col)
         assert np.allclose(ms.class_mean(1), col)
 
     def test_matches_brute_force_average(self):
@@ -190,18 +187,6 @@ class TestMeanStats:
             want = X[:, labels == c].sum(axis=1) / 3.0
             assert np.allclose(ms.class_mean(c), want, atol=1e-12)
         assert np.allclose(ms.shared_mean, X0.sum(axis=1) / 6.0, atol=1e-12)
-
-    def test_global_mean_is_mean_of_class_means(self):
-        rng = np.random.default_rng(6)
-        coefs = CoefBundle(
-            X=rng.standard_normal((6, 12)),
-            X0=rng.standard_normal((3, 12)),
-            k_c=2,
-            n_c=4,
-        )
-        ms = mean_stats(coefs, np.repeat([1, 2, 3], 4))
-        avg = np.column_stack([ms.class_mean(c) for c in (1, 2, 3)]).mean(axis=1)
-        assert np.allclose(ms.global_mean, avg, rtol=1e-12, atol=1e-12)
 
     def test_class_deviations_sum_to_zero(self):
         rng = np.random.default_rng(7)

@@ -1,8 +1,9 @@
 """Dictionary update tests.
 
-The per-class quadratic subproblem is validated against finite differences
-of the explicitly stacked fidelity (oracles.stacked_fidelity) and the ODL
-column sweeps against a projected gradient solver on the same quadratic.
+The class-dictionary Gram pair (class_dict_gram) is validated against
+finite differences of the explicitly stacked fidelity
+(oracles.stacked_fidelity) and the ODL column sweeps against a projected
+gradient solver on the same quadratic.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from lrsdl.data import CoefBundle, DictionaryBundle, generate_synthetic, normalize_columns
 from lrsdl.dictupdate import (
     QuadDictProblem,
-    assemble_class_problem,
+    class_dict_gram,
     count_dead_atoms,
     odl_update,
     update_shared_dict,
@@ -71,61 +72,72 @@ class TestQuadDictProblem:
 
 
 class TestAssembleClassProblem:
+    """The class-dictionary quadratic tr(F D^T D) - 2 tr(E D^T) built from
+    class_dict_gram's Gram pair, for the whole D at once."""
+
     def test_zero_codes_give_zero_problem(self):
         data, dicts, _ = random_problem(0)
         coefs = CoefBundle.zeros(C=data.C, k_c=dicts.k_c, k0=dicts.k0, n_c=data.n_c)
-        prob = assemble_class_problem(1, data, dicts, coefs)
-        assert np.array_equal(prob.A, np.zeros_like(prob.A))
-        assert np.array_equal(prob.B, np.zeros_like(prob.B))
+        F, E = class_dict_gram(coefs, data.Y)
+        assert F.shape == (dicts.K, dicts.K) and E.shape == (dicts.d, dicts.K)
+        assert np.array_equal(F, np.zeros_like(F))
+        assert np.array_equal(E, np.zeros_like(E))
 
     def test_single_class_closed_form(self):
         data, dicts, coefs = random_problem(1, C=1, k0=0)
-        prob = assemble_class_problem(1, data, dicts, coefs)
+        F, E = class_dict_gram(coefs, data.Y)
         X = coefs.X
-        assert np.allclose(prob.A, 2.0 * X @ X.T, atol=1e-12)
-        assert np.allclose(prob.B, 2.0 * data.Y @ X.T, atol=1e-12)
+        assert np.allclose(F, 2.0 * X @ X.T, atol=1e-12)
+        assert np.allclose(E, 2.0 * data.Y @ X.T, atol=1e-12)
 
     def test_gradient_matches_stacked_fidelity(self):
+        # d/dD of the summed (unhalved) fidelity is 2 (D F - E)
         data, dicts, coefs = random_problem(2)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        for c in (1, 2, 3):
-            prob = assemble_class_problem(c, data, dicts, coefs)
-            Dc = np.array(dicts.class_dict(c))
+        F, E = class_dict_gram(coefs, shifted)
+        D = np.array(dicts.D)
 
-            def f(M, c=c):
-                cds = [np.array(D) for D in dicts.class_dicts]
-                cds[c - 1] = M
-                return stacked_fidelity(shifted, cds, coefs.X, data.labels)
+        def f(M):
+            cds = np.hsplit(M, dicts.C)
+            return stacked_fidelity(shifted, cds, coefs.X, data.labels)
 
-            fd = fd_grad(f, Dc, eps=1e-6)
-            assert rel_err(Dc @ prob.A - prob.B, fd) < 1e-4
+        fd = fd_grad(f, D, eps=1e-6)
+        assert rel_err(D @ F - E, fd) < 1e-4
 
     def test_objective_differences_track_fidelity(self):
-        # problem objective differs from the true (summed, unhalved)
-        # fidelity only by a constant
+        # the problem objective differs from the true (summed, unhalved)
+        # fidelity only by a constant: for the whole D, and for class 2's
+        # problem A = F_22, B = E_2 - sum_{i != 2} D_i F_i2 with the other
+        # classes held at D
         data, dicts, coefs = random_problem(3)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
         rng = np.random.default_rng(4)
-        c = 2
-        prob = assemble_class_problem(c, data, dicts, coefs)
-        M1 = rng.standard_normal(dicts.class_dict(c).shape)
-        M2 = rng.standard_normal(dicts.class_dict(c).shape)
+        F, E = class_dict_gram(coefs, shifted)
+        D = np.array(dicts.D)
+        rows = dicts.row_block(2)
+        cross = F[:, rows].copy()
+        cross[rows] = 0.0
+        whole = QuadDictProblem(A=F, B=E)
+        own = QuadDictProblem(A=F[rows, rows], B=E[:, rows] - D @ cross)
 
         def f(M):
-            cds = [np.array(D) for D in dicts.class_dicts]
-            cds[c - 1] = M
-            return stacked_fidelity(shifted, cds, coefs.X, data.labels)
+            return stacked_fidelity(shifted, np.hsplit(M, dicts.C), coefs.X, data.labels)
 
-        lhs = prob.objective(M1) - prob.objective(M2)
-        rhs = 2.0 * (f(M1) - f(M2))
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+        def assert_tracks(lhs, M1, M2):
+            rhs = 2.0 * (f(M1) - f(M2))
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
-    def test_class_index_bounds(self):
-        data, dicts, coefs = random_problem(5)
+        M1, M2 = rng.standard_normal(D.shape), rng.standard_normal(D.shape)
+        assert_tracks(whole.objective(M1) - whole.objective(M2), M1, M2)
+        P1, P2 = D.copy(), D.copy()
+        P1[:, rows] = M1[:, rows]
+        P2[:, rows] = M2[:, rows]
+        assert_tracks(own.objective(P1[:, rows]) - own.objective(P2[:, rows]), P1, P2)
+
+    def test_shifted_shape_checked(self):
+        data, _, coefs = random_problem(5)
         with pytest.raises(DimensionError):
-            assemble_class_problem(0, data, dicts, coefs)
-        with pytest.raises(DimensionError):
-            assemble_class_problem(dicts.C + 1, data, dicts, coefs)
+            class_dict_gram(coefs, data.Y[:, :-1])
 
 
 class TestCountDeadAtoms:

@@ -296,8 +296,8 @@ class TestBenchHarness:
         hyper = HyperParams(lambda1=0.01, lambda2=0.05, outer_iters=6, fista_iters=30)
         cfg = TrainConfig(hyper=hyper, k_c=4, k0=0)
         br = bench_joint_vs_sequential(data, cfg)
-        for trace in (br.joint_trace, br.sequential_trace):
-            objs = [r.objective for r in trace]
+        for model in (br.joint_model, br.sequential_model):
+            objs = [r.objective for r in model.trace]
             assert len(objs) == 6
             for a, b in zip(objs, objs[1:]):
                 assert b <= a + 1e-6 * max(1.0, abs(a))
