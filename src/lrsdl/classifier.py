@@ -84,18 +84,14 @@ def encode_test(Y, model):
     if zero.any():
         log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())
     Yn = Yn.reshape(np.shape(Y))
-    # the test-coding Gram form of gradients.build_test_gram, with
+    # the test-coding Gram form of gradients.grad_test_code, with
     # G = D_total^T D_total formed once for it and the step size
     Dt = dicts.D_total
     G = Dt.T @ Dt
     m0 = model.mean_stats.shared_mean.reshape((-1,) + (1,) * (Yn.ndim - 1))
     H, B = gram_form(G, Dt.T @ Yn, m0, model.hyper.lambda2)
-
-    def grad(X):
-        return H @ X - B
-
     obj = SmoothObjective.quadratic(
-        grad, test_coding_lipschitz(model, G), B.shape, per_column=B.ndim == 2
+        H, B, test_coding_lipschitz(model, G), per_column=B.ndim == 2
     )
     return fista(
         obj,

@@ -67,13 +67,6 @@ def grad_fidelity(gram, X):
     return gram.combined @ X - gram.corr
 
 
-def _grad_fisher(X, C):
-    """grad_fisher for codes in the class layout with C classes."""
-    K, N = X.shape
-    G = (4.0 * X + 2.0 * X.mean(axis=1)[:, None]).reshape(K, C, N // C)
-    return (G - 4.0 * class_means(X, C)[:, :, None]).reshape(K, N)
-
-
 def grad_fisher(X, labels):
     """Gradient of f(X): 4 X + 2 M - 4 [M_1 .. M_C].
 
@@ -81,7 +74,10 @@ def grad_fisher(X, labels):
     differentiates through them. The labels must be in the class layout.
     """
     X = np.asarray(X, dtype=float)
-    return _grad_fisher(X, check_class_layout(labels, X.shape[1]))
+    C = check_class_layout(labels, X.shape[1])
+    K, N = X.shape
+    G = (4.0 * X + 2.0 * X.mean(axis=1)[:, None]).reshape(K, C, N // C)
+    return (G - 4.0 * class_means(X, C)[:, :, None]).reshape(K, N)
 
 
 def _fisher_value(X, C):
@@ -144,38 +140,32 @@ def grad_shared_codes(D0, Ysum, X0, M0, lambda2):
     return H @ X0 - B
 
 
-def build_test_gram(dicts, Y, m0, lambda2):
-    """Gram form (H, B) of the test-coding smooth part for one sample y
-    (d,) or, summed over its columns y, a batch Y (d, N):
+def grad_test_code(dicts, y, xbar, m0, lambda2):
+    """Gradient at the code xbar of the test-coding smooth part for one
+    sample y (d,), or, summed over its columns, a batch y (d, N) with codes
+    xbar (K + k0, N):
 
         1/2 ||y - D_total x||^2 + lambda2/2 ||x0 - m0||^2
 
-    Its gradient in the code x (or code matrix X, one column per sample)
-    is H X - B with
+    It is H xbar - B for the :func:`gram_form` of G = D_total^T D_total and
+    corr = D_total^T y:
 
         H = D_total^T D_total + lambda2 [0 0; 0 I],
-        B = D_total^T Y + lambda2 [0; m0 1^T],
+        B = D_total^T y + lambda2 [0; m0 1^T],
 
-    (:func:`gram_form` of G = D_total^T D_total and corr = D_total^T Y),
     so H acts on each column separately and one product serves all samples.
     """
-    Y = np.asarray(Y, dtype=float)
+    y = np.asarray(y, dtype=float)
     m0 = np.asarray(m0, dtype=float)
     Dt = dicts.D_total
-    if Y.ndim not in (1, 2) or Y.shape[0] != dicts.d or m0.shape != (dicts.k0,):
+    if y.ndim not in (1, 2) or y.shape[0] != dicts.d or m0.shape != (dicts.k0,):
         raise DimensionError(
-            f"samples of shape {Y.shape} or shared mean of shape {m0.shape} "
+            f"samples of shape {y.shape} or shared mean of shape {m0.shape} "
             f"do not match dictionary {Dt.shape}"
         )
-    return gram_form(
-        Dt.T @ Dt, Dt.T @ Y, m0.reshape((-1,) + (1,) * (Y.ndim - 1)), lambda2
+    H, B = gram_form(
+        Dt.T @ Dt, Dt.T @ y, m0.reshape((-1,) + (1,) * (y.ndim - 1)), lambda2
     )
-
-
-def grad_test_code(dicts, y, xbar, m0, lambda2):
-    """Gradient D_total^T (D_total x - y) + lambda2 [0; x0 - m0] of the
-    test-coding smooth part at one code, from :func:`build_test_gram`."""
-    H, B = build_test_gram(dicts, y, m0, lambda2)
     return H @ np.asarray(xbar, dtype=float) - B
 
 

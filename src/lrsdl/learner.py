@@ -38,9 +38,7 @@ from .dictupdate import (
 from .errors import NumericalError, ParameterError
 from .gradients import (
     _check_shapes,
-    _grad_fisher,
     build_augmented_gram,
-    grad_fidelity,
     gram_form,
     objective_terms,
     residual_matrices,
@@ -125,11 +123,7 @@ def _solve_shared_codes(data, dicts, X, X0_warm, hyper):
     m0 = X0_warm.mean(axis=1)[:, None]
     H, B = gram_form(G, D0.T @ (Ybar + Ytilde), m0, hyper.lambda2)
     L = power_iteration_lipschitz(G, seed=hyper.seed) + hyper.lambda2
-
-    def grad(W):
-        return H @ W - B
-
-    obj = SmoothObjective.quadratic(grad, L, X0_warm.shape)
+    obj = SmoothObjective.quadratic(H, B, L)
     return fista(obj, hyper.lambda1, X0_warm, max_iter=hyper.fista_iters)
 
 
@@ -138,7 +132,9 @@ def sparse_code_train(data, dicts, coefs, hyper):
 
     The mean-separation term is differentiated exactly (the column means
     are functions of the iterate), so the solve keeps the full objective
-    non-increasing.
+    non-increasing. Its gradient 2 lambda2 X + lambda2 (m - 2 M_c) is
+    linear: the 2 lambda2 X part joins the Gram matrix and the mean part is
+    the quadratic's Fisher term.
     """
     _check_shapes(data, dicts, coefs)
     n_c = data.n_c
@@ -148,11 +144,8 @@ def sparse_code_train(data, dicts, coefs, hyper):
     shifted = data.Y - dicts.shared_dict @ coefs.X0
     gram = build_augmented_gram(dicts, shifted, n_c)
     L = power_iteration_lipschitz(gram.combined, seed=hyper.seed) + 2.0 * lam2
-
-    def grad(X):
-        return grad_fidelity(gram, X) + 0.5 * lam2 * _grad_fisher(X, C)
-
-    obj = SmoothObjective.quadratic(grad, L, coefs.X.shape)
+    H = gram.combined + 2.0 * lam2 * np.eye(dicts.K)
+    obj = SmoothObjective.quadratic(H, gram.corr, L, fisher=(lam2, C, C))
     Xnew = fista(obj, hyper.lambda1, coefs.X, max_iter=hyper.fista_iters)
     X0new = _solve_shared_codes(data, dicts, Xnew, coefs.X0, hyper)
     return CoefBundle(X=Xnew, X0=X0new, k_c=dicts.k_c, n_c=n_c)
@@ -164,7 +157,9 @@ def sparse_code_sequential(data, dicts, coefs, hyper):
     Each class block gets fista_iters/SEQ_PASSES iterations per visit so
     the total per-column iteration budget matches the joint coder.
     Cross-class coupling (the shared Gram off-diagonal and the mean terms)
-    is only refreshed between visits, which is what the joint solver avoids.
+    is only refreshed between visits, which is what the joint solver avoids:
+    a block's solve is the one-block case of the joint quadratic, with the
+    other classes' mean sum S frozen in B as -(lambda2 / C) S.
     """
     _check_shapes(data, dicts, coefs)
     n_c = data.n_c
@@ -175,6 +170,7 @@ def sparse_code_sequential(data, dicts, coefs, hyper):
     shifted = data.Y - dicts.shared_dict @ coefs.X0
     gram = build_augmented_gram(dicts, shifted, n_c)
     L = power_iteration_lipschitz(gram.combined, seed=hyper.seed) + 2.0 * lam2
+    H = gram.combined + 2.0 * lam2 * np.eye(dicts.K)
 
     X = coefs.X.copy()
     cmeans = class_means(X, C)
@@ -182,16 +178,9 @@ def sparse_code_sequential(data, dicts, coefs, hyper):
     for _ in range(SEQ_PASSES):
         for c in range(1, C + 1):
             cols = coefs.class_columns(c)
-            corr_c = gram.corr[:, cols]
             other_sum = cmeans.sum(axis=1) - cmeans[:, c - 1]
-
-            def grad(W, _corr=corr_c, _S=other_sum):
-                mc = W.mean(axis=1)
-                m = (mc + _S) / C
-                fisher = 4.0 * W + 2.0 * m[:, None] - 4.0 * mc[:, None]
-                return gram.combined @ W - _corr + 0.5 * lam2 * fisher
-
-            obj = SmoothObjective.quadratic(grad, L, (dicts.K, n_c))
+            B = gram.corr[:, cols] - (lam2 / C) * other_sum[:, None]
+            obj = SmoothObjective.quadratic(H, B, L, fisher=(lam2, 1, C))
             Wnew = fista(obj, hyper.lambda1, X[:, cols], max_iter=budget)
             X[:, cols] = Wnew
             cmeans[:, c - 1] = Wnew.mean(axis=1)

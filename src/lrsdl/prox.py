@@ -11,57 +11,61 @@ from typing import Callable
 
 import numpy as np
 
+from .data import class_means
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 
 
 @dataclass(frozen=True)
 class SmoothObjective:
-    """Smooth part of a composite objective g(W) + lam * ||W||_1.
+    """Smooth quadratic part g of a composite objective g(W) + lam * ||W||_1.
 
-    grad maps a matrix to its gradient, lipschitz is a bound on the
-    gradient's Lipschitz constant, and value evaluates g up to an additive
-    constant; :func:`fista` uses it for a monotone safeguard, so the
-    composite objective never increases along the returned iterates.
+    grad maps a matrix to its gradient, which must be affine (g is a
+    quadratic), and lipschitz bounds its Lipschitz constant. raw_grad is
+    the same map for the two calls :func:`fista` makes outside its
+    iterations; it defaults to grad and dataclasses.replace keeps it, so a
+    copy with a wrapped grad sees exactly one call per iteration.
+    per_column marks the columns of W as independent problems, each its
+    own safeguard block. fista never calls value.
     """
 
     grad: Callable
     lipschitz: float
-    value: Callable
+    value: Callable | None = None
+    per_column: bool = False
+    raw_grad: Callable | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.lipschitz) or self.lipschitz <= 0:
             raise ParameterError(f"lipschitz must be positive, got {self.lipschitz}")
+        if self.raw_grad is None:
+            object.__setattr__(self, "raw_grad", self.grad)
 
     @classmethod
-    def quadratic(cls, grad, lipschitz, shape, per_column=False):
-        """Objective for a quadratic g, with value derived from grad.
+    def quadratic(cls, H, B, lipschitz, fisher=None, per_column=False):
+        """Objective of g(W) = 1/2 <W, H W> - <B, W> from its Gram pair:
+        the gradient is H W - B, a product with the small matrix H.
 
-        For g(W) = 1/2 <W, H W> - <B, W> + c the gradient is H W - B, so
-        g(W) - g(0) = 1/2 <W, grad(W) + grad(0)>. The constant g(0) never
-        changes which FISTA candidate is accepted, so this value is all the
-        monotone safeguard needs. grad(0) is computed once, on a zero matrix
-        of the given shape. value calls the grad given here rather than
-        obj.grad, so a copy of the objective with a wrapped grad keeps the
-        same value.
-
-        With per_column, value returns one number per column of W (the
-        same inner product, summed down each column), and :func:`fista`
-        applies its safeguard to each column on its own. That is only
-        meaningful when the columns are independent problems, i.e. H acts
-        on each column separately.
+        fisher = (lambda2, blocks, C) adds the class-mean part of the Fisher
+        gradient for W made of `blocks` equal class blocks with means M_b,
+        out of C classes (a sequential solve holds one block): each column
+        of block b gets lambda2 (sum_b M_b / C - 2 M_b). That map is linear
+        and symmetric, so g stays a quadratic with gradient -B at 0.
         """
-        g0 = grad(np.zeros(shape))
-        if per_column:
+        if fisher is None:
 
-            def value(W):
-                return 0.5 * _column_sums(W * (grad(W) + g0))
+            def grad(W):
+                return H @ W - B
 
         else:
+            lambda2, blocks, C = fisher
 
-            def value(W):
-                return 0.5 * float(np.vdot(W, grad(W) + g0))
+            def grad(W):
+                M = class_means(W, blocks)
+                G = (H @ W - B).reshape(M.shape + (-1,))
+                G += lambda2 * (M.sum(axis=1, keepdims=True) / C - 2.0 * M)[:, :, None]
+                return G.reshape(W.shape)
 
-        return cls(grad=grad, lipschitz=lipschitz, value=value)
+        return cls(grad=grad, lipschitz=lipschitz, per_column=per_column)
 
 
 def soft_threshold(W, tau):
@@ -94,7 +98,7 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     """Accelerated proximal gradient descent for g(W) + lam * ||W||_1.
 
     Args:
-        obj: SmoothObjective with grad, lipschitz and value.
+        obj: SmoothObjective with a quadratic g (affine gradient).
         lam: l1 weight, >= 0.
         W0: warm start (copied, never modified).
         max_iter: iteration budget.
@@ -107,15 +111,20 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     the momentum sequence still advances on the candidate), so recorded
     objective values are non-increasing.
 
-    The safeguard works on blocks: the whole matrix when obj.value returns
-    one number, each column when it returns one number per column. A
-    column block is accepted or rejected, and stops, on its own values and
-    its own relative change; once stopped it is frozen, and the solve ends
-    when every block has stopped or the budget is spent. The momentum
-    weight t depends only on the iteration count, so when grad and value
-    compute each column by the same arithmetic in a batch as alone, each
-    column of a per-column solve gets the bits a solve of that column
-    alone returns.
+    Each iteration calls obj.grad once, at the candidate. As the gradient
+    is affine, the rest follows by linearity: the momentum point
+    Z = W_new + a (cand - W_new) + b (W_new - W) has coefficients summing
+    to 1, so its gradient is the same combination of theirs, and the
+    safeguard compares g(W) - g(0) = 1/2 <W, grad(W) + grad(0)>. The
+    gradients at W0 and at 0 come from obj.raw_grad, once per solve.
+
+    The safeguard works on blocks: the whole matrix, or each column when
+    obj.per_column is set. A column block is accepted or rejected, and
+    stops, on its own values and its own relative change; once stopped it
+    is frozen, and the solve ends when every block has stopped or the
+    budget is spent. The momentum weight t depends only on the iteration
+    count, so when grad computes each column by the same arithmetic in a
+    batch as alone, each column gets the bits a solve of it alone returns.
     """
     if lam < 0:
         raise ParameterError(f"l1 weight must be >= 0, got {lam}")
@@ -123,45 +132,59 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
         raise ParameterError("max_iter must be positive")
     L = obj.lipschitz
     W = np.array(W0, dtype=float)
-    Z = W
-    t = 1.0
-    F = obj.value(W)
-    if np.ndim(F) == 1:
+    GW = obj.raw_grad(W)
+    G0 = obj.raw_grad(np.zeros_like(W))
+    if obj.per_column:
         # one block per column: boolean masks over the columns
+
+        def inner(A, B):
+            return _column_sums(A * B)
 
         def l1(M):
             return _column_sums(np.abs(M))
 
         def norm(M):
-            return np.sqrt(_column_sums(M * M))
+            return np.sqrt(inner(M, M))
 
         select, any_live = np.where, np.ndarray.any
-        live = np.ones(F.shape, dtype=bool)
+        live = np.ones(W.shape[1], dtype=bool)
     else:
         # the whole matrix is one block: plain scalars
+
+        def inner(A, B):
+            return float(np.vdot(A, B))
 
         def l1(M):
             return np.abs(M).sum()
 
         norm, select, any_live = np.linalg.norm, _pick, bool
         live = np.True_
-    F = F + lam * l1(W)
+
+    def objective(M, G):
+        """g(M) - g(0) + lam ||M||_1 from the gradient G at M."""
+        return 0.5 * inner(M, G + G0) + lam * l1(M)
+
+    F = objective(W, GW)
+    Z, GZ = W, GW
+    t = 1.0
     for k in range(1, max_iter + 1):
-        G = obj.grad(Z)
+        cand = soft_threshold(Z - GZ / L, lam / L)
+        G = obj.grad(cand)
         if not np.isfinite(G).all():
             raise NumericalError(f"non-finite gradient at iteration {k}")
-        cand = soft_threshold(Z - G / L, lam / L)
-        F_cand = obj.value(cand) + lam * l1(cand)
+        F_cand = objective(cand, G)
         if not np.isfinite(F_cand).all():
             raise NumericalError(f"non-finite objective at iteration {k}")
         accepted = live & (F_cand <= F)
-        W_new = select(accepted, cand, W)
+        W_new, GW_new = select(accepted, cand, W), select(accepted, G, GW)
         F = select(accepted, F_cand, F)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        a, b = t / t_new, (t - 1.0) / t_new
         step = W_new - W
-        Z = W_new + (t / t_new) * (cand - W_new) + ((t - 1.0) / t_new) * step
+        Z = W_new + a * (cand - W_new) + b * step
+        GZ = GW_new + a * (G - GW_new) + b * (GW_new - GW)
         rel = norm(step) / np.maximum(1.0, norm(W))
-        W, t = W_new, t_new
+        W, GW, t = W_new, GW_new, t_new
         live = live & ~(accepted & (rel < tol))
         if not any_live(live):
             break

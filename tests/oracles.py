@@ -215,9 +215,9 @@ def mfista_one_block(grad, value, L, lam, W0, max_iter, tol):
     """Monotone FISTA (Beck & Teboulle 2009) with the whole matrix as one
     safeguard block, written out with Python scalars: a candidate is kept
     only if it does not raise g + lam ||.||_1, and the solve stops on an
-    accepted step whose relative change is below tol. Operation for
-    operation this is the arithmetic prox.fista uses for a scalar-valued
-    objective, so the two agree bit for bit.
+    accepted step whose relative change is below tol. It evaluates the
+    gradient at every momentum point and g through its own value function,
+    so it needs no linearity: the direct reference for prox.fista.
     """
     W = np.array(W0, dtype=float)
     Z = W
@@ -242,6 +242,48 @@ def mfista_one_block(grad, value, L, lam, W0, max_iter, tol):
         if accepted and rel < tol:
             break
     return W
+
+
+def fista_one_product(grad, L, lam, W0, max_iter, tol):
+    """The same monotone FISTA for a quadratic g, with one gradient call per
+    iteration, written out with Python scalars: the gradient at the
+    momentum point is the same affine combination of kept gradients as the
+    point itself, and g(W) - g(0) = 1/2 <W, grad(W) + grad(0)>. Operation
+    for operation this is the arithmetic prox.fista uses with the whole
+    matrix as one block, so the two agree bit for bit. Returns the final
+    iterate and the number of iterations run.
+    """
+    W = np.array(W0, dtype=float)
+    GW = grad(W)
+    G0 = grad(np.zeros_like(W))
+    Z, GZ = W, GW
+    t = 1.0
+
+    def shrink(V, tau):
+        return np.sign(V) * np.maximum(np.abs(V) - tau, 0.0)
+
+    def objective(V, G):
+        return 0.5 * float(np.vdot(V, G + G0)) + lam * np.abs(V).sum()
+
+    F = objective(W, GW)
+    for k in range(1, max_iter + 1):
+        cand = shrink(Z - GZ / L, lam / L)
+        G = grad(cand)
+        F_cand = objective(cand, G)
+        accepted = F_cand <= F
+        if accepted:
+            W_new, GW_new, F = cand, G, F_cand
+        else:
+            W_new, GW_new = W, GW
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        a, b = t / t_new, (t - 1.0) / t_new
+        Z = W_new + a * (cand - W_new) + b * (W_new - W)
+        GZ = GW_new + a * (G - GW_new) + b * (GW_new - GW)
+        rel = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))
+        W, GW, t = W_new, GW_new, t_new
+        if accepted and rel < tol:
+            break
+    return W, k
 
 
 def block_diagonal_loop(A, C):

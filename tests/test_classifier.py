@@ -356,6 +356,19 @@ class TestBatchedClassify:
         assert isinstance(one.label, int)
         assert one.per_class_scores.shape == (model.C,)
 
+    def test_empty_and_one_column_batches(self):
+        data, model = fitted_model(seed=23)
+        K = model.dict_bundle.K + model.dict_bundle.k0
+        empty = classify(np.zeros((model.d, 0)), model)
+        assert empty.label.shape == (0,)
+        assert empty.per_class_scores.shape == (model.C, 0)
+        assert empty.code.shape == (K, 0)
+        one = classify(data.Y[:, [3]], model)
+        assert one.label.shape == (1,)
+        assert one.per_class_scores.shape == (model.C, 1)
+        assert one.code.shape == (K, 1)
+        assert one.label[0] == classify(data.Y[:, 3], model).label
+
     def test_bad_batches_rejected(self):
         model = block_model()
         with pytest.raises(DimensionError):

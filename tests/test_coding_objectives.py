@@ -1,17 +1,19 @@
 """Property test of the smooth objectives the coding sites hand to FISTA.
 
-Each site builds its objective with SmoothObjective.quadratic, whose value
-is only defined up to a constant. On generated shapes, seeds and weights,
-value differences must equal differences of the literal objective of that
-site, evaluated independently:
+Each site builds its objective with SmoothObjective.quadratic, and fista
+takes its value from the gradient as g(W) - g(0) = 1/2 <W, grad(W) +
+grad(0)>, only defined up to the constant g(0). On generated shapes, seeds
+and weights, differences of that value must equal differences of the
+literal objective of that site, evaluated independently:
 
 * joint class codes: fidelity + 1/2 lambda2 Fisher from objective_terms,
 * shared codes: the fidelity from objective_terms as a function of X0 plus
   the pull 1/2 lambda2 ||X0 - M0||^2 toward the warm-start mean,
 * sequential class blocks: the same terms with only block c varied,
 * test codes: 1/2 ||y - D_total x||^2 + lambda2/2 ||x0 - m0||^2 for each
-  sample y of a batch; the test-coding value returns one number per code
-  column, and each must match the literal objective of its own sample.
+  sample y of a batch; the test-coding objective is per column, so the
+  value is taken down each code column, and each must match the literal
+  objective of its own sample.
 
 ``fista`` is replaced by a stub that records the objective and returns the
 warm start, so every site sees the unchanged inputs.
@@ -54,8 +56,15 @@ def assert_same_difference(v1, v2, lit1, lit2):
     assert abs((v1 - v2) - (lit1 - lit2)) <= REL * scale
 
 
+def value(obj, W):
+    """1/2 <W, grad(W) + grad(0)>, one number per column for a per-column
+    objective."""
+    total = W * (obj.grad(W) + obj.grad(np.zeros_like(W)))
+    return 0.5 * (total.sum(axis=0) if obj.per_column else total.sum())
+
+
 def assert_same_differences(obj, literal, W1, W2):
-    assert_same_difference(obj.value(W1), obj.value(W2), literal(W1), literal(W2))
+    assert_same_difference(value(obj, W1), value(obj, W2), literal(W1), literal(W2))
 
 
 def smooth_terms(data, dicts, X, X0, hyper):
@@ -143,7 +152,7 @@ def test_site_values_match_literal_objectives(
     assert len(test) == 1
 
     W1, W2 = draw((K + k0, n_test))
-    v1, v2 = test[0].value(W1), test[0].value(W2)
+    v1, v2 = value(test[0], W1), value(test[0], W2)
     assert v1.shape == v2.shape == (n_test,)
     for j in range(n_test):
 

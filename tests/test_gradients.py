@@ -23,12 +23,12 @@ from lrsdl.errors import DimensionError, DomainError, NumericalError
 from lrsdl.gradients import (
     ObjectiveTerms,
     build_augmented_gram,
-    build_test_gram,
     fidelity_value,
     fisher_value,
     grad_fidelity,
     grad_fisher,
     grad_shared_codes,
+    grad_test_code,
     lrsdl_objective,
     objective_terms,
     residual_matrices,
@@ -321,12 +321,11 @@ class TestGradSharedCodes:
 
 
 class TestBuildTestGram:
-    """The Gram form (H, B) of test coding: its gradient H X - B, checked
-    on a batch of samples, one code column each."""
+    """The Gram form (H, B) of test coding, through grad_test_code: its
+    gradient H X - B, checked on a batch of samples, one code column each."""
 
     def grad(self, dicts, Y, X, m0, lambda2):
-        H, B = build_test_gram(dicts, Y, m0, lambda2)
-        return H @ X - B
+        return grad_test_code(dicts, Y, X, m0, lambda2)
 
     def test_zero_code_no_penalty(self):
         data, dicts, _ = random_problem(33, k0=2)
@@ -372,10 +371,11 @@ class TestBuildTestGram:
 
     def test_shape_checks(self):
         _, dicts, _ = random_problem(38, k0=2)
+        X = np.zeros((dicts.K + dicts.k0, 2))
         with pytest.raises(DimensionError):
-            build_test_gram(dicts, np.zeros((dicts.d + 1, 2)), np.zeros(2), 0.1)
+            grad_test_code(dicts, np.zeros((dicts.d + 1, 2)), X, np.zeros(2), 0.1)
         with pytest.raises(DimensionError):
-            build_test_gram(dicts, np.zeros((dicts.d, 2)), np.zeros(3), 0.1)
+            grad_test_code(dicts, np.zeros((dicts.d, 2)), X, np.zeros(3), 0.1)
 
 
 class TestObjective:

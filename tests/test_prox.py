@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrsdl.errors import (
     DataError,
@@ -18,6 +20,7 @@ from lrsdl.errors import (
     ParameterError,
 )
 from lrsdl.prox import (
+    FISTA_TOL,
     SmoothObjective,
     admm_nuclear,
     fista,
@@ -28,9 +31,12 @@ from lrsdl.prox import (
 
 from oracles import (
     cd_lasso,
+    fd_grad,
+    fista_one_product,
     lasso_objective,
     mfista_one_block,
     nuclear_norm,
+    rel_err,
     subgrad_nuclear_descent,
     svt_eigh,
 )
@@ -134,6 +140,7 @@ class TestFista:
         first = lasso_objective(A, b[:, 0], lam, W0[:, 0])
         final = lasso_objective(A, b[:, 0], lam, out[:, 0])
         assert final <= first + 1e-10
+        assert seen == []  # the safeguard takes its values from the gradient
 
     def test_non_finite_gradient_raises_with_iteration(self):
         obj = SmoothObjective(
@@ -160,30 +167,38 @@ class TestFista:
 
 
 def least_squares_columns(A, B):
-    """grad and per-column value of sum_j 1/2 ||A w_j - b_j||^2, each column
-    computed on its own, so a batch and a lone column share every bit."""
-
-    def column(W, j):
-        return np.ascontiguousarray(W[:, j])
+    """Gradient of sum_j 1/2 ||A w_j - b_j||^2, each column computed on its
+    own, so a batch and a lone column share every bit."""
 
     def grad(W):
         return np.stack(
-            [A.T @ (A @ column(W, j) - B[:, j]) for j in range(W.shape[1])], axis=1
+            [
+                A.T @ (A @ np.ascontiguousarray(W[:, j]) - B[:, j])
+                for j in range(W.shape[1])
+            ],
+            axis=1,
         )
+
+    return grad
+
+
+def counted(obj):
+    """A copy of obj whose grad counts its calls and whose value fails the
+    test, made with dataclasses.replace as perfbench/tracer.py makes it."""
+    calls = []
+
+    def grad(W, _grad=obj.grad):
+        calls.append(1)
+        return _grad(W)
 
     def value(W):
-        return np.array(
-            [
-                0.5 * float(np.sum((A @ column(W, j) - B[:, j]) ** 2))
-                for j in range(W.shape[1])
-            ]
-        )
+        pytest.fail("fista called obj.value")
 
-    return grad, value
+    return dataclasses.replace(obj, grad=grad, value=value), calls
 
 
 class TestFistaColumnBlocks:
-    """fista with a value that returns one number per column."""
+    """fista with per_column set: one safeguard block per column."""
 
     def problem(self, seed=7):
         rng = np.random.default_rng(seed)
@@ -195,14 +210,10 @@ class TestFistaColumnBlocks:
         return A, B, L
 
     def solve(self, A, B, L, lam, W0, max_iter, tol):
-        grad, value = least_squares_columns(A, B)
-        calls = []
-
-        def counted(W):
-            calls.append(1)
-            return grad(W)
-
-        obj = SmoothObjective(grad=counted, lipschitz=L, value=value)
+        obj = SmoothObjective(
+            grad=least_squares_columns(A, B), lipschitz=L, per_column=True
+        )
+        obj, calls = counted(obj)
         return fista(obj, lam, W0, max_iter=max_iter, tol=tol), len(calls)
 
     def test_batch_equals_each_column_alone(self):
@@ -244,6 +255,8 @@ class TestFistaColumnBlocks:
             prev = now
 
     def test_scalar_value_matches_one_block_reference_bit_for_bit(self):
+        # the whole matrix as one block against the one-product loop
+        # written out in oracles.py
         rng = np.random.default_rng(10)
         A = rng.standard_normal((15, 9))
         B = rng.standard_normal((15, 3))
@@ -252,54 +265,192 @@ class TestFistaColumnBlocks:
         def grad(W):
             return A.T @ (A @ W - B)
 
-        def value(W):
-            return 0.5 * float(np.sum((A @ W - B) ** 2))
-
         W0 = rng.standard_normal((9, 3))
-        obj = SmoothObjective(grad=grad, lipschitz=L, value=value)
+        obj = SmoothObjective(grad=grad, lipschitz=L)
         out = fista(obj, 0.1, W0, max_iter=150, tol=1e-7)
-        ref = mfista_one_block(grad, value, L, 0.1, W0, 150, 1e-7)
+        ref, _ = fista_one_product(grad, L, 0.1, W0, 150, 1e-7)
         assert out.tobytes() == ref.tobytes()
 
 
+class TestFistaIterationCount:
+    """fista calls obj.grad once per iteration and never obj.value, so a
+    copy of the objective with a counting grad (perfbench/tracer.py makes
+    one with dataclasses.replace) counts the iterations run."""
+
+    def problem(self, b_scale=1.0):
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((12, 6))
+        b = b_scale * rng.standard_normal((12, 2))
+        L = 1.01 * float(np.linalg.eigvalsh(A.T @ A)[-1])
+        return A.T @ A, A.T @ b, L
+
+    def objectives(self, H, B, L):
+        """The hand-written form and the Gram-pair forms of one problem."""
+        return {
+            "hand-written": SmoothObjective(
+                grad=lambda W: H @ W - B,
+                lipschitz=L,
+                value=lambda W: 0.5 * float(np.vdot(W, H @ W)) - float(np.vdot(B, W)),
+            ),
+            "quadratic": SmoothObjective.quadratic(H, B, L),
+            "per-column": SmoothObjective.quadratic(H, B, L, per_column=True),
+        }
+
+    def run(self, obj, max_iter, tol=1e-6):
+        wrapped, calls = counted(obj)
+        return fista(wrapped, 0.05, np.zeros((6, 2)), max_iter=max_iter, tol=tol), len(calls)
+
+    def test_stop_at_iteration_one(self):
+        # zero data: the zero start is optimal, the first step is accepted
+        # without a change and every block stops
+        for name, obj in self.objectives(*self.problem(b_scale=0.0)).items():
+            out, n = self.run(obj, 50)
+            assert n == 1, name
+            assert not out.any(), name
+
+    def test_tolerance_stop_at_iteration_k(self):
+        H, B, L = self.problem()
+        for name, obj in self.objectives(H, B, L).items():
+            out, n = self.run(obj, 400)
+            assert 1 < n < 400, name
+            # n is the true count: one iteration less gives another
+            # iterate, a larger budget the same one
+            assert not np.array_equal(self.run(obj, n - 1)[0], out), name
+            more, n_more = self.run(obj, n + 20)
+            assert n_more == n and np.array_equal(more, out), name
+            if not obj.per_column:
+                ref, iters = fista_one_product(obj.grad, L, 0.05, np.zeros((6, 2)), 400, 1e-6)
+                assert iters == n and np.array_equal(ref, out), name
+
+    def test_full_budget(self):
+        H, B, L = self.problem()
+        for name, obj in self.objectives(H, B, L).items():
+            assert self.run(obj, 7)[1] == 7, name
+            assert self.run(obj, 40, tol=0.0)[1] == 40, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 4),
+    lam=st.sampled_from([0.0, 0.01, 0.1, 1.0]),
+    warm=st.booleans(),
+    per_column=st.booleans(),
+    max_iter=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fista_matches_direct_gradient_loop(n, m, lam, warm, per_column, max_iter, seed):
+    """fista (one gradient call per iteration, values from gradients)
+    against mfista_one_block (the gradient at every momentum point, values
+    from the explicit quadratic) on random SPD problems. Where the monotone
+    test meets a last-bit tie the two can stop at different iterations, so
+    the final composite objectives are compared, not the iterates."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    H = A @ A.T + 0.1 * np.eye(n)
+    B = rng.standard_normal((n, m))
+    L = 1.01 * float(np.linalg.eigvalsh(H)[-1])
+    W0 = rng.standard_normal((n, m)) if warm else np.zeros((n, m))
+
+    obj = SmoothObjective.quadratic(H, B, L, per_column=per_column)
+    out = fista(obj, lam, W0, max_iter=max_iter)
+
+    def terms(W):
+        # the composite objective's three terms, per column
+        return (
+            0.5 * np.sum(W * (H @ W), axis=0),
+            -np.sum(B * W, axis=0),
+            lam * np.sum(np.abs(W), axis=0),
+        )
+
+    def reference(W0, Bj):
+        return mfista_one_block(
+            lambda W: H @ W - Bj,
+            lambda W: 0.5 * float(np.vdot(W, H @ W)) - float(np.vdot(Bj, W)),
+            L, lam, W0, max_iter, FISTA_TOL,
+        )
+
+    if per_column:
+        ref = np.column_stack([reference(W0[:, [j]], B[:, [j]])[:, 0] for j in range(m)])
+    else:
+        ref = reference(W0, B)
+    got, want = terms(out), terms(ref)
+    if not per_column:  # one block: the objective sums over the columns
+        got, want = [t.sum() for t in got], [t.sum() for t in want]
+    scale = sum(np.abs(t) for t in want)
+    assert np.all(np.abs(sum(got) - sum(want)) <= 1e-12 * np.maximum(scale, 1e-300))
+
+
 class TestQuadraticObjective:
+    """SmoothObjective.quadratic from a Gram pair (H, B) and an optional
+    Fisher class-mean term. fista takes g(W) - g(0) as
+    1/2 <W, grad(W) + grad(0)>, so that is the value checked here."""
+
     def setup_method(self):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((5, 5))
         self.H = A @ A.T + 0.1 * np.eye(5)  # random SPD
-        self.B = rng.standard_normal((5, 3))
+        self.B = rng.standard_normal((5, 6))
         self.rng = rng
-        self.calls = 0
 
-    def grad(self, W):
-        self.calls += 1
-        return self.H @ W - self.B
+    def explicit(self, W, fisher=None):
+        """1/2 <W, H W> - <B, W>, plus for fisher = (lambda2, blocks, C)
+        the term lambda2 n (||sum_b M_b||^2 / (2 C) - sum_b ||M_b||^2) over
+        the means M_b of the blocks of n columns, whose gradient at a
+        column of block b is lambda2 (sum_b M_b / C - 2 M_b)."""
+        v = 0.5 * float(np.sum(W * (self.H @ W))) - float(np.sum(self.B * W))
+        if fisher is not None:
+            lambda2, blocks, C = fisher
+            n = W.shape[1] // blocks
+            M = W.reshape(W.shape[0], blocks, n).mean(axis=2)
+            v += lambda2 * n * (
+                float(np.sum(M.sum(axis=1) ** 2)) / (2 * C) - float(np.sum(M * M))
+            )
+        return v
 
-    def explicit(self, W):
-        return 0.5 * float(np.sum(W * (self.H @ W))) - float(np.sum(self.B * W))
+    @staticmethod
+    def value(obj, W):
+        return 0.5 * float(np.vdot(W, obj.grad(W) + obj.grad(np.zeros_like(W))))
 
     def test_value_matches_explicit_quadratic(self):
-        obj = SmoothObjective.quadratic(self.grad, 1.0, (5, 3))
-        for _ in range(5):
-            W = self.rng.standard_normal((5, 3))
-            assert obj.value(W) == pytest.approx(self.explicit(W), rel=1e-12, abs=1e-12)
-        assert obj.value(np.zeros((5, 3))) == 0.0
+        # joint class codes (3 blocks of 3 classes), a sequential block
+        # (1 block of 4 classes) and no Fisher term
+        for fisher in (None, (0.7, 3, 3), (0.7, 1, 4)):
+            obj = SmoothObjective.quadratic(self.H, self.B, 1.0, fisher=fisher)
+            assert np.array_equal(obj.grad(np.zeros((5, 6))), -self.B)
+            for _ in range(5):
+                W = self.rng.standard_normal((5, 6))
+                assert self.value(obj, W) == pytest.approx(
+                    self.explicit(W, fisher), rel=1e-12, abs=1e-12
+                )
+                fd = fd_grad(lambda V: self.explicit(V, fisher), W)
+                assert rel_err(obj.grad(W), fd) < 1e-6, fisher
 
     def test_grad_at_zero_computed_once_and_value_skips_obj_grad(self):
-        obj = SmoothObjective.quadratic(self.grad, 1.0, (5, 3))
-        assert self.calls == 1
-        wrapped = dataclasses.replace(obj, grad=lambda W: pytest.fail("obj.grad called"))
-        W = self.rng.standard_normal((5, 3))
-        assert wrapped.value(W) == obj.value(W)
-        assert self.calls == 3
+        seen = []
+
+        def grad(W):
+            seen.append(np.array(W))
+            return self.H @ W - self.B
+
+        obj, calls = counted(SmoothObjective(grad=grad, lipschitz=50.0))
+        W0 = self.rng.standard_normal((5, 6))
+        fista(obj, 0.1, W0, max_iter=7, tol=0.0)
+        assert len(calls) == 7
+        # raw_grad survives dataclasses.replace: two more calls per solve,
+        # at the start point and at zero
+        assert obj.raw_grad is grad and len(seen) == 9
+        assert np.array_equal(seen[0], W0) and not seen[1].any()
 
     def test_per_column_value_is_each_column_quadratic(self):
-        obj = SmoothObjective.quadratic(self.grad, 1.0, (5, 3), per_column=True)
-        W = self.rng.standard_normal((5, 3))
-        got = obj.value(W)
-        assert got.shape == (3,)
-        for j in range(3):
+        obj = SmoothObjective.quadratic(self.H, self.B, 1.0, per_column=True)
+        assert obj.per_column
+        W = self.rng.standard_normal((5, 6))
+        G, G0 = obj.grad(W), obj.grad(np.zeros_like(W))
+        got = 0.5 * np.sum(W * (G + G0), axis=0)
+        for j in range(6):
             w, b = W[:, j], self.B[:, j]
+            assert np.allclose(G[:, j], self.H @ w - b, rtol=1e-12, atol=1e-12)
             want = 0.5 * float(w @ self.H @ w) - float(b @ w)
             assert got[j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
