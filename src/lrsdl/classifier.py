@@ -62,10 +62,11 @@ def _normalize_samples(Y):
     return _unit_columns(Y, norms)
 
 
-def test_coding_lipschitz(model, G):
-    """Step-size bound for the test-coding solves from the Gram matrix
-    G = D_total^T D_total; the same for every sample."""
-    return power_iteration_lipschitz(G, seed=model.hyper.seed) + model.hyper.lambda2
+def test_coding_lipschitz(H):
+    """Step size of the test-coding solve, lambda_max of its Gram matrix H;
+    the same for every sample. A named step of its own, which the benchmark
+    tracer wraps by name."""
+    return power_iteration_lipschitz(H)
 
 
 def encode_test(Y, model):
@@ -84,14 +85,12 @@ def encode_test(Y, model):
     if zero.any():
         log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())
     Yn = Yn.reshape(np.shape(Y))
-    # the test-coding Gram form of gradients.grad_test_code, with
-    # G = D_total^T D_total formed once for it and the step size
+    # the test-coding Gram form of gradients.grad_test_code
     Dt = dicts.D_total
-    G = Dt.T @ Dt
     m0 = model.mean_stats.shared_mean.reshape((-1,) + (1,) * (Yn.ndim - 1))
-    H, B = gram_form(G, Dt.T @ Yn, m0, model.hyper.lambda2)
+    H, B = gram_form(Dt.T @ Dt, Dt.T @ Yn, m0, model.hyper.lambda2)
     obj = SmoothObjective.quadratic(
-        H, B, test_coding_lipschitz(model, G), per_column=B.ndim == 2
+        H, B, test_coding_lipschitz(H), per_column=B.ndim == 2
     )
     return fista(
         obj,

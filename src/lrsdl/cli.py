@@ -121,10 +121,6 @@ def _cmd_train(args):
 def _cmd_classify(args):
     model = load_model(args.model)
     Y = load_matrix(args.data)
-    if Y.shape[0] != model.d:
-        raise DimensionError(
-            f"data has {Y.shape[0]} features, model expects {model.d}"
-        )
     labels = None
     if args.labels is not None:
         labels = load_labels(args.labels)

@@ -355,8 +355,9 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.eta < 0:
-            raise ParameterError("regularization weights must be >= 0")
+        weights = (self.lambda1, self.lambda2, self.eta)
+        if not all(0 <= v < np.inf for v in weights):  # also rejects NaN
+            raise ParameterError(f"regularization weights must be finite, >= 0: {weights}")
         if not 0 <= self.w <= 1:
             raise ParameterError(f"w={self.w} outside [0, 1]")
         if min(self.outer_iters, self.fista_iters, self.admm_iters) < 1:

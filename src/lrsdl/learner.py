@@ -122,9 +122,19 @@ def _solve_shared_codes(data, dicts, X, X0_warm, hyper):
     G = 2.0 * (D0.T @ D0)
     m0 = X0_warm.mean(axis=1)[:, None]
     H, B = gram_form(G, D0.T @ (Ybar + Ytilde), m0, hyper.lambda2)
-    L = power_iteration_lipschitz(G, seed=hyper.seed) + hyper.lambda2
-    obj = SmoothObjective.quadratic(H, B, L)
+    obj = SmoothObjective.quadratic(H, B, power_iteration_lipschitz(H))
     return fista(obj, hyper.lambda1, X0_warm, max_iter=hyper.fista_iters)
+
+
+def _class_code_gram(data, dicts, coefs, lambda2):
+    """Gram pair and step size (H, corr, L) of the class-code quadratic:
+    H = M(D^T D) + 2 lambda2 I, the 2 lambda2 X part of the Fisher gradient
+    joining the Gram matrix, and L = lambda_max(H)."""
+    _check_shapes(data, dicts, coefs)
+    shifted = data.Y - dicts.shared_dict @ coefs.X0
+    gram = build_augmented_gram(dicts, shifted, data.n_c)
+    H = gram.combined + 2.0 * lambda2 * np.eye(dicts.K)
+    return H, gram.corr, power_iteration_lipschitz(H)
 
 
 def sparse_code_train(data, dicts, coefs, hyper):
@@ -136,19 +146,12 @@ def sparse_code_train(data, dicts, coefs, hyper):
     linear: the 2 lambda2 X part joins the Gram matrix and the mean part is
     the quadratic's Fisher term.
     """
-    _check_shapes(data, dicts, coefs)
-    n_c = data.n_c
-    C = data.C
-    lam2 = hyper.lambda2
-
-    shifted = data.Y - dicts.shared_dict @ coefs.X0
-    gram = build_augmented_gram(dicts, shifted, n_c)
-    L = power_iteration_lipschitz(gram.combined, seed=hyper.seed) + 2.0 * lam2
-    H = gram.combined + 2.0 * lam2 * np.eye(dicts.K)
-    obj = SmoothObjective.quadratic(H, gram.corr, L, fisher=(lam2, C, C))
+    C, lam2 = data.C, hyper.lambda2
+    H, corr, L = _class_code_gram(data, dicts, coefs, lam2)
+    obj = SmoothObjective.quadratic(H, corr, L, fisher=(lam2, C, C))
     Xnew = fista(obj, hyper.lambda1, coefs.X, max_iter=hyper.fista_iters)
     X0new = _solve_shared_codes(data, dicts, Xnew, coefs.X0, hyper)
-    return CoefBundle(X=Xnew, X0=X0new, k_c=dicts.k_c, n_c=n_c)
+    return CoefBundle(X=Xnew, X0=X0new, k_c=dicts.k_c, n_c=data.n_c)
 
 
 def sparse_code_sequential(data, dicts, coefs, hyper):
@@ -161,16 +164,9 @@ def sparse_code_sequential(data, dicts, coefs, hyper):
     a block's solve is the one-block case of the joint quadratic, with the
     other classes' mean sum S frozen in B as -(lambda2 / C) S.
     """
-    _check_shapes(data, dicts, coefs)
-    n_c = data.n_c
-    C = data.C
-    lam2 = hyper.lambda2
+    C, lam2 = data.C, hyper.lambda2
     budget = max(1, math.ceil(hyper.fista_iters / SEQ_PASSES))
-
-    shifted = data.Y - dicts.shared_dict @ coefs.X0
-    gram = build_augmented_gram(dicts, shifted, n_c)
-    L = power_iteration_lipschitz(gram.combined, seed=hyper.seed) + 2.0 * lam2
-    H = gram.combined + 2.0 * lam2 * np.eye(dicts.K)
+    H, corr, L = _class_code_gram(data, dicts, coefs, lam2)
 
     X = coefs.X.copy()
     cmeans = class_means(X, C)
@@ -179,14 +175,14 @@ def sparse_code_sequential(data, dicts, coefs, hyper):
         for c in range(1, C + 1):
             cols = coefs.class_columns(c)
             other_sum = cmeans.sum(axis=1) - cmeans[:, c - 1]
-            B = gram.corr[:, cols] - (lam2 / C) * other_sum[:, None]
+            B = corr[:, cols] - (lam2 / C) * other_sum[:, None]
             obj = SmoothObjective.quadratic(H, B, L, fisher=(lam2, 1, C))
             Wnew = fista(obj, hyper.lambda1, X[:, cols], max_iter=budget)
             X[:, cols] = Wnew
             cmeans[:, c - 1] = Wnew.mean(axis=1)
 
     X0new = _solve_shared_codes(data, dicts, X, coefs.X0, hyper)
-    return CoefBundle(X=X, X0=X0new, k_c=dicts.k_c, n_c=n_c)
+    return CoefBundle(X=X, X0=X0new, k_c=dicts.k_c, n_c=data.n_c)
 
 
 def _update_class_dicts(data, dicts, coefs):

@@ -4,9 +4,9 @@ Two on-disk matrix formats:
 
 * LMX binary: one ASCII header line ``LMX <rows> <cols>\\n`` followed by
   exactly rows*cols IEEE-754 float64 values, little-endian, row-major.
+  ``save_matrix`` writes it.
 * CSV: comma-separated values, one matrix row per line, no header line.
-  Values are written with 17 significant digits so a save/load cycle
-  reproduces every double bit for bit.
+  An input format only: ``load_matrix`` reads it.
 
 ``load_matrix`` sniffs the format from the file content. Label files hold
 one integer per line (class ids 1..C).
@@ -19,29 +19,19 @@ from .errors import DataError, DimensionError, FormatError
 _MAGIC = b"LMX "
 
 
-def save_matrix(M, path, format="binary"):
-    """Write a 2-d float matrix to ``path`` in LMX binary or CSV form."""
+def save_matrix(M, path):
+    """Write a 2-d float matrix to ``path`` in LMX binary form."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {M.shape}")
-    if format == "binary":
-        header = f"LMX {M.shape[0]} {M.shape[1]}\n".encode("ascii")
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(M, dtype="<f8").tobytes())
-    elif format == "csv":
-        lines = []
-        for row in M:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        with open(path, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    else:
-        raise FormatError(f"unknown matrix format {format!r}")
+    header = f"LMX {M.shape[0]} {M.shape[1]}\n".encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(M, dtype="<f8").tobytes())
 
 
 def load_matrix(path):
-    """Read a matrix saved by :func:`save_matrix`, sniffing the format."""
+    """Read an LMX binary or CSV matrix, sniffing the format."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] == _MAGIC:

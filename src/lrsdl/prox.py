@@ -1,9 +1,9 @@
 """Proximal building blocks: soft thresholding, FISTA, singular value
 thresholding, an ADMM solver for nuclear-norm regularized least squares,
-and a power-iteration Lipschitz estimator.
+and the exact step-size rule L = lambda_max(H) of every coding solve.
 
 All solvers operate on dense float matrices (vectors are column matrices)
-and are deterministic given their inputs and an explicit seed.
+and are deterministic given their inputs.
 """
 
 from dataclasses import dataclass
@@ -74,7 +74,7 @@ def soft_threshold(W, tau):
     The proximal operator of tau * ||.||_1. Entries with |w| <= tau map to
     exactly zero.
     """
-    if tau < 0:
+    if not tau >= 0:  # also rejects NaN
         raise ParameterError(f"threshold must be >= 0, got {tau}")
     W = np.asarray(W, dtype=float)
     return np.sign(W) * np.maximum(np.abs(W) - tau, 0.0)
@@ -126,7 +126,7 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     count, so when grad computes each column by the same arithmetic in a
     batch as alone, each column gets the bits a solve of it alone returns.
     """
-    if lam < 0:
+    if not lam >= 0:  # also rejects NaN
         raise ParameterError(f"l1 weight must be >= 0, got {lam}")
     if max_iter < 1:
         raise ParameterError("max_iter must be positive")
@@ -196,7 +196,7 @@ def svt(M, tau):
 
     The proximal operator of tau * ||.||_* (nuclear norm).
     """
-    if tau < 0:
+    if not tau >= 0:  # also rejects NaN
         raise ParameterError(f"threshold must be >= 0, got {tau}")
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -232,9 +232,9 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
         raise DimensionError(
             f"incompatible shapes {V.shape} and {Xcoef.shape} (columns must match)"
         )
-    if eta < 0:
+    if not eta >= 0:  # also rejects NaN
         raise ParameterError(f"eta must be >= 0, got {eta}")
-    if rho <= 0:
+    if not rho > 0:
         raise ParameterError(f"rho must be positive, got {rho} (system singular)")
     if iters < 1:
         raise ParameterError("iters must be positive")
@@ -263,32 +263,20 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
     return (Z, residuals) if return_residuals else Z
 
 
-def power_iteration_lipschitz(G, iters=100, seed=0):
-    """Estimate the largest eigenvalue of a symmetric PSD matrix G, scaled
-    by a 1% safety margin.
+def power_iteration_lipschitz(G):
+    """Step-size bound of a coding solve: the largest eigenvalue of the
+    symmetric PSD Gram matrix G, from np.linalg.eigvalsh, floored at 1e-12
+    (a zero or empty matrix returns the floor).
 
-    The estimate is the final Rayleigh quotient of a seeded random power
-    iteration, floored at 1e-12 (a zero matrix returns the floor).
+    Every coding site passes the H it hands SmoothObjective.quadratic, so L
+    is exactly lambda_max(H). With a Fisher term it is still a bound: the
+    class-mean map lambda2 (sum_b M_b / C - 2 M_b) is negative semidefinite.
+    The name is kept because the benchmark tracer wraps this function by
+    name; no power iteration is left.
     """
-    if iters < 1:
-        raise ParameterError("iters must be positive")
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {G.shape}")
-    rng = np.random.default_rng(seed)
-    V = rng.standard_normal((G.shape[0], 1))
-    nv = np.linalg.norm(V)
-    if nv == 0:
-        raise NumericalError("degenerate random start")
-    V = V / nv
-    lam = 0.0
-    for _ in range(iters):
-        W = G @ V
-        if not np.isfinite(W).all():
-            raise NumericalError("matrix produced non-finite values")
-        nw = np.linalg.norm(W)
-        if nw < 1e-300:
-            return 1e-12
-        lam = float(np.vdot(V, W))
-        V = W / nw
-    return max(lam * 1.01, 1e-12)
+    if not np.isfinite(G).all():
+        raise NumericalError("matrix contains non-finite values")
+    return max(float(np.linalg.eigvalsh(G).max(initial=0.0)), 1e-12)

@@ -156,9 +156,14 @@ class TestEncodeTest:
     def test_lipschitz_bounds_gram(self):
         _, model = fitted_model(seed=6)
         Dt = model.dict_bundle.D_total
-        lam_max = float(np.linalg.eigvalsh(Dt.T @ Dt)[-1])
-        L = coding_lipschitz(model, Dt.T @ Dt)
-        assert L >= lam_max + model.hyper.lambda2 - 1e-9
+        K, lam2 = model.dict_bundle.K, model.hyper.lambda2
+        H = Dt.T @ Dt
+        H[K:, K:] += lam2 * np.eye(model.dict_bundle.k0)
+        L = coding_lipschitz(H)
+        assert L == pytest.approx(float(np.linalg.eigvalsh(H)[-1]), rel=1e-12)
+        # the shared-code pull only adds to H, by at most lambda2
+        gram_max = float(np.linalg.eigvalsh(Dt.T @ Dt)[-1])
+        assert gram_max - 1e-12 <= L <= gram_max + lam2 + 1e-12
 
 
 class TestDecisionRule:

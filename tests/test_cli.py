@@ -140,6 +140,14 @@ class TestTrain:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2", "--eta"])
+    def test_nan_weight_exit_2(self, capsys, tmp_path, dataset, flag):
+        out = str(tmp_path / "model")
+        code, _, err = train(capsys, dataset, out, extra=(flag, "nan"))
+        assert code == 2
+        assert "regularization weights" in err
+        assert not os.path.exists(out)
+
     def test_numerical_abort_exit_3(self, capsys, tmp_path, dataset):
         out = str(tmp_path / "model")
         code, _, err = train(

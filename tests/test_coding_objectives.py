@@ -15,6 +15,11 @@ literal objective of that site, evaluated independently:
   value is taken down each code column, and each must match the literal
   objective of its own sample.
 
+Each site's step size must be lambda_max of its Gram matrix H, built here
+from the dictionaries, and must bound the Lipschitz constant of its
+gradient: the spectral norm of the full linear map W -> grad(W) - grad(0),
+Fisher term included.
+
 ``fista`` is replaced by a stub that records the objective and returns the
 warm start, so every site sees the unchanged inputs.
 """
@@ -38,6 +43,7 @@ from lrsdl.data import (
 from lrsdl.gradients import objective_terms
 
 REL = 1e-9
+STEP_REL = 1e-12
 
 
 def capture(mp, module):
@@ -65,6 +71,18 @@ def value(obj, W):
 
 def assert_same_differences(obj, literal, W1, W2):
     assert_same_difference(value(obj, W1), value(obj, W2), literal(W1), literal(W2))
+
+
+def assert_step_size(obj, H, shape):
+    top = float(np.linalg.eigvalsh(H)[-1])
+    assert abs(obj.lipschitz - top) <= STEP_REL * top
+    zero = obj.grad(np.zeros(shape))
+    cols = []
+    for i in range(int(np.prod(shape))):
+        E = np.zeros(shape)
+        E.flat[i] = 1.0
+        cols.append((obj.grad(E) - zero).ravel())
+    assert np.linalg.norm(np.column_stack(cols), 2) <= obj.lipschitz * (1 + STEP_REL)
 
 
 def smooth_terms(data, dicts, X, X0, hyper):
@@ -107,6 +125,15 @@ def test_site_values_match_literal_objectives(
     def draw(shape):
         return rng.standard_normal(shape), rng.standard_normal(shape)
 
+    # Gram matrices: M(D^T D) + 2 lambda2 I for class codes, the fidelity's
+    # 2 D0^T D0 plus the mean pull for shared codes, D_total^T D_total plus
+    # the pull on the shared rows for test codes
+    DtD = dicts.D.T @ dicts.D
+    H_class = DtD * (1 + np.kron(np.eye(C), np.ones((k_c, k_c)))) + 2 * lambda2 * np.eye(K)
+    H_shared = 2 * dicts.shared_dict.T @ dicts.shared_dict + lambda2 * np.eye(k0)
+    H_test = dicts.D_total.T @ dicts.D_total
+    H_test[K:, K:] += lambda2 * np.eye(k0)
+
     with pytest.MonkeyPatch.context() as mp:
         joint = capture(mp, learner)
         learner.sparse_code_train(data, dicts, coefs, hyper)
@@ -116,6 +143,7 @@ def test_site_values_match_literal_objectives(
         return sum(smooth_terms(data, dicts, X, coefs.X0, hyper))
 
     assert_same_differences(joint[0], class_literal, *draw((K, N)))
+    assert_step_size(joint[0], H_class, (K, N))
 
     if k0:
         M0 = coefs.X0.mean(axis=1)[:, None]
@@ -125,6 +153,7 @@ def test_site_values_match_literal_objectives(
             return fidelity + 0.5 * lambda2 * float(np.sum((W - M0) ** 2))
 
         assert_same_differences(joint[1], shared_literal, *draw((k0, N)))
+        assert_step_size(joint[1], H_shared, (k0, N))
 
     with pytest.MonkeyPatch.context() as mp:
         seq = capture(mp, learner)
@@ -139,6 +168,9 @@ def test_site_values_match_literal_objectives(
             return sum(smooth_terms(data, dicts, X, coefs.X0, hyper))
 
         assert_same_differences(obj, block_literal, *draw((K, n_c)))
+        assert_step_size(obj, H_class, (K, n_c))
+    if k0:
+        assert_step_size(seq[-1], H_shared, (k0, N))
 
     model = LearnedModel(
         dict_bundle=dicts, mean_stats=mean_stats(coefs, data.labels), hyper=hyper, trace=()
@@ -151,6 +183,7 @@ def test_site_values_match_literal_objectives(
         classifier.encode_test(Y, model)
     assert len(test) == 1
 
+    assert_step_size(test[0], H_test, (K + k0, n_test))
     W1, W2 = draw((K + k0, n_test))
     v1, v2 = value(test[0], W1), value(test[0], W2)
     assert v1.shape == v2.shape == (n_test,)

@@ -213,6 +213,10 @@ class TestHyperParams:
     def test_validation(self):
         with pytest.raises(ParameterError):
             HyperParams(lambda1=-0.1)
+        for name in ("lambda1", "lambda2", "eta"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ParameterError):
+                    HyperParams(**{name: bad})
         with pytest.raises(ParameterError):
             HyperParams(w=1.5)
         with pytest.raises(ParameterError):

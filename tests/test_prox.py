@@ -73,6 +73,8 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ParameterError):
             soft_threshold(np.zeros((2, 2)), -0.1)
+        with pytest.raises(ParameterError):
+            soft_threshold(np.zeros((2, 2)), np.nan)
 
 
 def half_square(W):
@@ -153,6 +155,8 @@ class TestFista:
         obj = SmoothObjective(grad=lambda W: W, lipschitz=1.0, value=half_square)
         with pytest.raises(ParameterError):
             fista(obj, -0.1, np.zeros((2, 2)))
+        with pytest.raises(ParameterError):
+            fista(obj, np.nan, np.zeros((2, 2)))
         with pytest.raises(ParameterError):
             fista(obj, 0.1, np.zeros((2, 2)), max_iter=0)
         with pytest.raises(ParameterError):
@@ -505,6 +509,8 @@ class TestSvt:
     def test_bad_inputs(self):
         with pytest.raises(ParameterError):
             svt(np.eye(2), -1.0)
+        with pytest.raises(ParameterError):
+            svt(np.eye(2), np.nan)
         with pytest.raises(DimensionError):
             svt(np.zeros(3), 1.0)
         with pytest.raises(DataError):
@@ -581,6 +587,10 @@ class TestAdmmNuclear:
         with pytest.raises(ParameterError):
             admm_nuclear(V, X, eta=0.1, rho=0.0)
         with pytest.raises(ParameterError):
+            admm_nuclear(V, X, eta=np.nan, rho=1.0)
+        with pytest.raises(ParameterError):
+            admm_nuclear(V, X, eta=0.1, rho=np.nan)
+        with pytest.raises(ParameterError):
             admm_nuclear(V, X, eta=0.1, rho=1.0, iters=0)
         with pytest.raises(DimensionError):
             admm_nuclear(np.zeros((3, 5)), np.zeros((2, 4)), eta=0.1, rho=1.0)
@@ -588,36 +598,25 @@ class TestAdmmNuclear:
 
 class TestPowerIterationLipschitz:
     def test_scalar_doubling(self):
-        got = power_iteration_lipschitz(2.0 * np.eye(3), iters=50)
-        assert got == pytest.approx(2.02, abs=1e-6)
+        assert power_iteration_lipschitz(2.0 * np.eye(3)) == pytest.approx(2.0, rel=1e-15)
 
     def test_diagonal_gram(self):
         A = np.diag([3.0, 1.0])
-        got = power_iteration_lipschitz(A.T @ A, iters=300)
-        assert got == pytest.approx(9.09, abs=1e-3)
+        assert power_iteration_lipschitz(A.T @ A) == pytest.approx(9.0, rel=1e-15)
 
     def test_brackets_top_eigenvalue(self):
         rng = np.random.default_rng(16)
         A = rng.standard_normal((8, 8))
         G = A.T @ A
-        lam_max = float(np.linalg.eigvalsh(G)[-1])
-        got = power_iteration_lipschitz(G, iters=500, seed=1)
-        assert lam_max <= got <= 1.02 * lam_max + 1e-9
+        assert power_iteration_lipschitz(G) == float(np.linalg.eigvalsh(G)[-1])
 
     def test_zero_operator_floor(self):
-        got = power_iteration_lipschitz(np.zeros((4, 4)))
-        assert got == pytest.approx(1e-12)
-
-    def test_deterministic_in_seed(self):
-        G = 3.0 * np.eye(5)
-        a = power_iteration_lipschitz(G, seed=7)
-        b = power_iteration_lipschitz(G, seed=7)
-        assert a == b
+        assert power_iteration_lipschitz(np.zeros((4, 4))) == 1e-12
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            power_iteration_lipschitz(np.eye(2), iters=0)
-        with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError):
             power_iteration_lipschitz(np.full((2, 2), np.inf))
+        with pytest.raises(NumericalError):
+            power_iteration_lipschitz(np.full((2, 2), np.nan))
         with pytest.raises(DimensionError):
             power_iteration_lipschitz(np.zeros((2, 3)))

@@ -1,0 +1,41 @@
+"""README's command-line walkthrough, run as written.
+
+Every ``$ lrsdl ...`` command of the walkthrough block runs through
+``lrsdl.cli.main`` in a fresh directory, and every ``key=value`` it prints
+must equal the one README shows, except wall-clock ``*_time`` values.
+Stale numbers in the docs then fail the suite.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+from lrsdl.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def walkthrough():
+    """(argv, expected output) for each command of the walkthrough block."""
+    text = README.read_text()
+    block = re.search(r"A full walkthrough:\n\n```\n(.*?)```", text, re.S).group(1)
+    steps = []
+    for chunk in re.split(r"^\$ lrsdl ", block.replace("\\\n", " "), flags=re.M)[1:]:
+        command, _, output = chunk.partition("\n")
+        steps.append((shlex.split(command), output))
+    return steps
+
+
+def key_values(text):
+    pairs = (tok.split("=", 1) for tok in text.split() if "=" in tok)
+    return {k: v for k, v in pairs if not k.endswith("_time")}
+
+
+def test_walkthrough_prints_readme_values(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    steps = walkthrough()
+    assert [argv[0] for argv, _ in steps] == ["synth", "train", "classify", "bench"]
+    for argv, expected in steps:
+        assert main(argv) == 0, argv
+        printed = capsys.readouterr().out
+        assert key_values(printed) == key_values(expected), argv
