@@ -360,8 +360,12 @@ class HyperParams:
             raise ParameterError(f"regularization weights must be finite, >= 0: {weights}")
         if not 0 <= self.w <= 1:
             raise ParameterError(f"w={self.w} outside [0, 1]")
-        if min(self.outer_iters, self.fista_iters, self.admm_iters) < 1:
-            raise ParameterError("iteration budgets must be positive")
+        budgets = (self.outer_iters, self.fista_iters, self.admm_iters)
+        if not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+            for v in budgets
+        ):
+            raise ParameterError(f"iteration budgets must be integers >= 1: {budgets}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ shared dictionary fits the averaged residual (Ybar + Ytilde) / 2 with a
 nuclear-norm penalty.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 from .data import block_diagonal
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .prox import admm_nuclear
+
+log = logging.getLogger(__name__)
 
 DEAD_ATOM_TOL = 1e-10
 
@@ -111,7 +114,11 @@ def odl_update(problem, D_init, sweeps=2):
 def update_shared_dict(Ybar, Ytilde, X0, eta, rho, iters):
     """Refit the shared dictionary to the averaged residual target
     (Ybar + Ytilde) / 2 under a nuclear-norm penalty, then rescale any
-    column with norm above 1 back to the unit sphere (rank preserving)."""
+    column with norm above 1 back to the unit sphere (rank preserving).
+
+    Logs, at debug level, the ADMM sweeps used, whether the solve stopped
+    on its tolerance or ran all ``iters`` sweeps, and the final primal and
+    dual residuals."""
     Ybar = np.asarray(Ybar, dtype=float)
     Ytilde = np.asarray(Ytilde, dtype=float)
     if Ybar.shape != Ytilde.shape:
@@ -119,7 +126,14 @@ def update_shared_dict(Ybar, Ytilde, X0, eta, rho, iters):
             f"residual shapes differ: {Ybar.shape} vs {Ytilde.shape}"
         )
     V = 0.5 * (Ybar + Ytilde)
-    D0 = admm_nuclear(V, X0, eta, rho, iters)
+    D0, residuals = admm_nuclear(V, X0, eta, rho, iters, return_residuals=True)
+    if residuals:
+        r, s = residuals[-1]
+        stop = "tolerance" if len(residuals) < iters else "cap"
+        log.debug(
+            "shared-dictionary ADMM: %d of %d sweeps, stopped on %s, r=%.3g s=%.3g",
+            len(residuals), iters, stop, r, s,
+        )
     if D0.shape[1]:
         norms = np.linalg.norm(D0, axis=0)
         scale = np.where(norms > 1.0, norms, 1.0)

@@ -213,18 +213,31 @@ def svt(M, tau):
     return (U * s) @ Vt
 
 
+ADMM_TOL = 1e-8  # absolute and relative residual tolerance of admm_nuclear
+
+
 def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
     """Solve min_D ||V - D Xcoef||_F^2 + eta * ||D||_* by ADMM.
 
     Splits on Z = D with penalty rho. Each sweep runs, in order,
 
-        D <- (2 V Xcoef^T + rho (Z - U)) (2 Xcoef Xcoef^T + rho I)^{-1}
+        D <- (2 V Xcoef^T + rho (Z - U)) G^{-1},  G = 2 Xcoef Xcoef^T + rho I
         Z <- svt(D + U, eta / rho)
         U <- U + D - Z
 
-    starting from Z = U = 0, and returns Z after ``iters`` sweeps (Z always
-    satisfies the thresholded structure exactly). With return_residuals the
-    per-sweep consensus residuals ||D - Z||_F come back as a list.
+    starting from Z = U = 0. G is symmetric with every eigenvalue >= rho, so
+    its inverse is formed once per call and each D-step is one product.
+
+    After each sweep it takes the primal residual r = ||D - Z||_F and the
+    dual residual s = rho ||Z - Z_prev||_F, and stops when both
+
+        r <= sqrt(d k) eps + eps max(||D||_F, ||Z||_F)
+        s <= sqrt(d k) eps + eps rho ||U||_F
+
+    hold, eps = ADMM_TOL (Boyd et al., Distributed Optimization and
+    Statistical Learning via ADMM, 2011, section 3.3.1), or after ``iters``
+    sweeps. Returns Z, an exact svt image. With return_residuals the
+    per-sweep pairs (r, s) come back as a list.
     """
     V = np.asarray(V, dtype=float)
     Xcoef = np.asarray(Xcoef, dtype=float)
@@ -244,22 +257,29 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
         Z = np.zeros((d, 0))
         return (Z, []) if return_residuals else Z
 
-    G = 2.0 * (Xcoef @ Xcoef.T) + rho * np.eye(k)
+    try:
+        Ginv = np.linalg.inv(2.0 * (Xcoef @ Xcoef.T) + rho * np.eye(k))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"ADMM system inverse failed: {exc}") from exc
     VXt2 = 2.0 * (V @ Xcoef.T)
+    floor = np.sqrt(d * k) * ADMM_TOL
     Z = np.zeros((d, k))
     U = np.zeros((d, k))
     residuals = []
     for sweep in range(1, iters + 1):
-        rhs = VXt2 + rho * (Z - U)
-        try:
-            D = np.linalg.solve(G, rhs.T).T
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"linear solve failed at sweep {sweep}") from exc
+        D = (VXt2 + rho * (Z - U)) @ Ginv
+        Z_prev = Z
         Z = svt(D + U, eta / rho)
         U = U + D - Z
         if not (np.isfinite(Z).all() and np.isfinite(U).all()):
             raise NumericalError(f"non-finite iterate at sweep {sweep}")
-        residuals.append(float(np.linalg.norm(D - Z)))
+        r = float(np.linalg.norm(D - Z))
+        s = rho * float(np.linalg.norm(Z - Z_prev))
+        residuals.append((r, s))
+        if r <= floor + ADMM_TOL * max(np.linalg.norm(D), np.linalg.norm(Z)) and (
+            s <= floor + ADMM_TOL * rho * np.linalg.norm(U)
+        ):
+            break
     return (Z, residuals) if return_residuals else Z
 
 

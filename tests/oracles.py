@@ -105,6 +105,25 @@ def subgrad_nuclear_descent(V, X, eta, steps=100000, seed=0):
     return best
 
 
+def admm_fixed_sweeps(V, X, eta, rho, sweeps):
+    """ADMM for ||V - D X||_F^2 + eta ||D||_* run for exactly `sweeps`
+    sweeps from Z = U = 0, with a fresh linear solve every sweep and no
+    stopping rule. Returns D, Z, U of the last sweep and Z of the one
+    before it."""
+    d, k = V.shape[0], X.shape[0]
+    G = 2.0 * (X @ X.T) + rho * np.eye(k)
+    VXt2 = 2.0 * (V @ X.T)
+    Z = np.zeros((d, k))
+    U = np.zeros((d, k))
+    Z_prev = Z
+    for _ in range(sweeps):
+        D = np.linalg.solve(G, (VXt2 + rho * (Z - U)).T).T
+        P, s, Qt = np.linalg.svd(D + U, full_matrices=False)
+        Z_prev, Z = Z, (P * np.maximum(s - eta / rho, 0.0)) @ Qt
+        U = U + D - Z
+    return D, Z, U, Z_prev
+
+
 def projected_gradient_dict(A, B, D0, steps=500):
     """Projected gradient for min tr(D^T D A) - 2 tr(D^T B), cols <= 1."""
     D = np.array(D0, dtype=float)

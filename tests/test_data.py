@@ -221,6 +221,10 @@ class TestHyperParams:
             HyperParams(w=1.5)
         with pytest.raises(ParameterError):
             HyperParams(outer_iters=0)
+        for name in ("outer_iters", "fista_iters", "admm_iters"):
+            for bad in (float("nan"), 2.5, True):
+                with pytest.raises(ParameterError):
+                    HyperParams(**{name: bad})
 
     def test_zero_weights_allowed(self):
         h = HyperParams(lambda1=0.0, lambda2=0.0, eta=0.0)

@@ -6,6 +6,8 @@ finite differences of the explicitly stacked fidelity
 gradient solver on the same quadratic.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,17 @@ class TestUpdateSharedDict:
         # heavy penalty recovers the planted rank-2 structure
         assert ranks[0] > ranks[-1]
         assert ranks[-1] <= 2
+
+    def test_debug_log_reports_sweeps_and_stop(self, caplog):
+        rng = np.random.default_rng(14)
+        X0 = rng.standard_normal((3, 20))
+        V = rng.standard_normal((6, 20))
+        with caplog.at_level(logging.DEBUG, logger="lrsdl.dictupdate"):
+            update_shared_dict(V, V, X0, eta=0.3, rho=1.0, iters=3)
+            update_shared_dict(V, V, X0, eta=0.3, rho=1.0, iters=400)
+        capped, stopped = [r.getMessage() for r in caplog.records]
+        assert "3 of 3 sweeps, stopped on cap" in capped
+        assert "of 400 sweeps, stopped on tolerance" in stopped
 
     def test_residual_shape_mismatch(self):
         with pytest.raises(DimensionError):

@@ -2,8 +2,9 @@
 
 Expected values for the solver tests come from independent implementations
 in oracles.py: coordinate descent for the l1 problems, an eigendecomposition
-route for singular value thresholding, and projected subgradient descent for
-the nuclear-norm regression. Closed-form cases are asserted directly.
+route for singular value thresholding, projected subgradient descent for
+the nuclear-norm regression and a fixed-sweep ADMM loop for its solver.
+Closed-form cases are asserted directly.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from lrsdl.errors import (
     ParameterError,
 )
 from lrsdl.prox import (
+    ADMM_TOL,
     FISTA_TOL,
     SmoothObjective,
     admm_nuclear,
@@ -30,6 +32,7 @@ from lrsdl.prox import (
 )
 
 from oracles import (
+    admm_fixed_sweeps,
     cd_lasso,
     fd_grad,
     fista_one_product,
@@ -552,12 +555,18 @@ class TestAdmmNuclear:
         assert objective(D) <= best_ref + 1e-4
 
     def test_consensus_residual_shrinks(self):
+        # the solve stops on its residuals before the budget, with the
+        # primal residual under its bound (max(||D||, ||Z||) <= ||Z|| + r);
+        # a smaller budget still caps the sweeps
         rng = np.random.default_rng(14)
         V = rng.standard_normal((8, 15))
         X = rng.standard_normal((5, 15))
-        _, res = admm_nuclear(V, X, eta=0.3, rho=1.0, iters=100, return_residuals=True)
-        assert len(res) == 100
-        assert res[-1] < 1e-4 * np.linalg.norm(V)
+        Z, res = admm_nuclear(V, X, eta=0.3, rho=1.0, iters=100, return_residuals=True)
+        assert len(res) < 100
+        r = res[-1][0]
+        assert r <= np.sqrt(Z.size) * ADMM_TOL + ADMM_TOL * (np.linalg.norm(Z) + r)
+        _, capped = admm_nuclear(V, X, eta=0.3, rho=1.0, iters=3, return_residuals=True)
+        assert len(capped) == 3
 
     def test_output_has_thresholded_structure(self):
         # returned Z is an exact svt image: no singular value in (0, tiny)
@@ -594,6 +603,39 @@ class TestAdmmNuclear:
             admm_nuclear(V, X, eta=0.1, rho=1.0, iters=0)
         with pytest.raises(DimensionError):
             admm_nuclear(np.zeros((3, 5)), np.zeros((2, 4)), eta=0.1, rho=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    k=st.integers(1, 6),
+    n=st.integers(1, 8),
+    eta=st.floats(0.0, 5.0),
+    rho=st.floats(0.01, 100.0),
+    iters=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_admm_matches_fixed_sweep_loop(d, k, n, eta, rho, iters, seed):
+    """admm_nuclear (inverse formed once, residual stop) against
+    admm_fixed_sweeps (a solve every sweep, no stop) run for the sweeps
+    admm_nuclear used, with k > n allowed. An early stop must have both
+    residuals under their bounds."""
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((d, n))
+    X = rng.standard_normal((k, n))
+    Z, res = admm_nuclear(V, X, eta=eta, rho=rho, iters=iters, return_residuals=True)
+    assert 1 <= len(res) <= iters
+    D_o, Z_o, U_o, Z_prev_o = admm_fixed_sweeps(V, X, eta, rho, len(res))
+    # relative to the iterates' size: D can be tiny next to U and Z
+    scale = max(np.linalg.norm(D_o), np.linalg.norm(Z_o), np.linalg.norm(U_o))
+    assert np.linalg.norm(Z - Z_o) <= 1e-10 * scale
+    r, s = res[-1]
+    assert abs(r - np.linalg.norm(D_o - Z_o)) <= 1e-10 * scale
+    assert abs(s - rho * np.linalg.norm(Z_o - Z_prev_o)) <= 1e-10 * rho * scale
+    if len(res) < iters:
+        floor = np.sqrt(d * k) * ADMM_TOL
+        assert r <= floor + ADMM_TOL * max(np.linalg.norm(D_o), np.linalg.norm(Z_o))
+        assert s <= floor + ADMM_TOL * rho * np.linalg.norm(U_o)
 
 
 class TestPowerIterationLipschitz:
