@@ -27,6 +27,13 @@ from .errors import (
 )
 
 
+def check_integer(name, value, low):
+    """Raise ParameterError unless value is an integer (numpy integers
+    pass, bool does not) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _freeze(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -128,9 +135,10 @@ class Dataset:
         C = int(labels.max())
         if labels.min() < 1:
             raise DataError("labels must be >= 1")
-        counts = np.bincount(labels, minlength=C + 1)[1:]
-        if (counts == 0).any():
-            missing = int(np.nonzero(counts == 0)[0][0] + 1)
+        # memory follows the sample count, not the largest label
+        present, counts = np.unique(labels, return_counts=True)
+        if present.size < C:
+            missing = int(np.argmax(present != np.arange(1, present.size + 1))) + 1
             raise DomainError(f"class {missing} has zero samples")
         if len(set(counts.tolist())) != 1:
             raise DomainError(f"unequal class sizes {counts.tolist()}")
@@ -179,9 +187,9 @@ class DictionaryBundle:
             raise DimensionError(
                 f"shared dictionary shape {shared.shape} inconsistent with d={d}"
             )
-        if shared.size and not np.isfinite(shared).all():
+        if not np.isfinite(shared).all():
             raise DataError("shared dictionary contains NaN or Inf")
-        if shared.size and (np.linalg.norm(shared, axis=0) > 1 + 1e-9).any():
+        if (np.linalg.norm(shared, axis=0) > 1 + 1e-9).any():
             raise DataError("shared dictionary column norm exceeds 1")
         object.__setattr__(self, "class_dicts", cds)
         object.__setattr__(self, "shared_dict", shared)
@@ -241,9 +249,7 @@ class CoefBundle:
             raise DimensionError("X and X0 column counts differ")
         if X.shape[0] // self.k_c != X.shape[1] // self.n_c:
             raise DimensionError("class count from rows and columns disagree")
-        if (X.size and not np.isfinite(X).all()) or (
-            X0.size and not np.isfinite(X0).all()
-        ):
+        if not (np.isfinite(X).all() and np.isfinite(X0).all()):
             raise DataError("codes contain NaN or Inf")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "X0", X0)
@@ -337,7 +343,7 @@ def mean_stats(coefs, labels):
         raise DomainError(f"labels do not name the {coefs.C} classes of the codes")
     return MeanStats(
         class_means=class_means(coefs.X, coefs.C),
-        shared_mean=coefs.X0.mean(axis=1) if coefs.k0 else np.zeros(0),
+        shared_mean=coefs.X0.mean(axis=1),
     )
 
 
@@ -360,12 +366,9 @@ class HyperParams:
             raise ParameterError(f"regularization weights must be finite, >= 0: {weights}")
         if not 0 <= self.w <= 1:
             raise ParameterError(f"w={self.w} outside [0, 1]")
-        budgets = (self.outer_iters, self.fista_iters, self.admm_iters)
-        if not all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-            for v in budgets
-        ):
-            raise ParameterError(f"iteration budgets must be integers >= 1: {budgets}")
+        for name in ("outer_iters", "fista_iters", "admm_iters"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -420,9 +423,11 @@ def generate_synthetic(
     base vector with small per-sample jitter (the shared component is
     supposed to look alike across samples). Labels come out contiguous.
     """
-    if min(C, d, n_c, k_c) < 1 or k0 < 0:
-        raise ParameterError("sizes must be positive (k0 may be zero)")
-    if shared_rank < 0 or shared_rank > min(d, k0):
+    for name, value in dict(C=C, d=d, n_c=n_c, k_c=k_c).items():
+        check_integer(name, value, 1)
+    for name, value in dict(k0=k0, shared_rank=shared_rank, seed=seed).items():
+        check_integer(name, value, 0)
+    if shared_rank > min(d, k0):
         raise ParameterError(
             f"shared_rank={shared_rank} must lie in [0, min(d={d}, k0={k0})]"
         )

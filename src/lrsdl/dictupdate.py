@@ -7,8 +7,13 @@ The class-c subproblem collects every fidelity term containing D_c into
 
 with A the code Gram and B the data correlation (QuadDictProblem); both
 are read off one Gram pair for all classes (class_dict_gram). The
-shared dictionary fits the averaged residual (Ybar + Ytilde) / 2 with a
-nuclear-norm penalty.
+shared dictionary fits the shared-layer target V = Y - 1/2 D M(X)
+(gradients.residual_matrices) with a nuclear-norm penalty,
+
+    min_D0  ||V - D0 X0||_F^2 + eta ||D0||_*,
+
+the same V whose Gram pair B = 2 D0^T V drives the shared codes. With
+k0 = 0 every shared array is empty and the step returns a d x 0 matrix.
 """
 
 import logging
@@ -111,31 +116,20 @@ def odl_update(problem, D_init, sweeps=2):
     return D
 
 
-def update_shared_dict(Ybar, Ytilde, X0, eta, rho, iters):
-    """Refit the shared dictionary to the averaged residual target
-    (Ybar + Ytilde) / 2 under a nuclear-norm penalty, then rescale any
-    column with norm above 1 back to the unit sphere (rank preserving).
+def update_shared_dict(V, X0, eta, rho, iters):
+    """Refit the shared dictionary to the target V under a nuclear-norm
+    penalty, then rescale any column with norm above 1 back to the unit
+    sphere (rank preserving).
 
     Logs, at debug level, the ADMM sweeps used, whether the solve stopped
     on its tolerance or ran all ``iters`` sweeps, and the final primal and
     dual residuals."""
-    Ybar = np.asarray(Ybar, dtype=float)
-    Ytilde = np.asarray(Ytilde, dtype=float)
-    if Ybar.shape != Ytilde.shape:
-        raise DimensionError(
-            f"residual shapes differ: {Ybar.shape} vs {Ytilde.shape}"
-        )
-    V = 0.5 * (Ybar + Ytilde)
     D0, residuals = admm_nuclear(V, X0, eta, rho, iters, return_residuals=True)
-    if residuals:
-        r, s = residuals[-1]
-        stop = "tolerance" if len(residuals) < iters else "cap"
-        log.debug(
-            "shared-dictionary ADMM: %d of %d sweeps, stopped on %s, r=%.3g s=%.3g",
-            len(residuals), iters, stop, r, s,
-        )
-    if D0.shape[1]:
-        norms = np.linalg.norm(D0, axis=0)
-        scale = np.where(norms > 1.0, norms, 1.0)
-        D0 = D0 / scale
-    return D0
+    r, s = residuals[-1]
+    stop = "tolerance" if len(residuals) < iters else "cap"
+    log.debug(
+        "shared-dictionary ADMM: %d of %d sweeps, stopped on %s, r=%.3g s=%.3g",
+        len(residuals), iters, stop, r, s,
+    )
+    norms = np.linalg.norm(D0, axis=0)
+    return D0 / np.where(norms > 1.0, norms, 1.0)

@@ -17,6 +17,12 @@ The Fisher-style penalty on the codes is
 
 with M_c / M the tiled class / global code means, plus ||X0 - M0||^2 for
 the shared codes.
+
+The shared layer fits one target, V = Y - 1/2 D M(X) (residual_matrices):
+the two residuals Ybar = Y - D X and Ytilde = Y - D blockdiag(X) that hold
+D0 X0 sum to 2 V, so the shared codes solve the Gram pair G = 2 D0^T D0,
+B = 2 D0^T V and the shared dictionary fits V. With k0 = 0 the shared
+arrays are empty and every shared term is an exact zero.
 """
 
 from dataclasses import dataclass
@@ -122,9 +128,9 @@ def grad_shared_codes(D0, Ysum, X0, M0, lambda2):
 
         2 D0^T D0 X0 - D0^T (Ybar + Ytilde) + lambda2 (X0 - M0)
 
-    where Ysum = Ybar + Ytilde is the sum of the two residual matrices and
-    M0 is the (frozen) tiled shared-code mean. It is H X0 - B for the
-    :func:`gram_form` of G = 2 D0^T D0 and corr = D0^T Ysum.
+    where Ysum = Ybar + Ytilde = 2 V is the sum of the two residual
+    matrices and M0 is the (frozen) tiled shared-code mean. It is H X0 - B
+    for the :func:`gram_form` of G = 2 D0^T D0 and corr = D0^T Ysum.
     """
     D0 = np.asarray(D0, dtype=float)
     X0 = np.asarray(X0, dtype=float)
@@ -170,12 +176,11 @@ def grad_test_code(dicts, y, xbar, m0, lambda2):
 
 
 def residual_matrices(data, dicts, coefs):
-    """(Ybar, Ytilde): Ybar = Y - D X, Ytilde = Y - D blockdiag(X), whose
-    class-c columns are Y_c - D_c X_c^c."""
+    """The shared-layer target V = Y - 1/2 D M(X), M(X) = X + blockdiag(X):
+    the mean of Ybar = Y - D X and Ytilde = Y - D blockdiag(X), whose
+    class-c columns are Y_c - D_c X_c^c. One product with D."""
     _check_shapes(data, dicts, coefs)
-    Ybar = data.Y - dicts.D @ coefs.X
-    Ytilde = data.Y - dicts.D @ block_diagonal(coefs.X, data.C)
-    return Ybar, Ytilde
+    return data.Y - 0.5 * (dicts.D @ (coefs.X + block_diagonal(coefs.X, data.C)))
 
 
 def fidelity_value(shifted, dicts, X, n_c):
@@ -237,22 +242,18 @@ def objective_terms(data, dicts, coefs, hyper):
     if not np.isfinite(l1):
         raise NumericalError("l1 term is non-finite")
 
+    X0 = coefs.X0
     f = _fisher_value(coefs.X, data.C)
-    if coefs.k0:
-        m0 = coefs.X0.mean(axis=1)
-        f += float(np.sum((coefs.X0 - m0[:, None]) ** 2))
+    f += float(np.sum((X0 - X0.mean(axis=1)[:, None]) ** 2))
     fisher = 0.5 * hyper.lambda2 * f
     if not np.isfinite(fisher):
         raise NumericalError("fisher term is non-finite")
 
-    if dicts.k0:
-        try:
-            svals = np.linalg.svd(dicts.shared_dict, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("nuclear term: SVD failed") from exc
-        nuclear = hyper.eta * float(svals.sum())
-    else:
-        nuclear = 0.0
+    try:
+        svals = np.linalg.svd(dicts.shared_dict, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("nuclear term: SVD failed") from exc
+    nuclear = hyper.eta * float(svals.sum())
     if not np.isfinite(nuclear):
         raise NumericalError("nuclear term is non-finite")
     return ObjectiveTerms(fidelity=fidelity, l1=l1, fisher=fisher, nuclear=nuclear)

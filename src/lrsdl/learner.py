@@ -24,6 +24,7 @@ from .data import (
     IterationRecord,
     LearnedModel,
     block_diagonal,
+    check_integer,
     class_means,
     mean_stats,
     normalize_columns,
@@ -61,10 +62,8 @@ class TrainConfig:
     k0: int = 0
 
     def __post_init__(self):
-        if self.k_c < 1:
-            raise ParameterError(f"k_c must be >= 1, got {self.k_c}")
-        if self.k0 < 0:
-            raise ParameterError(f"k0 must be >= 0, got {self.k0}")
+        check_integer("k_c", self.k_c, 1)
+        check_integer("k0", self.k0, 0)
 
 
 def initialize(data, config, seed):
@@ -108,22 +107,24 @@ def initialize(data, config, seed):
     return dicts, coefs
 
 
-def _solve_shared_codes(data, dicts, X, X0_warm, hyper):
-    """Refit the shared coefficients with class coefficients held fixed.
+def _solve_shared_codes(data, dicts, coefs, hyper):
+    """Refit the shared coefficients with the class coefficients of coefs
+    held fixed; returns coefs with X0 replaced (unchanged when k0 = 0).
 
-    The mean-pull target m0 is frozen at the warm start, which keeps the
-    subproblem a strict majorizer of the full objective in X0.
+    The smooth part is the Gram pair G = 2 D0^T D0, B = 2 D0^T V of the
+    shared-layer target V (residual_matrices). The mean-pull target m0 is
+    frozen at the warm start X0, which keeps the subproblem a strict
+    majorizer of the full objective in X0.
     """
     if dicts.k0 == 0:
-        return X0_warm.copy()
-    D0 = dicts.shared_dict
-    tmp = CoefBundle(X=X, X0=X0_warm, k_c=dicts.k_c, n_c=data.n_c)
-    Ybar, Ytilde = residual_matrices(data, dicts, tmp)
-    G = 2.0 * (D0.T @ D0)
-    m0 = X0_warm.mean(axis=1)[:, None]
-    H, B = gram_form(G, D0.T @ (Ybar + Ytilde), m0, hyper.lambda2)
+        return coefs
+    D0, X0 = dicts.shared_dict, coefs.X0
+    V = residual_matrices(data, dicts, coefs)
+    m0 = X0.mean(axis=1)[:, None]
+    H, B = gram_form(2.0 * (D0.T @ D0), 2.0 * (D0.T @ V), m0, hyper.lambda2)
     obj = SmoothObjective.quadratic(H, B, power_iteration_lipschitz(H))
-    return fista(obj, hyper.lambda1, X0_warm, max_iter=hyper.fista_iters)
+    X0new = fista(obj, hyper.lambda1, X0, max_iter=hyper.fista_iters)
+    return CoefBundle(X=coefs.X, X0=X0new, k_c=coefs.k_c, n_c=coefs.n_c)
 
 
 def _class_code_gram(data, dicts, coefs, lambda2):
@@ -150,8 +151,8 @@ def sparse_code_train(data, dicts, coefs, hyper):
     H, corr, L = _class_code_gram(data, dicts, coefs, lam2)
     obj = SmoothObjective.quadratic(H, corr, L, fisher=(lam2, C, C))
     Xnew = fista(obj, hyper.lambda1, coefs.X, max_iter=hyper.fista_iters)
-    X0new = _solve_shared_codes(data, dicts, Xnew, coefs.X0, hyper)
-    return CoefBundle(X=Xnew, X0=X0new, k_c=dicts.k_c, n_c=data.n_c)
+    coefs = CoefBundle(X=Xnew, X0=coefs.X0, k_c=dicts.k_c, n_c=data.n_c)
+    return _solve_shared_codes(data, dicts, coefs, hyper)
 
 
 def sparse_code_sequential(data, dicts, coefs, hyper):
@@ -181,8 +182,8 @@ def sparse_code_sequential(data, dicts, coefs, hyper):
             X[:, cols] = Wnew
             cmeans[:, c - 1] = Wnew.mean(axis=1)
 
-    X0new = _solve_shared_codes(data, dicts, X, coefs.X0, hyper)
-    return CoefBundle(X=X, X0=X0new, k_c=dicts.k_c, n_c=data.n_c)
+    coefs = CoefBundle(X=X, X0=coefs.X0, k_c=dicts.k_c, n_c=data.n_c)
+    return _solve_shared_codes(data, dicts, coefs, hyper)
 
 
 def _update_class_dicts(data, dicts, coefs):
@@ -239,9 +240,9 @@ def fit(data, config, coder="joint", iteration_callback=None):
             dicts = _update_class_dicts(data, dicts, coefs)
             terms = objective_terms(data, dicts, coefs, hyper)
             if config.k0 > 0:
-                Ybar, Ytilde = residual_matrices(data, dicts, coefs)
+                V = residual_matrices(data, dicts, coefs)
                 shared = update_shared_dict(
-                    Ybar, Ytilde, coefs.X0, hyper.eta, ADMM_RHO, hyper.admm_iters
+                    V, coefs.X0, hyper.eta, ADMM_RHO, hyper.admm_iters
                 )
                 cand = DictionaryBundle(class_dicts=dicts.class_dicts, shared_dict=shared)
                 after = objective_terms(data, cand, coefs, hyper)

@@ -110,8 +110,8 @@ def load_labels(path):
         lines = [ln.strip() for ln in fh if ln.strip() != ""]
     try:
         labels = np.array([int(ln) for ln in lines], dtype=int)
-    except ValueError as exc:
-        raise FormatError(f"{path}: labels must be integers") from exc
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: labels must be 64-bit integers") from exc
     if labels.size and labels.min() < 1:
         raise DataError(f"{path}: labels must be >= 1")
     return labels

@@ -237,7 +237,8 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
     hold, eps = ADMM_TOL (Boyd et al., Distributed Optimization and
     Statistical Learning via ADMM, 2011, section 3.3.1), or after ``iters``
     sweeps. Returns Z, an exact svt image. With return_residuals the
-    per-sweep pairs (r, s) come back as a list.
+    per-sweep pairs (r, s) come back as a list. With no code rows (k = 0)
+    the first sweep stops with r = s = 0 and Z is d x 0.
     """
     V = np.asarray(V, dtype=float)
     Xcoef = np.asarray(Xcoef, dtype=float)
@@ -253,10 +254,6 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
         raise ParameterError("iters must be positive")
     d = V.shape[0]
     k = Xcoef.shape[0]
-    if k == 0:
-        Z = np.zeros((d, 0))
-        return (Z, []) if return_residuals else Z
-
     try:
         Ginv = np.linalg.inv(2.0 * (Xcoef @ Xcoef.T) + rho * np.eye(k))
     except np.linalg.LinAlgError as exc:

@@ -2,7 +2,8 @@
 
 data.block_diagonal builds every class-block matrix of the fidelity: the
 coding Gram pair (build_augmented_gram), the own-class residual
-(residual_matrices) and the class-dictionary Gram pair behind
+(residual_matrices, the shared-layer target V = Y - 1/2 D M(X)) and the
+class-dictionary Gram pair behind
 _update_class_dicts. On generated C, n_c, k_c and k0 (C=1, n_c=1, k0=0
 and all-zero code rows included) each is checked against the class-by-
 class loop in oracles.py that it replaces.
@@ -90,10 +91,10 @@ def test_augmented_gram_matches_class_loop(C, n_c, k_c, k0, d, seed):
 @given(**shapes)
 def test_residual_matrices_match_class_loop(C, n_c, k_c, k0, d, seed):
     data, dicts, coefs = problem(C, n_c, k_c, k0, d, seed)
-    Ybar, Ytilde = residual_matrices(data, dicts, coefs)
+    V = residual_matrices(data, dicts, coefs)
     want_bar, want_tilde = residuals_loop(data.Y, dicts.class_dicts, coefs.X, n_c)
-    assert rel_err(Ybar, want_bar) < 1e-12
-    assert rel_err(Ytilde, want_tilde) < 1e-12
+    assert V.shape == data.Y.shape
+    assert rel_err(V, 0.5 * (want_bar + want_tilde)) < 1e-12
 
 
 @settings(max_examples=80, deadline=None)

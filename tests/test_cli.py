@@ -76,6 +76,13 @@ class TestSynth:
         assert code == 2
         assert "error:" in err
 
+    def test_negative_seed_exit_2(self, capsys, tmp_path):
+        out = str(tmp_path / "data")
+        code, _, err = synth(capsys, out, seed=-1)
+        assert code == 2
+        assert "seed must be an integer >= 0" in err
+        assert not os.path.exists(out)
+
 
 @pytest.fixture()
 def dataset(capsys, tmp_path):
@@ -146,6 +153,13 @@ class TestTrain:
         code, _, err = train(capsys, dataset, out, extra=(flag, "nan"))
         assert code == 2
         assert "regularization weights" in err
+        assert not os.path.exists(out)
+
+    def test_negative_seed_exit_2(self, capsys, tmp_path, dataset):
+        out = str(tmp_path / "model")
+        code, _, err = train(capsys, dataset, out, extra=("--seed", "-1"))
+        assert code == 2
+        assert "seed must be an integer >= 0" in err
         assert not os.path.exists(out)
 
     def test_numerical_abort_exit_3(self, capsys, tmp_path, dataset):

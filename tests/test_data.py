@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,18 @@ class TestDataset:
         Y = np.zeros((3, 4))
         with pytest.raises(DomainError):
             Dataset.from_arrays(Y, [1, 1, 3, 3])
+
+    def test_huge_label_costs_no_memory(self):
+        # counting labels must not allocate in proportion to the largest one
+        Y, labels = np.zeros((3, 2)), np.array([1, 10**7])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="class 2 has zero samples"):
+                Dataset.from_arrays(Y, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_bad_labels_rejected(self):
         Y = np.zeros((3, 2))
@@ -225,6 +239,10 @@ class TestHyperParams:
             for bad in (float("nan"), 2.5, True):
                 with pytest.raises(ParameterError):
                     HyperParams(**{name: bad})
+        for bad in (-1, 1.5, "x", True):
+            with pytest.raises(ParameterError):
+                HyperParams(seed=bad)
+        assert HyperParams(seed=np.int64(3)).seed == 3
 
     def test_zero_weights_allowed(self):
         h = HyperParams(lambda1=0.0, lambda2=0.0, eta=0.0)
@@ -278,6 +296,14 @@ class TestGenerateSynthetic:
             generate_synthetic(
                 C=2, d=4, n_c=2, k_c=2, k0=0, shared_rank=0, noise_sigma=-1.0, seed=0
             )
+        good = dict(C=2, d=4, n_c=2, k_c=2, k0=1, shared_rank=1, noise_sigma=0.0, seed=0)
+        for name, bad in (
+            ("seed", -1), ("seed", 1.5), ("seed", "x"), ("C", 2.5), ("d", True),
+            ("n_c", 2.5), ("k_c", 1.5), ("k0", 1.5), ("shared_rank", 0.5),
+        ):
+            with pytest.raises(ParameterError):
+                generate_synthetic(**{**good, name: bad})
+        generate_synthetic(**{**good, "seed": np.int64(1)})
 
 
 def test_normalize_columns_keeps_zero_columns():

@@ -226,13 +226,12 @@ class TestUpdateSharedDict:
         D_true = 0.9 * normalize_columns(rng.standard_normal((d, k0)), warn=False)
         X0 = rng.standard_normal((k0, n))
         V = D_true @ X0
-        D0 = update_shared_dict(V, V, X0, eta=0.0, rho=1.0, iters=400)
+        D0 = update_shared_dict(V, X0, eta=0.0, rho=1.0, iters=400)
         assert np.max(np.abs(D0 - D_true)) < 1e-5
 
     def test_zero_codes_give_zero(self):
         D0 = update_shared_dict(
-            np.zeros((5, 8)), np.zeros((5, 8)), np.zeros((3, 8)),
-            eta=0.5, rho=1.0, iters=50,
+            np.zeros((5, 8)), np.zeros((3, 8)), eta=0.5, rho=1.0, iters=50
         )
         assert np.array_equal(D0, np.zeros((5, 3)))
 
@@ -248,7 +247,7 @@ class TestUpdateSharedDict:
         def obj(M):
             return float(np.sum((V - M @ X0) ** 2)) + eta * nuclear_norm(M)
 
-        D0 = update_shared_dict(V, V, X0, eta=eta, rho=1.0, iters=400)
+        D0 = update_shared_dict(V, X0, eta=eta, rho=1.0, iters=400)
         assert np.all(np.linalg.norm(D0, axis=0) <= 1 + 1e-9)
         comp = 0.1 * rng.standard_normal((d, k0))
         assert obj(D0) <= obj(comp) + 1e-8
@@ -270,7 +269,7 @@ class TestUpdateSharedDict:
         V = (left @ right) @ X0 + 0.05 * rng.standard_normal((d, n))
         ranks = []
         for eta in (0.01, 0.1, 1.0, 10.0):
-            D0 = update_shared_dict(V, V, X0, eta=eta, rho=1.0, iters=200)
+            D0 = update_shared_dict(V, X0, eta=eta, rho=1.0, iters=200)
             s = np.linalg.svd(D0, compute_uv=False)
             ranks.append(int(np.sum(s > 1e-8 * max(s[0], 1e-30))))
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
@@ -283,15 +282,8 @@ class TestUpdateSharedDict:
         X0 = rng.standard_normal((3, 20))
         V = rng.standard_normal((6, 20))
         with caplog.at_level(logging.DEBUG, logger="lrsdl.dictupdate"):
-            update_shared_dict(V, V, X0, eta=0.3, rho=1.0, iters=3)
-            update_shared_dict(V, V, X0, eta=0.3, rho=1.0, iters=400)
+            update_shared_dict(V, X0, eta=0.3, rho=1.0, iters=3)
+            update_shared_dict(V, X0, eta=0.3, rho=1.0, iters=400)
         capped, stopped = [r.getMessage() for r in caplog.records]
         assert "3 of 3 sweeps, stopped on cap" in capped
         assert "of 400 sweeps, stopped on tolerance" in stopped
-
-    def test_residual_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            update_shared_dict(
-                np.zeros((4, 6)), np.zeros((4, 5)), np.zeros((2, 6)),
-                eta=0.1, rho=1.0, iters=10,
-            )

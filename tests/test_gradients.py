@@ -103,21 +103,18 @@ class TestColumnMeans:
 class TestResidualMatrices:
     def test_matches_per_column_oracle(self):
         data, dicts, coefs = random_problem(2)
-        Ybar, Ytilde = residual_matrices(data, dicts, coefs)
+        V = residual_matrices(data, dicts, coefs)
         for j in range(data.N):
             c = int(data.labels[j])
-            assert np.allclose(
-                Ybar[:, j], data.Y[:, j] - dicts.D @ coefs.X[:, j], atol=1e-12
-            )
+            ybar = data.Y[:, j] - dicts.D @ coefs.X[:, j]
             own = dicts.class_dict(c) @ coefs.X[dicts.row_block(c), j]
-            assert np.allclose(Ytilde[:, j], data.Y[:, j] - own, atol=1e-12)
+            ytilde = data.Y[:, j] - own
+            assert np.allclose(V[:, j], 0.5 * (ybar + ytilde), atol=1e-12)
 
     def test_zero_codes_give_data_back(self):
         data, dicts, _ = random_problem(3)
         coefs = CoefBundle.zeros(C=data.C, k_c=dicts.k_c, k0=dicts.k0, n_c=data.n_c)
-        Ybar, Ytilde = residual_matrices(data, dicts, coefs)
-        assert np.array_equal(Ybar, data.Y)
-        assert np.array_equal(Ytilde, data.Y)
+        assert np.array_equal(residual_matrices(data, dicts, coefs), data.Y)
 
     def test_shape_mismatch_rejected(self):
         data, dicts, coefs = random_problem(4)

@@ -2,11 +2,16 @@
 the numerical-abort path, and the coder benchmark harness.
 
 The no-shared-dictionary reduction is checked against the literal reference
-objective in oracles.py at every traced iteration.
+objective in oracles.py at every traced iteration, and the objective never
+increasing is checked on generated problems for both coders.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lrsdl.data import (
     CoefBundle,
@@ -55,6 +60,13 @@ class TestTrainConfig:
             TrainConfig(k_c=0)
         with pytest.raises(ParameterError):
             TrainConfig(k0=-1)
+        for bad in (2.5, float("nan"), True):
+            with pytest.raises(ParameterError):
+                TrainConfig(k_c=bad)
+        with pytest.raises(ParameterError):
+            TrainConfig(k0=1.5)
+        cfg = TrainConfig(k_c=np.int64(2), k0=np.int32(1))
+        assert (cfg.k_c, cfg.k0) == (2, 1)
 
 
 class TestInitialize:
@@ -268,6 +280,44 @@ class TestFitTraces:
         s = np.linalg.svd(model.dict_bundle.shared_dict, compute_uv=False)
         rank = int(np.sum(s > 1e-8 * max(s[0], 1e-30)))
         assert rank <= 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coder=st.sampled_from(["joint", "sequential"]),
+    C=st.integers(1, 3),
+    n_c=st.integers(1, 4),
+    k_c=st.integers(1, 5),
+    k0=st.integers(0, 2),
+    d=st.integers(2, 8),
+    zero_column=st.booleans(),
+    lambda1=st.floats(0.0, 0.1),
+    lambda2=st.floats(0.0, 0.5),
+    eta=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_objective_never_increases(
+    coder, C, n_c, k_c, k0, d, zero_column, lambda1, lambda2, eta, seed
+):
+    # k_c > n_c, C = 1, k0 = 0 (the empty shared layer) and an all-zero
+    # sample are all drawn; the bound is acceptance criterion 4's
+    assume(k0 <= min(d, C * n_c))
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((d, C * n_c))
+    if zero_column:
+        Y[:, rng.integers(C * n_c)] = 0.0
+    data = Dataset.from_arrays(Y, np.repeat(np.arange(1, C + 1), n_c))
+    hyper = HyperParams(
+        lambda1=lambda1, lambda2=lambda2, eta=eta,
+        outer_iters=3, fista_iters=30, admm_iters=30, seed=seed,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the zero sample's normalization warning
+        model = fit(data, TrainConfig(hyper=hyper, k_c=k_c, k0=k0), coder=coder)
+    assert not model.aborted and len(model.trace) == 3
+    objs = [r.objective for r in model.trace]
+    for a, b in zip(objs, objs[1:]):
+        assert b <= a + 1e-6 * max(1.0, abs(a))
 
 
 class TestLargeConfig:

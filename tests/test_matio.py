@@ -146,6 +146,13 @@ def test_labels_must_be_integers(tmp_path):
         load_labels(p)
 
 
+def test_label_beyond_64_bits_rejected(tmp_path):
+    p = tmp_path / "labels.csv"
+    p.write_text(f"1\n{10**30}\n")
+    with pytest.raises(FormatError):
+        load_labels(p)
+
+
 def test_labels_must_be_positive(tmp_path):
     p = tmp_path / "labels.csv"
     p.write_text("1\n0\n")

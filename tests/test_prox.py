@@ -586,7 +586,7 @@ class TestAdmmNuclear:
         Z, res = admm_nuclear(
             np.zeros((4, 7)), np.zeros((0, 7)), eta=0.5, rho=1.0, return_residuals=True
         )
-        assert Z.shape == (4, 0) and res == []
+        assert Z.shape == (4, 0) and res == [(0.0, 0.0)]
 
     def test_parameter_validation(self):
         V = np.zeros((3, 5))
