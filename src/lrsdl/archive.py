@@ -25,6 +25,8 @@ TRACE_HEADER = "iter,objective,fidelity,l1,fisher,nuclear,seconds"
 
 _INT_KEYS = ("c", "d", "k_c", "k0", "seed", "format_version")
 _FLOAT_KEYS = ("lambda1", "lambda2", "eta", "w")
+# optional: archives written before they were stored load with the defaults
+_BUDGET_KEYS = ("outer_iters", "fista_iters", "admm_iters")
 
 
 def _meta_lines(model):
@@ -39,6 +41,9 @@ def _meta_lines(model):
         ("lambda2", repr(h.lambda2)),
         ("eta", repr(h.eta)),
         ("w", repr(h.w)),
+        ("outer_iters", h.outer_iters),
+        ("fista_iters", h.fista_iters),
+        ("admm_iters", h.admm_iters),
         ("seed", h.seed),
         ("format_version", FORMAT_VERSION),
         ("status", "aborted" if model.aborted else "ok"),
@@ -91,6 +96,7 @@ def _parse_meta(path):
     try:
         parsed = {k: int(meta[k]) for k in _INT_KEYS}
         parsed.update({k: float(meta[k]) for k in _FLOAT_KEYS})
+        parsed.update({k: int(meta[k]) for k in _BUDGET_KEYS if k in meta})
     except ValueError as exc:
         raise FormatError(f"unparseable meta value: {exc}") from exc
     parsed["status"] = meta.get("status", "ok")
@@ -164,6 +170,7 @@ def load_model(path):
         eta=meta["eta"],
         w=meta["w"],
         seed=meta["seed"],
+        **{k: meta[k] for k in _BUDGET_KEYS if k in meta},
     )
     trace = _parse_trace(os.path.join(path, "trace.csv"))
     return LearnedModel(

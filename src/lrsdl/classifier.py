@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import _unit_columns
 from .errors import DataError, DimensionError, NumericalError, ParameterError
-from .gradients import gram_form
+from .gradients import gram_test_code
 from .prox import SmoothObjective, fista, power_iteration_lipschitz
 
 log = logging.getLogger(__name__)
@@ -85,10 +85,9 @@ def encode_test(Y, model):
     if zero.any():
         log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())
     Yn = Yn.reshape(np.shape(Y))
-    # the test-coding Gram form of gradients.grad_test_code
-    Dt = dicts.D_total
-    m0 = model.mean_stats.shared_mean.reshape((-1,) + (1,) * (Yn.ndim - 1))
-    H, B = gram_form(Dt.T @ Dt, Dt.T @ Yn, m0, model.hyper.lambda2)
+    H, B = gram_test_code(
+        dicts, Yn, model.mean_stats.shared_mean, model.hyper.lambda2
+    )
     obj = SmoothObjective.quadratic(
         H, B, test_coding_lipschitz(H), per_column=B.ndim == 2
     )

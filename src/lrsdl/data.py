@@ -128,10 +128,14 @@ class Dataset:
             raise DomainError("dataset has no samples")
         if not np.issubdtype(labels.dtype, np.integer):
             flabels = np.asarray(labels, dtype=float)
+            if not np.isfinite(flabels).all():
+                raise DataError("labels must be finite")
             if not np.all(flabels == np.round(flabels)):
                 raise DataError("labels must be integers")
-            labels = flabels.astype(int)
-        labels = labels.astype(int)
+            labels = flabels
+        if not np.all((labels >= -(2**63)) & (labels < 2**63)):
+            raise DataError("labels must lie in the int64 range")
+        labels = labels.astype(np.int64)
         C = int(labels.max())
         if labels.min() < 1:
             raise DataError("labels must be >= 1")
@@ -312,6 +316,15 @@ def class_means(X, C):
     """Per-class means (rows x C) of the columns of X in the class layout:
     C contiguous blocks of equal size."""
     return X.reshape(X.shape[0], C, -1).mean(axis=2)
+
+
+def fisher_mean_term(W, blocks, C, lambda2):
+    """Class-mean part of the Fisher gradient for codes W made of `blocks`
+    equal class blocks with means M_b, out of C classes (a sequential solve
+    holds one block): lambda2 (sum_b M_b / C - 2 M_b), one column per block,
+    which every column of block b gets. The map is linear and symmetric."""
+    M = class_means(W, blocks)
+    return lambda2 * (M.sum(axis=1, keepdims=True) / C - 2.0 * M)
 
 
 def block_diagonal(A, C):

@@ -8,8 +8,8 @@ The discriminative fidelity for class c is
 where Ys is the data with the shared-dictionary reconstruction subtracted
 (Ys = Y - D_shared X0). Stacking all three pieces row-wise gives a single
 least-squares system whose normal matrix is D^T D plus a block-diagonal of
-the per-class Grams; AugmentedGram holds that structure so the big stacked
-matrices are never materialized.
+the per-class Grams; build_augmented_gram forms that Gram pair so the big
+stacked matrices are never materialized.
 
 The Fisher-style penalty on the codes is
 
@@ -23,32 +23,23 @@ the two residuals Ybar = Y - D X and Ytilde = Y - D blockdiag(X) that hold
 D0 X0 sum to 2 V, so the shared codes solve the Gram pair G = 2 D0^T D0,
 B = 2 D0^T V and the shared dictionary fits V. With k0 = 0 the shared
 arrays are empty and every shared term is an exact zero.
+
+Each coding problem's Gram pair (H, B) is formed by one function that its
+solver calls (build_augmented_gram, gram_shared_codes, gram_test_code); the
+gradient checks' grad_* helpers are H X - B of the same pairs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import block_diagonal, check_class_layout, class_means
+from .data import block_diagonal, check_class_layout, class_means, fisher_mean_term
 from .errors import DimensionError, NumericalError
 
 
-@dataclass(frozen=True)
-class AugmentedGram:
-    """Normal-equation pieces of the stacked fidelity system.
-
-    With M(A) = A + blockdiag(A) (the C equal diagonal blocks of A, see
-    :func:`~lrsdl.data.block_diagonal`), combined is M(D^T D) (K x K,
-    symmetric) and corr is M(D^T Ys): D^T Ys plus, in row block c and
-    column block c, an extra D_c^T Ys_c.
-    """
-
-    combined: np.ndarray
-    corr: np.ndarray
-
-
 def build_augmented_gram(dicts, shifted, n_c):
-    """Assemble the AugmentedGram for shifted data (class contiguous)."""
+    """Class-code Gram pair (M(D^T D), M(D^T Ys)) for shifted data Ys (class
+    contiguous), M(A) = A + blockdiag(A) (:func:`~lrsdl.data.block_diagonal`)."""
     shifted = np.asarray(shifted, dtype=float)
     if shifted.shape != (dicts.d, dicts.C * n_c):
         raise DimensionError(
@@ -58,23 +49,27 @@ def build_augmented_gram(dicts, shifted, n_c):
     D = dicts.D
     gram = D.T @ D
     corr = D.T @ shifted
-    return AugmentedGram(
-        combined=gram + block_diagonal(gram, dicts.C),
-        corr=corr + block_diagonal(corr, dicts.C),
-    )
+    return gram + block_diagonal(gram, dicts.C), corr + block_diagonal(corr, dicts.C)
+
+
+def _pair_gradient(pair, X):
+    """H X - B of a Gram pair (H, B) at codes X of B's shape."""
+    H, B = pair
+    X = np.asarray(X, dtype=float)
+    if X.shape != B.shape:
+        raise DimensionError(f"codes shape {X.shape} != {B.shape}")
+    return H @ X - B
 
 
 def grad_fidelity(gram, X):
-    """Gradient of the summed fidelity's smooth quadratic in the codes:
-    (D^T D + blockdiag) X minus the assembled correlation."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != gram.corr.shape:
-        raise DimensionError(f"codes shape {X.shape} != {gram.corr.shape}")
-    return gram.combined @ X - gram.corr
+    """Gradient of the summed fidelity's smooth quadratic in the codes X,
+    for gram = build_augmented_gram(...)."""
+    return _pair_gradient(gram, X)
 
 
 def grad_fisher(X, labels):
-    """Gradient of f(X): 4 X + 2 M - 4 [M_1 .. M_C].
+    """Gradient of f(X): 4 X + 2 M - 4 [M_1 .. M_C], that is 4 X plus
+    :func:`~lrsdl.data.fisher_mean_term` with lambda2 = 2.
 
     The class/global means are recomputed from X, so the gradient
     differentiates through them. The labels must be in the class layout.
@@ -82,8 +77,8 @@ def grad_fisher(X, labels):
     X = np.asarray(X, dtype=float)
     C = check_class_layout(labels, X.shape[1])
     K, N = X.shape
-    G = (4.0 * X + 2.0 * X.mean(axis=1)[:, None]).reshape(K, C, N // C)
-    return (G - 4.0 * class_means(X, C)[:, :, None]).reshape(K, N)
+    G = (4.0 * X).reshape(K, C, N // C) + fisher_mean_term(X, C, C, 2.0)[:, :, None]
+    return G.reshape(K, N)
 
 
 def _fisher_value(X, C):
@@ -101,20 +96,11 @@ def fisher_value(X, labels):
     return _fisher_value(X, check_class_layout(labels, X.shape[1]))
 
 
-def gram_form(G, corr, mean, lambda2):
-    """Gram form (H, B) of a least-squares fit plus a lambda2 pull of the
-    last p code rows toward a mean (p = len(mean); mean broadcasts over the
-    columns of corr):
-
-        1/2 <X, G X> - <corr, X> + lambda2/2 ||X_p - mean||^2
-
-    where G = w A^T A and corr = A^T Y come from a dictionary A, data Y
-    and a weight w. Its gradient is H X - B with
-
-        H = G + lambda2 [0 0; 0 I],  B = corr + lambda2 [0; mean],
-
-    so a solve needs only products with the small matrix H.
-    """
+def _gram_form(G, corr, mean, lambda2):
+    """Gram pair (H, B) of 1/2 <X, G X> - <corr, X> + lambda2/2 ||X_p - mean||^2,
+    a least-squares fit plus a pull of the last p = len(mean) code rows
+    toward mean (broadcast over the columns of corr):
+    H = G + lambda2 [0 0; 0 I] and B = corr + lambda2 [0; mean]."""
     n, p = G.shape[0], np.shape(mean)[0]
     H = np.array(G, dtype=float)
     H[n - p :, n - p :] += lambda2 * np.eye(p)
@@ -123,56 +109,42 @@ def gram_form(G, corr, mean, lambda2):
     return H, B
 
 
+def gram_shared_codes(D0, V, m0, lambda2):
+    """Shared-code Gram pair: G = 2 D0^T D0 and corr = 2 D0^T V for the
+    target V of :func:`residual_matrices`, pulled toward the code mean m0,
+    a (k0, 1) column or a (k0, N) tile."""
+    k0 = D0.shape[1]
+    if V.shape[0] != D0.shape[0] or np.shape(m0) not in ((k0, 1), (k0, V.shape[1])):
+        raise DimensionError(f"shapes D0={D0.shape} V={V.shape} m0={np.shape(m0)}")
+    return _gram_form(2.0 * (D0.T @ D0), 2.0 * (D0.T @ V), m0, lambda2)
+
+
 def grad_shared_codes(D0, Ysum, X0, M0, lambda2):
-    """Gradient of the shared-code quadratic:
+    """2 D0^T D0 X0 - D0^T Ysum + lambda2 (X0 - M0) for Ysum = Ybar + Ytilde
+    = 2 V: H X0 - B of :func:`gram_shared_codes` (halving Ysum is exact)."""
+    return _pair_gradient(gram_shared_codes(D0, 0.5 * Ysum, M0, lambda2), X0)
 
-        2 D0^T D0 X0 - D0^T (Ybar + Ytilde) + lambda2 (X0 - M0)
 
-    where Ysum = Ybar + Ytilde = 2 V is the sum of the two residual
-    matrices and M0 is the (frozen) tiled shared-code mean. It is H X0 - B
-    for the :func:`gram_form` of G = 2 D0^T D0 and corr = D0^T Ysum.
-    """
-    D0 = np.asarray(D0, dtype=float)
-    X0 = np.asarray(X0, dtype=float)
-    Ysum = np.asarray(Ysum, dtype=float)
-    M0 = np.asarray(M0, dtype=float)
-    if D0.shape[1] != X0.shape[0] or Ysum.shape != (D0.shape[0], X0.shape[1]):
+def gram_test_code(dicts, Y, m0, lambda2):
+    """Test-coding Gram pair of 1/2 ||y - D_total x||^2 + lambda2/2 ||x0 - m0||^2
+    for one sample Y (d,) or each column of a batch Y (d, N):
+    G = D_total^T D_total and corr = D_total^T Y, so H acts on each column
+    separately and one product serves all samples."""
+    Y, m0 = np.asarray(Y, dtype=float), np.asarray(m0, dtype=float)
+    Dt = dicts.D_total
+    if Y.ndim not in (1, 2) or Y.shape[0] != dicts.d or m0.shape != (dicts.k0,):
         raise DimensionError(
-            f"incompatible shapes D0={D0.shape} X0={X0.shape} Ysum={Ysum.shape}"
+            f"samples of shape {Y.shape} or shared mean of shape {m0.shape} "
+            f"do not match dictionary {Dt.shape}"
         )
-    if M0.shape != X0.shape:
-        raise DimensionError(f"mean tile shape {M0.shape} != codes {X0.shape}")
-    H, B = gram_form(2.0 * (D0.T @ D0), D0.T @ Ysum, M0, lambda2)
-    return H @ X0 - B
+    m0 = m0.reshape((-1,) + (1,) * (Y.ndim - 1))
+    return _gram_form(Dt.T @ Dt, Dt.T @ Y, m0, lambda2)
 
 
 def grad_test_code(dicts, y, xbar, m0, lambda2):
-    """Gradient at the code xbar of the test-coding smooth part for one
-    sample y (d,), or, summed over its columns, a batch y (d, N) with codes
-    xbar (K + k0, N):
-
-        1/2 ||y - D_total x||^2 + lambda2/2 ||x0 - m0||^2
-
-    It is H xbar - B for the :func:`gram_form` of G = D_total^T D_total and
-    corr = D_total^T y:
-
-        H = D_total^T D_total + lambda2 [0 0; 0 I],
-        B = D_total^T y + lambda2 [0; m0 1^T],
-
-    so H acts on each column separately and one product serves all samples.
-    """
-    y = np.asarray(y, dtype=float)
-    m0 = np.asarray(m0, dtype=float)
-    Dt = dicts.D_total
-    if y.ndim not in (1, 2) or y.shape[0] != dicts.d or m0.shape != (dicts.k0,):
-        raise DimensionError(
-            f"samples of shape {y.shape} or shared mean of shape {m0.shape} "
-            f"do not match dictionary {Dt.shape}"
-        )
-    H, B = gram_form(
-        Dt.T @ Dt, Dt.T @ y, m0.reshape((-1,) + (1,) * (y.ndim - 1)), lambda2
-    )
-    return H @ np.asarray(xbar, dtype=float) - B
+    """H xbar - B of :func:`gram_test_code`: the test-coding gradient at the
+    code xbar of one sample y (d,), or at codes (K + k0, N) of a batch."""
+    return _pair_gradient(gram_test_code(dicts, y, m0, lambda2), xbar)
 
 
 def residual_matrices(data, dicts, coefs):

@@ -40,7 +40,7 @@ from .errors import NumericalError, ParameterError
 from .gradients import (
     _check_shapes,
     build_augmented_gram,
-    gram_form,
+    gram_shared_codes,
     objective_terms,
     residual_matrices,
 )
@@ -111,19 +111,18 @@ def _solve_shared_codes(data, dicts, coefs, hyper):
     """Refit the shared coefficients with the class coefficients of coefs
     held fixed; returns coefs with X0 replaced (unchanged when k0 = 0).
 
-    The smooth part is the Gram pair G = 2 D0^T D0, B = 2 D0^T V of the
-    shared-layer target V (residual_matrices). The mean-pull target m0 is
-    frozen at the warm start X0, which keeps the subproblem a strict
-    majorizer of the full objective in X0.
+    The smooth part is the gram_shared_codes pair of the shared-layer
+    target V (residual_matrices). The mean-pull target m0 is frozen at the
+    warm start X0, which keeps the subproblem a strict majorizer of the
+    full objective in X0.
     """
     if dicts.k0 == 0:
         return coefs
-    D0, X0 = dicts.shared_dict, coefs.X0
     V = residual_matrices(data, dicts, coefs)
-    m0 = X0.mean(axis=1)[:, None]
-    H, B = gram_form(2.0 * (D0.T @ D0), 2.0 * (D0.T @ V), m0, hyper.lambda2)
+    m0 = coefs.X0.mean(axis=1)[:, None]
+    H, B = gram_shared_codes(dicts.shared_dict, V, m0, hyper.lambda2)
     obj = SmoothObjective.quadratic(H, B, power_iteration_lipschitz(H))
-    X0new = fista(obj, hyper.lambda1, X0, max_iter=hyper.fista_iters)
+    X0new = fista(obj, hyper.lambda1, coefs.X0, max_iter=hyper.fista_iters)
     return CoefBundle(X=coefs.X, X0=X0new, k_c=coefs.k_c, n_c=coefs.n_c)
 
 
@@ -133,9 +132,9 @@ def _class_code_gram(data, dicts, coefs, lambda2):
     joining the Gram matrix, and L = lambda_max(H)."""
     _check_shapes(data, dicts, coefs)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-    gram = build_augmented_gram(dicts, shifted, data.n_c)
-    H = gram.combined + 2.0 * lambda2 * np.eye(dicts.K)
-    return H, gram.corr, power_iteration_lipschitz(H)
+    G, corr = build_augmented_gram(dicts, shifted, data.n_c)
+    H = G + 2.0 * lambda2 * np.eye(dicts.K)
+    return H, corr, power_iteration_lipschitz(H)
 
 
 def sparse_code_train(data, dicts, coefs, hyper):

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import class_means
+from .data import fisher_mean_term
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 
 
@@ -46,10 +46,9 @@ class SmoothObjective:
         the gradient is H W - B, a product with the small matrix H.
 
         fisher = (lambda2, blocks, C) adds the class-mean part of the Fisher
-        gradient for W made of `blocks` equal class blocks with means M_b,
-        out of C classes (a sequential solve holds one block): each column
-        of block b gets lambda2 (sum_b M_b / C - 2 M_b). That map is linear
-        and symmetric, so g stays a quadratic with gradient -B at 0.
+        gradient, :func:`~lrsdl.data.fisher_mean_term`, for W made of
+        `blocks` equal class blocks out of C classes. That map is linear and
+        symmetric, so g stays a quadratic with gradient -B at 0.
         """
         if fisher is None:
 
@@ -60,9 +59,8 @@ class SmoothObjective:
             lambda2, blocks, C = fisher
 
             def grad(W):
-                M = class_means(W, blocks)
-                G = (H @ W - B).reshape(M.shape + (-1,))
-                G += lambda2 * (M.sum(axis=1, keepdims=True) / C - 2.0 * M)[:, :, None]
+                G = (H @ W - B).reshape(W.shape[0], blocks, -1)
+                G += fisher_mean_term(W, blocks, C, lambda2)[:, :, None]
                 return G.reshape(W.shape)
 
         return cls(grad=grad, lipschitz=lipschitz, per_column=per_column)

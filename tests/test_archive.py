@@ -1,14 +1,23 @@
 """Model archive round-trip and corruption tests."""
 
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lrsdl.archive import TRACE_HEADER, load_model, save_model, write_trace
 from lrsdl.classifier import classify
 from lrsdl.data import (
+    DictionaryBundle,
     HyperParams,
     IterationRecord,
     LearnedModel,
+    MeanStats,
     generate_synthetic,
 )
 from lrsdl.errors import FormatError
@@ -43,11 +52,8 @@ class TestRoundTrip:
         assert np.array_equal(
             back.mean_stats.shared_mean, model.mean_stats.shared_mean
         )
-        assert back.hyper.lambda1 == model.hyper.lambda1
-        assert back.hyper.lambda2 == model.hyper.lambda2
-        assert back.hyper.eta == model.hyper.eta
-        assert back.hyper.w == model.hyper.w
-        assert back.hyper.seed == model.hyper.seed
+        # the fixture's budgets are not the defaults, so they must be stored
+        assert back.hyper == model.hyper
         assert not back.aborted
         assert len(back.trace) == len(model.trace)
         for a, b in zip(back.trace, model.trace):
@@ -92,6 +98,112 @@ class TestRoundTrip:
         back = load_model(str(tmp_path / "arc"))
         assert back.aborted
         assert back.trace == ()
+
+
+    def test_archive_without_budgets_loads_defaults(self, trained, tmp_path):
+        # archives written before the budgets were stored lack their keys
+        _, model = trained
+        arc = tmp_path / "arc"
+        save_model(model, str(arc))
+        meta = arc / "meta"
+        budgets = ("outer_iters=", "fista_iters=", "admm_iters=")
+        kept = [ln for ln in meta.read_text().splitlines() if not ln.startswith(budgets)]
+        assert len(kept) == len(meta.read_text().splitlines()) - 3
+        meta.write_text("\n".join(kept) + "\n")
+        back = load_model(str(arc))
+        default = HyperParams()
+        assert back.hyper == dataclasses.replace(
+            model.hyper,
+            outer_iters=default.outer_iters,
+            fista_iters=default.fista_iters,
+            admm_iters=default.admm_iters,
+        )
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+weight = st.floats(min_value=-0.0, allow_infinity=False)  # -0.0 included
+records = st.builds(
+    IterationRecord,
+    iteration=st.integers(0, 10**6),
+    objective=finite,
+    fidelity=finite,
+    l1=finite,
+    fisher=finite,
+    nuclear=finite,
+    seconds=finite,
+)
+
+
+@st.composite
+def models(draw):
+    """Archivable models: layouts with k0 = 0 included, unit-bounded
+    dictionary columns with signed zeros, arbitrary finite means and
+    weights, non-default budgets, the aborted flag and 0-3 trace records."""
+    C, d, k_c = (draw(st.integers(1, hi)) for hi in (3, 5, 3))
+    k0 = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = rng.standard_normal((d, C * k_c + k0))
+    D /= np.linalg.norm(D, axis=0)
+    # signed zeros everywhere but each column's largest entry, so no
+    # class atom becomes zero
+    zero = rng.random(D.shape) < 0.3
+    zero[np.argmax(np.abs(D), axis=0), np.arange(D.shape[1])] = False
+    D[zero] = -0.0
+    D[:, C * k_c :] *= rng.random(k0)  # shared atoms may be shorter
+    dicts = DictionaryBundle(
+        class_dicts=tuple(np.hsplit(D[:, : C * k_c], C)), shared_dict=D[:, C * k_c :]
+    )
+    means = MeanStats(
+        class_means=draw(hnp.arrays(float, (C * k_c, C), elements=finite)),
+        shared_mean=draw(hnp.arrays(float, (k0,), elements=finite)),
+    )
+    budget = st.integers(1, 10**6)
+    hyper = HyperParams(
+        lambda1=draw(weight),
+        lambda2=draw(weight),
+        eta=draw(weight),
+        w=draw(st.floats(min_value=-0.0, max_value=1.0)),
+        outer_iters=draw(budget),
+        fista_iters=draw(budget),
+        admm_iters=draw(budget),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+    return LearnedModel(
+        dict_bundle=dicts,
+        mean_stats=means,
+        hyper=hyper,
+        trace=tuple(draw(st.lists(records, max_size=3))),
+        aborted=draw(st.booleans()),
+    )
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: -0.0 and 0.0 differ here."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models())
+def test_generated_models_round_trip_bit_for_bit(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        arc = os.path.join(tmp, "arc")
+        save_model(model, arc)
+        back = load_model(arc)
+    assert same_bits(back.dict_bundle.D, model.dict_bundle.D)
+    assert same_bits(back.dict_bundle.shared_dict, model.dict_bundle.shared_dict)
+    assert same_bits(back.mean_stats.class_means, model.mean_stats.class_means)
+    assert same_bits(back.mean_stats.shared_mean, model.mean_stats.shared_mean)
+    for f in dataclasses.fields(HyperParams):
+        a, b = getattr(back.hyper, f.name), getattr(model.hyper, f.name)
+        assert type(a) is type(b) and same_bits(a, b), f.name
+    assert back.aborted == model.aborted
+    assert len(back.trace) == len(model.trace)
+    for a, b in zip(back.trace, model.trace):
+        assert all(
+            same_bits(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(IterationRecord)
+        )
 
 
 class TestTraceFile:

@@ -80,11 +80,11 @@ def test_block_diagonal_matches_loop(C, p, q, seed):
 def test_augmented_gram_matches_class_loop(C, n_c, k_c, k0, d, seed):
     data, dicts, coefs = problem(C, n_c, k_c, k0, d, seed)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-    gram = build_augmented_gram(dicts, shifted, n_c)
-    combined, corr = augmented_gram_loop(dicts.class_dicts, shifted, n_c)
-    assert rel_err(gram.combined, combined) < 1e-12
-    assert rel_err(gram.corr, corr) < 1e-12
-    assert np.array_equal(gram.combined, gram.combined.T)
+    G, corr = build_augmented_gram(dicts, shifted, n_c)
+    combined, corr_loop = augmented_gram_loop(dicts.class_dicts, shifted, n_c)
+    assert rel_err(G, combined) < 1e-12
+    assert rel_err(corr, corr_loop) < 1e-12
+    assert np.array_equal(G, G.T)
 
 
 @settings(max_examples=60, deadline=None)

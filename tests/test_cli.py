@@ -194,7 +194,8 @@ class TestClassify:
         assert len(acc_line) == 1
         acc = float(acc_line[0].split("=")[1])
         assert 0.0 <= acc <= 1.0
-        lines = open(os.path.join(out, "predictions.csv")).read().splitlines()
+        with open(os.path.join(out, "predictions.csv")) as fh:
+            lines = fh.read().splitlines()
         assert lines[0] == "index,true_label,pred_label,score_pred"
         assert len(lines) == 16
         first = lines[1].split(",")
@@ -243,7 +244,8 @@ class TestClassify:
         assert code == 0
         assert "accuracy=" not in stdout
         assert not os.path.exists(os.path.join(out, "confusion.csv"))
-        lines = open(os.path.join(out, "predictions.csv")).read().splitlines()
+        with open(os.path.join(out, "predictions.csv")) as fh:
+            lines = fh.read().splitlines()
         assert all(ln.split(",")[1] == "0" for ln in lines[1:])
 
     def test_weight_overrides(self, capsys, tmp_path, dataset):

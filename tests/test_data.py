@@ -80,6 +80,17 @@ class TestDataset:
             Dataset.from_arrays(Y, [1.5, 2.0])
         with pytest.raises(DimensionError):
             Dataset.from_arrays(Y, [1, 1, 2])
+        # rejected by name, before any cast to integers can warn or wrap
+        for bad, msg in (
+            ([1.0, np.inf], "finite"),
+            ([1.0, -np.inf], "finite"),
+            ([1.0, np.nan], "finite"),
+            ([1.0, 1e300], "int64 range"),
+            ([1.0, 2.0**63], "int64 range"),
+            (np.array([1, 2**64 - 1], dtype=np.uint64), "int64 range"),
+        ):
+            with pytest.raises(DataError, match=msg):
+                Dataset.from_arrays(Y, bad)
 
     def test_non_finite_samples_rejected(self):
         Y = np.zeros((2, 2))

@@ -129,11 +129,11 @@ class TestAugmentedGram:
         d, k, n = 6, 4, 5
         dicts = random_bundle(rng, d, 1, k, 0)
         Ys = rng.standard_normal((d, n))
-        gram = build_augmented_gram(dicts, Ys, n)
-        G = dicts.D.T @ dicts.D
+        G, corr = build_augmented_gram(dicts, Ys, n)
+        DtD = dicts.D.T @ dicts.D
         X = rng.standard_normal((k, n))
-        assert np.allclose(gram.combined @ X, 2.0 * G @ X, atol=1e-12)
-        assert np.allclose(gram.corr, 2.0 * dicts.D.T @ Ys, atol=1e-12)
+        assert np.allclose(G @ X, 2.0 * DtD @ X, atol=1e-12)
+        assert np.allclose(corr, 2.0 * dicts.D.T @ Ys, atol=1e-12)
 
     def test_orthonormal_dictionary_acts_as_two_x(self):
         # columns of the full D orthonormal: combined operator is 2 I
@@ -142,27 +142,27 @@ class TestAugmentedGram:
         cds = tuple(Q[:, c * k_c : (c + 1) * k_c] for c in range(C))
         dicts = DictionaryBundle(class_dicts=cds, shared_dict=np.zeros((d, 0)))
         Ys = np.random.default_rng(7).standard_normal((d, C * n_c))
-        gram = build_augmented_gram(dicts, Ys, n_c)
+        G, _ = build_augmented_gram(dicts, Ys, n_c)
         X = np.random.default_rng(8).standard_normal((C * k_c, C * n_c))
-        assert np.allclose(gram.combined @ X, 2.0 * X, atol=1e-10)
+        assert np.allclose(G @ X, 2.0 * X, atol=1e-10)
 
     def test_combined_symmetric_psd(self):
         data, dicts, coefs = random_problem(9)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        gram = build_augmented_gram(dicts, shifted, data.n_c)
-        assert np.array_equal(gram.combined, gram.combined.T)
-        assert np.linalg.eigvalsh(gram.combined)[0] > -1e-10
+        G, _ = build_augmented_gram(dicts, shifted, data.n_c)
+        assert np.array_equal(G, G.T)
+        assert np.linalg.eigvalsh(G)[0] > -1e-10
 
     def test_combined_matches_dense_construction(self):
         data, dicts, coefs = random_problem(10)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        gram = build_augmented_gram(dicts, shifted, data.n_c)
+        G, _ = build_augmented_gram(dicts, shifted, data.n_c)
         dense = dicts.D.T @ dicts.D
         for c in range(1, dicts.C + 1):
             rows = dicts.row_block(c)
             Dc = dicts.class_dict(c)
             dense[rows, rows] += Dc.T @ Dc
-        assert np.max(np.abs(gram.combined - dense)) < 1e-12
+        assert np.max(np.abs(G - dense)) < 1e-12
 
     def test_shifted_shape_checked(self):
         data, dicts, _ = random_problem(11)
@@ -174,9 +174,9 @@ class TestGradFidelity:
     def test_zero_codes_give_minus_correlation(self):
         data, dicts, coefs = random_problem(12)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        gram = build_augmented_gram(dicts, shifted, data.n_c)
-        g = grad_fidelity(gram, np.zeros_like(coefs.X))
-        assert np.array_equal(g, -gram.corr)
+        G, corr = build_augmented_gram(dicts, shifted, data.n_c)
+        g = grad_fidelity((G, corr), np.zeros_like(coefs.X))
+        assert np.array_equal(g, -corr)
 
     def test_exact_fit_gives_zero(self):
         # block-diagonal codes with each class block solving its own data
