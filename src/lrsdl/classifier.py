@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _unit_columns
+from .data import Dataset, _unit_columns
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .gradients import gram_test_code
 from .prox import SmoothObjective, fista, power_iteration_lipschitz
@@ -151,12 +151,28 @@ def score_predictions(labels, predicted, C):
 
 def evaluate(test, model, w=None):
     """Accuracy and confusion matrix (see :func:`score_predictions`) over a
-    labeled test set, all samples classified in one batch."""
-    if test.d != model.d:
+    labeled test set, all samples classified in one batch.
+
+    test is a Dataset or a pair (Y, labels): samples (d, N) and their N
+    labels in 1..C, in any order and with any number of samples per class
+    (a Dataset needs equal class sizes).
+    """
+    if isinstance(test, Dataset):
+        if test.C != model.C:
+            raise DimensionError(f"test set has {test.C} classes, model has {model.C}")
+        Y, labels = test.Y, test.labels
+    else:
+        Y, labels = test
+        Y, labels = np.asarray(Y, dtype=float), np.asarray(labels)
+        if Y.ndim != 2 or labels.shape != (Y.shape[1],):
+            raise DimensionError(
+                f"labels of shape {labels.shape} do not match samples of shape {Y.shape}"
+            )
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise DataError(f"labels must be integers, got dtype {labels.dtype}")
+    if Y.shape[0] != model.d:
         raise DimensionError(
-            f"test features have dimension {test.d}, model expects {model.d}"
+            f"test features have dimension {Y.shape[0]}, model expects {model.d}"
         )
-    if test.C != model.C:
-        raise DimensionError(f"test set has {test.C} classes, model has {model.C}")
-    pred = classify(test.Y, model, w=w)
-    return score_predictions(test.labels, pred.label, model.C)
+    pred = classify(Y, model, w=w)
+    return score_predictions(labels, pred.label, model.C)

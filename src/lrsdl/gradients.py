@@ -25,7 +25,7 @@ B = 2 D0^T V and the shared dictionary fits V. With k0 = 0 the shared
 arrays are empty and every shared term is an exact zero.
 
 Each coding problem's Gram pair (H, B) is formed by one function that its
-solver calls (build_augmented_gram, gram_shared_codes, gram_test_code); the
+solver calls (gram_class_codes, gram_shared_codes, gram_test_code); the
 gradient checks' grad_* helpers are H X - B of the same pairs.
 """
 
@@ -50,6 +50,15 @@ def build_augmented_gram(dicts, shifted, n_c):
     gram = D.T @ D
     corr = D.T @ shifted
     return gram + block_diagonal(gram, dicts.C), corr + block_diagonal(corr, dicts.C)
+
+
+def gram_class_codes(dicts, shifted, n_c, lambda2):
+    """Class-code Gram pair (H, B) = (M(D^T D) + 2 lambda2 I, M(D^T Ys)):
+    the fidelity pair of :func:`build_augmented_gram` with the 2 lambda2 X
+    part of the Fisher gradient joining H. The rest of that gradient, the
+    class-mean part, is :func:`~lrsdl.data.fisher_mean_term`."""
+    G, corr = build_augmented_gram(dicts, shifted, n_c)
+    return G + 2.0 * lambda2 * np.eye(dicts.K), corr
 
 
 def _pair_gradient(pair, X):

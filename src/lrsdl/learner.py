@@ -39,7 +39,7 @@ from .dictupdate import (
 from .errors import NumericalError, ParameterError
 from .gradients import (
     _check_shapes,
-    build_augmented_gram,
+    gram_class_codes,
     gram_shared_codes,
     objective_terms,
     residual_matrices,
@@ -127,13 +127,11 @@ def _solve_shared_codes(data, dicts, coefs, hyper):
 
 
 def _class_code_gram(data, dicts, coefs, lambda2):
-    """Gram pair and step size (H, corr, L) of the class-code quadratic:
-    H = M(D^T D) + 2 lambda2 I, the 2 lambda2 X part of the Fisher gradient
-    joining the Gram matrix, and L = lambda_max(H)."""
+    """Gram pair and step size (H, corr, L) of the class-code quadratic at
+    the current shared codes: gram_class_codes and L = lambda_max(H)."""
     _check_shapes(data, dicts, coefs)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-    G, corr = build_augmented_gram(dicts, shifted, data.n_c)
-    H = G + 2.0 * lambda2 * np.eye(dicts.K)
+    H, corr = gram_class_codes(dicts, shifted, data.n_c, lambda2)
     return H, corr, power_iteration_lipschitz(H)
 
 

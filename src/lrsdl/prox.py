@@ -6,6 +6,7 @@ All solvers operate on dense float matrices (vectors are column matrices)
 and are deterministic given their inputs.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,7 +44,8 @@ class SmoothObjective:
     @classmethod
     def quadratic(cls, H, B, lipschitz, fisher=None, per_column=False):
         """Objective of g(W) = 1/2 <W, H W> - <B, W> from its Gram pair:
-        the gradient is H W - B, a product with the small matrix H.
+        the gradient is H W - B, a product with the small matrix H, formed
+        in the product's own array (and the Fisher part added into it).
 
         fisher = (lambda2, blocks, C) adds the class-mean part of the Fisher
         gradient, :func:`~lrsdl.data.fisher_mean_term`, for W made of
@@ -53,21 +55,27 @@ class SmoothObjective:
         if fisher is None:
 
             def grad(W):
-                return H @ W - B
+                G = H @ W
+                G -= B
+                return G
 
         else:
             lambda2, blocks, C = fisher
 
             def grad(W):
-                G = (H @ W - B).reshape(W.shape[0], blocks, -1)
-                G += fisher_mean_term(W, blocks, C, lambda2)[:, :, None]
-                return G.reshape(W.shape)
+                G = H @ W
+                G -= B
+                per_block = G.reshape(W.shape[0], blocks, -1)
+                per_block += fisher_mean_term(W, blocks, C, lambda2)[:, :, None]
+                return G
 
         return cls(grad=grad, lipschitz=lipschitz, per_column=per_column)
 
 
-def soft_threshold(W, tau):
-    """Entrywise shrinkage: sign(w) * max(|w| - tau, 0).
+def soft_threshold(W, tau, out=None):
+    """Entrywise shrinkage: sign(w) * max(|w| - tau, 0), formed as
+    W - clip(W, -tau, tau), the clip as min(max(W, -tau), tau), in one
+    temporary or in out (which must not share memory with W).
 
     The proximal operator of tau * ||.||_1. Entries with |w| <= tau map to
     exactly zero.
@@ -75,18 +83,28 @@ def soft_threshold(W, tau):
     if not tau >= 0:  # also rejects NaN
         raise ParameterError(f"threshold must be >= 0, got {tau}")
     W = np.asarray(W, dtype=float)
-    return np.sign(W) * np.maximum(np.abs(W) - tau, 0.0)
-
-
-def _column_sums(M):
-    """Sum down each column of M. Each column is summed as a contiguous
-    row of the transpose, so its sum does not depend on the other columns
-    and a column gets the same bits in a batch as on its own."""
-    return np.ascontiguousarray(M.T).sum(axis=1)
+    out = np.minimum(np.maximum(W, -tau, out=out), tau, out=out)
+    return np.subtract(W, out, out=out)
 
 
 def _pick(keep, a, b):
     return a if keep else b
+
+
+def _split_whole(accepted):
+    """Indexes of the accepted and the rejected part of a one-block solve
+    (None for an empty part)."""
+    return (..., None) if accepted else (None, ...)
+
+
+def _split_columns(accepted):
+    """Indexes of the accepted and the rejected columns (None for none)."""
+    kept = np.flatnonzero(accepted)
+    if kept.size == accepted.size:
+        return ..., None
+    if kept.size == 0:
+        return None, ...
+    return (slice(None), kept), (slice(None), np.flatnonzero(~accepted))
 
 
 FISTA_TOL = 1e-6  # relative iterate change that ends every coding solve
@@ -114,7 +132,9 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     Z = W_new + a (cand - W_new) + b (W_new - W) has coefficients summing
     to 1, so its gradient is the same combination of theirs, and the
     safeguard compares g(W) - g(0) = 1/2 <W, grad(W) + grad(0)>. The
-    gradients at W0 and at 0 come from obj.raw_grad, once per solve.
+    gradients at W0 and at 0 come from obj.raw_grad, once per solve. A
+    non-finite gradient entry makes that inner product non-finite (0 * inf
+    is NaN), so checking the candidate's value checks its gradient too.
 
     The safeguard works on blocks: the whole matrix, or each column when
     obj.per_column is set. A column block is accepted or rejected, and
@@ -123,6 +143,12 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     budget is spent. The momentum weight t depends only on the iteration
     count, so when grad computes each column by the same arithmetic in a
     batch as alone, each column gets the bits a solve of it alone returns.
+
+    The loop runs in place: the iterate, the candidate, the momentum point,
+    their gradients and the scratch space are allocated once per solve, and
+    no array that obj.grad returns is written to. With W_new = cand the
+    momentum point is cand + b (cand - W), and with W_new = W it is
+    W + a (cand - W).
     """
     if not lam >= 0:  # also rejects NaN
         raise ParameterError(f"l1 weight must be >= 0, got {lam}")
@@ -130,21 +156,31 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
         raise ParameterError("max_iter must be positive")
     L = obj.lipschitz
     W = np.array(W0, dtype=float)
-    GW = obj.raw_grad(W)
+    GW = np.array(obj.raw_grad(W), dtype=float)
     G0 = obj.raw_grad(np.zeros_like(W))
+    Z, GZ = W.copy(), GW.copy()
+    cand, scratch = np.empty_like(W), np.empty_like(W)
     if obj.per_column:
-        # one block per column: boolean masks over the columns
+        # one block per column: each column is summed as a contiguous row
+        # of a transposed copy, so its sum does not depend on the others
+        prod, rows = np.empty_like(W), np.empty(W.shape[::-1])
+
+        def column_sums(M):
+            np.copyto(rows, M.T)
+            return rows.sum(axis=1)
 
         def inner(A, B):
-            return _column_sums(A * B)
+            return column_sums(np.multiply(A, B, out=prod))
 
         def l1(M):
-            return _column_sums(np.abs(M))
+            return column_sums(np.abs(M, out=prod))
 
-        def norm(M):
-            return np.sqrt(inner(M, M))
+        sqrt, larger, select, any_live = np.sqrt, np.maximum, np.where, np.ndarray.any
+        split = _split_columns
 
-        select, any_live = np.where, np.ndarray.any
+        def finite(F):
+            return np.isfinite(F).all()
+
         live = np.ones(W.shape[1], dtype=bool)
     else:
         # the whole matrix is one block: plain scalars
@@ -153,39 +189,51 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
             return float(np.vdot(A, B))
 
         def l1(M):
-            return np.abs(M).sum()
+            return float(np.abs(M, out=scratch).sum())
 
-        norm, select, any_live = np.linalg.norm, _pick, bool
+        sqrt, larger, select, any_live = math.sqrt, max, _pick, bool
+        split, finite = _split_whole, math.isfinite
         live = np.True_
 
     def objective(M, G):
-        """g(M) - g(0) + lam ||M||_1 from the gradient G at M."""
-        return 0.5 * inner(M, G + G0) + lam * l1(M)
+        """g(M) - g(0) + lam ||M||_1 from the gradient G at M (the inner
+        product is taken before l1 may reuse scratch)."""
+        return 0.5 * inner(M, np.add(G, G0, out=scratch)) + lam * l1(M)
 
     F = objective(W, GW)
-    Z, GZ = W, GW
     t = 1.0
-    for k in range(1, max_iter + 1):
-        cand = soft_threshold(Z - GZ / L, lam / L)
-        G = obj.grad(cand)
-        if not np.isfinite(G).all():
-            raise NumericalError(f"non-finite gradient at iteration {k}")
-        F_cand = objective(cand, G)
-        if not np.isfinite(F_cand).all():
-            raise NumericalError(f"non-finite objective at iteration {k}")
-        accepted = live & (F_cand <= F)
-        W_new, GW_new = select(accepted, cand, W), select(accepted, G, GW)
-        F = select(accepted, F_cand, F)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        a, b = t / t_new, (t - 1.0) / t_new
-        step = W_new - W
-        Z = W_new + a * (cand - W_new) + b * step
-        GZ = GW_new + a * (G - GW_new) + b * (GW_new - GW)
-        rel = norm(step) / np.maximum(1.0, norm(W))
-        W, GW, t = W_new, GW_new, t_new
-        live = live & ~(accepted & (rel < tol))
-        if not any_live(live):
-            break
+    # a non-finite gradient entry meets a zero of the candidate as 0 * inf:
+    # that NaN is caught by the finiteness check, not warned about
+    with np.errstate(invalid="ignore"):
+        for k in range(1, max_iter + 1):
+            soft_threshold(
+                np.subtract(Z, np.divide(GZ, L, out=scratch), out=scratch), lam / L, out=cand
+            )
+            G = obj.grad(cand)
+            F_cand = objective(cand, G)
+            if not finite(F_cand):
+                raise NumericalError(f"non-finite gradient or objective at iteration {k}")
+            accepted = live & (F_cand <= F)
+            F = select(accepted, F_cand, F)
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            a, b = t / t_new, (t - 1.0) / t_new
+            kept, rejected = split(accepted)
+            step = np.subtract(cand, W, out=scratch)
+            rel = sqrt(inner(step, step)) / larger(1.0, sqrt(inner(W, W)))
+            np.add(cand, np.multiply(step, b, out=Z), out=Z)
+            if rejected is not None:
+                Z[rejected] = W[rejected] + a * step[rejected]
+                cand[rejected] = W[rejected]  # cand now holds W_new
+            dG = np.subtract(G, GW, out=scratch)
+            np.add(G, np.multiply(dG, b, out=GZ), out=GZ)
+            if rejected is not None:
+                GZ[rejected] = GW[rejected] + a * dG[rejected]
+            if kept is not None:
+                GW[kept] = G[kept]
+            W, cand, t = cand, W, t_new
+            live = live & ~(accepted & (rel < tol))
+            if not any_live(live):
+                break
     return W
 
 
@@ -226,6 +274,14 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
     starting from Z = U = 0. G is symmetric with every eigenvalue >= rho, so
     its inverse is formed once per call and each D-step is one product.
 
+    Every iterate stays in the column space of 2 V Xcoef^T, whose dimension
+    is at most k: D-steps multiply on the right, and the svt of a matrix
+    keeps its column space. So the call takes one reduced QR,
+    Q R = 2 V Xcoef^T, and sweeps the coordinates D = Q D~, Z = Q Z~,
+    U = Q U~, which are min(d, k) x k matrices, with R in place of
+    2 V Xcoef^T. Q has orthonormal columns, so Frobenius norms and the
+    svt commute with it.
+
     After each sweep it takes the primal residual r = ||D - Z||_F and the
     dual residual s = rho ||Z - Z_prev||_F, and stops when both
 
@@ -234,9 +290,9 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
 
     hold, eps = ADMM_TOL (Boyd et al., Distributed Optimization and
     Statistical Learning via ADMM, 2011, section 3.3.1), or after ``iters``
-    sweeps. Returns Z, an exact svt image. With return_residuals the
+    sweeps. Returns Q Z~, an exact svt image. With return_residuals the
     per-sweep pairs (r, s) come back as a list. With no code rows (k = 0)
-    the first sweep stops with r = s = 0 and Z is d x 0.
+    the first sweep stops with r = s = 0 and the result is d x 0.
     """
     V = np.asarray(V, dtype=float)
     Xcoef = np.asarray(Xcoef, dtype=float)
@@ -256,13 +312,13 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
         Ginv = np.linalg.inv(2.0 * (Xcoef @ Xcoef.T) + rho * np.eye(k))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ADMM system inverse failed: {exc}") from exc
-    VXt2 = 2.0 * (V @ Xcoef.T)
+    Q, R = np.linalg.qr(2.0 * (V @ Xcoef.T))
     floor = np.sqrt(d * k) * ADMM_TOL
-    Z = np.zeros((d, k))
-    U = np.zeros((d, k))
+    Z = np.zeros(R.shape)
+    U = np.zeros(R.shape)
     residuals = []
     for sweep in range(1, iters + 1):
-        D = (VXt2 + rho * (Z - U)) @ Ginv
+        D = (R + rho * (Z - U)) @ Ginv
         Z_prev = Z
         Z = svt(D + U, eta / rho)
         U = U + D - Z
@@ -275,6 +331,7 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
             s <= floor + ADMM_TOL * rho * np.linalg.norm(U)
         ):
             break
+    Z = Q @ Z
     return (Z, residuals) if return_residuals else Z
 
 

@@ -27,7 +27,13 @@ from lrsdl.data import (
     MeanStats,
     generate_synthetic,
 )
-from lrsdl.errors import DimensionError, NumericalError, ParameterError
+from lrsdl.errors import (
+    DataError,
+    DimensionError,
+    DomainError,
+    NumericalError,
+    ParameterError,
+)
 from lrsdl.learner import TrainConfig, fit
 from lrsdl.prox import FISTA_TOL
 
@@ -348,6 +354,33 @@ class TestEvaluate:
         )
         with pytest.raises(DimensionError):
             evaluate(two_class, model)
+
+    def test_plain_samples_with_unequal_class_counts(self):
+        # a held-out set that Dataset refuses: 5, 2 and 1 samples per class,
+        # in no particular order
+        data, model = fitted_model(seed=24)
+        cols = np.array([0, 1, 2, 3, 4, 6, 7, 12])
+        order = np.random.default_rng(25).permutation(cols.size)
+        Y, labels = data.Y[:, cols[order]], data.labels[cols[order]]
+        with pytest.raises(DomainError):
+            Dataset.from_arrays(Y, labels)
+        acc, confusion = evaluate((Y, labels), model)
+        preds = [classify(Y[:, j], model).label for j in range(cols.size)]
+        assert acc == pytest.approx(np.mean(np.array(preds) == labels))
+        assert np.array_equal(confusion.sum(axis=1), [5, 2, 1])
+        assert confusion[labels - 1, np.array(preds) - 1].all()
+
+    def test_plain_samples_checked(self):
+        data, model = fitted_model(seed=26)
+        Y, labels = data.Y[:, :4], data.labels[:4]
+        with pytest.raises(DimensionError):
+            evaluate((Y, labels[:3]), model)
+        with pytest.raises(DimensionError):
+            evaluate((Y[:-1], labels), model)
+        with pytest.raises(DataError):
+            evaluate((Y, labels + 0.5), model)
+        with pytest.raises(DataError):
+            evaluate((Y, np.full(4, model.C + 1)), model)
 
 
 class TestBatchedClassify:

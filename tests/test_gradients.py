@@ -15,6 +15,7 @@ from lrsdl.data import (
     DictionaryBundle,
     HyperParams,
     class_means,
+    fisher_mean_term,
     generate_synthetic,
     mean_stats,
     normalize_columns,
@@ -25,6 +26,7 @@ from lrsdl.gradients import (
     build_augmented_gram,
     fidelity_value,
     fisher_value,
+    gram_class_codes,
     grad_fidelity,
     grad_fisher,
     grad_shared_codes,
@@ -236,6 +238,26 @@ class TestFidelityValue:
         # all three residual pieces collapse to the data itself
         want = float(np.sum(data.Y**2))
         assert fidelity_value(data.Y, dicts, X, data.n_c) == pytest.approx(want)
+
+
+class TestGramClassCodes:
+    def test_full_gradient_finite_difference(self):
+        # the class-code pair the joint solver uses, H X - B plus the Fisher
+        # class-mean term, against the fidelity plus lambda2/2 times the X
+        # part of the Fisher value
+        data, dicts, coefs = random_problem(16)
+        lam2 = 0.7
+        shifted = data.Y - dicts.shared_dict @ coefs.X0
+        H, B = gram_class_codes(dicts, shifted, data.n_c, lam2)
+        X = coefs.X
+        mean_part = fisher_mean_term(X, data.C, data.C, lam2)
+        g = H @ X - B + np.repeat(mean_part, data.n_c, axis=1)
+
+        def f(M):
+            fidelity = fidelity_value(shifted, dicts, M, data.n_c)
+            return fidelity + 0.5 * lam2 * fisher_value(M, data.labels)
+
+        assert rel_err(g, fd_grad(f, X, eps=1e-6)) < 1e-7
 
 
 class TestGradFisher:

@@ -278,6 +278,97 @@ class TestFistaColumnBlocks:
         ref, _ = fista_one_product(grad, L, 0.1, W0, 150, 1e-7)
         assert out.tobytes() == ref.tobytes()
 
+    def test_rejected_steps_match_one_block_reference_bit_for_bit(self):
+        # a step size below the Lipschitz constant makes the safeguard
+        # reject steps, which move the momentum point to W + a (cand - W)
+        A, B, L, W0 = rejecting_problem()
+
+        def grad(W):
+            return A.T @ (A @ W - B)
+
+        out = fista(SmoothObjective(grad=grad, lipschitz=L), 0.05, W0, 60, 0.0)
+        ref, _ = fista_one_product(grad, L, 0.05, W0, 60, 0.0)
+        # adding 0.0 turns -0.0 into 0.0: the reference's sign(w) * 0 keeps
+        # the sign of a shrunk negative entry, w - clip(w, -tau, tau) does not
+        assert (out + 0.0).tobytes() == (ref + 0.0).tobytes()
+
+    def test_mixed_column_steps_match_each_column_alone(self):
+        # some columns accept a step while others reject it
+        A, B, L, W0 = rejecting_problem()
+        batch, _ = self.solve(A, B, L, 0.05, W0, 60, 0.0)
+        for j in range(4):
+            alone, _ = self.solve(A, B[:, [j]], L, 0.05, W0[:, [j]], 60, 0.0)
+            assert np.array_equal(batch[:, j], alone[:, 0]), f"column {j}"
+
+
+def rejecting_problem():
+    """A least-squares problem A, B, a step size L = 0.7 lambda_max(A^T A)
+    below its Lipschitz constant and a warm start W0. The safeguard rejects
+    some steps: at an l1 weight of 0.05, over 60 iterations, 15 of the
+    whole-matrix steps, and with one block per column it accepts some
+    columns and rejects others on 44 iterations."""
+    rng = np.random.default_rng(10)
+    A = rng.standard_normal((10, 6)) * np.geomspace(1.0, 0.1, 6)
+    B = A @ rng.standard_normal((6, 4)) * [1.0, 0.1, 3.0, 0.5]
+    W0 = np.random.default_rng(1).standard_normal((6, 4))
+    return A, B, 0.7 * float(np.linalg.eigvalsh(A.T @ A)[-1]), W0
+
+
+@pytest.mark.parametrize("per_column", [False, True], ids=["whole", "columns"])
+class TestFistaInPlace:
+    """fista updates its own buffers in place, in both block modes: the
+    warm start, the arrays obj.grad returns and earlier results are never
+    written to, and a non-finite gradient is still caught."""
+
+    def objective(self, per_column, corrupt=None):
+        """Gram-pair objective that keeps each gradient it returns together
+        with a copy; corrupt(k, W, G) may edit the k-th gradient first."""
+        A, B, L, W0 = rejecting_problem()
+        H, AtB = A.T @ A, A.T @ B
+        returned = []
+
+        def grad(W):
+            G = H @ W - AtB
+            if corrupt is not None:
+                corrupt(len(returned) + 1, W, G)
+            returned.append((G, G.copy()))
+            return G
+
+        obj = SmoothObjective(
+            grad=grad, lipschitz=L, per_column=per_column, raw_grad=lambda W: H @ W - AtB
+        )
+        return obj, W0, returned
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at_zero", [True, False], ids=["zero-entry", "nonzero-entry"])
+    def test_one_non_finite_gradient_entry_raises(self, per_column, bad, at_zero):
+        def corrupt(k, W, G):
+            if k == 3:  # the candidate has 6 zero entries out of 24
+                G[tuple(np.argwhere((W == 0) == at_zero)[0])] = bad
+
+        obj, W0, _ = self.objective(per_column, corrupt)
+        with pytest.raises(NumericalError, match="iteration 3"):
+            fista(obj, 0.3, W0, max_iter=20, tol=0.0)
+
+    def test_inputs_and_returned_gradients_never_written(self, per_column):
+        obj, W0, returned = self.objective(per_column)
+        keep = W0.copy()
+        fista(obj, 0.05, W0, max_iter=60, tol=0.0)
+        assert np.array_equal(W0, keep)
+        assert len(returned) == 60
+        for k, (G, copy) in enumerate(returned, 1):
+            assert np.array_equal(G, copy), f"gradient {k} was overwritten"
+
+    def test_consecutive_solves_return_independent_arrays(self, per_column):
+        obj, W0, _ = self.objective(per_column)
+        first = fista(obj, 0.05, W0, max_iter=60, tol=0.0)
+        keep = first.copy()
+        second = fista(obj, 0.05, W0, max_iter=60, tol=0.0)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, keep) and np.array_equal(second, keep)
+        second[...] = 0.0
+        assert np.array_equal(first, keep)
+
 
 class TestFistaIterationCount:
     """fista calls obj.grad once per iteration and never obj.value, so a
@@ -636,6 +727,34 @@ def test_admm_matches_fixed_sweep_loop(d, k, n, eta, rho, iters, seed):
         floor = np.sqrt(d * k) * ADMM_TOL
         assert r <= floor + ADMM_TOL * max(np.linalg.norm(D_o), np.linalg.norm(Z_o))
         assert s <= floor + ADMM_TOL * rho * np.linalg.norm(U_o)
+
+
+@pytest.mark.parametrize(
+    "d, k, n, codes",
+    [(250, 25, 250, "random"), (6, 10, 12, "random"), (30, 5, 20, "zero"), (9, 0, 20, "zero")],
+    ids=["tall", "wide", "zero-codes", "no-code-rows"],
+)
+def test_admm_reduced_basis_matches_fixed_sweep_loop(d, k, n, codes):
+    """admm_nuclear sweeps the coordinates of an orthonormal basis Q of
+    span(2 V X^T); against admm_fixed_sweeps, which sweeps the full d x k
+    iterates, at the train_shared shape (d = 250, k = 25), with more code
+    rows than features (Q is d x d), with X = 0 (V X^T = 0) and with no
+    code rows (one sweep, a d x 0 result)."""
+    rng = np.random.default_rng(d * 100 + k)
+    V = rng.standard_normal((d, 8)) @ rng.standard_normal((8, n))
+    X = rng.standard_normal((k, n)) if codes == "random" else np.zeros((k, n))
+    Z, res = admm_nuclear(V, X, eta=2.0, rho=1.0, iters=100, return_residuals=True)
+    assert Z.shape == (d, k)
+    D_o, Z_o, U_o, Z_prev_o = admm_fixed_sweeps(V, X, 2.0, 1.0, len(res))
+    scale = max(np.linalg.norm(D_o), np.linalg.norm(Z_o), np.linalg.norm(U_o))
+    assert np.linalg.norm(Z - Z_o) <= 1e-10 * scale
+    r, s = res[-1]
+    assert abs(r - np.linalg.norm(D_o - Z_o)) <= 1e-10 * scale
+    assert abs(s - np.linalg.norm(Z_o - Z_prev_o)) <= 1e-10 * scale
+    if codes == "zero":
+        assert res == [(0.0, 0.0)] and not Z.any()
+    else:
+        assert 1 < len(res) < 100  # stopped on its residuals
 
 
 class TestPowerIterationLipschitz:
