@@ -8,6 +8,9 @@ and partially inspectable.
 """
 
 import os
+from dataclasses import fields
+
+import numpy as np
 
 from .data import (
     DictionaryBundle,
@@ -21,34 +24,41 @@ from .matio import load_matrix, save_matrix
 
 FORMAT_VERSION = 1
 
+# one column per IterationRecord field, in field order
 TRACE_HEADER = "iter,objective,fidelity,l1,fisher,nuclear,seconds"
+_TRACE_FIELDS = fields(IterationRecord)
+_TRACE_FORMAT = {int: "d", float: ".17g"}
 
-_INT_KEYS = ("c", "d", "k_c", "k0", "seed", "format_version")
-_FLOAT_KEYS = ("lambda1", "lambda2", "eta", "w")
-# optional: archives written before they were stored load with the defaults
+# size key -> smallest valid value
+_SIZES = {"c": 1, "d": 1, "k_c": 1, "k0": 0}
+# archives written before the budgets were stored load with the defaults
 _BUDGET_KEYS = ("outer_iters", "fista_iters", "admm_iters")
+# the meta schema in file order: (key, type, default when absent, or None
+# when required). A value is written as str() of its type's conversion, so
+# numpy scalars come out as plain numbers, and read back by the same type.
+_META = (
+    *((key, int, None) for key in _SIZES),
+    *(
+        (f.name, f.type, f.default if f.name in _BUDGET_KEYS else None)
+        for f in fields(HyperParams)
+    ),
+    ("format_version", int, None),
+    ("status", str, "ok"),
+)
 
 
 def _meta_lines(model):
     dicts = model.dict_bundle
-    h = model.hyper
-    pairs = [
-        ("c", dicts.C),
-        ("d", dicts.d),
-        ("k_c", dicts.k_c),
-        ("k0", dicts.k0),
-        ("lambda1", repr(h.lambda1)),
-        ("lambda2", repr(h.lambda2)),
-        ("eta", repr(h.eta)),
-        ("w", repr(h.w)),
-        ("outer_iters", h.outer_iters),
-        ("fista_iters", h.fista_iters),
-        ("admm_iters", h.admm_iters),
-        ("seed", h.seed),
-        ("format_version", FORMAT_VERSION),
-        ("status", "aborted" if model.aborted else "ok"),
-    ]
-    return [f"{k}={v}\n" for k, v in pairs]
+    values = {
+        "c": dicts.C,
+        "d": dicts.d,
+        "k_c": dicts.k_c,
+        "k0": dicts.k0,
+        **{f.name: getattr(model.hyper, f.name) for f in fields(HyperParams)},
+        "format_version": FORMAT_VERSION,
+        "status": "aborted" if model.aborted else "ok",
+    }
+    return [f"{key}={kind(values[key])}\n" for key, kind, _ in _META]
 
 
 def write_trace(trace, path):
@@ -56,10 +66,8 @@ def write_trace(trace, path):
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
         for r in trace:
-            fh.write(
-                f"{r.iteration},{r.objective:.17g},{r.fidelity:.17g},"
-                f"{r.l1:.17g},{r.fisher:.17g},{r.nuclear:.17g},{r.seconds:.17g}\n"
-            )
+            row = (format(getattr(r, f.name), _TRACE_FORMAT[f.type]) for f in _TRACE_FIELDS)
+            fh.write(",".join(row) + "\n")
 
 
 def save_model(model, path):
@@ -90,16 +98,17 @@ def _parse_meta(path):
             if key in meta:
                 raise FormatError(f"duplicate meta key {key!r}")
             meta[key] = value.strip()
-    for key in _INT_KEYS + _FLOAT_KEYS:
-        if key not in meta:
+    parsed = {}
+    for key, kind, default in _META:
+        if key not in meta and default is None:
             raise FormatError(f"meta is missing key {key!r}")
-    try:
-        parsed = {k: int(meta[k]) for k in _INT_KEYS}
-        parsed.update({k: float(meta[k]) for k in _FLOAT_KEYS})
-        parsed.update({k: int(meta[k]) for k in _BUDGET_KEYS if k in meta})
-    except ValueError as exc:
-        raise FormatError(f"unparseable meta value: {exc}") from exc
-    parsed["status"] = meta.get("status", "ok")
+        try:
+            parsed[key] = kind(meta[key]) if key in meta else default
+        except ValueError as exc:
+            raise FormatError(f"unparseable meta value: {exc}") from exc
+    for key, low in _SIZES.items():
+        if parsed[key] < low:
+            raise FormatError(f"meta {key}={parsed[key]} must be >= {low}")
     if parsed["format_version"] != FORMAT_VERSION:
         raise FormatError(
             f"unrecognized format_version {parsed['format_version']}"
@@ -125,19 +134,13 @@ def _parse_trace(path):
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 7:
-                raise FormatError(f"trace line {ln} has {len(parts)} fields, expected 7")
+            if len(parts) != len(_TRACE_FIELDS):
+                raise FormatError(
+                    f"trace line {ln} has {len(parts)} fields, expected {len(_TRACE_FIELDS)}"
+                )
             try:
                 records.append(
-                    IterationRecord(
-                        iteration=int(parts[0]),
-                        objective=float(parts[1]),
-                        fidelity=float(parts[2]),
-                        l1=float(parts[3]),
-                        fisher=float(parts[4]),
-                        nuclear=float(parts[5]),
-                        seconds=float(parts[6]),
-                    )
+                    IterationRecord(*(f.type(p) for f, p in zip(_TRACE_FIELDS, parts)))
                 )
             except ValueError as exc:
                 raise FormatError(f"unparseable trace line {ln}: {exc}") from exc
@@ -151,27 +154,15 @@ def load_model(path):
     missing files surface as OSError.
     """
     meta = _parse_meta(os.path.join(path, "meta"))
-    C, d, k_c, k0 = meta["c"], meta["d"], meta["k_c"], meta["k0"]
+    C, d, k_c, k0 = (meta[key] for key in _SIZES)
     K = C * k_c
     D = _load_checked(path, "D.lmx", (d, K))
     D0 = _load_checked(path, "D0.lmx", (d, k0))
     class_means = _load_checked(path, "means_mc.lmx", (K, C))
     m0 = _load_checked(path, "mean_m0.lmx", (k0, 1)).ravel()
-    dicts = DictionaryBundle(
-        class_dicts=tuple(
-            D[:, (c - 1) * k_c : c * k_c].copy() for c in range(1, C + 1)
-        ),
-        shared_dict=D0,
-    )
+    dicts = DictionaryBundle(class_dicts=tuple(np.hsplit(D, C)), shared_dict=D0)
     means = MeanStats(class_means=class_means, shared_mean=m0)
-    hyper = HyperParams(
-        lambda1=meta["lambda1"],
-        lambda2=meta["lambda2"],
-        eta=meta["eta"],
-        w=meta["w"],
-        seed=meta["seed"],
-        **{k: meta[k] for k in _BUDGET_KEYS if k in meta},
-    )
+    hyper = HyperParams(**{f.name: meta[f.name] for f in fields(HyperParams)})
     trace = _parse_trace(os.path.join(path, "trace.csv"))
     return LearnedModel(
         dict_bundle=dicts,

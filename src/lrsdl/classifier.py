@@ -138,11 +138,14 @@ def score_predictions(labels, predicted, C):
     """Accuracy and confusion matrix of predicted against true labels.
 
     confusion[i, j] counts true class i+1 predicted as j+1, so rows sum
-    to the per-class counts. True labels outside 1..C raise DataError.
+    to the per-class counts. No samples, or true labels outside 1..C,
+    raise DataError.
     """
     labels = np.asarray(labels, dtype=int)
     predicted = np.asarray(predicted, dtype=int)
-    if labels.size and (labels.min() < 1 or labels.max() > C):
+    if not labels.size:
+        raise DataError("no labeled samples to score")
+    if labels.min() < 1 or labels.max() > C:
         raise DataError(f"true labels must lie in 1..{C}")
     confusion = np.zeros((C, C), dtype=int)
     np.add.at(confusion, (labels - 1, predicted - 1), 1)

@@ -17,6 +17,7 @@ from .matio import load_labels, load_matrix, save_labels, save_matrix
 
 
 def _build_parser():
+    hyper = HyperParams()
     parser = argparse.ArgumentParser(
         prog="lrsdl",
         description="Train and apply discriminative dictionaries with a "
@@ -41,12 +42,12 @@ def _build_parser():
     p.add_argument("--labels", required=True, help="label file, one integer per line")
     p.add_argument("--kc", type=int, required=True, help="atoms per class dictionary")
     p.add_argument("--k0", type=int, default=0, help="shared dictionary size")
-    p.add_argument("--lambda1", type=float, default=0.001)
-    p.add_argument("--lambda2", type=float, default=0.01)
-    p.add_argument("--eta", type=float, default=0.1, help="nuclear-norm weight")
-    p.add_argument("--iters", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--w", type=float, default=0.5, help="residual/coefficient score mix")
+    p.add_argument("--lambda1", type=float, default=hyper.lambda1)
+    p.add_argument("--lambda2", type=float, default=hyper.lambda2)
+    p.add_argument("--eta", type=float, default=hyper.eta, help="nuclear-norm weight")
+    p.add_argument("--iters", type=int, default=hyper.outer_iters)
+    p.add_argument("--seed", type=int, default=hyper.seed)
+    p.add_argument("--w", type=float, default=hyper.w, help="residual/coefficient score mix")
     p.add_argument("--out", required=True, help="model archive directory")
     p.set_defaults(func=_cmd_train)
 
@@ -61,8 +62,8 @@ def _build_parser():
     p = sub.add_parser("bench", help="compare joint and per-class coders")
     p.add_argument("--data", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--iters", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=int, default=hyper.outer_iters)
+    p.add_argument("--seed", type=int, default=hyper.seed)
     p.add_argument("--out", required=True, help="output directory for trace CSVs")
     p.set_defaults(func=_cmd_bench)
     return parser

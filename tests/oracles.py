@@ -279,7 +279,9 @@ def fista_one_product(grad, L, lam, W0, max_iter, tol):
     t = 1.0
 
     def shrink(V, tau):
-        return np.sign(V) * np.maximum(np.abs(V) - tau, 0.0)
+        # adding 0.0 turns the -0.0 of a shrunk negative entry into 0.0,
+        # the zero that w - clip(w, -tau, tau) gives
+        return np.sign(V) * np.maximum(np.abs(V) - tau, 0.0) + 0.0
 
     def objective(V, G):
         return 0.5 * float(np.vdot(V, G + G0)) + lam * np.abs(V).sum()

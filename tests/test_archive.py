@@ -119,6 +119,20 @@ class TestRoundTrip:
             admm_iters=default.admm_iters,
         )
 
+    def test_every_hyperparameter_written_and_loaded(self, trained, tmp_path):
+        # numpy scalars (say from np.logspace) are written as plain numbers
+        _, model = trained
+        hyper = HyperParams(
+            lambda1=np.float64(0.003), lambda2=np.float64(0.02), eta=np.float64(0.2),
+            w=np.float64(0.25), outer_iters=np.int64(7), fista_iters=np.int64(40),
+            admm_iters=np.int64(30), seed=np.int64(11),
+        )
+        save_model(dataclasses.replace(model, hyper=hyper), str(tmp_path / "arc"))
+        lines = (tmp_path / "arc" / "meta").read_text().splitlines()
+        for f in dataclasses.fields(HyperParams):
+            assert f"{f.name}={f.type(getattr(hyper, f.name))}" in lines, f.name
+        assert load_model(str(tmp_path / "arc")).hyper == hyper
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 weight = st.floats(min_value=-0.0, allow_infinity=False)  # -0.0 included
@@ -138,7 +152,8 @@ records = st.builds(
 def models(draw):
     """Archivable models: layouts with k0 = 0 included, unit-bounded
     dictionary columns with signed zeros, arbitrary finite means and
-    weights, non-default budgets, the aborted flag and 0-3 trace records."""
+    weights, non-default budgets, hyperparameters as Python or numpy
+    scalars, the aborted flag and 0-3 trace records."""
     C, d, k_c = (draw(st.integers(1, hi)) for hi in (3, 5, 3))
     k0 = draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -157,16 +172,21 @@ def models(draw):
         class_means=draw(hnp.arrays(float, (C * k_c, C), elements=finite)),
         shared_mean=draw(hnp.arrays(float, (k0,), elements=finite)),
     )
+
+    def scalar(values, np_type):
+        # a plain Python number or the numpy scalar of the same value
+        return draw(st.one_of(values, values.map(np_type)))
+
     budget = st.integers(1, 10**6)
     hyper = HyperParams(
-        lambda1=draw(weight),
-        lambda2=draw(weight),
-        eta=draw(weight),
-        w=draw(st.floats(min_value=-0.0, max_value=1.0)),
-        outer_iters=draw(budget),
-        fista_iters=draw(budget),
-        admm_iters=draw(budget),
-        seed=draw(st.integers(0, 2**63 - 1)),
+        lambda1=scalar(weight, np.float64),
+        lambda2=scalar(weight, np.float64),
+        eta=scalar(weight, np.float64),
+        w=scalar(st.floats(min_value=-0.0, max_value=1.0), np.float64),
+        outer_iters=scalar(budget, np.int64),
+        fista_iters=scalar(budget, np.int64),
+        admm_iters=scalar(budget, np.int64),
+        seed=scalar(st.integers(0, 2**63 - 1), np.int64),
     )
     return LearnedModel(
         dict_bundle=dicts,
@@ -195,8 +215,9 @@ def test_generated_models_round_trip_bit_for_bit(model):
     assert same_bits(back.mean_stats.class_means, model.mean_stats.class_means)
     assert same_bits(back.mean_stats.shared_mean, model.mean_stats.shared_mean)
     for f in dataclasses.fields(HyperParams):
-        a, b = getattr(back.hyper, f.name), getattr(model.hyper, f.name)
-        assert type(a) is type(b) and same_bits(a, b), f.name
+        # a numpy scalar loads back as the field's plain type
+        a, b = getattr(back.hyper, f.name), f.type(getattr(model.hyper, f.name))
+        assert type(a) is f.type and same_bits(a, b), f.name
     assert back.aborted == model.aborted
     assert len(back.trace) == len(model.trace)
     for a, b in zip(back.trace, model.trace):
@@ -250,12 +271,16 @@ class TestCorruption:
             load_model(str(arc))
 
     def test_meta_missing_key(self, trained, tmp_path):
+        # every key but the budgets and the status is required
         arc = self.write(trained, tmp_path)
         meta = arc / "meta"
-        kept = [ln for ln in meta.read_text().splitlines() if not ln.startswith("eta=")]
-        meta.write_text("\n".join(kept) + "\n")
-        with pytest.raises(FormatError, match="missing"):
-            load_model(str(arc))
+        full = meta.read_text().splitlines()
+        required = ("c", "d", "k_c", "k0", "lambda1", "lambda2", "eta", "w", "seed",
+                    "format_version")
+        for key in required:
+            meta.write_text("\n".join(ln for ln in full if not ln.startswith(f"{key}=")) + "\n")
+            with pytest.raises(FormatError, match=f"missing key '{key}'"):
+                load_model(str(arc))
 
     def test_meta_unparseable_value(self, trained, tmp_path):
         arc = self.write(trained, tmp_path)
@@ -271,6 +296,18 @@ class TestCorruption:
         text = meta.read_text().replace("format_version=1", "format_version=2")
         meta.write_text(text)
         with pytest.raises(FormatError, match="format_version"):
+            load_model(str(arc))
+
+    @pytest.mark.parametrize("key,value", [("c", 0), ("d", 0), ("k_c", 0), ("k0", -1)])
+    def test_meta_impossible_size(self, trained, tmp_path, key, value):
+        arc = self.write(trained, tmp_path)
+        meta = arc / "meta"
+        lines = [
+            f"{key}={value}" if ln.startswith(f"{key}=") else ln
+            for ln in meta.read_text().splitlines()
+        ]
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"meta {key}={value} "):
             load_model(str(arc))
 
     def test_matrix_shape_mismatch(self, trained, tmp_path):

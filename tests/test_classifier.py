@@ -17,6 +17,7 @@ from lrsdl.classifier import (
     classify,
     encode_test,
     evaluate,
+    score_predictions,
 )
 from lrsdl.classifier import test_coding_lipschitz as coding_lipschitz
 from lrsdl.data import (
@@ -381,6 +382,14 @@ class TestEvaluate:
             evaluate((Y, labels + 0.5), model)
         with pytest.raises(DataError):
             evaluate((Y, np.full(4, model.C + 1)), model)
+
+    def test_empty_labeled_set_rejected(self):
+        # an accuracy over no samples is undefined, not NaN
+        _, model = fitted_model(seed=26)
+        with pytest.raises(DataError, match="no labeled samples"):
+            evaluate((np.zeros((model.d, 0)), np.zeros(0, dtype=int)), model)
+        with pytest.raises(DataError, match="no labeled samples"):
+            score_predictions([], [], model.C)
 
 
 class TestBatchedClassify:

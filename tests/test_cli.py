@@ -13,7 +13,7 @@ import pytest
 from lrsdl.archive import _parse_trace, load_model
 from lrsdl.classifier import classify
 from lrsdl.cli import main
-from lrsdl.matio import load_matrix
+from lrsdl.matio import load_matrix, save_matrix
 
 
 def run(capsys, *argv):
@@ -233,6 +233,28 @@ class TestClassify:
         assert "1..3" in err
         assert "accuracy=" not in stdout
         assert not os.path.exists(out)
+
+    def test_empty_labeled_set_exit_2(self, capsys, tmp_path, dataset):
+        # an accuracy over no samples is undefined; an unlabeled empty batch
+        # still writes its (empty) predictions
+        model_dir = self.fit_model(capsys, tmp_path, dataset)
+        empty = str(tmp_path / "empty.lmx")
+        save_matrix(np.zeros((12, 0)), empty)
+        no_labels = tmp_path / "no_labels.csv"
+        no_labels.write_text("")
+        out = str(tmp_path / "preds")
+        code, stdout, err = run(
+            capsys, "classify", "--model", model_dir, "--data", empty,
+            "--labels", str(no_labels), "--out", out,
+        )
+        assert code == 2
+        assert "no labeled samples" in err
+        assert "accuracy=" not in stdout
+        assert not os.path.exists(out)
+        code, _, _ = run(capsys, "classify", "--model", model_dir, "--data", empty, "--out", out)
+        assert code == 0
+        with open(os.path.join(out, "predictions.csv")) as fh:
+            assert fh.read() == "index,true_label,pred_label,score_pred\n"
 
     def test_unlabeled_run(self, capsys, tmp_path, dataset):
         model_dir = self.fit_model(capsys, tmp_path, dataset)

@@ -13,15 +13,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lrsdl import learner
 from lrsdl.data import (
     CoefBundle,
     Dataset,
+    DictionaryBundle,
     HyperParams,
     generate_synthetic,
     normalize_columns,
 )
 from lrsdl.errors import ParameterError
-from lrsdl.gradients import lrsdl_objective
+from lrsdl.gradients import lrsdl_objective, objective_terms
 from lrsdl.learner import (
     TrainConfig,
     bench_joint_vs_sequential,
@@ -269,6 +271,40 @@ class TestFitTraces:
         for rec in model.trace:
             ref = seen[rec.iteration]
             assert abs(rec.objective - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    def test_worse_shared_dictionary_is_rejected(self, monkeypatch):
+        # a random unit-norm candidate fits worse than the current D0, so
+        # fit must keep the current D0 and trace the objective at it
+        data, cfg = self.make(k0=2)
+        rng = np.random.default_rng(0)
+        candidates = []
+
+        def random_dict(V, X0, *args):
+            candidates.append(normalize_columns(rng.standard_normal((V.shape[0], X0.shape[0]))))
+            return candidates[-1]
+
+        monkeypatch.setattr(learner, "update_shared_dict", random_dict)
+        seen = {}
+
+        def snoop(it, ndata, dicts, coefs):
+            cand = DictionaryBundle(class_dicts=dicts.class_dicts, shared_dict=candidates[-1])
+            seen[it] = (
+                dicts.shared_dict,
+                objective_terms(ndata, dicts, coefs, cfg.hyper),
+                objective_terms(ndata, cand, coefs, cfg.hyper).total,
+            )
+
+        model = fit(data, cfg, iteration_callback=snoop)
+        init, _ = initialize(normalized(data), cfg, cfg.hyper.seed)
+        assert len(candidates) == len(model.trace) == cfg.hyper.outer_iters
+        for rec in model.trace:
+            D0, terms, cand_total = seen[rec.iteration]
+            assert cand_total > terms.total
+            assert np.array_equal(D0, init.shared_dict)
+            assert (rec.objective, rec.fidelity, rec.l1, rec.fisher, rec.nuclear) == (
+                terms.total, terms.fidelity, terms.l1, terms.fisher, terms.nuclear
+            )
+        assert np.array_equal(model.dict_bundle.shared_dict, init.shared_dict)
 
     def test_shared_rank_collapses_under_penalty(self):
         data, _ = generate_synthetic(

@@ -288,9 +288,7 @@ class TestFistaColumnBlocks:
 
         out = fista(SmoothObjective(grad=grad, lipschitz=L), 0.05, W0, 60, 0.0)
         ref, _ = fista_one_product(grad, L, 0.05, W0, 60, 0.0)
-        # adding 0.0 turns -0.0 into 0.0: the reference's sign(w) * 0 keeps
-        # the sign of a shrunk negative entry, w - clip(w, -tau, tau) does not
-        assert (out + 0.0).tobytes() == (ref + 0.0).tobytes()
+        assert out.tobytes() == ref.tobytes()
 
     def test_mixed_column_steps_match_each_column_alone(self):
         # some columns accept a step while others reject it
