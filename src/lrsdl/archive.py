@@ -29,6 +29,7 @@ TRACE_HEADER = "iter,objective,fidelity,l1,fisher,nuclear,seconds"
 _TRACE_FIELDS = fields(IterationRecord)
 _TRACE_FORMAT = {int: "d", float: ".17g"}
 
+_STATUSES = ("ok", "aborted")
 # size key -> smallest valid value
 _SIZES = {"c": 1, "d": 1, "k_c": 1, "k0": 0}
 # archives written before the budgets were stored load with the defaults
@@ -113,6 +114,11 @@ def _parse_meta(path):
         raise FormatError(
             f"unrecognized format_version {parsed['format_version']}"
         )
+    unknown = meta.keys() - parsed.keys()
+    if unknown:
+        raise FormatError(f"unknown meta key {min(unknown)!r}")
+    if parsed["status"] not in _STATUSES:
+        raise FormatError(f"meta status={parsed['status']} must be one of {_STATUSES}")
     return parsed
 
 

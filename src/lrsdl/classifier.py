@@ -8,9 +8,10 @@ of the code to the class's training code mean. Smallest score wins.
 
 Every entry point takes one sample (d,) or a batch (d, N). A batch is
 coded in one FISTA solve over the precomputed Gram matrix; its safeguard
-accepts, rejects and stops each column on its own, so each sample takes
-the steps a solve of that sample alone takes. Only round-off differs
-(BLAS sums a matrix product in another order than a matrix-vector one).
+accepts, rejects, restarts and stops each column on its own, so each
+sample takes the steps a solve of that sample alone takes. Only round-off
+differs (BLAS sums a matrix product in another order than a matrix-vector
+one).
 """
 
 import logging
@@ -78,7 +79,7 @@ def encode_test(Y, model):
     Samples are unit normalized first, matching training; zero samples
     are logged here, once per call. Returns a (K + k0,) code for one
     sample and a (K + k0, N) matrix for a batch, whose columns fista
-    accepts, rejects and stops one by one.
+    accepts, rejects, restarts and stops one by one.
     """
     dicts = model.dict_bundle
     Yn, zero = _normalize_samples(_as_samples(Y, dicts.d))

@@ -122,33 +122,36 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
             ||W_k - W_{k-1}||_F / max(1, ||W_{k-1}||_F) drops below tol
             on an accepted step.
 
-    Returns the final iterate. Candidates that would increase the
-    composite objective are rejected (the previous iterate is kept while
-    the momentum sequence still advances on the candidate), so recorded
-    objective values are non-increasing.
+    Returns the final iterate. A candidate that would increase the
+    composite objective is rejected: the previous iterate is kept and the
+    momentum restarts, Z = W and t = 1, so the next candidate is a plain
+    proximal gradient step from W (the function scheme of O'Donoghue and
+    Candes, Adaptive restart for accelerated gradient schemes, 2015).
+    Recorded objective values are therefore non-increasing. An accepted
+    candidate moves the momentum point to Z = cand + b (cand - W) with
+    b = (t - 1) / t_new.
 
     Each iteration calls obj.grad once, at the candidate. As the gradient
-    is affine, the rest follows by linearity: the momentum point
-    Z = W_new + a (cand - W_new) + b (W_new - W) has coefficients summing
-    to 1, so its gradient is the same combination of theirs, and the
-    safeguard compares g(W) - g(0) = 1/2 <W, grad(W) + grad(0)>. The
-    gradients at W0 and at 0 come from obj.raw_grad, once per solve. A
-    non-finite gradient entry makes that inner product non-finite (0 * inf
-    is NaN), so checking the candidate's value checks its gradient too.
+    is affine, the rest follows by linearity: the coefficients of Z sum to
+    1, so its gradient is the same combination of the gradients at cand
+    and W, and the safeguard compares g(W) - g(0) = 1/2 <W, grad(W) +
+    grad(0)>. The gradients at W0 and at 0 come from obj.raw_grad, once
+    per solve. A non-finite gradient entry makes that inner product
+    non-finite (0 * inf is NaN), so checking the candidate's value checks
+    its gradient too.
 
     The safeguard works on blocks: the whole matrix, or each column when
-    obj.per_column is set. A column block is accepted or rejected, and
-    stops, on its own values and its own relative change; once stopped it
-    is frozen, and the solve ends when every block has stopped or the
-    budget is spent. The momentum weight t depends only on the iteration
-    count, so when grad computes each column by the same arithmetic in a
-    batch as alone, each column gets the bits a solve of it alone returns.
+    obj.per_column is set. A column block is accepted or rejected, restarts
+    and stops on its own values and its own relative change, with its own
+    momentum weight t; once stopped it is frozen, and the solve ends when
+    every block has stopped or the budget is spent. A block's t depends
+    only on its own accepts and rejects, so when grad computes each column
+    by the same arithmetic in a batch as alone, each column gets the bits a
+    solve of it alone returns.
 
     The loop runs in place: the iterate, the candidate, the momentum point,
     their gradients and the scratch space are allocated once per solve, and
-    no array that obj.grad returns is written to. With W_new = cand the
-    momentum point is cand + b (cand - W), and with W_new = W it is
-    W + a (cand - W).
+    no array that obj.grad returns is written to.
     """
     if not lam >= 0:  # also rejects NaN
         raise ParameterError(f"l1 weight must be >= 0, got {lam}")
@@ -182,6 +185,7 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
             return np.isfinite(F).all()
 
         live = np.ones(W.shape[1], dtype=bool)
+        t_start = np.ones(W.shape[1])
     else:
         # the whole matrix is one block: plain scalars
 
@@ -194,6 +198,7 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
         sqrt, larger, select, any_live = math.sqrt, max, _pick, bool
         split, finite = _split_whole, math.isfinite
         live = np.True_
+        t_start = 1.0
 
     def objective(M, G):
         """g(M) - g(0) + lam ||M||_1 from the gradient G at M (the inner
@@ -201,7 +206,7 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
         return 0.5 * inner(M, np.add(G, G0, out=scratch)) + lam * l1(M)
 
     F = objective(W, GW)
-    t = 1.0
+    t = t_start
     # a non-finite gradient entry meets a zero of the candidate as 0 * inf:
     # that NaN is caught by the finiteness check, not warned about
     with np.errstate(invalid="ignore"):
@@ -215,22 +220,21 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
                 raise NumericalError(f"non-finite gradient or objective at iteration {k}")
             accepted = live & (F_cand <= F)
             F = select(accepted, F_cand, F)
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            a, b = t / t_new, (t - 1.0) / t_new
+            t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
+            b = (t - 1.0) / t_new
             kept, rejected = split(accepted)
             step = np.subtract(cand, W, out=scratch)
             rel = sqrt(inner(step, step)) / larger(1.0, sqrt(inner(W, W)))
             np.add(cand, np.multiply(step, b, out=Z), out=Z)
-            if rejected is not None:
-                Z[rejected] = W[rejected] + a * step[rejected]
+            np.add(G, np.multiply(np.subtract(G, GW, out=scratch), b, out=GZ), out=GZ)
+            if rejected is not None:  # restart: Z, GZ = W, GW and t = 1
+                Z[rejected] = W[rejected]
+                GZ[rejected] = GW[rejected]
                 cand[rejected] = W[rejected]  # cand now holds W_new
-            dG = np.subtract(G, GW, out=scratch)
-            np.add(G, np.multiply(dG, b, out=GZ), out=GZ)
-            if rejected is not None:
-                GZ[rejected] = GW[rejected] + a * dG[rejected]
             if kept is not None:
                 GW[kept] = G[kept]
-            W, cand, t = cand, W, t_new
+            W, cand = cand, W
+            t = select(accepted, t_new, t_start)
             live = live & ~(accepted & (rel < tol))
             if not any_live(live):
                 break

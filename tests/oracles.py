@@ -232,11 +232,13 @@ def stacked_fidelity(Y, class_dicts, X, labels):
 
 def mfista_one_block(grad, value, L, lam, W0, max_iter, tol):
     """Monotone FISTA (Beck & Teboulle 2009) with the whole matrix as one
-    safeguard block, written out with Python scalars: a candidate is kept
-    only if it does not raise g + lam ||.||_1, and the solve stops on an
-    accepted step whose relative change is below tol. It evaluates the
-    gradient at every momentum point and g through its own value function,
-    so it needs no linearity: the direct reference for prox.fista.
+    safeguard block and the function restart scheme (O'Donoghue & Candes
+    2015), written out with Python scalars: a candidate is kept only if it
+    does not raise g + lam ||.||_1, a rejected one restarts the momentum
+    (Z = W, t = 1), and the solve stops on an accepted step whose relative
+    change is below tol. It evaluates the gradient at every momentum point
+    and g through its own value function, so it needs no linearity: the
+    direct reference for prox.fista.
     """
     W = np.array(W0, dtype=float)
     Z = W
@@ -248,29 +250,28 @@ def mfista_one_block(grad, value, L, lam, W0, max_iter, tol):
     F = value(W) + lam * np.abs(W).sum()
     for _ in range(max_iter):
         cand = shrink(Z - grad(Z) / L, lam / L)
-        W_new, accepted = cand, True
         F_cand = value(cand) + lam * np.abs(cand).sum()
-        if F_cand <= F:
-            F = F_cand
-        else:
-            W_new, accepted = W, False
+        if F_cand > F:
+            Z, t = W, 1.0
+            continue
+        F = F_cand
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        Z = W_new + (t / t_new) * (cand - W_new) + ((t - 1.0) / t_new) * (W_new - W)
-        rel = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))
-        W, t = W_new, t_new
-        if accepted and rel < tol:
+        Z = cand + ((t - 1.0) / t_new) * (cand - W)
+        rel = np.linalg.norm(cand - W) / max(1.0, np.linalg.norm(W))
+        W, t = cand, t_new
+        if rel < tol:
             break
     return W
 
 
 def fista_one_product(grad, L, lam, W0, max_iter, tol):
-    """The same monotone FISTA for a quadratic g, with one gradient call per
-    iteration, written out with Python scalars: the gradient at the
-    momentum point is the same affine combination of kept gradients as the
-    point itself, and g(W) - g(0) = 1/2 <W, grad(W) + grad(0)>. Operation
-    for operation this is the arithmetic prox.fista uses with the whole
-    matrix as one block, so the two agree bit for bit. Returns the final
-    iterate and the number of iterations run.
+    """The same restarted monotone FISTA for a quadratic g, with one
+    gradient call per iteration, written out with Python scalars: the
+    gradient at the momentum point is the same affine combination of kept
+    gradients as the point itself, and g(W) - g(0) = 1/2 <W, grad(W) +
+    grad(0)>. Operation for operation this is the arithmetic prox.fista
+    uses with the whole matrix as one block, so the two agree bit for bit.
+    Returns the final iterate and the number of iterations run.
     """
     W = np.array(W0, dtype=float)
     GW = grad(W)
@@ -291,18 +292,17 @@ def fista_one_product(grad, L, lam, W0, max_iter, tol):
         cand = shrink(Z - GZ / L, lam / L)
         G = grad(cand)
         F_cand = objective(cand, G)
-        accepted = F_cand <= F
-        if accepted:
-            W_new, GW_new, F = cand, G, F_cand
-        else:
-            W_new, GW_new = W, GW
+        if F_cand > F:
+            Z, GZ, t = W, GW, 1.0
+            continue
+        F = F_cand
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        a, b = t / t_new, (t - 1.0) / t_new
-        Z = W_new + a * (cand - W_new) + b * (W_new - W)
-        GZ = GW_new + a * (G - GW_new) + b * (GW_new - GW)
-        rel = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))
-        W, GW, t = W_new, GW_new, t_new
-        if accepted and rel < tol:
+        b = (t - 1.0) / t_new
+        Z = cand + b * (cand - W)
+        GZ = G + b * (G - GW)
+        rel = np.linalg.norm(cand - W) / max(1.0, np.linalg.norm(W))
+        W, GW, t = cand, G, t_new
+        if rel < tol:
             break
     return W, k
 

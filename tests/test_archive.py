@@ -298,6 +298,22 @@ class TestCorruption:
         with pytest.raises(FormatError, match="format_version"):
             load_model(str(arc))
 
+    def test_meta_unknown_key(self, trained, tmp_path):
+        # a misspelled key is not dropped: a new key needs a format bump
+        arc = self.write(trained, tmp_path)
+        meta = arc / "meta"
+        meta.write_text(meta.read_text() + "lamda1=5\n")
+        with pytest.raises(FormatError, match="unknown meta key 'lamda1'"):
+            load_model(str(arc))
+
+    def test_meta_unknown_status(self, trained, tmp_path):
+        # a misspelled aborted status does not load as a completed model
+        arc = self.write(trained, tmp_path)
+        meta = arc / "meta"
+        meta.write_text(meta.read_text().replace("status=ok", "status=abortd"))
+        with pytest.raises(FormatError, match="status=abortd"):
+            load_model(str(arc))
+
     @pytest.mark.parametrize("key,value", [("c", 0), ("d", 0), ("k_c", 0), ("k0", -1)])
     def test_meta_impossible_size(self, trained, tmp_path, key, value):
         arc = self.write(trained, tmp_path)
