@@ -126,6 +126,8 @@ class Dataset:
             raise DataError("sample matrix contains NaN or Inf")
         if labels.size == 0:
             raise DomainError("dataset has no samples")
+        if labels.dtype == bool:
+            raise DataError("labels must be integers, not booleans")
         if not np.issubdtype(labels.dtype, np.integer):
             flabels = np.asarray(labels, dtype=float)
             if not np.isfinite(flabels).all():
@@ -444,8 +446,10 @@ def generate_synthetic(
         raise ParameterError(
             f"shared_rank={shared_rank} must lie in [0, min(d={d}, k0={k0})]"
         )
-    if noise_sigma < 0:
-        raise ParameterError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < np.inf:  # also rejects NaN
+        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if not np.isfinite(shared_scale):
+        raise ParameterError(f"shared_scale must be finite, got {shared_scale}")
     rng = np.random.default_rng(seed)
 
     class_dicts = []

@@ -12,8 +12,11 @@ shared dictionary fits the shared-layer target V = Y - 1/2 D M(X)
 
     min_D0  ||V - D0 X0||_F^2 + eta ||D0||_*,
 
-the same V whose Gram pair B = 2 D0^T V drives the shared codes. With
-k0 = 0 every shared array is empty and the step returns a d x 0 matrix.
+the same V whose Gram pair B = 2 D0^T V drives the shared codes. This is
+the training objective up to terms without D0 (the two residuals holding
+D0 X0 average to V), so update_shared_dict keeps the current D0 when its
+candidate scores higher. With k0 = 0 every shared array is empty and the
+step returns a d x 0 matrix.
 """
 
 import logging
@@ -23,6 +26,7 @@ import numpy as np
 
 from .data import block_diagonal
 from .errors import DataError, DimensionError, NumericalError, ParameterError
+from .gradients import nuclear_term
 from .prox import admm_nuclear
 
 log = logging.getLogger(__name__)
@@ -116,20 +120,30 @@ def odl_update(problem, D_init, sweeps=2):
     return D
 
 
-def update_shared_dict(V, X0, eta, rho, iters):
-    """Refit the shared dictionary to the target V under a nuclear-norm
-    penalty, then rescale any column with norm above 1 back to the unit
-    sphere (rank preserving).
+def _shared_value(V, X0, D, eta):
+    """||V - D X0||_F^2 + eta ||D||_*, the shared-dictionary subproblem."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = float(np.sum((V - D @ X0) ** 2))
+    if not np.isfinite(fit):
+        raise NumericalError("shared-dictionary fit is non-finite")
+    return fit + nuclear_term(D, eta)
 
-    Logs, at debug level, the ADMM sweeps used, whether the solve stopped
-    on its tolerance or ran all ``iters`` sweeps, and the final primal and
-    dual residuals."""
-    D0, residuals = admm_nuclear(V, X0, eta, rho, iters, return_residuals=True)
+
+def update_shared_dict(V, X0, D0, eta, rho, iters):
+    """Refit the shared dictionary to the target V under a nuclear-norm
+    penalty, rescale any column with norm above 1 back to the unit sphere
+    (rank preserving), and return the current D0 instead when that
+    candidate has the higher subproblem value. Logs, at debug level, the
+    ADMM sweeps used, whether the solve stopped on its tolerance or ran all
+    ``iters`` sweeps, the final residuals, and whether the candidate was kept."""
+    cand, residuals = admm_nuclear(V, X0, eta, rho, iters, return_residuals=True)
+    norms = np.linalg.norm(cand, axis=0)
+    cand = cand / np.where(norms > 1.0, norms, 1.0)
+    kept = _shared_value(V, X0, cand, eta) <= _shared_value(V, X0, D0, eta)
     r, s = residuals[-1]
     stop = "tolerance" if len(residuals) < iters else "cap"
     log.debug(
-        "shared-dictionary ADMM: %d of %d sweeps, stopped on %s, r=%.3g s=%.3g",
-        len(residuals), iters, stop, r, s,
+        "shared-dictionary ADMM: %d of %d sweeps, stopped on %s, r=%.3g s=%.3g, candidate %s",
+        len(residuals), iters, stop, r, s, "kept" if kept else "rejected",
     )
-    norms = np.linalg.norm(D0, axis=0)
-    return D0 / np.where(norms > 1.0, norms, 1.0)
+    return cand if kept else D0

@@ -211,6 +211,18 @@ def _check_shapes(data, dicts, coefs):
         raise DimensionError("code columns do not match the dataset")
 
 
+def nuclear_term(D0, eta):
+    """eta ||D0||_*; NumericalError when the SVD fails or it is non-finite."""
+    try:
+        svals = np.linalg.svd(D0, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("nuclear term: SVD failed") from exc
+    nuclear = eta * float(svals.sum())
+    if not np.isfinite(nuclear):
+        raise NumericalError("nuclear term is non-finite")
+    return nuclear
+
+
 def objective_terms(data, dicts, coefs, hyper):
     """Evaluate every objective term literally from its definition."""
     _check_shapes(data, dicts, coefs)
@@ -230,13 +242,7 @@ def objective_terms(data, dicts, coefs, hyper):
     if not np.isfinite(fisher):
         raise NumericalError("fisher term is non-finite")
 
-    try:
-        svals = np.linalg.svd(dicts.shared_dict, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("nuclear term: SVD failed") from exc
-    nuclear = hyper.eta * float(svals.sum())
-    if not np.isfinite(nuclear):
-        raise NumericalError("nuclear term is non-finite")
+    nuclear = nuclear_term(dicts.shared_dict, hyper.eta)
     return ObjectiveTerms(fidelity=fidelity, l1=l1, fisher=fisher, nuclear=nuclear)
 
 

@@ -1,24 +1,24 @@
 """Training loop: joint sparse coding plus dictionary updates.
 
-The trainer alternates three blocks. First all coefficients are refreshed
-with an accelerated proximal solve (either jointly over every class at
-once, or class by class for the baseline coder). Then each class
-dictionary is refit with rank-one column sweeps, and finally the shared
-dictionary is refit under its nuclear-norm penalty. Every block is a
-descent step on the same objective, so the traced objective value never
-increases from one outer iteration to the next.
+The trainer alternates three blocks. One loop (_code_classes) refreshes the
+class coefficients by accelerated proximal solves over groups of classes:
+all C at once for the joint coder, one at a time for the baseline coder.
+Then each class dictionary is refit with rank-one column sweeps, and the
+shared dictionary under its nuclear-norm penalty (update_shared_dict keeps
+the current one when its candidate fits worse). Every block is a descent
+step on the same objective, so the objective, evaluated once per outer
+iteration after the three blocks, never increases between iterations.
 """
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
 
 from .data import (
     CoefBundle,
-    Dataset,
     DictionaryBundle,
     HyperParams,
     IterationRecord,
@@ -126,61 +126,47 @@ def _solve_shared_codes(data, dicts, coefs, hyper):
     return CoefBundle(X=coefs.X, X0=X0new, k_c=coefs.k_c, n_c=coefs.n_c)
 
 
-def _class_code_gram(data, dicts, coefs, lambda2):
-    """Gram pair and step size (H, corr, L) of the class-code quadratic at
-    the current shared codes: gram_class_codes and L = lambda_max(H)."""
+def _code_classes(data, dicts, coefs, hyper, group, passes, budget):
+    """Refit the class coefficients, `group` classes per FISTA call of
+    `budget` iterations and `passes` visits of every group, then X0.
+
+    Each call solves the joint class-code quadratic (gram_class_codes) on
+    its columns, with its own class means differentiated exactly, so the
+    full objective never increases. The other classes' mean sum S, frozen
+    during the call, enters B as -(lambda2 / C) S; with one group of all C
+    classes S is exactly zero and B is corr itself.
+    """
+    C, lam2 = data.C, hyper.lambda2
     _check_shapes(data, dicts, coefs)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-    H, corr = gram_class_codes(dicts, shifted, data.n_c, lambda2)
-    return H, corr, power_iteration_lipschitz(H)
+    H, corr = gram_class_codes(dicts, shifted, data.n_c, lam2)
+    L = power_iteration_lipschitz(H)
+    X = coefs.X.copy()
+    cmeans = class_means(X, C)
+    for _ in range(passes):
+        for first in range(0, C, group):
+            classes = slice(first, first + group)
+            cols = slice(first * data.n_c, (first + group) * data.n_c)
+            other_sum = cmeans.sum(axis=1) - cmeans[:, classes].sum(axis=1)
+            B = corr[:, cols] - (lam2 / C) * other_sum[:, None]
+            obj = SmoothObjective.quadratic(H, B, L, fisher=(lam2, group, C))
+            X[:, cols] = fista(obj, hyper.lambda1, X[:, cols], max_iter=budget)
+            cmeans[:, classes] = class_means(X[:, cols], group)
+    coefs = CoefBundle(X=X, X0=coefs.X0, k_c=dicts.k_c, n_c=data.n_c)
+    return _solve_shared_codes(data, dicts, coefs, hyper)
 
 
 def sparse_code_train(data, dicts, coefs, hyper):
-    """One coding round: refit all class coefficients jointly, then X0.
-
-    The mean-separation term is differentiated exactly (the column means
-    are functions of the iterate), so the solve keeps the full objective
-    non-increasing. Its gradient 2 lambda2 X + lambda2 (m - 2 M_c) is
-    linear: the 2 lambda2 X part joins the Gram matrix and the mean part is
-    the quadratic's Fisher term.
-    """
-    C, lam2 = data.C, hyper.lambda2
-    H, corr, L = _class_code_gram(data, dicts, coefs, lam2)
-    obj = SmoothObjective.quadratic(H, corr, L, fisher=(lam2, C, C))
-    Xnew = fista(obj, hyper.lambda1, coefs.X, max_iter=hyper.fista_iters)
-    coefs = CoefBundle(X=Xnew, X0=coefs.X0, k_c=dicts.k_c, n_c=data.n_c)
-    return _solve_shared_codes(data, dicts, coefs, hyper)
+    """One coding round: all class coefficients in one joint solve, then X0."""
+    return _code_classes(data, dicts, coefs, hyper, data.C, 1, hyper.fista_iters)
 
 
 def sparse_code_sequential(data, dicts, coefs, hyper):
-    """Baseline coder: cycle class-by-class solves instead of one joint solve.
-
-    Each class block gets fista_iters/SEQ_PASSES iterations per visit so
-    the total per-column iteration budget matches the joint coder.
-    Cross-class coupling (the shared Gram off-diagonal and the mean terms)
-    is only refreshed between visits, which is what the joint solver avoids:
-    a block's solve is the one-block case of the joint quadratic, with the
-    other classes' mean sum S frozen in B as -(lambda2 / C) S.
-    """
-    C, lam2 = data.C, hyper.lambda2
+    """Baseline coder: SEQ_PASSES rounds of class-by-class solves of
+    fista_iters/SEQ_PASSES iterations each (the joint coder's per-column
+    budget), then X0. Cross-class coupling is refreshed between visits only."""
     budget = max(1, math.ceil(hyper.fista_iters / SEQ_PASSES))
-    H, corr, L = _class_code_gram(data, dicts, coefs, lam2)
-
-    X = coefs.X.copy()
-    cmeans = class_means(X, C)
-
-    for _ in range(SEQ_PASSES):
-        for c in range(1, C + 1):
-            cols = coefs.class_columns(c)
-            other_sum = cmeans.sum(axis=1) - cmeans[:, c - 1]
-            B = corr[:, cols] - (lam2 / C) * other_sum[:, None]
-            obj = SmoothObjective.quadratic(H, B, L, fisher=(lam2, 1, C))
-            Wnew = fista(obj, hyper.lambda1, X[:, cols], max_iter=budget)
-            X[:, cols] = Wnew
-            cmeans[:, c - 1] = Wnew.mean(axis=1)
-
-    coefs = CoefBundle(X=X, X0=coefs.X0, k_c=dicts.k_c, n_c=data.n_c)
-    return _solve_shared_codes(data, dicts, coefs, hyper)
+    return _code_classes(data, dicts, coefs, hyper, 1, SEQ_PASSES, budget)
 
 
 def _update_class_dicts(data, dicts, coefs):
@@ -202,26 +188,21 @@ def _update_class_dicts(data, dicts, coefs):
         D[:, rows] = odl_update(prob, D[:, rows], sweeps=ODL_SWEEPS)
     if dead:
         log.debug("skipped %d dead atoms in dictionary sweep", dead)
-    return DictionaryBundle(
-        class_dicts=tuple(np.hsplit(D, dicts.C)), shared_dict=dicts.shared_dict
-    )
+    return replace(dicts, class_dicts=tuple(np.hsplit(D, dicts.C)))
 
 
 def fit(data, config, coder="joint", iteration_callback=None):
     """Train a model. Feature columns are unit-normalized before anything else.
 
-    Returns a LearnedModel whose trace holds one record per completed
-    outer iteration. A numerical failure mid-run
-    aborts the loop and returns the last completed iterate with
-    aborted=True instead of raising.
+    Returns a LearnedModel whose trace holds one record per completed outer
+    iteration. A numerical failure mid-run aborts the loop and returns the
+    last completed iterate with aborted=True instead of raising.
     """
     if coder not in ("joint", "sequential"):
         raise ParameterError(f"unknown coder {coder!r}")
+    code = sparse_code_train if coder == "joint" else sparse_code_sequential
     hyper = config.hyper
-    Yn = normalize_columns(data.Y, warn=True)
-    data = Dataset(
-        Y=Yn, labels=data.labels, C=data.C, n_c=data.n_c, permutation=data.permutation
-    )
+    data = replace(data, Y=normalize_columns(data.Y, warn=True))
     dicts, coefs = initialize(data, config, hyper.seed)
 
     records = []
@@ -230,39 +211,22 @@ def fit(data, config, coder="joint", iteration_callback=None):
     for it in range(1, hyper.outer_iters + 1):
         prev = (dicts, coefs)
         try:
-            if coder == "joint":
-                coefs = sparse_code_train(data, dicts, coefs, hyper)
-            else:
-                coefs = sparse_code_sequential(data, dicts, coefs, hyper)
+            coefs = code(data, dicts, coefs, hyper)
             dicts = _update_class_dicts(data, dicts, coefs)
-            terms = objective_terms(data, dicts, coefs, hyper)
             if config.k0 > 0:
                 V = residual_matrices(data, dicts, coefs)
                 shared = update_shared_dict(
-                    V, coefs.X0, hyper.eta, ADMM_RHO, hyper.admm_iters
+                    V, coefs.X0, dicts.shared_dict, hyper.eta, ADMM_RHO, hyper.admm_iters
                 )
-                cand = DictionaryBundle(class_dicts=dicts.class_dicts, shared_dict=shared)
-                after = objective_terms(data, cand, coefs, hyper)
-                # the unit-norm cap can push the fit back up; keep the old
-                # shared dictionary when that happens
-                if after.total <= terms.total:
-                    dicts, terms = cand, after
+                dicts = replace(dicts, shared_dict=shared)
+            terms = objective_terms(data, dicts, coefs, hyper)
         except NumericalError as exc:
             log.warning("aborting at iteration %d: %s", it, exc)
             dicts, coefs = prev
             aborted = True
             break
-        records.append(
-            IterationRecord(
-                iteration=it,
-                objective=terms.total,
-                fidelity=terms.fidelity,
-                l1=terms.l1,
-                fisher=terms.fisher,
-                nuclear=terms.nuclear,
-                seconds=perf_counter() - start,
-            )
-        )
+        elapsed = perf_counter() - start
+        records.append(IterationRecord(it, terms.total, seconds=elapsed, **asdict(terms)))
         if iteration_callback is not None:
             iteration_callback(it, data, dicts, coefs)
 

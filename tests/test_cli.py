@@ -76,6 +76,14 @@ class TestSynth:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_bad_noise_exit_2(self, capsys, tmp_path, noise):
+        out = str(tmp_path / "data")
+        code, _, err = synth(capsys, out, noise=noise)
+        assert code == 2
+        assert "noise_sigma must be finite and >= 0" in err
+        assert not os.path.exists(out)
+
     def test_negative_seed_exit_2(self, capsys, tmp_path):
         out = str(tmp_path / "data")
         code, _, err = synth(capsys, out, seed=-1)

@@ -88,6 +88,8 @@ class TestDataset:
             ([1.0, 1e300], "int64 range"),
             ([1.0, 2.0**63], "int64 range"),
             (np.array([1, 2**64 - 1], dtype=np.uint64), "int64 range"),
+            ([True, True], "booleans"),
+            (np.array([True, False]), "booleans"),
         ):
             with pytest.raises(DataError, match=msg):
                 Dataset.from_arrays(Y, bad)
@@ -303,14 +305,12 @@ class TestGenerateSynthetic:
             generate_synthetic(
                 C=0, d=4, n_c=2, k_c=2, k0=0, shared_rank=0, noise_sigma=0.0, seed=0
             )
-        with pytest.raises(ParameterError):
-            generate_synthetic(
-                C=2, d=4, n_c=2, k_c=2, k0=0, shared_rank=0, noise_sigma=-1.0, seed=0
-            )
         good = dict(C=2, d=4, n_c=2, k_c=2, k0=1, shared_rank=1, noise_sigma=0.0, seed=0)
         for name, bad in (
             ("seed", -1), ("seed", 1.5), ("seed", "x"), ("C", 2.5), ("d", True),
             ("n_c", 2.5), ("k_c", 1.5), ("k0", 1.5), ("shared_rank", 0.5),
+            ("noise_sigma", -1.0), ("noise_sigma", np.nan), ("noise_sigma", np.inf),
+            ("shared_scale", np.nan), ("shared_scale", np.inf), ("shared_scale", -np.inf),
         ):
             with pytest.raises(ParameterError):
                 generate_synthetic(**{**good, name: bad})

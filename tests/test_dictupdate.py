@@ -3,13 +3,17 @@
 The class-dictionary Gram pair (class_dict_gram) is validated against
 finite differences of the explicitly stacked fidelity
 (oracles.stacked_fidelity) and the ODL column sweeps against a projected
-gradient solver on the same quadratic.
+gradient solver on the same quadratic. The shared step's keep-or-reject
+guard is checked on a hand-built case whose rescaled candidate fits worse
+and, on generated problems, never to return a worse dictionary.
 """
 
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrsdl.data import CoefBundle, DictionaryBundle, generate_synthetic, normalize_columns
 from lrsdl.dictupdate import (
@@ -20,6 +24,7 @@ from lrsdl.dictupdate import (
     update_shared_dict,
 )
 from lrsdl.errors import DataError, DimensionError, NumericalError, ParameterError
+from lrsdl.prox import admm_nuclear
 
 from oracles import (
     fd_grad,
@@ -226,12 +231,13 @@ class TestUpdateSharedDict:
         D_true = 0.9 * normalize_columns(rng.standard_normal((d, k0)), warn=False)
         X0 = rng.standard_normal((k0, n))
         V = D_true @ X0
-        D0 = update_shared_dict(V, X0, eta=0.0, rho=1.0, iters=400)
+        D0 = update_shared_dict(V, X0, np.zeros((d, k0)), eta=0.0, rho=1.0, iters=400)
         assert np.max(np.abs(D0 - D_true)) < 1e-5
 
     def test_zero_codes_give_zero(self):
+        current = normalize_columns(np.random.default_rng(10).standard_normal((5, 3)))
         D0 = update_shared_dict(
-            np.zeros((5, 8)), np.zeros((3, 8)), eta=0.5, rho=1.0, iters=50
+            np.zeros((5, 8)), np.zeros((3, 8)), current, eta=0.5, rho=1.0, iters=50
         )
         assert np.array_equal(D0, np.zeros((5, 3)))
 
@@ -247,7 +253,7 @@ class TestUpdateSharedDict:
         def obj(M):
             return float(np.sum((V - M @ X0) ** 2)) + eta * nuclear_norm(M)
 
-        D0 = update_shared_dict(V, X0, eta=eta, rho=1.0, iters=400)
+        D0 = update_shared_dict(V, X0, np.zeros((d, k0)), eta=eta, rho=1.0, iters=400)
         assert np.all(np.linalg.norm(D0, axis=0) <= 1 + 1e-9)
         comp = 0.1 * rng.standard_normal((d, k0))
         assert obj(D0) <= obj(comp) + 1e-8
@@ -269,7 +275,7 @@ class TestUpdateSharedDict:
         V = (left @ right) @ X0 + 0.05 * rng.standard_normal((d, n))
         ranks = []
         for eta in (0.01, 0.1, 1.0, 10.0):
-            D0 = update_shared_dict(V, X0, eta=eta, rho=1.0, iters=200)
+            D0 = update_shared_dict(V, X0, np.zeros((d, k0)), eta=eta, rho=1.0, iters=200)
             s = np.linalg.svd(D0, compute_uv=False)
             ranks.append(int(np.sum(s > 1e-8 * max(s[0], 1e-30))))
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
@@ -282,8 +288,80 @@ class TestUpdateSharedDict:
         X0 = rng.standard_normal((3, 20))
         V = rng.standard_normal((6, 20))
         with caplog.at_level(logging.DEBUG, logger="lrsdl.dictupdate"):
-            update_shared_dict(V, X0, eta=0.3, rho=1.0, iters=3)
-            update_shared_dict(V, X0, eta=0.3, rho=1.0, iters=400)
-        capped, stopped = [r.getMessage() for r in caplog.records]
+            update_shared_dict(V, X0, np.zeros((6, 3)), eta=0.3, rho=1.0, iters=3)
+            best = update_shared_dict(V, X0, np.zeros((6, 3)), eta=0.3, rho=1.0, iters=400)
+            # three sweeps fall short of the converged solve's result
+            update_shared_dict(V, X0, best, eta=0.3, rho=1.0, iters=3)
+        capped, stopped, rejected = [r.getMessage() for r in caplog.records]
         assert "3 of 3 sweeps, stopped on cap" in capped
         assert "of 400 sweeps, stopped on tolerance" in stopped
+        assert capped.endswith("candidate kept") and stopped.endswith("candidate kept")
+        assert rejected.endswith("candidate rejected")
+
+    def test_worse_rescaled_candidate_keeps_current(self):
+        # two nearly parallel code rows: the unconstrained fit needs a column
+        # of norm 1.4, and rescaling it to the unit sphere fits far worse
+        # than a current D0 that uses the first row alone
+        rng = np.random.default_rng(15)
+        d, n = 6, 30
+        u = normalize_columns(rng.standard_normal((d, 1)))[:, 0]
+        x1 = rng.standard_normal(n)
+        X0 = np.vstack([x1, x1 + 0.01 * rng.standard_normal(n)])
+        V = np.outer(u, 2.0 * X0[0] - 1.5 * X0[1])
+        current = np.column_stack([0.5 * u, np.zeros(d)])
+
+        def obj(M):
+            return float(np.sum((V - M @ X0) ** 2))
+
+        raw = admm_nuclear(V, X0, 0.0, 1.0, 400)
+        norms = np.linalg.norm(raw, axis=0)
+        assert norms.max() > 1.0
+        assert obj(raw) < obj(current) < obj(raw / np.maximum(norms, 1.0))
+        out = update_shared_dict(V, X0, current, eta=0.0, rho=1.0, iters=400)
+        assert np.array_equal(out, current)
+
+    def test_non_finite_value_raises(self):
+        # the guard's value overflows rather than warn: eta ||D0||_* is inf
+        rng = np.random.default_rng(16)
+        X0 = rng.standard_normal((2, 10))
+        V = rng.standard_normal((5, 10))
+        current = normalize_columns(rng.standard_normal((5, 2)))
+        with pytest.raises(NumericalError):
+            update_shared_dict(V, X0, current, eta=1e308, rho=1.0, iters=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    k0=st.integers(1, 4),
+    n=st.integers(1, 12),
+    eta=st.floats(0.0, 2.0),
+    scale=st.floats(0.1, 5.0),
+    start=st.sampled_from(["random", "planted", "converged"]),
+    iters=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_step_never_raises_its_value(d, k0, n, eta, scale, start, iters, seed):
+    # the current D0 is a random unit-ball dictionary, the unit-column
+    # direction of the one that generated V, or a converged solve's result;
+    # a candidate of a short solve, or one the rescale moved, often fits
+    # worse than the last two
+    rng = np.random.default_rng(seed)
+    truth = scale * normalize_columns(rng.standard_normal((d, k0)), warn=False)
+    X0 = rng.standard_normal((k0, n))
+    V = truth @ X0 + 0.1 * rng.standard_normal((d, n))
+    current = {
+        "random": lambda: rng.uniform(0.0, 1.0, k0)
+        * normalize_columns(rng.standard_normal((d, k0)), warn=False),
+        "planted": lambda: truth / scale,
+        "converged": lambda: update_shared_dict(
+            V, X0, np.zeros((d, k0)), eta=eta, rho=1.0, iters=400
+        ),
+    }[start]()
+
+    def obj(M):
+        return float(np.linalg.norm(V - M @ X0) ** 2) + eta * nuclear_norm(M)
+
+    out = update_shared_dict(V, X0, current, eta=eta, rho=1.0, iters=iters)
+    assert out is current or np.all(np.linalg.norm(out, axis=0) <= 1.0 + 1e-12)
+    assert obj(out) <= obj(current) + 1e-12 * max(1.0, obj(current))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lrsdl import learner
+from lrsdl import dictupdate, learner
 from lrsdl.data import (
     CoefBundle,
     Dataset,
@@ -273,17 +273,18 @@ class TestFitTraces:
             assert abs(rec.objective - ref) <= 1e-10 * max(1.0, abs(ref))
 
     def test_worse_shared_dictionary_is_rejected(self, monkeypatch):
-        # a random unit-norm candidate fits worse than the current D0, so
-        # fit must keep the current D0 and trace the objective at it
+        # a random unit-norm ADMM candidate fits worse than the current D0,
+        # so the shared step must keep the current D0 and fit must trace
+        # the objective at it
         data, cfg = self.make(k0=2)
         rng = np.random.default_rng(0)
         candidates = []
 
-        def random_dict(V, X0, *args):
+        def random_dict(V, X0, *args, **kwargs):
             candidates.append(normalize_columns(rng.standard_normal((V.shape[0], X0.shape[0]))))
-            return candidates[-1]
+            return candidates[-1], [(0.0, 0.0)]
 
-        monkeypatch.setattr(learner, "update_shared_dict", random_dict)
+        monkeypatch.setattr(dictupdate, "admm_nuclear", random_dict)
         seen = {}
 
         def snoop(it, ndata, dicts, coefs):
@@ -305,6 +306,23 @@ class TestFitTraces:
                 terms.total, terms.fidelity, terms.l1, terms.fisher, terms.nuclear
             )
         assert np.array_equal(model.dict_bundle.shared_dict, init.shared_dict)
+
+    @pytest.mark.parametrize("coder", ["joint", "sequential"])
+    @pytest.mark.parametrize("k0", [0, 2])
+    def test_objective_evaluated_once_per_iteration(self, monkeypatch, coder, k0):
+        data, cfg = self.make(k0=k0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return objective_terms(*args)
+
+        monkeypatch.setattr(learner, "objective_terms", counted)
+        model = fit(data, cfg, coder=coder)
+        assert len(model.trace) == cfg.hyper.outer_iters
+        assert len(calls) == cfg.hyper.outer_iters
+        # each call is the one its record was filled from
+        assert [objective_terms(*a).total for a in calls] == [r.objective for r in model.trace]
 
     def test_shared_rank_collapses_under_penalty(self):
         data, _ = generate_synthetic(

@@ -1,9 +1,11 @@
-"""README's command-line walkthrough, run as written.
+"""README's command-line walkthrough and library example, run as written.
 
 Every ``$ lrsdl ...`` command of the walkthrough block runs through
 ``lrsdl.cli.main`` in a fresh directory, and every ``key=value`` it prints
 must equal the one README shows, except wall-clock ``*_time`` values.
-Stale numbers in the docs then fail the suite.
+Stale numbers in the docs then fail the suite. The Python block of the
+"Library" section runs in a fresh directory too, so a change to the calls
+it makes fails the suite as well.
 """
 
 import re
@@ -39,3 +41,11 @@ def test_walkthrough_prints_readme_values(capsys, tmp_path, monkeypatch):
         assert main(argv) == 0, argv
         printed = capsys.readouterr().out
         assert key_values(printed) == key_values(expected), argv
+
+
+def test_library_example_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = re.search(r"## Library\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
+    assert (tmp_path / "demo_model" / "meta").exists()
+    assert len(capsys.readouterr().out.splitlines()) == 3
