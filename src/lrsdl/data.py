@@ -320,13 +320,16 @@ def class_means(X, C):
     return X.reshape(X.shape[0], C, -1).mean(axis=2)
 
 
-def fisher_mean_term(W, blocks, C, lambda2):
-    """Class-mean part of the Fisher gradient for codes W made of `blocks`
-    equal class blocks with means M_b, out of C classes (a sequential solve
-    holds one block): lambda2 (sum_b M_b / C - 2 M_b), one column per block,
-    which every column of block b gets. The map is linear and symmetric."""
-    M = class_means(W, blocks)
-    return lambda2 * (M.sum(axis=1, keepdims=True) / C - 2.0 * M)
+def fisher_mean_map(blocks, n, C, lambda2):
+    """Class-mean part of the Fisher gradient as a (blocks n) x blocks
+    matrix Q: for codes W made of `blocks` class blocks of n columns with
+    means M_b, out of C classes (a sequential solve holds one block), W Q
+    has the column lambda2 (sum_b M_b / C - 2 M_b) per block, which every
+    column of block b gets. Q = (E / n) lambda2 (J / C - 2 I), with E the
+    class-block indicator, J all-ones and I the identity; the map is linear
+    and symmetric."""
+    E = np.repeat(np.eye(blocks), n, axis=0) / n
+    return E @ (lambda2 * (np.ones((blocks, blocks)) / C - 2.0 * np.eye(blocks)))
 
 
 def block_diagonal(A, C):
@@ -484,7 +487,12 @@ def generate_synthetic(
                 block[:, j] += shared @ b
         Y[:, c * n_c : (c + 1) * n_c] = block
     if noise_sigma > 0:
-        Y = Y + noise_sigma * rng.standard_normal(Y.shape)
+        # a huge finite noise_sigma overflows here: report it as that
+        # parameter's fault, not as a bad sample matrix
+        with np.errstate(over="ignore"):
+            Y = Y + noise_sigma * rng.standard_normal(Y.shape)
+        if not np.isfinite(Y).all():
+            raise ParameterError(f"noise_sigma={noise_sigma} overflows the samples")
 
     dataset = Dataset.from_arrays(Y, labels)
     truth = DictionaryBundle(class_dicts=tuple(class_dicts), shared_dict=shared)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import block_diagonal, check_class_layout, class_means, fisher_mean_term
+from .data import block_diagonal, check_class_layout, class_means, fisher_mean_map
 from .errors import DimensionError, NumericalError
 
 
@@ -56,7 +56,8 @@ def gram_class_codes(dicts, shifted, n_c, lambda2):
     """Class-code Gram pair (H, B) = (M(D^T D) + 2 lambda2 I, M(D^T Ys)):
     the fidelity pair of :func:`build_augmented_gram` with the 2 lambda2 X
     part of the Fisher gradient joining H. The rest of that gradient, the
-    class-mean part, is :func:`~lrsdl.data.fisher_mean_term`."""
+    class-mean part, is the product X Q with Q from
+    :func:`~lrsdl.data.fisher_mean_map`."""
     G, corr = build_augmented_gram(dicts, shifted, n_c)
     return G + 2.0 * lambda2 * np.eye(dicts.K), corr
 
@@ -77,8 +78,9 @@ def grad_fidelity(gram, X):
 
 
 def grad_fisher(X, labels):
-    """Gradient of f(X): 4 X + 2 M - 4 [M_1 .. M_C], that is 4 X plus
-    :func:`~lrsdl.data.fisher_mean_term` with lambda2 = 2.
+    """Gradient of f(X): 4 X + 2 M - 4 [M_1 .. M_C], that is 4 X plus the
+    class-mean product X Q, Q = :func:`~lrsdl.data.fisher_mean_map` with
+    lambda2 = 2.
 
     The class/global means are recomputed from X, so the gradient
     differentiates through them. The labels must be in the class layout.
@@ -86,7 +88,8 @@ def grad_fisher(X, labels):
     X = np.asarray(X, dtype=float)
     C = check_class_layout(labels, X.shape[1])
     K, N = X.shape
-    G = (4.0 * X).reshape(K, C, N // C) + fisher_mean_term(X, C, C, 2.0)[:, :, None]
+    mean_part = X @ fisher_mean_map(C, N // C, C, 2.0)
+    G = (4.0 * X).reshape(K, C, N // C) + mean_part[:, :, None]
     return G.reshape(K, N)
 
 

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import fisher_mean_term
+from .data import fisher_mean_map
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 
 
@@ -48,9 +48,11 @@ class SmoothObjective:
         in the product's own array (and the Fisher part added into it).
 
         fisher = (lambda2, blocks, C) adds the class-mean part of the Fisher
-        gradient, :func:`~lrsdl.data.fisher_mean_term`, for W made of
-        `blocks` equal class blocks out of C classes. That map is linear and
-        symmetric, so g stays a quadratic with gradient -B at 0.
+        gradient for W made of `blocks` equal class blocks out of C classes:
+        the product W Q with the matrix Q of
+        :func:`~lrsdl.data.fisher_mean_map`, built once here, one column
+        per block, added to every column of its block. That map is linear
+        and symmetric, so g stays a quadratic with gradient -B at 0.
         """
         if fisher is None:
 
@@ -61,12 +63,13 @@ class SmoothObjective:
 
         else:
             lambda2, blocks, C = fisher
+            Q = fisher_mean_map(blocks, B.shape[1] // blocks, C, lambda2)
 
             def grad(W):
                 G = H @ W
                 G -= B
                 per_block = G.reshape(W.shape[0], blocks, -1)
-                per_block += fisher_mean_term(W, blocks, C, lambda2)[:, :, None]
+                per_block += (W @ Q)[:, :, None]
                 return G
 
         return cls(grad=grad, lipschitz=lipschitz, per_column=per_column)
@@ -82,7 +85,11 @@ def soft_threshold(W, tau, out=None):
     """
     if not tau >= 0:  # also rejects NaN
         raise ParameterError(f"threshold must be >= 0, got {tau}")
-    W = np.asarray(W, dtype=float)
+    return _shrink(np.asarray(W, dtype=float), tau, out)
+
+
+def _shrink(W, tau, out):
+    """soft_threshold of a float array W by a checked tau >= 0."""
     out = np.minimum(np.maximum(W, -tau, out=out), tau, out=out)
     return np.subtract(W, out, out=out)
 
@@ -151,7 +158,10 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
 
     The loop runs in place: the iterate, the candidate, the momentum point,
     their gradients and the scratch space are allocated once per solve, and
-    no array that obj.grad returns is written to.
+    no array that obj.grad returns is written to. A whole-matrix solve
+    therefore keeps an accepted gradient by reference, while a per-column
+    solve copies the accepted columns into the gradient it holds at W. The
+    shrink threshold lam / L is checked once, before the loop.
     """
     if not lam >= 0:  # also rejects NaN
         raise ParameterError(f"l1 weight must be >= 0, got {lam}")
@@ -181,6 +191,10 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
         sqrt, larger, select, any_live = np.sqrt, np.maximum, np.where, np.ndarray.any
         split = _split_columns
 
+        def keep_gradient(GW, G, kept):
+            GW[kept] = G[kept]
+            return GW
+
         def finite(F):
             return np.isfinite(F).all()
 
@@ -193,7 +207,10 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
             return float(np.vdot(A, B))
 
         def l1(M):
-            return float(np.abs(M, out=scratch).sum())
+            return float(np.add.reduce(np.abs(M, out=scratch), axis=None))
+
+        def keep_gradient(GW, G, kept):
+            return G  # never written to, so it is kept by reference
 
         sqrt, larger, select, any_live = math.sqrt, max, _pick, bool
         split, finite = _split_whole, math.isfinite
@@ -207,13 +224,12 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
 
     F = objective(W, GW)
     t = t_start
+    tau = lam / L
     # a non-finite gradient entry meets a zero of the candidate as 0 * inf:
     # that NaN is caught by the finiteness check, not warned about
     with np.errstate(invalid="ignore"):
         for k in range(1, max_iter + 1):
-            soft_threshold(
-                np.subtract(Z, np.divide(GZ, L, out=scratch), out=scratch), lam / L, out=cand
-            )
+            _shrink(np.subtract(Z, np.divide(GZ, L, out=scratch), out=scratch), tau, cand)
             G = obj.grad(cand)
             F_cand = objective(cand, G)
             if not finite(F_cand):
@@ -232,7 +248,7 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
                 GZ[rejected] = GW[rejected]
                 cand[rejected] = W[rejected]  # cand now holds W_new
             if kept is not None:
-                GW[kept] = G[kept]
+                GW = keep_gradient(GW, G, kept)
             W, cand = cand, W
             t = select(accepted, t_new, t_start)
             live = live & ~(accepted & (rel < tol))

@@ -2,10 +2,10 @@
 
 Codes follow the class layout: C contiguous column blocks of n_c columns,
 one per class. On generated C, n_c and K (C=1 and n_c=1 included),
-class_means, grad_fisher, fisher_value and mean_stats are checked against
-the per-label loop in oracles.column_means_by_class and against finite
-differences, and with no shared dictionary the training objective must
-equal the literal FDDL objective.
+class_means, fisher_mean_map, grad_fisher, fisher_value and mean_stats
+are checked against the per-label loop in oracles.column_means_by_class and
+against finite differences, and with no shared dictionary the training
+objective must equal the literal FDDL objective.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from lrsdl.data import (
     DictionaryBundle,
     HyperParams,
     class_means,
+    fisher_mean_map,
     mean_stats,
     normalize_columns,
 )
@@ -55,6 +56,30 @@ def test_class_means_match_per_label_loop(C, n_c, K, seed):
     _, means = column_means_by_class(X, labels)
     for c, mc in means.items():
         np.testing.assert_allclose(cm[:, c - 1], mc, rtol=1e-13, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    C=st.integers(1, 5),
+    n=st.integers(1, 6),
+    K=st.integers(1, 6),
+    all_classes=st.booleans(),
+    # a lambda2 near the underflow threshold makes lambda2 / (n C) a
+    # subnormal, which no float64 Q holds to 1e-13 relative accuracy
+    lambda2=st.just(0.0) | st.floats(1e-300, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fisher_mean_map_matches_per_label_loop(C, n, K, all_classes, lambda2, seed):
+    # a joint solve holds all C class blocks, a sequential solve one
+    blocks = C if all_classes else 1
+    W, labels = layout(blocks, n, K, seed)
+    Q = fisher_mean_map(blocks, n, C, lambda2)
+    assert Q.shape == (blocks * n, blocks)
+    _, means = column_means_by_class(W, labels)
+    total = sum(means.values())
+    want = np.column_stack([lambda2 * (total / C - 2.0 * means[b]) for b in range(1, blocks + 1)])
+    scale = lambda2 * float(np.abs(W).max())
+    np.testing.assert_allclose(W @ Q, want, rtol=1e-13, atol=1e-13 * scale)
 
 
 @settings(max_examples=60, deadline=None)

@@ -76,12 +76,15 @@ class TestSynth:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1", "1e308"])
     def test_bad_noise_exit_2(self, capsys, tmp_path, noise):
         out = str(tmp_path / "data")
         code, _, err = synth(capsys, out, noise=noise)
         assert code == 2
-        assert "noise_sigma must be finite and >= 0" in err
+        if noise == "1e308":  # finite, but the noisy samples overflow
+            assert "noise_sigma=1e+308 overflows the samples" in err
+        else:
+            assert "noise_sigma must be finite and >= 0" in err
         assert not os.path.exists(out)
 
     def test_negative_seed_exit_2(self, capsys, tmp_path):

@@ -310,6 +310,7 @@ class TestGenerateSynthetic:
             ("seed", -1), ("seed", 1.5), ("seed", "x"), ("C", 2.5), ("d", True),
             ("n_c", 2.5), ("k_c", 1.5), ("k0", 1.5), ("shared_rank", 0.5),
             ("noise_sigma", -1.0), ("noise_sigma", np.nan), ("noise_sigma", np.inf),
+            ("noise_sigma", 1e308),
             ("shared_scale", np.nan), ("shared_scale", np.inf), ("shared_scale", -np.inf),
         ):
             with pytest.raises(ParameterError):

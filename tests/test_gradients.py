@@ -15,7 +15,7 @@ from lrsdl.data import (
     DictionaryBundle,
     HyperParams,
     class_means,
-    fisher_mean_term,
+    fisher_mean_map,
     generate_synthetic,
     mean_stats,
     normalize_columns,
@@ -243,14 +243,14 @@ class TestFidelityValue:
 class TestGramClassCodes:
     def test_full_gradient_finite_difference(self):
         # the class-code pair the joint solver uses, H X - B plus the Fisher
-        # class-mean term, against the fidelity plus lambda2/2 times the X
-        # part of the Fisher value
+        # class-mean product X Q, against the fidelity plus lambda2/2 times
+        # the X part of the Fisher value
         data, dicts, coefs = random_problem(16)
         lam2 = 0.7
         shifted = data.Y - dicts.shared_dict @ coefs.X0
         H, B = gram_class_codes(dicts, shifted, data.n_c, lam2)
         X = coefs.X
-        mean_part = fisher_mean_term(X, data.C, data.C, lam2)
+        mean_part = X @ fisher_mean_map(data.C, data.n_c, data.C, lam2)
         g = H @ X - B + np.repeat(mean_part, data.n_c, axis=1)
 
         def f(M):
