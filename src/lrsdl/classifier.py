@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _unit_columns
+from .data import Dataset, normalize_columns
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .gradients import gram_test_code
 from .prox import SmoothObjective, fista, power_iteration_lipschitz
@@ -56,13 +56,6 @@ def _as_samples(Y, d):
     return Y.reshape(d, -1)
 
 
-def _normalize_samples(Y):
-    """Unit-normalized columns of Y and the mask of its zero columns."""
-    with np.errstate(over="ignore", under="ignore"):
-        norms = np.linalg.norm(Y, axis=0)
-    return _unit_columns(Y, norms)
-
-
 def test_coding_lipschitz(H):
     """Step size of the test-coding solve, lambda_max of its Gram matrix H;
     the same for every sample. A named step of its own, which the benchmark
@@ -82,10 +75,11 @@ def encode_test(Y, model):
     accepts, rejects, restarts and stops one by one.
     """
     dicts = model.dict_bundle
-    Yn, zero = _normalize_samples(_as_samples(Y, dicts.d))
+    samples = _as_samples(Y, dicts.d)
+    zero = ~samples.any(axis=0)  # the samples are finite
     if zero.any():
         log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())
-    Yn = Yn.reshape(np.shape(Y))
+    Yn = normalize_columns(samples, warn=False).reshape(np.shape(Y))
     H, B = gram_test_code(
         dicts, Yn, model.mean_stats.shared_mean, model.hyper.lambda2
     )
@@ -104,7 +98,8 @@ def class_scores(Y, model, code, w):
     """Class scores of already-coded samples: (C,) for one sample (d,),
     (C, N) for a batch (d, N) with codes (K + k0, N)."""
     dicts = model.dict_bundle
-    Yn, _ = _normalize_samples(_as_samples(Y, dicts.d))  # encode_test logs zero samples
+    # encode_test logs zero samples
+    Yn = normalize_columns(_as_samples(Y, dicts.d), warn=False)
     code = np.reshape(code, (dicts.K + dicts.k0, -1))
     X, X0 = code[: dicts.K], code[dicts.K :]
     Ybar = Yn - dicts.shared_dict @ X0

@@ -159,6 +159,11 @@ def _cmd_bench(args):
     joint, seq = result.joint_model, result.sequential_model
     write_trace(joint.trace, os.path.join(args.out, "joint.csv"))
     write_trace(seq.trace, os.path.join(args.out, "sequential.csv"))
+    aborted = [name for name, m in (("joint", joint), ("sequential", seq)) if m.aborted]
+    if aborted:
+        names = " and ".join(aborted)
+        print(f"{names} training aborted; traces written to {args.out}", file=sys.stderr)
+        return 3
     jf, sf = joint.trace[-1], seq.trace[-1]
     print(
         f"joint_final={jf.objective:.6f} seq_final={sf.objective:.6f} "

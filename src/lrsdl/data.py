@@ -44,15 +44,17 @@ def _freeze(a, dtype=float):
 _MIN_PLAIN_NORM = np.sqrt(np.finfo(float).tiny)
 
 
-def _unit_columns(M, norms):
-    """Divide each column of M by its plain Euclidean norm ``norms``.
+def normalize_columns(M, warn=True):
+    """Scale each column of M to unit Euclidean norm.
 
     Where squaring the entries overflowed or underflowed (norm not finite,
     zero, or below _MIN_PLAIN_NORM) while the column is nonzero, the column
     is scaled by its largest magnitude first, so every nonzero finite
-    column comes out unit norm. Returns (unit columns, mask of zero
-    columns); zero columns stay zero.
+    column comes out unit norm. Zero columns stay zero.
     """
+    M = np.asarray(M, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(M, axis=0)
     peak = np.max(np.abs(M), axis=0, initial=0.0)
     zero = peak == 0
     redo = ~zero & ~((norms >= _MIN_PLAIN_NORM) & np.isfinite(norms))
@@ -60,16 +62,6 @@ def _unit_columns(M, norms):
     if redo.any():
         S = M[:, redo] / peak[redo]
         out[:, redo] = S / np.linalg.norm(S, axis=0)
-    return out, zero
-
-
-def normalize_columns(M, warn=True):
-    """Scale each column to unit Euclidean norm, also where squaring its
-    entries overflows or underflows. Zero columns stay zero."""
-    M = np.asarray(M, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):
-        norms = np.linalg.norm(M, axis=0)
-    out, zero = _unit_columns(M, norms)
     if zero.any() and warn:
         warnings.warn(f"{int(zero.sum())} zero column(s) left unnormalized")
     return out

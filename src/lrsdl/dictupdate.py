@@ -32,6 +32,8 @@ from .prox import admm_nuclear
 log = logging.getLogger(__name__)
 
 DEAD_ATOM_TOL = 1e-10
+ODL_SWEEPS = 2  # column sweeps per class dictionary refit
+ADMM_RHO = 1.0  # ADMM penalty of the shared-dictionary update
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def count_dead_atoms(problem):
     return int(np.sum(np.diag(problem.A) <= DEAD_ATOM_TOL))
 
 
-def odl_update(problem, D_init, sweeps=2):
+def odl_update(problem, D_init, sweeps=ODL_SWEEPS):
     """Block-coordinate column sweeps for the quadratic subproblem.
 
     Each column j with code energy A_jj above DEAD_ATOM_TOL moves to
@@ -129,14 +131,15 @@ def _shared_value(V, X0, D, eta):
     return fit + nuclear_term(D, eta)
 
 
-def update_shared_dict(V, X0, D0, eta, rho, iters):
+def update_shared_dict(V, X0, D0, eta, iters):
     """Refit the shared dictionary to the target V under a nuclear-norm
-    penalty, rescale any column with norm above 1 back to the unit sphere
-    (rank preserving), and return the current D0 instead when that
-    candidate has the higher subproblem value. Logs, at debug level, the
-    ADMM sweeps used, whether the solve stopped on its tolerance or ran all
-    ``iters`` sweeps, the final residuals, and whether the candidate was kept."""
-    cand, residuals = admm_nuclear(V, X0, eta, rho, iters, return_residuals=True)
+    penalty (ADMM, penalty ADMM_RHO), rescale any column with norm above 1
+    back to the unit sphere (rank preserving), and return the current D0
+    instead when that candidate has the higher subproblem value. Logs, at
+    debug level, the ADMM sweeps used, whether the solve stopped on its
+    tolerance or ran all ``iters`` sweeps, the final residuals, and whether
+    the candidate was kept."""
+    cand, residuals = admm_nuclear(V, X0, eta, ADMM_RHO, iters, return_residuals=True)
     norms = np.linalg.norm(cand, axis=0)
     cand = cand / np.where(norms > 1.0, norms, 1.0)
     kept = _shared_value(V, X0, cand, eta) <= _shared_value(V, X0, D0, eta)

@@ -59,7 +59,9 @@ def gram_class_codes(dicts, shifted, n_c, lambda2):
     class-mean part, is the product X Q with Q from
     :func:`~lrsdl.data.fisher_mean_map`."""
     G, corr = build_augmented_gram(dicts, shifted, n_c)
-    return G + 2.0 * lambda2 * np.eye(dicts.K), corr
+    # on the diagonal only: an overflowing 2 lambda2 leaves the rest finite
+    G[np.diag_indices_from(G)] += 2.0 * lambda2
+    return G, corr
 
 
 def _pair_gradient(pair, X):
@@ -163,7 +165,7 @@ def residual_matrices(data, dicts, coefs):
     """The shared-layer target V = Y - 1/2 D M(X), M(X) = X + blockdiag(X):
     the mean of Ybar = Y - D X and Ytilde = Y - D blockdiag(X), whose
     class-c columns are Y_c - D_c X_c^c. One product with D."""
-    _check_shapes(data, dicts, coefs)
+    check_shapes(data, dicts, coefs)
     return data.Y - 0.5 * (dicts.D @ (coefs.X + block_diagonal(coefs.X, data.C)))
 
 
@@ -199,7 +201,9 @@ class ObjectiveTerms:
         return self.fidelity + self.l1 + self.fisher + self.nuclear
 
 
-def _check_shapes(data, dicts, coefs):
+def check_shapes(data, dicts, coefs):
+    """Raise DimensionError unless data, dictionaries and codes agree in
+    d, C, K, k0 and the column layout."""
     if dicts.d != data.d or dicts.C != data.C:
         raise DimensionError(
             f"dictionary ({dicts.d}, C={dicts.C}) does not match data "
@@ -228,7 +232,7 @@ def nuclear_term(D0, eta):
 
 def objective_terms(data, dicts, coefs, hyper):
     """Evaluate every objective term literally from its definition."""
-    _check_shapes(data, dicts, coefs)
+    check_shapes(data, dicts, coefs)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
     fidelity = fidelity_value(shifted, dicts, coefs.X, data.n_c)
     if not np.isfinite(fidelity):

@@ -26,6 +26,7 @@ from .data import (
     block_diagonal,
     check_integer,
     class_means,
+    fisher_mean_map,
     mean_stats,
     normalize_columns,
 )
@@ -38,7 +39,7 @@ from .dictupdate import (
 )
 from .errors import NumericalError, ParameterError
 from .gradients import (
-    _check_shapes,
+    check_shapes,
     gram_class_codes,
     gram_shared_codes,
     objective_terms,
@@ -48,9 +49,7 @@ from .prox import SmoothObjective, fista, power_iteration_lipschitz
 
 log = logging.getLogger(__name__)
 
-ODL_SWEEPS = 2  # column sweeps per class dictionary refit
 SEQ_PASSES = 3  # visits of every class block per sequential coding round
-ADMM_RHO = 1.0  # ADMM penalty of the shared-dictionary update
 
 
 @dataclass(frozen=True)
@@ -132,15 +131,19 @@ def _code_classes(data, dicts, coefs, hyper, group, passes, budget):
 
     Each call solves the joint class-code quadratic (gram_class_codes) on
     its columns, with its own class means differentiated exactly, so the
-    full objective never increases. The other classes' mean sum S, frozen
-    during the call, enters B as -(lambda2 / C) S; with one group of all C
-    classes S is exactly zero and B is corr itself.
+    full objective never increases. The class-mean part of the gradient is
+    the product with Q of fisher_mean_map, built once here for every call;
+    that map is negative semidefinite, so L = lambda_max(H) still bounds the
+    step. The other classes' mean sum S, frozen during the call, enters B as
+    -(lambda2 / C) S; with one group of all C classes S is exactly zero and
+    B is corr itself.
     """
     C, lam2 = data.C, hyper.lambda2
-    _check_shapes(data, dicts, coefs)
+    check_shapes(data, dicts, coefs)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
     H, corr = gram_class_codes(dicts, shifted, data.n_c, lam2)
     L = power_iteration_lipschitz(H)
+    Q = fisher_mean_map(group, data.n_c, C, lam2)
     X = coefs.X.copy()
     cmeans = class_means(X, C)
     for _ in range(passes):
@@ -149,7 +152,7 @@ def _code_classes(data, dicts, coefs, hyper, group, passes, budget):
             cols = slice(first * data.n_c, (first + group) * data.n_c)
             other_sum = cmeans.sum(axis=1) - cmeans[:, classes].sum(axis=1)
             B = corr[:, cols] - (lam2 / C) * other_sum[:, None]
-            obj = SmoothObjective.quadratic(H, B, L, fisher=(lam2, group, C))
+            obj = SmoothObjective.quadratic(H, B, L, fisher=Q)
             X[:, cols] = fista(obj, hyper.lambda1, X[:, cols], max_iter=budget)
             cmeans[:, classes] = class_means(X[:, cols], group)
     coefs = CoefBundle(X=X, X0=coefs.X0, k_c=dicts.k_c, n_c=data.n_c)
@@ -185,7 +188,7 @@ def _update_class_dicts(data, dicts, coefs):
         rows = dicts.row_block(c)
         prob = QuadDictProblem(A=F[rows, rows], B=E[:, rows] - D @ cross[:, rows])
         dead += count_dead_atoms(prob)
-        D[:, rows] = odl_update(prob, D[:, rows], sweeps=ODL_SWEEPS)
+        D[:, rows] = odl_update(prob, D[:, rows])
     if dead:
         log.debug("skipped %d dead atoms in dictionary sweep", dead)
     return replace(dicts, class_dicts=tuple(np.hsplit(D, dicts.C)))
@@ -216,7 +219,7 @@ def fit(data, config, coder="joint", iteration_callback=None):
             if config.k0 > 0:
                 V = residual_matrices(data, dicts, coefs)
                 shared = update_shared_dict(
-                    V, coefs.X0, dicts.shared_dict, hyper.eta, ADMM_RHO, hyper.admm_iters
+                    V, coefs.X0, dicts.shared_dict, hyper.eta, hyper.admm_iters
                 )
                 dicts = replace(dicts, shared_dict=shared)
             terms = objective_terms(data, dicts, coefs, hyper)

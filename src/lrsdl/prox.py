@@ -12,7 +12,6 @@ from typing import Callable
 
 import numpy as np
 
-from .data import fisher_mean_map
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 
 
@@ -45,32 +44,21 @@ class SmoothObjective:
     def quadratic(cls, H, B, lipschitz, fisher=None, per_column=False):
         """Objective of g(W) = 1/2 <W, H W> - <B, W> from its Gram pair:
         the gradient is H W - B, a product with the small matrix H, formed
-        in the product's own array (and the Fisher part added into it).
+        in the product's own array.
 
-        fisher = (lambda2, blocks, C) adds the class-mean part of the Fisher
-        gradient for W made of `blocks` equal class blocks out of C classes:
-        the product W Q with the matrix Q of
-        :func:`~lrsdl.data.fisher_mean_map`, built once here, one column
-        per block, added to every column of its block. That map is linear
-        and symmetric, so g stays a quadratic with gradient -B at 0.
+        fisher, a matrix Q with one column per block of W's Q.shape[1]
+        equal column blocks, adds the product W Q to the gradient, column b
+        to every column of block b. That map must be symmetric, so g stays
+        a quadratic with gradient -B at 0.
         """
-        if fisher is None:
 
-            def grad(W):
-                G = H @ W
-                G -= B
-                return G
-
-        else:
-            lambda2, blocks, C = fisher
-            Q = fisher_mean_map(blocks, B.shape[1] // blocks, C, lambda2)
-
-            def grad(W):
-                G = H @ W
-                G -= B
-                per_block = G.reshape(W.shape[0], blocks, -1)
-                per_block += (W @ Q)[:, :, None]
-                return G
+        def grad(W):
+            G = H @ W
+            G -= B
+            if fisher is not None:
+                per_block = G.reshape(W.shape[0], fisher.shape[1], -1)
+                per_block += (W @ fisher)[:, :, None]
+            return G
 
         return cls(grad=grad, lipschitz=lipschitz, per_column=per_column)
 
@@ -361,10 +349,8 @@ def power_iteration_lipschitz(G):
     (a zero or empty matrix returns the floor).
 
     Every coding site passes the H it hands SmoothObjective.quadratic, so L
-    is exactly lambda_max(H). With a Fisher term it is still a bound: the
-    class-mean map lambda2 (sum_b M_b / C - 2 M_b) is negative semidefinite.
-    The name is kept because the benchmark tracer wraps this function by
-    name; no power iteration is left.
+    is exactly lambda_max(H). The name is kept because the benchmark
+    tracer wraps this function by name; no power iteration is left.
     """
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:

@@ -20,9 +20,9 @@ from lrsdl.data import (
     block_diagonal,
     normalize_columns,
 )
-from lrsdl.dictupdate import QuadDictProblem, odl_update
+from lrsdl.dictupdate import ODL_SWEEPS, QuadDictProblem, odl_update
 from lrsdl.gradients import build_augmented_gram, residual_matrices
-from lrsdl.learner import ODL_SWEEPS, _update_class_dicts
+from lrsdl.learner import _update_class_dicts
 
 from oracles import (
     augmented_gram_loop,

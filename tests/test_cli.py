@@ -10,9 +10,11 @@ import os
 import numpy as np
 import pytest
 
+from lrsdl import learner
 from lrsdl.archive import _parse_trace, load_model
 from lrsdl.classifier import classify
 from lrsdl.cli import main
+from lrsdl.errors import NumericalError
 from lrsdl.matio import load_matrix, save_matrix
 
 
@@ -184,6 +186,18 @@ class TestTrain:
         assert model.aborted
         assert model.trace == ()
 
+    @pytest.mark.parametrize("k0", [0, 1])
+    def test_overflowing_lambda2_aborts_without_warning(self, capsys, tmp_path, dataset, k0):
+        # 2 lambda2 overflows to inf; a numpy warning about it would be an
+        # error here (the suite turns RuntimeWarning into one)
+        out = str(tmp_path / "model")
+        code, _, err = train(capsys, dataset, out, k0=k0, extra=("--lambda2", "1e308"))
+        assert code == 3
+        assert "aborted" in err
+        model = load_model(out)
+        assert model.aborted
+        assert model.trace == ()
+
 
 class TestClassify:
     def fit_model(self, capsys, tmp_path, dataset, **kw):
@@ -315,17 +329,22 @@ class TestClassify:
         assert "features" in err
 
 
+def bench(capsys, tmp_path, iters):
+    data = str(tmp_path / "data")
+    synth(capsys, data, classes=3, dim=12, per_class=4, kc=4, k0=0)
+    out = str(tmp_path / "bench")
+    code, stdout, err = run(
+        capsys, "bench",
+        "--data", os.path.join(data, "Y.lmx"),
+        "--labels", os.path.join(data, "labels.csv"),
+        "--iters", str(iters), "--out", out,
+    )
+    return code, stdout, err, out
+
+
 class TestBench:
     def test_summary_and_traces(self, capsys, tmp_path):
-        data = str(tmp_path / "data")
-        synth(capsys, data, classes=3, dim=12, per_class=4, kc=4, k0=0)
-        out = str(tmp_path / "bench")
-        code, stdout, _ = run(
-            capsys, "bench",
-            "--data", os.path.join(data, "Y.lmx"),
-            "--labels", os.path.join(data, "labels.csv"),
-            "--iters", "2", "--out", out,
-        )
+        code, stdout, _, out = bench(capsys, tmp_path, iters=2)
         assert code == 0
         lines = stdout.splitlines()
         assert lines[0].startswith("joint_final=")
@@ -335,6 +354,31 @@ class TestBench:
             trace = _parse_trace(os.path.join(out, name))
             assert len(trace) == 2
             assert [r.iteration for r in trace] == [1, 2]
+
+    @pytest.mark.parametrize("abort_call", [1, 3])
+    def test_aborted_fit_exit_3_without_comparison(
+        self, capsys, tmp_path, monkeypatch, abort_call
+    ):
+        # the joint fit runs first: its class-dictionary step fails at
+        # outer iteration abort_call, the sequential fit completes
+        calls = []
+        update = learner._update_class_dicts
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == abort_call:
+                raise NumericalError("injected failure")
+            return update(*args)
+
+        monkeypatch.setattr(learner, "_update_class_dicts", failing)
+        code, stdout, err, out = bench(capsys, tmp_path, iters=4)
+        assert code == 3
+        assert stdout == ""
+        assert "joint training aborted" in err and "sequential" not in err
+        joint = _parse_trace(os.path.join(out, "joint.csv"))
+        seq = _parse_trace(os.path.join(out, "sequential.csv"))
+        assert [r.iteration for r in joint] == list(range(1, abort_call))
+        assert [r.iteration for r in seq] == [1, 2, 3, 4]
 
 
 class TestUsage:

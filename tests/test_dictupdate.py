@@ -231,13 +231,13 @@ class TestUpdateSharedDict:
         D_true = 0.9 * normalize_columns(rng.standard_normal((d, k0)), warn=False)
         X0 = rng.standard_normal((k0, n))
         V = D_true @ X0
-        D0 = update_shared_dict(V, X0, np.zeros((d, k0)), eta=0.0, rho=1.0, iters=400)
+        D0 = update_shared_dict(V, X0, np.zeros((d, k0)), eta=0.0, iters=400)
         assert np.max(np.abs(D0 - D_true)) < 1e-5
 
     def test_zero_codes_give_zero(self):
         current = normalize_columns(np.random.default_rng(10).standard_normal((5, 3)))
         D0 = update_shared_dict(
-            np.zeros((5, 8)), np.zeros((3, 8)), current, eta=0.5, rho=1.0, iters=50
+            np.zeros((5, 8)), np.zeros((3, 8)), current, eta=0.5, iters=50
         )
         assert np.array_equal(D0, np.zeros((5, 3)))
 
@@ -253,7 +253,7 @@ class TestUpdateSharedDict:
         def obj(M):
             return float(np.sum((V - M @ X0) ** 2)) + eta * nuclear_norm(M)
 
-        D0 = update_shared_dict(V, X0, np.zeros((d, k0)), eta=eta, rho=1.0, iters=400)
+        D0 = update_shared_dict(V, X0, np.zeros((d, k0)), eta=eta, iters=400)
         assert np.all(np.linalg.norm(D0, axis=0) <= 1 + 1e-9)
         comp = 0.1 * rng.standard_normal((d, k0))
         assert obj(D0) <= obj(comp) + 1e-8
@@ -275,7 +275,7 @@ class TestUpdateSharedDict:
         V = (left @ right) @ X0 + 0.05 * rng.standard_normal((d, n))
         ranks = []
         for eta in (0.01, 0.1, 1.0, 10.0):
-            D0 = update_shared_dict(V, X0, np.zeros((d, k0)), eta=eta, rho=1.0, iters=200)
+            D0 = update_shared_dict(V, X0, np.zeros((d, k0)), eta=eta, iters=200)
             s = np.linalg.svd(D0, compute_uv=False)
             ranks.append(int(np.sum(s > 1e-8 * max(s[0], 1e-30))))
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
@@ -288,10 +288,10 @@ class TestUpdateSharedDict:
         X0 = rng.standard_normal((3, 20))
         V = rng.standard_normal((6, 20))
         with caplog.at_level(logging.DEBUG, logger="lrsdl.dictupdate"):
-            update_shared_dict(V, X0, np.zeros((6, 3)), eta=0.3, rho=1.0, iters=3)
-            best = update_shared_dict(V, X0, np.zeros((6, 3)), eta=0.3, rho=1.0, iters=400)
+            update_shared_dict(V, X0, np.zeros((6, 3)), eta=0.3, iters=3)
+            best = update_shared_dict(V, X0, np.zeros((6, 3)), eta=0.3, iters=400)
             # three sweeps fall short of the converged solve's result
-            update_shared_dict(V, X0, best, eta=0.3, rho=1.0, iters=3)
+            update_shared_dict(V, X0, best, eta=0.3, iters=3)
         capped, stopped, rejected = [r.getMessage() for r in caplog.records]
         assert "3 of 3 sweeps, stopped on cap" in capped
         assert "of 400 sweeps, stopped on tolerance" in stopped
@@ -317,7 +317,7 @@ class TestUpdateSharedDict:
         norms = np.linalg.norm(raw, axis=0)
         assert norms.max() > 1.0
         assert obj(raw) < obj(current) < obj(raw / np.maximum(norms, 1.0))
-        out = update_shared_dict(V, X0, current, eta=0.0, rho=1.0, iters=400)
+        out = update_shared_dict(V, X0, current, eta=0.0, iters=400)
         assert np.array_equal(out, current)
 
     def test_non_finite_value_raises(self):
@@ -327,7 +327,7 @@ class TestUpdateSharedDict:
         V = rng.standard_normal((5, 10))
         current = normalize_columns(rng.standard_normal((5, 2)))
         with pytest.raises(NumericalError):
-            update_shared_dict(V, X0, current, eta=1e308, rho=1.0, iters=20)
+            update_shared_dict(V, X0, current, eta=1e308, iters=20)
 
 
 @settings(max_examples=150, deadline=None)
@@ -355,13 +355,13 @@ def test_shared_step_never_raises_its_value(d, k0, n, eta, scale, start, iters, 
         * normalize_columns(rng.standard_normal((d, k0)), warn=False),
         "planted": lambda: truth / scale,
         "converged": lambda: update_shared_dict(
-            V, X0, np.zeros((d, k0)), eta=eta, rho=1.0, iters=400
+            V, X0, np.zeros((d, k0)), eta=eta, iters=400
         ),
     }[start]()
 
     def obj(M):
         return float(np.linalg.norm(V - M @ X0) ** 2) + eta * nuclear_norm(M)
 
-    out = update_shared_dict(V, X0, current, eta=eta, rho=1.0, iters=iters)
+    out = update_shared_dict(V, X0, current, eta=eta, iters=iters)
     assert out is current or np.all(np.linalg.norm(out, axis=0) <= 1.0 + 1e-12)
     assert obj(out) <= obj(current) + 1e-12 * max(1.0, obj(current))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrsdl.data import fisher_mean_map
 from lrsdl.errors import (
     DataError,
     DimensionError,
@@ -528,7 +529,7 @@ def test_fista_matches_direct_gradient_loop(n, m, lam, warm, per_column, max_ite
 
 class TestQuadraticObjective:
     """SmoothObjective.quadratic from a Gram pair (H, B) and an optional
-    Fisher class-mean term. fista takes g(W) - g(0) as
+    Fisher class-mean map Q (data.fisher_mean_map). fista takes g(W) - g(0) as
     1/2 <W, grad(W) + grad(0)>, so that is the value checked here."""
 
     def setup_method(self):
@@ -561,7 +562,11 @@ class TestQuadraticObjective:
         # joint class codes (3 blocks of 3 classes), a sequential block
         # (1 block of 4 classes) and no Fisher term
         for fisher in (None, (0.7, 3, 3), (0.7, 1, 4)):
-            obj = SmoothObjective.quadratic(self.H, self.B, 1.0, fisher=fisher)
+            Q = None
+            if fisher is not None:
+                lambda2, blocks, C = fisher
+                Q = fisher_mean_map(blocks, 6 // blocks, C, lambda2)
+            obj = SmoothObjective.quadratic(self.H, self.B, 1.0, fisher=Q)
             assert np.array_equal(obj.grad(np.zeros((5, 6))), -self.B)
             for _ in range(5):
                 W = self.rng.standard_normal((5, 6))
