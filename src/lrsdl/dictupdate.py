@@ -20,6 +20,7 @@ step returns a d x 0 matrix.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,7 @@ def odl_update(problem, D_init, sweeps=ODL_SWEEPS):
             if ajj <= DEAD_ATOM_TOL:
                 continue
             u = (B[:, j] - D @ A[:, j]) / ajj + D[:, j]
-            nu = np.linalg.norm(u)
+            nu = math.sqrt(float(u.dot(u)))
             if nu == 0:
                 continue
             D[:, j] = u / max(nu, 1.0)

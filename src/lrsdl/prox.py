@@ -25,7 +25,10 @@ class SmoothObjective:
     iterations; it defaults to grad and dataclasses.replace keeps it, so a
     copy with a wrapped grad sees exactly one call per iteration.
     per_column marks the columns of W as independent problems, each its
-    own safeguard block. fista never calls value.
+    own safeguard block. fista never calls value: it steps through prox
+    points M - grad(M) / lipschitz, combined as the points are because
+    grad is affine, takes g(M) - g(0) as 1/2 <M, grad(M) + grad(0)>, and
+    reads the l1 term of a candidate off the clip of its shrink.
     """
 
     grad: Callable
@@ -73,33 +76,31 @@ def soft_threshold(W, tau, out=None):
     """
     if not tau >= 0:  # also rejects NaN
         raise ParameterError(f"threshold must be >= 0, got {tau}")
-    return _shrink(np.asarray(W, dtype=float), tau, out)
+    W = np.asarray(W, dtype=float)
+    clip = _clip(W, tau, out)
+    return np.subtract(W, clip, out=clip)
 
 
-def _shrink(W, tau, out):
-    """soft_threshold of a float array W by a checked tau >= 0."""
-    out = np.minimum(np.maximum(W, -tau, out=out), tau, out=out)
-    return np.subtract(W, out, out=out)
+def _clip(W, tau, out):
+    """clip(W, -tau, tau) of a float array W by a checked tau >= 0."""
+    return np.minimum(np.maximum(W, -tau, out=out), tau, out=out)
 
 
 def _pick(keep, a, b):
     return a if keep else b
 
 
-def _split_whole(accepted):
-    """Indexes of the accepted and the rejected part of a one-block solve
-    (None for an empty part)."""
-    return (..., None) if accepted else (None, ...)
+def _rejected_whole(accepted):
+    """Index of the rejected part of a one-block solve (None for none)."""
+    return None if accepted else ...
 
 
-def _split_columns(accepted):
-    """Indexes of the accepted and the rejected columns (None for none)."""
-    kept = np.flatnonzero(accepted)
-    if kept.size == accepted.size:
-        return ..., None
-    if kept.size == 0:
-        return None, ...
-    return (slice(None), kept), (slice(None), np.flatnonzero(~accepted))
+def _rejected_columns(accepted):
+    """Index of the rejected columns (None for none)."""
+    if accepted.all():
+        return None
+    rejected = np.flatnonzero(~accepted)
+    return ... if rejected.size == accepted.size else (slice(None), rejected)
 
 
 FISTA_TOL = 1e-6  # relative iterate change that ends every coding solve
@@ -126,14 +127,20 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     candidate moves the momentum point to Z = cand + b (cand - W) with
     b = (t - 1) / t_new.
 
-    Each iteration calls obj.grad once, at the candidate. As the gradient
-    is affine, the rest follows by linearity: the coefficients of Z sum to
-    1, so its gradient is the same combination of the gradients at cand
-    and W, and the safeguard compares g(W) - g(0) = 1/2 <W, grad(W) +
-    grad(0)>. The gradients at W0 and at 0 come from obj.raw_grad, once
-    per solve. A non-finite gradient entry makes that inner product
-    non-finite (0 * inf is NaN), so checking the candidate's value checks
-    its gradient too.
+    The loop carries prox points P(M) = M - grad(M) / L in place of
+    gradients: the iterate W with P(W), and P(Z) for a momentum point Z it
+    never forms. The gradient is affine and the coefficients of Z sum to
+    1, so P(Z) = P(cand) + b (P(cand) - P(W)), and a restart sets
+    P(Z) = P(W). The candidate is the shrink P(Z) - clip(P(Z), -tau, tau)
+    with tau = lam / L, and its clip gives the l1 term as well: the clip
+    is tau sign(cand) wherever cand is nonzero, so lam ||cand||_1 =
+    L <cand, clip>. The safeguard compares g(M) - g(0) + lam ||M||_1,
+    with g(M) - g(0) = 1/2 <M, grad(M) + grad(0)>; only the warm start's
+    l1 norm is summed directly, as <W0, sign(W0)>. Each iteration calls
+    obj.grad once, at the candidate, and the gradients at W0 and at 0 come
+    from obj.raw_grad, once per solve. A non-finite gradient entry makes
+    the candidate's value non-finite (0 * inf is NaN), so checking that
+    value checks the gradient too.
 
     The safeguard works on blocks: the whole matrix, or each column when
     obj.per_column is set. A column block is accepted or rejected, restarts
@@ -144,12 +151,10 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     by the same arithmetic in a batch as alone, each column gets the bits a
     solve of it alone returns.
 
-    The loop runs in place: the iterate, the candidate, the momentum point,
-    their gradients and the scratch space are allocated once per solve, and
-    no array that obj.grad returns is written to. A whole-matrix solve
-    therefore keeps an accepted gradient by reference, while a per-column
-    solve copies the accepted columns into the gradient it holds at W. The
-    shrink threshold lam / L is checked once, before the loop.
+    The loop runs in place: the iterates, prox points and scratch space
+    are allocated once per solve. Each array obj.grad returns is read
+    within its iteration, then neither kept nor written to. The shrink
+    threshold lam / L is checked once, before the loop.
     """
     if not lam >= 0:  # also rejects NaN
         raise ParameterError(f"l1 weight must be >= 0, got {lam}")
@@ -157,89 +162,73 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
         raise ParameterError("max_iter must be positive")
     L = obj.lipschitz
     W = np.array(W0, dtype=float)
-    GW = np.array(obj.raw_grad(W), dtype=float)
+    GW = obj.raw_grad(W)
     G0 = obj.raw_grad(np.zeros_like(W))
-    Z, GZ = W.copy(), GW.copy()
-    cand, scratch = np.empty_like(W), np.empty_like(W)
+    cand, clip, scratch = (np.empty_like(W) for _ in range(3))
     if obj.per_column:
         # one block per column: each column is summed as a contiguous row
         # of a transposed copy, so its sum does not depend on the others
         prod, rows = np.empty_like(W), np.empty(W.shape[::-1])
 
-        def column_sums(M):
-            np.copyto(rows, M.T)
-            return rows.sum(axis=1)
-
         def inner(A, B):
-            return column_sums(np.multiply(A, B, out=prod))
-
-        def l1(M):
-            return column_sums(np.abs(M, out=prod))
-
-        sqrt, larger, select, any_live = np.sqrt, np.maximum, np.where, np.ndarray.any
-        split = _split_columns
-
-        def keep_gradient(GW, G, kept):
-            GW[kept] = G[kept]
-            return GW
+            np.copyto(rows, np.multiply(A, B, out=prod).T)
+            return rows.sum(axis=1)
 
         def finite(F):
             return np.isfinite(F).all()
 
+        def still_live(live, accepted, rel):
+            return live & ~(accepted & (rel < tol))
+
+        sqrt, larger, select, any_live = np.sqrt, np.maximum, np.where, np.ndarray.any
+        rejected_part = _rejected_columns
         live = np.ones(W.shape[1], dtype=bool)
         t_start = np.ones(W.shape[1])
     else:
-        # the whole matrix is one block: plain scalars
+        # the whole matrix is one block: plain Python scalars and bools
 
         def inner(A, B):
             return float(np.vdot(A, B))
 
-        def l1(M):
-            return float(np.add.reduce(np.abs(M, out=scratch), axis=None))
-
-        def keep_gradient(GW, G, kept):
-            return G  # never written to, so it is kept by reference
+        def still_live(live, accepted, rel):
+            return live and not (accepted and rel < tol)
 
         sqrt, larger, select, any_live = math.sqrt, max, _pick, bool
-        split, finite = _split_whole, math.isfinite
-        live = np.True_
+        rejected_part, finite = _rejected_whole, math.isfinite
+        live = True
         t_start = 1.0
 
-    def objective(M, G):
-        """g(M) - g(0) + lam ||M||_1 from the gradient G at M (the inner
-        product is taken before l1 may reuse scratch)."""
-        return 0.5 * inner(M, np.add(G, G0, out=scratch)) + lam * l1(M)
-
-    F = objective(W, GW)
+    F = 0.5 * inner(W, np.add(GW, G0, out=scratch)) + lam * inner(W, np.sign(W, out=clip))
+    P_W = np.subtract(W, np.divide(GW, L, out=scratch))
+    P_Z = P_W.copy()
+    del GW  # the loop keeps prox points, not gradients
     t = t_start
     tau = lam / L
     # a non-finite gradient entry meets a zero of the candidate as 0 * inf:
     # that NaN is caught by the finiteness check, not warned about
     with np.errstate(invalid="ignore"):
         for k in range(1, max_iter + 1):
-            _shrink(np.subtract(Z, np.divide(GZ, L, out=scratch), out=scratch), tau, cand)
+            np.subtract(P_Z, _clip(P_Z, tau, clip), out=cand)
             G = obj.grad(cand)
-            F_cand = objective(cand, G)
+            F_cand = 0.5 * inner(cand, np.add(G, G0, out=scratch)) + L * inner(cand, clip)
             if not finite(F_cand):
                 raise NumericalError(f"non-finite gradient or objective at iteration {k}")
             accepted = live & (F_cand <= F)
             F = select(accepted, F_cand, F)
             t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
             b = (t - 1.0) / t_new
-            kept, rejected = split(accepted)
             step = np.subtract(cand, W, out=scratch)
             rel = sqrt(inner(step, step)) / larger(1.0, sqrt(inner(W, W)))
-            np.add(cand, np.multiply(step, b, out=Z), out=Z)
-            np.add(G, np.multiply(np.subtract(G, GW, out=scratch), b, out=GZ), out=GZ)
-            if rejected is not None:  # restart: Z, GZ = W, GW and t = 1
-                Z[rejected] = W[rejected]
-                GZ[rejected] = GW[rejected]
-                cand[rejected] = W[rejected]  # cand now holds W_new
-            if kept is not None:
-                GW = keep_gradient(GW, G, kept)
+            P_C = np.subtract(cand, np.divide(G, L, out=scratch), out=scratch)
+            np.add(P_C, np.multiply(np.subtract(P_C, P_W, out=P_Z), b, out=P_Z), out=P_Z)
+            rejected = rejected_part(accepted)
+            if rejected is not None:  # restart: P(Z) = P(W) and t = 1
+                P_Z[rejected] = P_C[rejected] = P_W[rejected]
+                cand[rejected] = W[rejected]  # so the swaps below keep W, P(W)
             W, cand = cand, W
+            P_W, scratch = P_C, P_W
             t = select(accepted, t_new, t_start)
-            live = live & ~(accepted & (rel < tol))
+            live = still_live(live, accepted, rel)
             if not any_live(live):
                 break
     return W

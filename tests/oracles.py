@@ -266,42 +266,40 @@ def mfista_one_block(grad, value, L, lam, W0, max_iter, tol):
 
 def fista_one_product(grad, L, lam, W0, max_iter, tol):
     """The same restarted monotone FISTA for a quadratic g, with one
-    gradient call per iteration, written out with Python scalars: the
-    gradient at the momentum point is the same affine combination of kept
-    gradients as the point itself, and g(W) - g(0) = 1/2 <W, grad(W) +
-    grad(0)>. Operation for operation this is the arithmetic prox.fista
-    uses with the whole matrix as one block, so the two agree bit for bit.
-    Returns the final iterate and the number of iterations run.
+    gradient call per iteration, written out with Python scalars in
+    prox-point form: it keeps P(M) = M - grad(M) / L of the iterate and of
+    the momentum point, whose prox point is the same affine combination of
+    kept prox points as the point itself. The candidate is
+    P(Z) - clip(P(Z), -lam / L, lam / L), its l1 term lam ||cand||_1 is
+    read off that clip as L <cand, clip>, and g(W) - g(0) =
+    1/2 <W, grad(W) + grad(0)>. Operation for operation this is the
+    arithmetic prox.fista uses with the whole matrix as one block, so the
+    two agree bit for bit. Returns the final iterate and the number of
+    iterations run.
     """
     W = np.array(W0, dtype=float)
     GW = grad(W)
     G0 = grad(np.zeros_like(W))
-    Z, GZ = W, GW
+    tau = lam / L
+    P_W = W - GW / L
+    P_Z = P_W
     t = 1.0
-
-    def shrink(V, tau):
-        # adding 0.0 turns the -0.0 of a shrunk negative entry into 0.0,
-        # the zero that w - clip(w, -tau, tau) gives
-        return np.sign(V) * np.maximum(np.abs(V) - tau, 0.0) + 0.0
-
-    def objective(V, G):
-        return 0.5 * float(np.vdot(V, G + G0)) + lam * np.abs(V).sum()
-
-    F = objective(W, GW)
+    F = 0.5 * float(np.vdot(W, GW + G0)) + lam * float(np.vdot(W, np.sign(W)))
     for k in range(1, max_iter + 1):
-        cand = shrink(Z - GZ / L, lam / L)
+        clip = np.minimum(np.maximum(P_Z, -tau), tau)
+        cand = P_Z - clip
         G = grad(cand)
-        F_cand = objective(cand, G)
+        F_cand = 0.5 * float(np.vdot(cand, G + G0)) + L * float(np.vdot(cand, clip))
         if F_cand > F:
-            Z, GZ, t = W, GW, 1.0
+            P_Z, t = P_W, 1.0
             continue
         F = F_cand
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         b = (t - 1.0) / t_new
-        Z = cand + b * (cand - W)
-        GZ = G + b * (G - GW)
+        P_C = cand - G / L
+        P_Z = P_C + b * (P_C - P_W)
         rel = np.linalg.norm(cand - W) / max(1.0, np.linalg.norm(W))
-        W, GW, t = cand, G, t_new
+        W, P_W, t = cand, P_C, t_new
         if rel < tol:
             break
     return W, k

@@ -362,6 +362,63 @@ def test_rejected_step_restarts_momentum(per_column):
 
 
 @pytest.mark.parametrize("per_column", [False, True], ids=["whole", "columns"])
+def test_rejected_plain_step_is_proposed_again(per_column):
+    """At a step size of 0.2 lambda_max(A^T A) the plain proximal gradient
+    step from the warm start raises every block's objective. Each later
+    candidate is then that same step, rejected again, and the iterate never
+    moves: a restart goes back to the iterate's own prox point, never to the
+    rejected candidate's."""
+    A, B, L, W0 = rejecting_problem()
+    L *= 0.2 / 0.7
+    grad = least_squares_columns(A, B)
+    cands = []
+
+    def recording(W):
+        cands.append(W.copy())
+        return grad(W)
+
+    obj = SmoothObjective(grad=recording, lipschitz=L, per_column=per_column, raw_grad=grad)
+    out = fista(obj, 0.05, W0, max_iter=10, tol=0.0)
+    plain = soft_threshold(W0 - grad(W0) / L, 0.05 / L)
+    assert np.array_equal(out, W0)
+    assert len(cands) == 10
+    for k, cand in enumerate(cands, 1):
+        assert np.array_equal(cand, plain), k
+
+
+@pytest.mark.parametrize("per_column", [False, True], ids=["whole", "columns"])
+@pytest.mark.parametrize("problem", ["rejecting", "column-blocks"])
+def test_iterates_match_direct_gradient_loop(per_column, problem):
+    """Every iterate, budgets 1 to 60 with no tolerance stop, against
+    mfista_one_block (explicit momentum points, the gradient at each, values
+    from the least-squares objective), one column at a time when the solve
+    has one block per column. Round-off grows with the steps: the largest
+    gap, 2.7e-9 of the largest entry, comes in per-column mode after 40
+    steps on the column-block problem."""
+    if problem == "rejecting":
+        A, B, L, W0 = rejecting_problem()
+    else:
+        A, B, L = TestFistaColumnBlocks().problem()
+        W0 = np.zeros((A.shape[1], B.shape[1]))
+    lam = 0.05
+    obj = SmoothObjective(grad=least_squares_columns(A, B), lipschitz=L, per_column=per_column)
+    blocks = [[j] for j in range(B.shape[1])] if per_column else [slice(None)]
+
+    def reference(cols, max_iter):
+        Bc = B[:, cols]
+        return mfista_one_block(
+            lambda W: A.T @ (A @ W - Bc),
+            lambda W: 0.5 * float(np.sum((A @ W - Bc) ** 2)),
+            L, lam, W0[:, cols], max_iter, 0.0,
+        )
+
+    for k in range(1, 61):
+        out = fista(obj, lam, W0, max_iter=k, tol=0.0)
+        ref = np.column_stack([reference(cols, k) for cols in blocks])
+        assert np.max(np.abs(out - ref)) <= 1e-8 * np.max(np.abs(ref)), k
+
+
+@pytest.mark.parametrize("per_column", [False, True], ids=["whole", "columns"])
 class TestFistaInPlace:
     """fista updates its own buffers in place, in both block modes: the
     warm start, the arrays obj.grad returns and earlier results are never
@@ -472,6 +529,33 @@ class TestFistaIterationCount:
         for name, obj in self.objectives(H, B, L).items():
             assert self.run(obj, 7)[1] == 7, name
             assert self.run(obj, 40, tol=0.0)[1] == 40, name
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lam=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    L=st.floats(1e-3, 1e3),
+    entries=st.lists(
+        st.one_of(
+            st.floats(-20.0, 20.0),
+            st.sampled_from(["tau", "-tau", 0.0, -0.0]),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_l1_term_read_off_the_clip(lam, L, entries):
+    """The identity fista takes its l1 term from: for s = P - clip(P, -tau,
+    tau) with tau = lam / L, the clip is tau sign(s) wherever s is nonzero,
+    so L <s, clip> = lam ||s||_1. Entries sit on the band's edges +-tau and
+    on both zeros as well as anywhere in it and beyond."""
+    tau = lam / L
+    P = np.array([{"tau": tau, "-tau": -tau}.get(e, e) for e in entries])
+    clip = np.minimum(np.maximum(P, -tau), tau)
+    s = soft_threshold(P, tau)
+    assert np.array_equal(s, P - clip)
+    l1 = lam * float(np.abs(s).sum())
+    assert abs(L * float(np.dot(s, clip)) - l1) <= 1e-12 * l1
 
 
 @settings(max_examples=300, deadline=None)
