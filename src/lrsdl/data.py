@@ -9,7 +9,8 @@ Conventions used throughout the package:
   dictionary (d x k0, possibly empty), concatenated as D = [D_1 .. D_C]
   and D_total = [D, D_shared],
 * codes for the class dictionaries are K x N with K = C * k_c, codes for
-  the shared dictionary are k0 x N.
+  the shared dictionary are k0 x N; their blocks are the Dataset's n_c
+  columns and the DictionaryBundle's k_c rows (gradients.check_shapes).
 
 All containers are frozen dataclasses holding read-only arrays.
 """
@@ -225,28 +226,18 @@ class DictionaryBundle:
 @dataclass(frozen=True)
 class CoefBundle:
     """Sparse codes: X (K x N) on the class dictionaries, X0 (k0 x N) on
-    the shared dictionary. Columns follow the class-contiguous layout."""
+    the shared dictionary; the class layout is the data's and the dictionaries'."""
 
     X: np.ndarray
     X0: np.ndarray
-    k_c: int
-    n_c: int
 
     def __post_init__(self):
         X = _freeze(self.X)
         X0 = _freeze(self.X0)
         if X.ndim != 2 or X0.ndim != 2:
             raise DimensionError("codes must be 2-d")
-        if self.k_c < 1 or self.n_c < 1:
-            raise ParameterError("k_c and n_c must be positive")
-        if X.shape[0] % self.k_c != 0:
-            raise DimensionError(f"{X.shape[0]} rows not divisible by k_c={self.k_c}")
-        if X.shape[1] % self.n_c != 0:
-            raise DimensionError(f"{X.shape[1]} cols not divisible by n_c={self.n_c}")
         if X0.shape[1] != X.shape[1]:
             raise DimensionError("X and X0 column counts differ")
-        if X.shape[0] // self.k_c != X.shape[1] // self.n_c:
-            raise DimensionError("class count from rows and columns disagree")
         if not (np.isfinite(X).all() and np.isfinite(X0).all()):
             raise DataError("codes contain NaN or Inf")
         object.__setattr__(self, "X", X)
@@ -263,22 +254,6 @@ class CoefBundle:
     @property
     def N(self):
         return self.X.shape[1]
-
-    @property
-    def C(self):
-        return self.K // self.k_c
-
-    def class_columns(self, c):
-        return slice((c - 1) * self.n_c, c * self.n_c)
-
-    @classmethod
-    def zeros(cls, C, k_c, k0, n_c):
-        return cls(
-            X=np.zeros((C * k_c, C * n_c)),
-            X0=np.zeros((k0, C * n_c)),
-            k_c=k_c,
-            n_c=n_c,
-        )
 
 
 @dataclass(frozen=True)
@@ -297,10 +272,6 @@ class MeanStats:
         object.__setattr__(self, "shared_mean", _freeze(self.shared_mean))
         if self.class_means.ndim != 2:
             raise DimensionError("class_means must be K x C")
-
-    @property
-    def C(self):
-        return self.class_means.shape[1]
 
     def class_mean(self, c):
         return self.class_means[:, c - 1]
@@ -337,8 +308,11 @@ def block_diagonal(A, C):
 def check_class_layout(labels, N):
     """Class count C of a label vector of length N in the class layout
     (labels 1..C in contiguous blocks of N / C columns each). Raises
-    DimensionError for a wrong length, DomainError for any other layout."""
-    labels = np.asarray(labels, dtype=int)
+    DataError unless the labels are integers (bool is not), DimensionError
+    for a wrong length, DomainError for any other layout."""
+    labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.shape != (N,):
         raise DimensionError(f"labels length {labels.shape} does not match {N} columns")
     C = int(labels.max(initial=0))
@@ -348,11 +322,13 @@ def check_class_layout(labels, N):
 
 
 def mean_stats(coefs, labels):
-    """Compute MeanStats from a CoefBundle and its column labels."""
-    if check_class_layout(labels, coefs.N) != coefs.C:
-        raise DomainError(f"labels do not name the {coefs.C} classes of the codes")
+    """MeanStats from a CoefBundle and its column labels, which give C;
+    DomainError unless the K code rows split into C blocks."""
+    C = check_class_layout(labels, coefs.N)
+    if coefs.K % C:
+        raise DomainError(f"{coefs.K} code rows do not split into {C} class blocks")
     return MeanStats(
-        class_means=class_means(coefs.X, coefs.C),
+        class_means=class_means(coefs.X, C),
         shared_mean=coefs.X0.mean(axis=1),
     )
 
@@ -403,6 +379,13 @@ class LearnedModel:
     hyper: HyperParams
     trace: tuple
     aborted: bool = False
+
+    def __post_init__(self):
+        dicts, means = self.dict_bundle, self.mean_stats
+        got = (means.class_means.shape, means.shared_mean.shape)
+        want = ((dicts.K, dicts.C), (dicts.k0,))
+        if got != want:
+            raise DimensionError(f"code means of shapes {got}, dictionaries need {want}")
 
     @property
     def d(self):

@@ -62,8 +62,9 @@ class QuadDictProblem:
         return float(np.sum((D @ self.A) * D) - 2.0 * np.sum(D * self.B))
 
 
-def class_dict_gram(coefs, shifted):
-    """Gram pair (F, E) of the class-dictionary step for shifted data Ys:
+def class_dict_gram(coefs, shifted, C):
+    """Gram pair (F, E) of the class-dictionary step for shifted data Ys and
+    codes whose K rows and N columns both split into C class blocks:
 
         F = M(X X^T),  E = Ys M(X)^T,  M(A) = A + blockdiag(A),
 
@@ -76,10 +77,12 @@ def class_dict_gram(coefs, shifted):
         raise DimensionError(
             f"shifted data shape {shifted.shape} does not match {coefs.N} code columns"
         )
+    if coefs.K % C or coefs.N % C:
+        raise DimensionError(f"codes {coefs.X.shape} do not split into {C} class blocks")
     X = coefs.X
     XXt = X @ X.T
-    MX = X + block_diagonal(X, coefs.C)
-    return XXt + block_diagonal(XXt, coefs.C), shifted @ MX.T
+    MX = X + block_diagonal(X, C)
+    return XXt + block_diagonal(XXt, C), shifted @ MX.T
 
 
 def count_dead_atoms(problem):

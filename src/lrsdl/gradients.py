@@ -203,7 +203,7 @@ class ObjectiveTerms:
 
 def check_shapes(data, dicts, coefs):
     """Raise DimensionError unless data, dictionaries and codes agree in
-    d, C, K, k0 and the column layout."""
+    d, C, K = C k_c, k0 and N = C n_c, which fix the codes' class blocks."""
     if dicts.d != data.d or dicts.C != data.C:
         raise DimensionError(
             f"dictionary ({dicts.d}, C={dicts.C}) does not match data "
@@ -214,8 +214,8 @@ def check_shapes(data, dicts, coefs):
             f"codes (K={coefs.K}, k0={coefs.k0}) do not match dictionaries "
             f"(K={dicts.K}, k0={dicts.k0})"
         )
-    if coefs.N != data.N or coefs.n_c != data.n_c:
-        raise DimensionError("code columns do not match the dataset")
+    if coefs.N != data.N:
+        raise DimensionError(f"{coefs.N} code columns do not match {data.N} samples")
 
 
 def nuclear_term(D0, eta):

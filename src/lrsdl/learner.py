@@ -102,7 +102,7 @@ def initialize(data, config, seed):
     else:
         shared = np.zeros((data.d, 0))
     dicts = DictionaryBundle(class_dicts=tuple(class_dicts), shared_dict=shared)
-    coefs = CoefBundle.zeros(data.C, k_c, k0, data.n_c)
+    coefs = CoefBundle(X=np.zeros((data.C * k_c, data.N)), X0=np.zeros((k0, data.N)))
     return dicts, coefs
 
 
@@ -122,7 +122,7 @@ def _solve_shared_codes(data, dicts, coefs, hyper):
     H, B = gram_shared_codes(dicts.shared_dict, V, m0, hyper.lambda2)
     obj = SmoothObjective.quadratic(H, B, power_iteration_lipschitz(H))
     X0new = fista(obj, hyper.lambda1, coefs.X0, max_iter=hyper.fista_iters)
-    return CoefBundle(X=coefs.X, X0=X0new, k_c=coefs.k_c, n_c=coefs.n_c)
+    return replace(coefs, X0=X0new)
 
 
 def _code_classes(data, dicts, coefs, hyper, group, passes, budget):
@@ -155,8 +155,7 @@ def _code_classes(data, dicts, coefs, hyper, group, passes, budget):
             obj = SmoothObjective.quadratic(H, B, L, fisher=Q)
             X[:, cols] = fista(obj, hyper.lambda1, X[:, cols], max_iter=budget)
             cmeans[:, classes] = class_means(X[:, cols], group)
-    coefs = CoefBundle(X=X, X0=coefs.X0, k_c=dicts.k_c, n_c=data.n_c)
-    return _solve_shared_codes(data, dicts, coefs, hyper)
+    return _solve_shared_codes(data, dicts, replace(coefs, X=X), hyper)
 
 
 def sparse_code_train(data, dicts, coefs, hyper):
@@ -180,7 +179,7 @@ def _update_class_dicts(data, dicts, coefs):
     Column norms stay at <= 1.
     """
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-    F, E = class_dict_gram(coefs, shifted)
+    F, E = class_dict_gram(coefs, shifted, dicts.C)
     cross = F - block_diagonal(F, dicts.C)  # F with its own-class blocks zeroed
     D = np.array(dicts.D)
     dead = 0

@@ -66,10 +66,10 @@ class SmoothObjective:
         return cls(grad=grad, lipschitz=lipschitz, per_column=per_column)
 
 
-def soft_threshold(W, tau, out=None):
+def soft_threshold(W, tau):
     """Entrywise shrinkage: sign(w) * max(|w| - tau, 0), formed as
     W - clip(W, -tau, tau), the clip as min(max(W, -tau), tau), in one
-    temporary or in out (which must not share memory with W).
+    temporary.
 
     The proximal operator of tau * ||.||_1. Entries with |w| <= tau map to
     exactly zero.
@@ -77,7 +77,7 @@ def soft_threshold(W, tau, out=None):
     if not tau >= 0:  # also rejects NaN
         raise ParameterError(f"threshold must be >= 0, got {tau}")
     W = np.asarray(W, dtype=float)
-    clip = _clip(W, tau, out)
+    clip = _clip(W, tau, None)
     return np.subtract(W, clip, out=clip)
 
 

@@ -80,8 +80,6 @@ def random_triple(seed, C=3, d=8, n_c=4, k_c=3, k0=2):
     coefs = CoefBundle(
         X=rng.standard_normal((C * k_c, C * n_c)),
         X0=rng.standard_normal((k0, C * n_c)),
-        k_c=k_c,
-        n_c=n_c,
     )
     return data, dicts, coefs
 

@@ -57,7 +57,7 @@ def problem(C, n_c, k_c, k0, d, seed, dead=()):
     )
     X = rng.standard_normal((C * k_c, C * n_c))
     X[[r % (C * k_c) for r in dead]] = 0.0
-    coefs = CoefBundle(X=X, X0=rng.standard_normal((k0, C * n_c)), k_c=k_c, n_c=n_c)
+    coefs = CoefBundle(X=X, X0=rng.standard_normal((k0, C * n_c)))
     return data, dicts, coefs
 
 

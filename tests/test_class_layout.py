@@ -9,6 +9,7 @@ objective must equal the literal FDDL objective.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from lrsdl.data import (
     mean_stats,
     normalize_columns,
 )
+from lrsdl.errors import DataError
 from lrsdl.gradients import fisher_value, grad_fisher, lrsdl_objective
 
 from oracles import column_means_by_class, fd_grad, fddl_objective, rel_err
@@ -100,7 +102,7 @@ def test_mean_stats_match_per_label_loop(C, n_c, K, k_c, k0, seed):
     X = rng.standard_normal((C * k_c, C * n_c))
     X0 = rng.standard_normal((k0, C * n_c))
     labels = np.repeat(np.arange(1, C + 1), n_c)
-    ms = mean_stats(CoefBundle(X=X, X0=X0, k_c=k_c, n_c=n_c), labels)
+    ms = mean_stats(CoefBundle(X=X, X0=X0), labels)
     _, means = column_means_by_class(X, labels)
     for c, mc in means.items():
         np.testing.assert_allclose(ms.class_mean(c), mc, rtol=1e-13, atol=1e-14)
@@ -126,8 +128,35 @@ def test_no_shared_dictionary_is_fddl(C, n_c, k_c, d, lambda1, lambda2, seed):
     )
     dicts = DictionaryBundle(class_dicts=class_dicts, shared_dict=np.zeros((d, 0)))
     X = rng.standard_normal((C * k_c, C * n_c))
-    coefs = CoefBundle(X=X, X0=np.zeros((0, C * n_c)), k_c=k_c, n_c=n_c)
+    coefs = CoefBundle(X=X, X0=np.zeros((0, C * n_c)))
     hyper = HyperParams(lambda1=lambda1, lambda2=lambda2, eta=0.3)
     mine = lrsdl_objective(data, dicts, coefs, hyper)
     want = fddl_objective(data.Y, list(class_dicts), X, labels, lambda1, lambda2)
     assert abs(mine - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [1.7, 1.2, 2.9, 2.1],
+        [1.0, 1.0, 2.0, 2.0],
+        ["1", "1", "2", "2"],
+        [1.0, np.nan, 2.0, 2.0],
+        [True, True, True, True],
+    ],
+    ids=["fractional", "integral-float", "string", "nan", "bool"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda X, labels: mean_stats(CoefBundle(X=X, X0=np.zeros((0, 4))), labels),
+        fisher_value,
+        grad_fisher,
+    ],
+    ids=["mean_stats", "fisher_value", "grad_fisher"],
+)
+def test_labels_that_are_not_integers_rejected(call, labels):
+    # never truncated or parsed into a class layout
+    X = np.arange(16.0).reshape(4, 4)
+    with pytest.raises(DataError, match="integers"):
+        call(X, np.array(labels))

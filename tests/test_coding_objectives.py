@@ -86,7 +86,7 @@ def assert_step_size(obj, H, shape):
 
 
 def smooth_terms(data, dicts, X, X0, hyper):
-    coefs = CoefBundle(X=X, X0=X0, k_c=dicts.k_c, n_c=data.n_c)
+    coefs = CoefBundle(X=X, X0=X0)
     terms = objective_terms(data, dicts, coefs, hyper)
     return terms.fidelity, terms.fisher
 
@@ -117,9 +117,7 @@ def test_site_values_match_literal_objectives(
         shared_dict=0.9 * normalize_columns(rng.standard_normal((d, k0))),
     )
     K = dicts.K
-    coefs = CoefBundle(
-        X=rng.standard_normal((K, N)), X0=rng.standard_normal((k0, N)), k_c=k_c, n_c=n_c
-    )
+    coefs = CoefBundle(X=rng.standard_normal((K, N)), X0=rng.standard_normal((k0, N)))
     hyper = HyperParams(lambda1=0.01, lambda2=lambda2, fista_iters=30, seed=seed % 1000)
 
     def draw(shape):
@@ -160,7 +158,7 @@ def test_site_values_match_literal_objectives(
         learner.sparse_code_sequential(data, dicts, coefs, hyper)
     assert len(seq) == learner.SEQ_PASSES * C + (1 if k0 else 0)
     for i, obj in enumerate(seq[: learner.SEQ_PASSES * C]):
-        cols = coefs.class_columns(i % C + 1)
+        cols = data.class_columns(i % C + 1)
 
         def block_literal(W, cols=cols):
             X = coefs.X.copy()

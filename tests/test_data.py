@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from lrsdl.data import (
     Dataset,
     DictionaryBundle,
     HyperParams,
+    LearnedModel,
+    MeanStats,
     generate_synthetic,
     mean_stats,
     normalize_columns,
@@ -18,6 +21,7 @@ from lrsdl.errors import (
     DomainError,
     ParameterError,
 )
+from lrsdl.learner import TrainConfig, initialize
 
 
 def _rand_dataset(seed=0, C=2, d=5, n_c=3):
@@ -161,37 +165,40 @@ class TestCoefBundle:
     def test_block_accessors(self):
         X = np.arange(24.0).reshape(4, 6)
         X0 = np.arange(12.0).reshape(2, 6)
-        coefs = CoefBundle(X=X, X0=X0, k_c=2, n_c=3)
-        assert coefs.C == 2 and coefs.K == 4 and coefs.k0 == 2 and coefs.N == 6
-        assert coefs.class_columns(2) == slice(3, 6)
+        coefs = CoefBundle(X=X, X0=X0)
+        assert coefs.K == 4 and coefs.k0 == 2 and coefs.N == 6
+
+    def test_holds_the_codes_only(self):
+        assert [f.name for f in fields(CoefBundle)] == ["X", "X0"]
 
     def test_zeros_constructor(self):
-        coefs = CoefBundle.zeros(C=3, k_c=2, k0=4, n_c=5)
+        # the zero codes a fit starts from: C k_c x N and k0 x N
+        data = _rand_dataset(C=3, d=5, n_c=5)
+        _, coefs = initialize(data, TrainConfig(k_c=2, k0=4), seed=0)
         assert coefs.X.shape == (6, 15) and coefs.X0.shape == (4, 15)
         assert not coefs.X.any() and not coefs.X0.any()
 
     def test_divisibility_checks(self):
+        # the codes check their own column counts; the class blocks are
+        # checked where the codes meet labels (here) or dictionaries
+        # (check_shapes, class_dict_gram)
         with pytest.raises(DimensionError):
-            CoefBundle(X=np.zeros((5, 6)), X0=np.zeros((0, 6)), k_c=2, n_c=3)
-        with pytest.raises(DimensionError):
-            CoefBundle(X=np.zeros((4, 6)), X0=np.zeros((0, 4)), k_c=2, n_c=3)
-        # 3 row blocks vs 2 column blocks
-        with pytest.raises(DimensionError):
-            CoefBundle(X=np.zeros((6, 6)), X0=np.zeros((0, 6)), k_c=2, n_c=3)
+            CoefBundle(X=np.zeros((4, 6)), X0=np.zeros((0, 4)))
+        five_rows = CoefBundle(X=np.ones((5, 6)), X0=np.zeros((0, 6)))
+        with pytest.raises(DomainError, match="class blocks"):
+            mean_stats(five_rows, np.repeat([1, 2], 3))
 
     def test_non_finite_rejected(self):
         X = np.zeros((2, 2))
         X[0, 0] = np.nan
         with pytest.raises(DataError):
-            CoefBundle(X=X, X0=np.zeros((0, 2)), k_c=1, n_c=1)
+            CoefBundle(X=X, X0=np.zeros((0, 2)))
 
 
 class TestMeanStats:
     def test_two_scalar_classes(self):
         # first row holds the scalar example: columns 1 and 3 in classes 1, 2
-        coefs = CoefBundle(
-            X=np.array([[1.0, 3.0], [5.0, 7.0]]), X0=np.zeros((0, 2)), k_c=1, n_c=1
-        )
+        coefs = CoefBundle(X=np.array([[1.0, 3.0], [5.0, 7.0]]), X0=np.zeros((0, 2)))
         ms = mean_stats(coefs, np.array([1, 2]))
         assert ms.class_mean(1)[0] == pytest.approx(1.0)
         assert ms.class_mean(2)[0] == pytest.approx(3.0)
@@ -199,7 +206,7 @@ class TestMeanStats:
     def test_constant_columns(self):
         col = np.array([2.0, -1.0, 0.5])
         X = np.tile(col[:, None], (1, 4))
-        coefs = CoefBundle(X=X, X0=np.zeros((0, 4)), k_c=3, n_c=4)
+        coefs = CoefBundle(X=X, X0=np.zeros((0, 4)))
         ms = mean_stats(coefs, np.array([1, 1, 1, 1]))
         assert np.allclose(ms.class_mean(1), col)
 
@@ -208,7 +215,7 @@ class TestMeanStats:
         X = rng.standard_normal((4, 6))
         X0 = rng.standard_normal((2, 6))
         labels = np.repeat([1, 2], 3)
-        coefs = CoefBundle(X=X, X0=X0, k_c=2, n_c=3)
+        coefs = CoefBundle(X=X, X0=X0)
         ms = mean_stats(coefs, labels)
         for c in (1, 2):
             want = X[:, labels == c].sum(axis=1) / 3.0
@@ -218,7 +225,7 @@ class TestMeanStats:
     def test_class_deviations_sum_to_zero(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((6, 8))
-        coefs = CoefBundle(X=X, X0=np.zeros((0, 8)), k_c=3, n_c=4)
+        coefs = CoefBundle(X=X, X0=np.zeros((0, 8)))
         labels = np.repeat([1, 2], 4)
         ms = mean_stats(coefs, labels)
         for c in (1, 2):
@@ -226,9 +233,37 @@ class TestMeanStats:
             assert np.max(np.abs(dev.sum(axis=1))) < 1e-10
 
     def test_zero_sample_class_rejected(self):
-        coefs = CoefBundle(X=np.zeros((2, 2)), X0=np.zeros((0, 2)), k_c=1, n_c=1)
+        coefs = CoefBundle(X=np.zeros((2, 2)), X0=np.zeros((0, 2)))
         with pytest.raises(DomainError):
             mean_stats(coefs, np.array([1, 3]))
+
+
+class TestLearnedModel:
+    """The code means must have the shapes the dictionaries give: class
+    means K x C and the shared mean (k0,), here with C = 3, k_c = 2, k0 = 2."""
+
+    def _model(self, class_means, shared_mean):
+        rng = np.random.default_rng(3)
+        dicts = DictionaryBundle(
+            class_dicts=tuple(
+                normalize_columns(rng.standard_normal((5, 2)), warn=False) for _ in range(3)
+            ),
+            shared_dict=normalize_columns(rng.standard_normal((5, 2)), warn=False),
+        )
+        means = MeanStats(class_means=class_means, shared_mean=shared_mean)
+        return LearnedModel(dict_bundle=dicts, mean_stats=means, hyper=HyperParams(), trace=())
+
+    def test_matching_means_accepted(self):
+        model = self._model(np.zeros((6, 3)), np.zeros(2))
+        assert model.C == 3 and model.d == 5
+
+    @pytest.mark.parametrize(
+        "class_shape, shared_shape",
+        [((6, 2), (2,)), ((5, 3), (2,)), ((6, 4), (2,)), ((6, 3), (3,)), ((6, 3), (2, 1))],
+    )
+    def test_mismatched_means_rejected(self, class_shape, shared_shape):
+        with pytest.raises(DimensionError, match="code means"):
+            self._model(np.zeros(class_shape), np.zeros(shared_shape))
 
 
 class TestHyperParams:

@@ -55,8 +55,6 @@ def random_problem(seed, C=3, d=8, n_c=4, k_c=3, k0=2):
     coefs = CoefBundle(
         X=rng.standard_normal((C * k_c, C * n_c)),
         X0=rng.standard_normal((k0, C * n_c)),
-        k_c=k_c,
-        n_c=n_c,
     )
     return data, dicts, coefs
 
@@ -84,15 +82,15 @@ class TestAssembleClassProblem:
 
     def test_zero_codes_give_zero_problem(self):
         data, dicts, _ = random_problem(0)
-        coefs = CoefBundle.zeros(C=data.C, k_c=dicts.k_c, k0=dicts.k0, n_c=data.n_c)
-        F, E = class_dict_gram(coefs, data.Y)
+        coefs = CoefBundle(X=np.zeros((dicts.K, data.N)), X0=np.zeros((dicts.k0, data.N)))
+        F, E = class_dict_gram(coefs, data.Y, dicts.C)
         assert F.shape == (dicts.K, dicts.K) and E.shape == (dicts.d, dicts.K)
         assert np.array_equal(F, np.zeros_like(F))
         assert np.array_equal(E, np.zeros_like(E))
 
     def test_single_class_closed_form(self):
         data, dicts, coefs = random_problem(1, C=1, k0=0)
-        F, E = class_dict_gram(coefs, data.Y)
+        F, E = class_dict_gram(coefs, data.Y, dicts.C)
         X = coefs.X
         assert np.allclose(F, 2.0 * X @ X.T, atol=1e-12)
         assert np.allclose(E, 2.0 * data.Y @ X.T, atol=1e-12)
@@ -101,7 +99,7 @@ class TestAssembleClassProblem:
         # d/dD of the summed (unhalved) fidelity is 2 (D F - E)
         data, dicts, coefs = random_problem(2)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        F, E = class_dict_gram(coefs, shifted)
+        F, E = class_dict_gram(coefs, shifted, dicts.C)
         D = np.array(dicts.D)
 
         def f(M):
@@ -119,7 +117,7 @@ class TestAssembleClassProblem:
         data, dicts, coefs = random_problem(3)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
         rng = np.random.default_rng(4)
-        F, E = class_dict_gram(coefs, shifted)
+        F, E = class_dict_gram(coefs, shifted, dicts.C)
         D = np.array(dicts.D)
         rows = dicts.row_block(2)
         cross = F[:, rows].copy()
@@ -142,9 +140,21 @@ class TestAssembleClassProblem:
         assert_tracks(own.objective(P1[:, rows]) - own.objective(P2[:, rows]), P1, P2)
 
     def test_shifted_shape_checked(self):
-        data, _, coefs = random_problem(5)
+        data, dicts, coefs = random_problem(5)
         with pytest.raises(DimensionError):
-            class_dict_gram(coefs, data.Y[:, :-1])
+            class_dict_gram(coefs, data.Y[:, :-1], dicts.C)
+
+    @pytest.mark.parametrize("extra_rows, extra_cols", [(1, 0), (0, 1), (1, 1)])
+    def test_codes_that_do_not_split_into_C_blocks_rejected(self, extra_rows, extra_cols):
+        # 3 classes: K = 9 + extra_rows rows, N = 12 + extra_cols columns
+        data, dicts, coefs = random_problem(6)
+        rng = np.random.default_rng(6)
+        N = data.N + extra_cols
+        bad = CoefBundle(
+            X=rng.standard_normal((dicts.K + extra_rows, N)), X0=np.zeros((dicts.k0, N))
+        )
+        with pytest.raises(DimensionError, match="class blocks"):
+            class_dict_gram(bad, rng.standard_normal((dicts.d, N)), dicts.C)
 
 
 class TestCountDeadAtoms:

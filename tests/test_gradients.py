@@ -35,6 +35,7 @@ from lrsdl.gradients import (
     objective_terms,
     residual_matrices,
 )
+from lrsdl.learner import sparse_code_sequential, sparse_code_train
 
 from oracles import (
     column_means_by_class,
@@ -69,8 +70,6 @@ def random_problem(seed, C=3, d=8, n_c=4, k_c=3, k0=2):
     coefs = CoefBundle(
         X=rng.standard_normal((C * k_c, C * n_c)),
         X0=rng.standard_normal((k0, C * n_c)),
-        k_c=k_c,
-        n_c=n_c,
     )
     return data, dicts, coefs
 
@@ -88,7 +87,7 @@ class TestColumnMeans:
     def test_interleaved_labels_rejected(self):
         X = np.random.default_rng(1).standard_normal((4, 6))
         labels = np.array([1, 2, 1, 2, 1, 2])
-        coefs = CoefBundle(X=X, X0=np.zeros((0, 6)), k_c=2, n_c=3)
+        coefs = CoefBundle(X=X, X0=np.zeros((0, 6)))
         for call in (
             lambda: grad_fisher(X, labels),
             lambda: fisher_value(X, labels),
@@ -115,7 +114,7 @@ class TestResidualMatrices:
 
     def test_zero_codes_give_data_back(self):
         data, dicts, _ = random_problem(3)
-        coefs = CoefBundle.zeros(C=data.C, k_c=dicts.k_c, k0=dicts.k0, n_c=data.n_c)
+        coefs = CoefBundle(X=np.zeros((dicts.K, data.N)), X0=np.zeros((dicts.k0, data.N)))
         assert np.array_equal(residual_matrices(data, dicts, coefs), data.Y)
 
     def test_shape_mismatch_rejected(self):
@@ -400,7 +399,7 @@ class TestBuildTestGram:
 class TestObjective:
     def test_zero_codes_no_shared_equals_data_energy(self):
         data, dicts, _ = random_problem(39, k0=0)
-        coefs = CoefBundle.zeros(C=data.C, k_c=dicts.k_c, k0=0, n_c=data.n_c)
+        coefs = CoefBundle(X=np.zeros((dicts.K, data.N)), X0=np.zeros((0, data.N)))
         hyper = HyperParams(lambda1=0.2, lambda2=0.5, eta=0.7)
         total = lrsdl_objective(data, dicts, coefs, hyper)
         assert total == pytest.approx(float(np.sum(data.Y**2)))
@@ -447,6 +446,39 @@ class TestObjective:
 
     def test_shape_mismatch_rejected(self):
         data, dicts, coefs = random_problem(71)
-        bad = CoefBundle.zeros(C=data.C, k_c=dicts.k_c + 1, k0=dicts.k0, n_c=data.n_c)
+        bad = CoefBundle(
+            X=np.zeros((dicts.K + data.C, data.N)), X0=np.zeros((dicts.k0, data.N))
+        )
         with pytest.raises(DimensionError):
             objective_terms(data, dicts, bad, HyperParams())
+
+
+class TestCodesMeetDataAndDictionaries:
+    """Codes carry no class layout of their own: a wrong K, k0 or N is
+    caught where they meet the data and the dictionaries (check_shapes),
+    also when the wrong size still splits into C blocks."""
+
+    @pytest.mark.parametrize(
+        "extra_K, extra_k0, extra_N",
+        [(1, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 3)],
+        ids=["K+1", "K+C", "k0+1", "N+1", "N+C"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            sparse_code_train,
+            sparse_code_sequential,
+            objective_terms,
+            lambda data, dicts, coefs, hyper: residual_matrices(data, dicts, coefs),
+        ],
+        ids=["sparse_code_train", "sparse_code_sequential", "objective_terms",
+             "residual_matrices"],
+    )
+    def test_wrong_code_shape_rejected(self, call, extra_K, extra_k0, extra_N):
+        data, dicts, _ = random_problem(72)  # C = 3
+        N = data.N + extra_N
+        bad = CoefBundle(
+            X=np.zeros((dicts.K + extra_K, N)), X0=np.zeros((dicts.k0 + extra_k0, N))
+        )
+        with pytest.raises(DimensionError):
+            call(data, dicts, bad, HyperParams(fista_iters=5))

@@ -143,8 +143,6 @@ class TestSparseCodeTrain:
         warm = CoefBundle(
             X=0.1 * rng.standard_normal(self.coefs.X.shape),
             X0=self.coefs.X0,
-            k_c=4,
-            n_c=self.data.n_c,
         )
         hyper = HyperParams(lambda1=1e6, lambda2=0.05, fista_iters=20)
         out = sparse_code_train(self.data, self.dicts, warm, hyper)

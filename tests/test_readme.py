@@ -5,13 +5,16 @@ Every ``$ lrsdl ...`` command of the walkthrough block runs through
 must equal the one README shows, except wall-clock ``*_time`` values.
 Stale numbers in the docs then fail the suite. The Python block of the
 "Library" section runs in a fresh directory too, so a change to the calls
-it makes fails the suite as well.
+it makes fails the suite as well. The archive layout block must list the
+``meta`` keys of ``archive._META`` in order, with the current
+``format_version``, and the trace header the code writes.
 """
 
 import re
 import shlex
 from pathlib import Path
 
+from lrsdl.archive import _META, FORMAT_VERSION, TRACE_HEADER
 from lrsdl.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -49,3 +52,13 @@ def test_library_example_runs(capsys, tmp_path, monkeypatch):
     exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
     assert (tmp_path / "demo_model" / "meta").exists()
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_archive_layout_matches_the_code():
+    block = re.search(r"\nmodel/\n(.*?)```", README.read_text(), re.S).group(1)
+    meta = re.search(r"meta\s+key=value lines:(.*?)\n\s*D\.lmx", block, re.S).group(1)
+    items = [item.strip() for item in meta.split(",")]
+    assert [re.split(r"[=\s]", item)[0] for item in items] == [key for key, _, _ in _META]
+    assert f"format_version={FORMAT_VERSION}" in items
+    trace = re.search(r"^\s*trace\.csv\s+(\S+)\s*$", block, re.M).group(1)
+    assert trace == TRACE_HEADER
