@@ -3,8 +3,8 @@
 Conventions used throughout the package:
 
 * samples are columns; a data matrix is d x N,
-* class labels are integers 1..C and label-sorted data is class contiguous
-  with equal per-class counts n_c,
+* class labels are integers 1..C; a Dataset is class contiguous (C blocks
+  of n_c = N / C columns) and reads C and n_c off its labels when built,
 * a model holds C class dictionaries (d x k_c each) plus one shared
   dictionary (d x k0, possibly empty), concatenated as D = [D_1 .. D_C]
   and D_total = [D, D_shared],
@@ -70,22 +70,30 @@ def normalize_columns(M, warn=True):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Class-contiguous labeled sample matrix.
-
-    ``permutation[j]`` is the column index in the original input that ended
-    up at sorted position j (identity when the input was already sorted).
-    """
+    """Samples Y (d x N, finite) with labels 1..C in the class layout (C
+    contiguous blocks of n_c = N / C columns), from which C and n_c are read
+    when it is built. ``permutation[j]`` is the input column that ended up
+    at sorted position j (identity when the input was already sorted)."""
 
     Y: np.ndarray
     labels: np.ndarray
-    C: int
-    n_c: int
     permutation: np.ndarray
+    C: int = field(init=False)
+    n_c: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "Y", _freeze(self.Y))
+        Y = _freeze(self.Y)
+        if Y.ndim != 2:
+            raise DimensionError(f"expected 2-d sample matrix, got {Y.shape}")
+        if not np.isfinite(Y).all():
+            raise DataError("sample matrix contains NaN or Inf")
+        # checked before the cast to int, which would truncate 1.7 to 1
+        C = check_class_layout(self.labels, Y.shape[1])
+        object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "labels", _freeze(self.labels, dtype=int))
         object.__setattr__(self, "permutation", _freeze(self.permutation, dtype=int))
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "n_c", Y.shape[1] // C)
 
     @property
     def d(self):
@@ -106,17 +114,14 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, Y, labels):
-        """Validate, sort columns by label, and wrap as a Dataset."""
+        """Dataset from samples and labels in any column order: integral
+        float labels become int64 and the columns are sorted by label."""
         Y = np.asarray(Y, dtype=float)
         labels = np.asarray(labels)
         if Y.ndim != 2:
             raise DimensionError(f"expected 2-d sample matrix, got {Y.shape}")
-        if labels.ndim != 1 or labels.shape[0] != Y.shape[1]:
-            raise DimensionError(
-                f"labels length {labels.shape} does not match {Y.shape[1]} columns"
-            )
-        if Y.size and not np.isfinite(Y).all():
-            raise DataError("sample matrix contains NaN or Inf")
+        if labels.shape != Y.shape[1:]:
+            raise DimensionError(f"labels of shape {labels.shape} for {Y.shape[1]} columns")
         if labels.size == 0:
             raise DomainError("dataset has no samples")
         if labels.dtype == bool:
@@ -142,13 +147,7 @@ class Dataset:
         if len(set(counts.tolist())) != 1:
             raise DomainError(f"unequal class sizes {counts.tolist()}")
         perm = np.argsort(labels, kind="stable")
-        return cls(
-            Y=Y[:, perm],
-            labels=labels[perm],
-            C=C,
-            n_c=int(counts[0]),
-            permutation=perm,
-        )
+        return cls(Y=Y[:, perm], labels=labels[perm], permutation=perm)
 
 
 @dataclass(frozen=True)

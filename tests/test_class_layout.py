@@ -5,8 +5,11 @@ one per class. On generated C, n_c and K (C=1 and n_c=1 included),
 class_means, fisher_mean_map, grad_fisher, fisher_value and mean_stats
 are checked against the per-label loop in oracles.column_means_by_class and
 against finite differences, and with no shared dictionary the training
-objective must equal the literal FDDL objective.
+objective must equal the literal FDDL objective. A Dataset reads C and n_c
+off its labels, however it is built, and rejects a bad layout when built.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from lrsdl.data import (
     mean_stats,
     normalize_columns,
 )
-from lrsdl.errors import DataError
+from lrsdl.errors import DataError, DimensionError, DomainError
 from lrsdl.gradients import fisher_value, grad_fisher, lrsdl_objective
 
 from oracles import column_means_by_class, fd_grad, fddl_objective, rel_err
@@ -160,3 +163,47 @@ def test_labels_that_are_not_integers_rejected(call, labels):
     X = np.arange(16.0).reshape(4, 4)
     with pytest.raises(DataError, match="integers"):
         call(X, np.array(labels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=st.integers(1, 4), n_c=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_dataset_reads_layout_off_labels(C, n_c, seed):
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((3, C * n_c))
+    labels = np.repeat(np.arange(1, C + 1), n_c)
+    shuffled = rng.permutation(C * n_c)
+    sorted_input = Dataset.from_arrays(Y[:, shuffled], labels[shuffled])
+    direct = Dataset(Y=Y, labels=labels, permutation=np.arange(C * n_c))
+    rescaled = dataclasses.replace(sorted_input, Y=2 * sorted_input.Y)
+    for data in (sorted_input, direct, rescaled):
+        assert (data.C, data.n_c) == (C, n_c)
+        assert np.array_equal(data.labels, labels)
+
+
+@pytest.mark.parametrize(
+    "Y, labels, error",
+    [
+        (np.zeros((3, 4)), [1.7, 1.2, 2.9, 2.1], DataError),
+        (np.zeros((3, 4)), [1.0, 1.0, 2.0, 2.0], DataError),
+        (np.zeros((3, 4)), [True, True, True, True], DataError),
+        (np.zeros((3, 4)), [1, 2], DimensionError),
+        (np.zeros((3, 4)), [2, 2, 1, 1], DomainError),
+        (np.zeros((3, 4)), [1, 1, 1, 2], DomainError),
+        (np.array([[0.0, np.nan, 0.0, 0.0]]), [1, 1, 2, 2], DataError),
+        (np.zeros(4), [1, 1, 2, 2], DimensionError),
+    ],
+    ids=[
+        "fractional-labels",
+        "integral-float-labels",
+        "bool-labels",
+        "short-labels",
+        "unsorted-labels",
+        "unequal-classes",
+        "nan-sample",
+        "1-d-samples",
+    ],
+)
+def test_dataset_checks_samples_and_labels_when_built(Y, labels, error):
+    # never truncated to a layout or trained on before the error
+    with pytest.raises(error):
+        Dataset(Y=Y, labels=labels, permutation=np.arange(4))

@@ -47,6 +47,11 @@ class TestDataset:
         # stable sort keeps original relative order inside each class
         assert np.array_equal(data.permutation, [1, 3, 5, 0, 2, 4])
 
+    def test_layout_is_read_off_the_labels(self):
+        assert [f.name for f in fields(Dataset) if f.init] == ["Y", "labels", "permutation"]
+        with pytest.raises(TypeError):
+            Dataset(Y=np.zeros((1, 2)), labels=[1, 2], C=2, permutation=[0, 1])
+
     def test_class_block_columns(self):
         data = _rand_dataset()
         assert data.class_columns(2) == slice(3, 6)

@@ -46,10 +46,7 @@ def small_data(seed=0, C=4, d=20, n_c=8, k_c=4, k0=0, **kw):
 
 def normalized(data):
     Yn = normalize_columns(data.Y, warn=False)
-    return Dataset(
-        Y=Yn, labels=data.labels, C=data.C, n_c=data.n_c,
-        permutation=data.permutation,
-    )
+    return Dataset(Y=Yn, labels=data.labels, permutation=data.permutation)
 
 
 class TestTrainConfig:
