@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     ToolkitError,
 )
-from .gradients import lrsdl_objective, objective_terms
+from .gradients import objective_terms
 from .learner import (
     BenchResult,
     TrainConfig,
@@ -73,7 +73,6 @@ __all__ = [
     "load_labels",
     "load_matrix",
     "load_model",
-    "lrsdl_objective",
     "mean_stats",
     "normalize_columns",
     "objective_terms",

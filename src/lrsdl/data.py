@@ -72,12 +72,11 @@ def normalize_columns(M, warn=True):
 class Dataset:
     """Samples Y (d x N, finite) with labels 1..C in the class layout (C
     contiguous blocks of n_c = N / C columns), from which C and n_c are read
-    when it is built. ``permutation[j]`` is the input column that ended up
-    at sorted position j (identity when the input was already sorted)."""
+    when it is built. Y and labels are its only settable fields; use
+    :meth:`from_arrays` for samples in any column order."""
 
     Y: np.ndarray
     labels: np.ndarray
-    permutation: np.ndarray
     C: int = field(init=False)
     n_c: int = field(init=False)
 
@@ -91,7 +90,6 @@ class Dataset:
         C = check_class_layout(self.labels, Y.shape[1])
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "labels", _freeze(self.labels, dtype=int))
-        object.__setattr__(self, "permutation", _freeze(self.permutation, dtype=int))
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "n_c", Y.shape[1] // C)
 
@@ -115,7 +113,8 @@ class Dataset:
     @classmethod
     def from_arrays(cls, Y, labels):
         """Dataset from samples and labels in any column order: integral
-        float labels become int64 and the columns are sorted by label."""
+        float labels become int64 and the columns are sorted by label with
+        a stable sort, so each class keeps its input column order."""
         Y = np.asarray(Y, dtype=float)
         labels = np.asarray(labels)
         if Y.ndim != 2:
@@ -146,8 +145,8 @@ class Dataset:
             raise DomainError(f"class {missing} has zero samples")
         if len(set(counts.tolist())) != 1:
             raise DomainError(f"unequal class sizes {counts.tolist()}")
-        perm = np.argsort(labels, kind="stable")
-        return cls(Y=Y[:, perm], labels=labels[perm], permutation=perm)
+        order = np.argsort(labels, kind="stable")
+        return cls(Y=Y[:, order], labels=labels[order])
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,15 @@ B = 2 D0^T V and the shared dictionary fits V. With k0 = 0 the shared
 arrays are empty and every shared term is an exact zero.
 
 Each coding problem's Gram pair (H, B) is formed by one function that its
-solver calls (gram_class_codes, gram_shared_codes, gram_test_code); the
-gradient checks' grad_* helpers are H X - B of the same pairs.
+solver calls (gram_class_codes, gram_shared_codes, gram_test_code); fista
+runs its gradient H X - B as the closure of SmoothObjective.quadratic.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import block_diagonal, check_class_layout, class_means, fisher_mean_map
+from .data import block_diagonal, class_means
 from .errors import DimensionError, NumericalError
 
 
@@ -64,50 +64,14 @@ def gram_class_codes(dicts, shifted, n_c, lambda2):
     return G, corr
 
 
-def _pair_gradient(pair, X):
-    """H X - B of a Gram pair (H, B) at codes X of B's shape."""
-    H, B = pair
-    X = np.asarray(X, dtype=float)
-    if X.shape != B.shape:
-        raise DimensionError(f"codes shape {X.shape} != {B.shape}")
-    return H @ X - B
-
-
-def grad_fidelity(gram, X):
-    """Gradient of the summed fidelity's smooth quadratic in the codes X,
-    for gram = build_augmented_gram(...)."""
-    return _pair_gradient(gram, X)
-
-
-def grad_fisher(X, labels):
-    """Gradient of f(X): 4 X + 2 M - 4 [M_1 .. M_C], that is 4 X plus the
-    class-mean product X Q, Q = :func:`~lrsdl.data.fisher_mean_map` with
-    lambda2 = 2.
-
-    The class/global means are recomputed from X, so the gradient
-    differentiates through them. The labels must be in the class layout.
-    """
-    X = np.asarray(X, dtype=float)
-    C = check_class_layout(labels, X.shape[1])
-    K, N = X.shape
-    mean_part = X @ fisher_mean_map(C, N // C, C, 2.0)
-    G = (4.0 * X).reshape(K, C, N // C) + mean_part[:, :, None]
-    return G.reshape(K, N)
-
-
-def _fisher_value(X, C):
-    """fisher_value for codes in the class layout with C classes."""
+def fisher_value(X, C):
+    """f(X) itself (the X part of the code penalty, no lambda factor) for
+    codes X in the class layout with C classes."""
     K, N = X.shape
     m, cm = X.mean(axis=1), class_means(X, C)
     within = float(np.sum((X.reshape(K, C, N // C) - cm[:, :, None]) ** 2))
     between = (N // C) * float(np.sum((cm - m[:, None]) ** 2))
     return within - between + float(np.sum(X * X))
-
-
-def fisher_value(X, labels):
-    """f(X) itself (the X part of the code penalty, no lambda factor)."""
-    X = np.asarray(X, dtype=float)
-    return _fisher_value(X, check_class_layout(labels, X.shape[1]))
 
 
 def _gram_form(G, corr, mean, lambda2):
@@ -133,12 +97,6 @@ def gram_shared_codes(D0, V, m0, lambda2):
     return _gram_form(2.0 * (D0.T @ D0), 2.0 * (D0.T @ V), m0, lambda2)
 
 
-def grad_shared_codes(D0, Ysum, X0, M0, lambda2):
-    """2 D0^T D0 X0 - D0^T Ysum + lambda2 (X0 - M0) for Ysum = Ybar + Ytilde
-    = 2 V: H X0 - B of :func:`gram_shared_codes` (halving Ysum is exact)."""
-    return _pair_gradient(gram_shared_codes(D0, 0.5 * Ysum, M0, lambda2), X0)
-
-
 def gram_test_code(dicts, Y, m0, lambda2):
     """Test-coding Gram pair of 1/2 ||y - D_total x||^2 + lambda2/2 ||x0 - m0||^2
     for one sample Y (d,) or each column of a batch Y (d, N):
@@ -153,12 +111,6 @@ def gram_test_code(dicts, Y, m0, lambda2):
         )
     m0 = m0.reshape((-1,) + (1,) * (Y.ndim - 1))
     return _gram_form(Dt.T @ Dt, Dt.T @ Y, m0, lambda2)
-
-
-def grad_test_code(dicts, y, xbar, m0, lambda2):
-    """H xbar - B of :func:`gram_test_code`: the test-coding gradient at the
-    code xbar of one sample y (d,), or at codes (K + k0, N) of a batch."""
-    return _pair_gradient(gram_test_code(dicts, y, m0, lambda2), xbar)
 
 
 def residual_matrices(data, dicts, coefs):
@@ -243,7 +195,7 @@ def objective_terms(data, dicts, coefs, hyper):
         raise NumericalError("l1 term is non-finite")
 
     X0 = coefs.X0
-    f = _fisher_value(coefs.X, data.C)
+    f = fisher_value(coefs.X, data.C)
     f += float(np.sum((X0 - X0.mean(axis=1)[:, None]) ** 2))
     fisher = 0.5 * hyper.lambda2 * f
     if not np.isfinite(fisher):
@@ -251,8 +203,3 @@ def objective_terms(data, dicts, coefs, hyper):
 
     nuclear = nuclear_term(dicts.shared_dict, hyper.eta)
     return ObjectiveTerms(fidelity=fidelity, l1=l1, fisher=fisher, nuclear=nuclear)
-
-
-def lrsdl_objective(data, dicts, coefs, hyper):
-    """Total training objective (sum of the four terms)."""
-    return objective_terms(data, dicts, coefs, hyper).total

@@ -20,15 +20,18 @@ class SmoothObjective:
     """Smooth quadratic part g of a composite objective g(W) + lam * ||W||_1.
 
     grad maps a matrix to its gradient, which must be affine (g is a
-    quadratic), and lipschitz bounds its Lipschitz constant. raw_grad is
-    the same map for the two calls :func:`fista` makes outside its
-    iterations; it defaults to grad and dataclasses.replace keeps it, so a
-    copy with a wrapped grad sees exactly one call per iteration.
-    per_column marks the columns of W as independent problems, each its
-    own safeguard block. fista never calls value: it steps through prox
-    points M - grad(M) / lipschitz, combined as the points are because
-    grad is affine, takes g(M) - g(0) as 1/2 <M, grad(M) + grad(0)>, and
-    reads the l1 term of a candidate off the clip of its shrink.
+    quadratic), and lipschitz bounds its Lipschitz constant. per_column
+    marks the columns of W as independent problems, each its own safeguard
+    block. fista never calls value: it steps through prox points
+    M - grad(M) / lipschitz, combined as the points are because grad is
+    affine, takes g(M) - g(0) as 1/2 <M, grad(M) + grad(0)>, and reads the
+    l1 term of a candidate off the clip of its shrink.
+
+    No coding site sets value or raw_grad; both serve the benchmark tracer,
+    which wraps grad and value through dataclasses.replace and counts grad
+    calls as iterations. raw_grad is the map for the two calls fista makes
+    outside its iterations: it defaults to grad and the replace keeps it,
+    so the wrapped grad sees exactly one call per iteration.
     """
 
     grad: Callable
@@ -72,7 +75,8 @@ def soft_threshold(W, tau):
     temporary.
 
     The proximal operator of tau * ||.||_1. Entries with |w| <= tau map to
-    exactly zero.
+    exactly zero. fista shrinks through the same _clip in place; tests check
+    its steps against this standalone form.
     """
     if not tau >= 0:  # also rejects NaN
         raise ParameterError(f"threshold must be >= 0, got {tau}")

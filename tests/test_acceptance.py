@@ -14,6 +14,8 @@ from contextlib import contextmanager, redirect_stdout
 import numpy as np
 import pytest
 
+import lrsdl.classifier as classifier
+import lrsdl.learner as learner
 from lrsdl.archive import _parse_trace, load_model
 from lrsdl.classifier import classify, evaluate
 from lrsdl.cli import main
@@ -22,19 +24,12 @@ from lrsdl.data import (
     Dataset,
     DictionaryBundle,
     HyperParams,
+    LearnedModel,
     generate_synthetic,
+    mean_stats,
     normalize_columns,
 )
-from lrsdl.gradients import (
-    build_augmented_gram,
-    fidelity_value,
-    fisher_value,
-    grad_fidelity,
-    grad_fisher,
-    grad_shared_codes,
-    grad_test_code,
-    lrsdl_objective,
-)
+from lrsdl.gradients import objective_terms
 from lrsdl.learner import TrainConfig, fit
 from lrsdl.prox import SmoothObjective, admm_nuclear, fista, svt
 
@@ -43,11 +38,13 @@ from oracles import (
     fd_grad,
     fddl_objective,
     lasso_objective,
+    lrsdl_objective_literal,
     nuclear_norm,
     rel_err,
     subgrad_nuclear_descent,
     svt_eigh,
 )
+from test_coding_objectives import capture
 
 
 @contextmanager
@@ -92,52 +89,74 @@ def cli(*argv):
 
 
 def test_criterion_1_gradient_check():
+    """The gradient of each SmoothObjective a coding site hands fista,
+    captured by a stub, against finite differences of the literal objective
+    of that site: joint class codes (Fisher product included), one
+    sequential class block (the other classes' frozen mean sum in B),
+    shared codes and a test batch."""
     with verdict(1, "gradient-check"):
         start = time.perf_counter()
-        worst = 0.0
+        errors = []
         for seed in range(10):
             data, dicts, coefs = random_triple(seed)
-            shifted = data.Y - dicts.shared_dict @ coefs.X0
-            gram = build_augmented_gram(dicts, shifted, data.n_c)
-            fd = fd_grad(
-                lambda X: fidelity_value(shifted, dicts, X, data.n_c), coefs.X
-            )
-            worst = max(worst, rel_err(grad_fidelity(gram, coefs.X), fd))
-
-            labels = data.labels
-            fd = fd_grad(lambda X: fisher_value(X, labels), coefs.X)
-            worst = max(worst, rel_err(grad_fisher(coefs.X, labels), fd))
-
+            hyper = HyperParams(lambda1=0.05, lambda2=0.3)
             rng = np.random.default_rng(100 + seed)
-            D0 = normalize_columns(rng.standard_normal((6, 3)), warn=False)
-            Ybar = rng.standard_normal((6, 5))
-            Ytil = rng.standard_normal((6, 5))
-            W = rng.standard_normal((3, 5))
-            M0 = np.tile(rng.standard_normal(3)[:, None], (1, 5))
 
-            def f_shared(V):
-                fit_term = 0.5 * float(np.sum((Ybar - D0 @ V) ** 2))
-                fit_term += 0.5 * float(np.sum((Ytil - D0 @ V) ** 2))
-                return fit_term + 0.5 * 0.3 * float(np.sum((V - M0) ** 2))
-
-            fd = fd_grad(f_shared, W)
-            worst = max(
-                worst, rel_err(grad_shared_codes(D0, Ybar + Ytil, W, M0, 0.3), fd)
-            )
-
-            y = rng.standard_normal(dicts.d)
-            x = rng.standard_normal(dicts.K + dicts.k0)
-            m0 = rng.standard_normal(dicts.k0)
-
-            def f_test(v):
-                fit_term = 0.5 * float(np.sum((y - dicts.D_total @ v) ** 2))
-                return fit_term + 0.5 * 0.4 * float(
-                    np.sum((v[dicts.K :] - m0) ** 2)
+            def literal(X, X0):
+                # no l1 term: it is not smooth and lies outside obj.grad
+                return lrsdl_objective_literal(
+                    data.Y, list(dicts.class_dicts), dicts.shared_dict, X, X0,
+                    data.labels, 0.0, hyper.lambda2, hyper.eta,
                 )
 
-            fd = fd_grad(f_test, x)
-            worst = max(worst, rel_err(grad_test_code(dicts, y, x, m0, 0.4), fd))
+            def check(obj, f, W):
+                errors.append(rel_err(obj.grad(W), fd_grad(f, W)))
+
+            with pytest.MonkeyPatch.context() as mp:
+                joint = capture(mp, learner)
+                learner.sparse_code_train(data, dicts, coefs, hyper)
+            with pytest.MonkeyPatch.context() as mp:
+                seq = capture(mp, learner)
+                learner.sparse_code_sequential(data, dicts, coefs, hyper)
+            class_obj, shared_obj = joint
+
+            W = rng.standard_normal(coefs.X.shape)
+            check(class_obj, lambda X: literal(X, coefs.X0), W)
+
+            cols = data.class_columns(2)  # seq[1]: the first visit of class 2
+
+            def block_literal(Wc):
+                X = coefs.X.copy()
+                X[:, cols] = Wc
+                return literal(X, coefs.X0)
+
+            check(seq[1], block_literal, W[:, cols])
+
+            # the shared mean pull is frozen at the warm start, where the
+            # shared-code objective touches the full one
+            check(shared_obj, lambda X0: literal(coefs.X, X0), coefs.X0)
+
+            model = LearnedModel(
+                dict_bundle=dicts, mean_stats=mean_stats(coefs, data.labels),
+                hyper=hyper, trace=(),
+            )
+            Y = rng.standard_normal((dicts.d, 3))
+            Yn = Y / np.linalg.norm(Y, axis=0)
+            with pytest.MonkeyPatch.context() as mp:
+                test = capture(mp, classifier)
+                classifier.encode_test(Y, model)
+            (test_obj,) = test
+            m0 = model.mean_stats.shared_mean[:, None]
+            D_total = np.hstack(dicts.class_dicts + (dicts.shared_dict,))
+
+            def f_test(V):
+                fit_term = 0.5 * float(np.sum((Yn - D_total @ V) ** 2))
+                pull = float(np.sum((V[dicts.K :] - m0) ** 2))
+                return fit_term + 0.5 * hyper.lambda2 * pull
+
+            check(test_obj, f_test, rng.standard_normal((dicts.K + dicts.k0, 3)))
         elapsed = time.perf_counter() - start
+        worst = max(errors)
         assert worst <= 1e-4, f"worst gradient relative error {worst:.2e}"
         assert elapsed < 10.0, f"gradient suite took {elapsed:.1f}s"
 
@@ -195,7 +214,7 @@ def test_criterion_3_no_shared_reduction():
         hyper = HyperParams(lambda1=0.05, lambda2=0.3)
         for seed in range(10):
             data, dicts, coefs = random_triple(seed, k0=0)
-            mine = lrsdl_objective(data, dicts, coefs, hyper)
+            mine = objective_terms(data, dicts, coefs, hyper).total
             ref = fddl_objective(
                 data.Y, list(dicts.class_dicts), coefs.X, data.labels,
                 hyper.lambda1, hyper.lambda2,

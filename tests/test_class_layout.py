@@ -2,10 +2,11 @@
 
 Codes follow the class layout: C contiguous column blocks of n_c columns,
 one per class. On generated C, n_c and K (C=1 and n_c=1 included),
-class_means, fisher_mean_map, grad_fisher, fisher_value and mean_stats
-are checked against the per-label loop in oracles.column_means_by_class and
-against finite differences, and with no shared dictionary the training
-objective must equal the literal FDDL objective. A Dataset reads C and n_c
+class_means, fisher_mean_map, fisher_value with its gradient 4 X plus the
+class-mean product X Q, and mean_stats are checked against the per-label
+loop in oracles.column_means_by_class and against finite differences, and
+with no shared dictionary the training objective must equal the literal
+FDDL objective. A Dataset reads C and n_c
 off its labels, however it is built, and rejects a bad layout when built.
 """
 
@@ -21,13 +22,14 @@ from lrsdl.data import (
     Dataset,
     DictionaryBundle,
     HyperParams,
+    check_class_layout,
     class_means,
     fisher_mean_map,
     mean_stats,
     normalize_columns,
 )
 from lrsdl.errors import DataError, DimensionError, DomainError
-from lrsdl.gradients import fisher_value, grad_fisher, lrsdl_objective
+from lrsdl.gradients import fisher_value, objective_terms
 
 from oracles import column_means_by_class, fd_grad, fddl_objective, rel_err
 
@@ -92,10 +94,11 @@ def test_fisher_mean_map_matches_per_label_loop(C, n, K, all_classes, lambda2, s
 def test_fisher_value_and_gradient(C, n_c, K, seed):
     X, labels = layout(C, n_c, K, seed)
     want = literal_fisher(X, labels)
-    assert abs(fisher_value(X, labels) - want) <= 1e-11 * max(1.0, abs(want))
+    assert abs(fisher_value(X, C) - want) <= 1e-11 * max(1.0, abs(want))
     # f is quadratic, so central differences are exact up to round-off
-    fd = fd_grad(lambda M: fisher_value(M, labels), X, eps=1e-3)
-    assert rel_err(grad_fisher(X, labels), fd) < 1e-7
+    fd = fd_grad(lambda M: fisher_value(M, C), X, eps=1e-3)
+    grad = 4.0 * X + np.repeat(X @ fisher_mean_map(C, n_c, C, 2.0), n_c, axis=1)
+    assert rel_err(grad, fd) < 1e-7
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,7 +136,7 @@ def test_no_shared_dictionary_is_fddl(C, n_c, k_c, d, lambda1, lambda2, seed):
     X = rng.standard_normal((C * k_c, C * n_c))
     coefs = CoefBundle(X=X, X0=np.zeros((0, C * n_c)))
     hyper = HyperParams(lambda1=lambda1, lambda2=lambda2, eta=0.3)
-    mine = lrsdl_objective(data, dicts, coefs, hyper)
+    mine = objective_terms(data, dicts, coefs, hyper).total
     want = fddl_objective(data.Y, list(class_dicts), X, labels, lambda1, lambda2)
     assert abs(mine - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -153,10 +156,10 @@ def test_no_shared_dictionary_is_fddl(C, n_c, k_c, d, lambda1, lambda2, seed):
     "call",
     [
         lambda X, labels: mean_stats(CoefBundle(X=X, X0=np.zeros((0, 4))), labels),
-        fisher_value,
-        grad_fisher,
+        lambda X, labels: Dataset(Y=X, labels=labels),
+        lambda X, labels: check_class_layout(labels, X.shape[1]),
     ],
-    ids=["mean_stats", "fisher_value", "grad_fisher"],
+    ids=["mean_stats", "Dataset", "check_class_layout"],
 )
 def test_labels_that_are_not_integers_rejected(call, labels):
     # never truncated or parsed into a class layout
@@ -173,7 +176,7 @@ def test_dataset_reads_layout_off_labels(C, n_c, seed):
     labels = np.repeat(np.arange(1, C + 1), n_c)
     shuffled = rng.permutation(C * n_c)
     sorted_input = Dataset.from_arrays(Y[:, shuffled], labels[shuffled])
-    direct = Dataset(Y=Y, labels=labels, permutation=np.arange(C * n_c))
+    direct = Dataset(Y=Y, labels=labels)
     rescaled = dataclasses.replace(sorted_input, Y=2 * sorted_input.Y)
     for data in (sorted_input, direct, rescaled):
         assert (data.C, data.n_c) == (C, n_c)
@@ -206,4 +209,4 @@ def test_dataset_reads_layout_off_labels(C, n_c, seed):
 def test_dataset_checks_samples_and_labels_when_built(Y, labels, error):
     # never truncated to a layout or trained on before the error
     with pytest.raises(error):
-        Dataset(Y=Y, labels=labels, permutation=np.arange(4))
+        Dataset(Y=Y, labels=labels)

@@ -35,22 +35,22 @@ class TestDataset:
     def test_from_arrays_sorted_passthrough(self):
         data = _rand_dataset()
         assert data.C == 2 and data.n_c == 3 and data.N == 6 and data.d == 5
-        assert np.array_equal(data.permutation, np.arange(6))
+        Y = np.random.default_rng(0).standard_normal((5, 6))
+        assert np.array_equal(data.Y, Y)
 
-    def test_from_arrays_resorts_and_records_permutation(self):
+    def test_from_arrays_resorts_stably(self):
         rng = np.random.default_rng(1)
         Y = rng.standard_normal((4, 6))
         labels = np.array([2, 1, 2, 1, 2, 1])
         data = Dataset.from_arrays(Y, labels)
         assert np.array_equal(data.labels, [1, 1, 1, 2, 2, 2])
-        assert np.array_equal(data.Y, Y[:, data.permutation])
         # stable sort keeps original relative order inside each class
-        assert np.array_equal(data.permutation, [1, 3, 5, 0, 2, 4])
+        assert np.array_equal(data.Y, Y[:, [1, 3, 5, 0, 2, 4]])
 
     def test_layout_is_read_off_the_labels(self):
-        assert [f.name for f in fields(Dataset) if f.init] == ["Y", "labels", "permutation"]
+        assert [f.name for f in fields(Dataset) if f.init] == ["Y", "labels"]
         with pytest.raises(TypeError):
-            Dataset(Y=np.zeros((1, 2)), labels=[1, 2], C=2, permutation=[0, 1])
+            Dataset(Y=np.zeros((1, 2)), labels=[1, 2], C=2)
 
     def test_class_block_columns(self):
         data = _rand_dataset()

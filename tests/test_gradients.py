@@ -1,14 +1,17 @@
 """Gradient and objective tests.
 
-Every analytic gradient is checked against central finite differences of the
-matching value function, and the structured (Gram-based) fidelity is checked
-against an explicit stacked least-squares construction from oracles.py that
-materializes the per-class design matrices.
+Every gradient a coding solve runs, the SmoothObjective a coding site hands
+fista (captured by a stub) or the quadratic of a site's Gram pair, is
+checked against central finite differences of the matching value function,
+and the structured (Gram-based) fidelity is checked against an explicit
+stacked least-squares construction from oracles.py that materializes the
+per-class design matrices.
 """
 
 import numpy as np
 import pytest
 
+import lrsdl.learner as learner
 from lrsdl.data import (
     CoefBundle,
     Dataset,
@@ -26,16 +29,13 @@ from lrsdl.gradients import (
     build_augmented_gram,
     fidelity_value,
     fisher_value,
-    gram_class_codes,
-    grad_fidelity,
-    grad_fisher,
-    grad_shared_codes,
-    grad_test_code,
-    lrsdl_objective,
+    gram_shared_codes,
+    gram_test_code,
     objective_terms,
     residual_matrices,
 )
 from lrsdl.learner import sparse_code_sequential, sparse_code_train
+from lrsdl.prox import SmoothObjective
 
 from oracles import (
     column_means_by_class,
@@ -45,6 +45,7 @@ from oracles import (
     rel_err,
     stacked_fidelity,
 )
+from test_coding_objectives import capture
 
 
 def random_bundle(rng, d, C, k_c, k0):
@@ -74,6 +75,27 @@ def random_problem(seed, C=3, d=8, n_c=4, k_c=3, k0=2):
     return data, dicts, coefs
 
 
+def class_code_objective(data, dicts, coefs, lambda2):
+    """The joint class-code SmoothObjective sparse_code_train hands fista."""
+    with pytest.MonkeyPatch.context() as mp:
+        seen = capture(mp, learner)
+        sparse_code_train(data, dicts, coefs, HyperParams(lambda2=lambda2))
+    return seen[0]
+
+
+def quadratic_grad(H, B, X):
+    """The gradient of the Gram pair (H, B) at X, through the closure fista
+    runs."""
+    return SmoothObjective.quadratic(H, B, 1.0).grad(X)
+
+
+def fisher_mean_part(X, C):
+    """X Q for the Fisher map with lambda2 = 2, repeated over each class
+    block: the class-mean part of the gradient of f, which is 4 X plus it."""
+    n = X.shape[1] // C
+    return np.repeat(X @ fisher_mean_map(C, n, C, 2.0), n, axis=1)
+
+
 class TestColumnMeans:
     def test_matches_loop_oracle_contiguous(self):
         rng = np.random.default_rng(0)
@@ -89,16 +111,16 @@ class TestColumnMeans:
         labels = np.array([1, 2, 1, 2, 1, 2])
         coefs = CoefBundle(X=X, X0=np.zeros((0, 6)))
         for call in (
-            lambda: grad_fisher(X, labels),
-            lambda: fisher_value(X, labels),
+            lambda: Dataset(Y=X, labels=labels),
             lambda: mean_stats(coefs, labels),
         ):
             with pytest.raises(DomainError):
                 call()
 
     def test_unequal_classes_rejected(self):
+        coefs = CoefBundle(X=np.zeros((2, 3)), X0=np.zeros((0, 3)))
         with pytest.raises(DomainError):
-            grad_fisher(np.zeros((2, 3)), np.array([1, 1, 2]))
+            mean_stats(coefs, np.array([1, 1, 2]))
 
 
 class TestResidualMatrices:
@@ -172,12 +194,15 @@ class TestAugmentedGram:
 
 
 class TestGradFidelity:
+    """The joint class-code gradient fista runs; at lambda2 = 0 it is the
+    gradient of the fidelity alone."""
+
     def test_zero_codes_give_minus_correlation(self):
         data, dicts, coefs = random_problem(12)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        G, corr = build_augmented_gram(dicts, shifted, data.n_c)
-        g = grad_fidelity((G, corr), np.zeros_like(coefs.X))
-        assert np.array_equal(g, -corr)
+        _, corr = build_augmented_gram(dicts, shifted, data.n_c)
+        obj = class_code_objective(data, dicts, coefs, lambda2=0.7)
+        assert np.array_equal(obj.grad(np.zeros_like(coefs.X)), -corr)
 
     def test_exact_fit_gives_zero(self):
         # block-diagonal codes with each class block solving its own data
@@ -192,32 +217,34 @@ class TestGradFidelity:
             Xc = rng.standard_normal((k_c, n_c))
             X[rows, cols] = Xc
             Ys[:, cols] = dicts.class_dict(c) @ Xc
-        gram = build_augmented_gram(dicts, Ys, n_c)
-        assert np.max(np.abs(grad_fidelity(gram, X))) < 1e-10
+        data = Dataset(Y=Ys, labels=np.repeat(np.arange(1, C + 1), n_c))
+        coefs = CoefBundle(X=X, X0=np.zeros((0, C * n_c)))
+        obj = class_code_objective(data, dicts, coefs, lambda2=0.0)
+        assert np.max(np.abs(obj.grad(X))) < 1e-10
 
     def test_finite_difference(self):
         data, dicts, coefs = random_problem(14)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        gram = build_augmented_gram(dicts, shifted, data.n_c)
+        obj = class_code_objective(data, dicts, coefs, lambda2=0.0)
 
         def f(X):
             return fidelity_value(shifted, dicts, X, data.n_c)
 
         fd = fd_grad(f, coefs.X, eps=1e-6)
-        assert rel_err(grad_fidelity(gram, coefs.X), fd) < 1e-4
+        assert rel_err(obj.grad(coefs.X), fd) < 1e-4
 
     def test_finite_difference_of_stacked_construction(self):
         # same check against the materialized stacked system, not the
         # structured value function
         data, dicts, coefs = random_problem(15)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        gram = build_augmented_gram(dicts, shifted, data.n_c)
+        obj = class_code_objective(data, dicts, coefs, lambda2=0.0)
 
         def f(X):
             return stacked_fidelity(shifted, list(dicts.class_dicts), X, data.labels)
 
         fd = fd_grad(f, coefs.X, eps=1e-6)
-        assert rel_err(grad_fidelity(gram, coefs.X), fd) < 1e-4
+        assert rel_err(obj.grad(coefs.X), fd) < 1e-4
 
 
 class TestFidelityValue:
@@ -241,59 +268,55 @@ class TestFidelityValue:
 
 class TestGramClassCodes:
     def test_full_gradient_finite_difference(self):
-        # the class-code pair the joint solver uses, H X - B plus the Fisher
-        # class-mean product X Q, against the fidelity plus lambda2/2 times
-        # the X part of the Fisher value
+        # the class-code gradient the joint solver runs, H X - B plus the
+        # Fisher class-mean product X Q, against the fidelity plus lambda2/2
+        # times the X part of the Fisher value
         data, dicts, coefs = random_problem(16)
         lam2 = 0.7
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        H, B = gram_class_codes(dicts, shifted, data.n_c, lam2)
-        X = coefs.X
-        mean_part = X @ fisher_mean_map(data.C, data.n_c, data.C, lam2)
-        g = H @ X - B + np.repeat(mean_part, data.n_c, axis=1)
+        obj = class_code_objective(data, dicts, coefs, lam2)
 
         def f(M):
             fidelity = fidelity_value(shifted, dicts, M, data.n_c)
-            return fidelity + 0.5 * lam2 * fisher_value(M, data.labels)
+            return fidelity + 0.5 * lam2 * fisher_value(M, data.C)
 
-        assert rel_err(g, fd_grad(f, X, eps=1e-6)) < 1e-7
+        assert rel_err(obj.grad(coefs.X), fd_grad(f, coefs.X, eps=1e-6)) < 1e-7
 
 
 class TestGradFisher:
+    """The gradient of f is 4 X plus the class-mean product X Q of
+    fisher_mean_map with lambda2 = 2."""
+
     def test_two_scalar_columns(self):
         X = np.array([[1.0, 3.0]])
-        g = grad_fisher(X, np.array([1, 2]))
-        assert np.allclose(g, [[4.0, 4.0]])
+        assert np.allclose(4.0 * X + fisher_mean_part(X, 2), [[4.0, 4.0]])
 
     def test_identical_columns_reduce_to_two_x(self):
         rng = np.random.default_rng(27)
         col = rng.standard_normal(5)
         X = np.tile(col[:, None], (1, 6))
-        g = grad_fisher(X, np.repeat([1, 2, 3], 2))
-        assert np.allclose(g, 2.0 * X, atol=1e-12)
+        assert np.allclose(fisher_mean_part(X, 3), -2.0 * X, atol=1e-12)
 
     def test_finite_difference_through_means(self):
         rng = np.random.default_rng(28)
         X = rng.standard_normal((6, 8))
-        labels = np.repeat([1, 2], 4)
 
         def f(M):
-            return fisher_value(M, labels)
+            return fisher_value(M, 2)
 
         fd = fd_grad(f, X, eps=1e-6)
-        assert rel_err(grad_fisher(X, labels), fd) < 1e-4
+        assert rel_err(4.0 * X + fisher_mean_part(X, 2), fd) < 1e-4
 
     def test_fisher_value_nonnegative(self):
         # f(X) >= 0: within-class scatter minus between-class plus ||X||^2
-        rng = np.random.default_rng(30)
         for seed in range(10):
             X = np.random.default_rng(seed).standard_normal((5, 9))
-            labels = np.repeat([1, 2, 3], 3)
-            assert fisher_value(X, labels) >= -1e-10
+            assert fisher_value(X, 3) >= -1e-10
 
     def test_label_length_checked(self):
+        coefs = CoefBundle(X=np.zeros((2, 4)), X0=np.zeros((0, 4)))
         with pytest.raises(DimensionError):
-            grad_fisher(np.zeros((2, 4)), np.array([1, 2]))
+            mean_stats(coefs, np.array([1, 2]))
 
 
 class TestGradSharedCodes:
@@ -313,37 +336,34 @@ class TestGradSharedCodes:
             return fit + 0.5 * lam2 * float(np.sum((W - M0) ** 2))
 
         fd = fd_grad(f, X0, eps=1e-6)
-        g = grad_shared_codes(D0, Ybar + Ytilde, X0, M0, lam2)
-        assert rel_err(g, fd) < 1e-4
+        H, B = gram_shared_codes(D0, 0.5 * (Ybar + Ytilde), M0, lam2)
+        assert rel_err(quadratic_grad(H, B, X0), fd) < 1e-4
 
     def test_stationary_at_exact_fit(self):
         rng = np.random.default_rng(32)
         d, k0, n = 6, 2, 4
         D0 = normalize_columns(rng.standard_normal((d, k0)), warn=False)
         X0 = rng.standard_normal((k0, n))
-        Y = D0 @ X0
-        g = grad_shared_codes(D0, 2.0 * Y, X0, X0, lambda2=0.7)
-        assert np.max(np.abs(g)) < 1e-10
+        H, B = gram_shared_codes(D0, D0 @ X0, X0, lambda2=0.7)
+        assert np.max(np.abs(quadratic_grad(H, B, X0))) < 1e-10
 
     def test_shape_checks(self):
-        with pytest.raises(DimensionError):
-            grad_shared_codes(
-                np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((2, 5)),
-                np.zeros((2, 5)), 0.1,
-            )
-        with pytest.raises(DimensionError):
-            grad_shared_codes(
-                np.zeros((4, 2)), np.zeros((4, 5)), np.zeros((2, 5)),
-                np.zeros((2, 4)), 0.1,
-            )
+        D0 = np.zeros((4, 2))
+        for V, m0 in [
+            (np.zeros((3, 5)), np.zeros((2, 1))),
+            (np.zeros((4, 3)), np.zeros((2, 5))),
+            (np.zeros((4, 5)), np.zeros((2, 4))),
+        ]:
+            with pytest.raises(DimensionError):
+                gram_shared_codes(D0, V, m0, 0.1)
 
 
 class TestBuildTestGram:
-    """The Gram form (H, B) of test coding, through grad_test_code: its
-    gradient H X - B, checked on a batch of samples, one code column each."""
+    """The Gram form (H, B) of test coding, through the gradient fista runs
+    on it, checked on a batch of samples, one code column each."""
 
     def grad(self, dicts, Y, X, m0, lambda2):
-        return grad_test_code(dicts, Y, X, m0, lambda2)
+        return quadratic_grad(*gram_test_code(dicts, Y, m0, lambda2), X)
 
     def test_zero_code_no_penalty(self):
         data, dicts, _ = random_problem(33, k0=2)
@@ -389,11 +409,10 @@ class TestBuildTestGram:
 
     def test_shape_checks(self):
         _, dicts, _ = random_problem(38, k0=2)
-        X = np.zeros((dicts.K + dicts.k0, 2))
         with pytest.raises(DimensionError):
-            grad_test_code(dicts, np.zeros((dicts.d + 1, 2)), X, np.zeros(2), 0.1)
+            gram_test_code(dicts, np.zeros((dicts.d + 1, 2)), np.zeros(2), 0.1)
         with pytest.raises(DimensionError):
-            grad_test_code(dicts, np.zeros((dicts.d, 2)), X, np.zeros(3), 0.1)
+            gram_test_code(dicts, np.zeros((dicts.d, 2)), np.zeros(3), 0.1)
 
 
 class TestObjective:
@@ -401,7 +420,7 @@ class TestObjective:
         data, dicts, _ = random_problem(39, k0=0)
         coefs = CoefBundle(X=np.zeros((dicts.K, data.N)), X0=np.zeros((0, data.N)))
         hyper = HyperParams(lambda1=0.2, lambda2=0.5, eta=0.7)
-        total = lrsdl_objective(data, dicts, coefs, hyper)
+        total = objective_terms(data, dicts, coefs, hyper).total
         assert total == pytest.approx(float(np.sum(data.Y**2)))
 
     def test_terms_sum_to_total(self):
@@ -418,7 +437,7 @@ class TestObjective:
         hyper = HyperParams(lambda1=0.05, lambda2=0.3)
         for seed in range(10):
             data, dicts, coefs = random_problem(50 + seed, k0=0)
-            mine = lrsdl_objective(data, dicts, coefs, hyper)
+            mine = objective_terms(data, dicts, coefs, hyper).total
             ref = fddl_objective(
                 data.Y, list(dicts.class_dicts), coefs.X, data.labels,
                 hyper.lambda1, hyper.lambda2,
@@ -429,7 +448,7 @@ class TestObjective:
         hyper = HyperParams(lambda1=0.05, lambda2=0.3, eta=0.2)
         for seed in range(5):
             data, dicts, coefs = random_problem(60 + seed, k0=2)
-            mine = lrsdl_objective(data, dicts, coefs, hyper)
+            mine = objective_terms(data, dicts, coefs, hyper).total
             ref = lrsdl_objective_literal(
                 data.Y, list(dicts.class_dicts), dicts.shared_dict,
                 coefs.X, coefs.X0, data.labels,

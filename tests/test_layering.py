@@ -4,9 +4,16 @@ No module reaches into another one's private (_underscore) names, and the
 solver module prox is a leaf: of the package it imports only errors, so a
 coding problem's structure (classes, blocks, weights) reaches the solver
 through its arguments only.
+
+src holds only what the system runs: every public function is called
+from within the package, bar a named few. Importing the command line
+loads nothing beyond numpy and the standard library.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +78,56 @@ def test_no_private_name_imported_across_modules(module):
 def test_prox_imports_only_errors_from_the_package():
     sources = {source for source, _ in package_imports("prox")}
     assert sources == {"errors"}
+
+
+# Public functions that nothing in the package calls, each with its reason.
+UNCALLED_IN_SRC = {
+    "cli.main": "the lrsdl console-script entry point (pyproject.toml)",
+    "prox.soft_threshold": "the public l1 prox that fista's steps are checked against",
+}
+
+
+def public_functions():
+    """{module.name: referenced} for each public module-level function,
+    referenced when a module of the package names it (as a name or an
+    attribute) outside its own body; __init__'s re-exports do not count."""
+    defined, referenced = [], set()
+    for module in MODULES:
+        if module == "__init__":
+            continue
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        for top in tree.body:
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            if isinstance(top, ast.FunctionDef):
+                names.discard(top.name)
+                if not top.name.startswith("_"):
+                    defined.append((module, top.name))
+            referenced |= names
+    return {f"{module}.{name}": name in referenced for module, name in defined}
+
+
+def test_every_public_function_is_called_in_src():
+    functions = public_functions()
+    assert set(UNCALLED_IN_SRC) <= set(functions)
+    uncalled = {name for name, used in functions.items() if not used}
+    assert uncalled <= set(UNCALLED_IN_SRC), (
+        f"public functions only tests call: {sorted(uncalled - set(UNCALLED_IN_SRC))}"
+    )
+
+
+def test_import_loads_only_numpy_and_stdlib():
+    # the benchmark's setup_s times this import in a fresh interpreter;
+    # modules held before it (site may load some) do not count
+    probe = (
+        "import sys; before = set(sys.modules); import lrsdl.cli; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "lrsdl" in out
+    extra = set(out) - set(sys.stdlib_module_names) - {"numpy", "lrsdl"}
+    assert not extra, f"import lrsdl.cli loads {sorted(extra)}"

@@ -23,7 +23,7 @@ from lrsdl.data import (
     normalize_columns,
 )
 from lrsdl.errors import ParameterError
-from lrsdl.gradients import lrsdl_objective, objective_terms
+from lrsdl.gradients import objective_terms
 from lrsdl.learner import (
     TrainConfig,
     bench_joint_vs_sequential,
@@ -46,7 +46,7 @@ def small_data(seed=0, C=4, d=20, n_c=8, k_c=4, k0=0, **kw):
 
 def normalized(data):
     Yn = normalize_columns(data.Y, warn=False)
-    return Dataset(Y=Yn, labels=data.labels, permutation=data.permutation)
+    return Dataset(Y=Yn, labels=data.labels)
 
 
 class TestTrainConfig:
@@ -148,22 +148,22 @@ class TestSparseCodeTrain:
     def test_objective_never_increases_through(self):
         coefs = self.coefs
         for _ in range(3):
-            before = lrsdl_objective(self.data, self.dicts, coefs, self.hyper)
+            before = objective_terms(self.data, self.dicts, coefs, self.hyper).total
             coefs = sparse_code_train(self.data, self.dicts, coefs, self.hyper)
-            after = lrsdl_objective(self.data, self.dicts, coefs, self.hyper)
+            after = objective_terms(self.data, self.dicts, coefs, self.hyper).total
             assert after <= before + 1e-8 * max(1.0, abs(before))
 
     def test_joint_beats_sequential_round(self):
         cj = sparse_code_train(self.data, self.dicts, self.coefs, self.hyper)
         cs = sparse_code_sequential(self.data, self.dicts, self.coefs, self.hyper)
-        oj = lrsdl_objective(self.data, self.dicts, cj, self.hyper)
-        os_ = lrsdl_objective(self.data, self.dicts, cs, self.hyper)
+        oj = objective_terms(self.data, self.dicts, cj, self.hyper).total
+        os_ = objective_terms(self.data, self.dicts, cs, self.hyper).total
         assert oj <= os_ + 1e-9
 
     def test_sequential_also_non_increasing(self):
-        before = lrsdl_objective(self.data, self.dicts, self.coefs, self.hyper)
+        before = objective_terms(self.data, self.dicts, self.coefs, self.hyper).total
         out = sparse_code_sequential(self.data, self.dicts, self.coefs, self.hyper)
-        after = lrsdl_objective(self.data, self.dicts, out, self.hyper)
+        after = objective_terms(self.data, self.dicts, out, self.hyper).total
         assert after <= before + 1e-8 * max(1.0, abs(before))
 
     def test_shared_codes_updated_with_shared_dict(self):
