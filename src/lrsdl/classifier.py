@@ -134,13 +134,15 @@ def score_predictions(labels, predicted, C):
     """Accuracy and confusion matrix of predicted against true labels.
 
     confusion[i, j] counts true class i+1 predicted as j+1, so rows sum
-    to the per-class counts. No samples, or true labels outside 1..C,
-    raise DataError.
+    to the per-class counts. No samples, true labels that are not integers
+    (``bool`` included) or true labels outside 1..C raise DataError.
     """
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     predicted = np.asarray(predicted, dtype=int)
     if not labels.size:
         raise DataError("no labeled samples to score")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 1 or labels.max() > C:
         raise DataError(f"true labels must lie in 1..{C}")
     confusion = np.zeros((C, C), dtype=int)
@@ -167,8 +169,6 @@ def evaluate(test, model, w=None):
             raise DimensionError(
                 f"labels of shape {labels.shape} do not match samples of shape {Y.shape}"
             )
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     if Y.shape[0] != model.d:
         raise DimensionError(
             f"test features have dimension {Y.shape[0]}, model expects {model.d}"

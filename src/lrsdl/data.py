@@ -112,9 +112,10 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, Y, labels):
-        """Dataset from samples and labels in any column order: integral
-        float labels become int64 and the columns are sorted by label with
-        a stable sort, so each class keeps its input column order."""
+        """Dataset from samples and labels in any column order: integer or
+        integral real floating labels become int64 (any other dtype raises
+        DataError) and the columns are sorted by label with a stable sort,
+        so each class keeps its input column order."""
         Y = np.asarray(Y, dtype=float)
         labels = np.asarray(labels)
         if Y.ndim != 2:
@@ -126,12 +127,12 @@ class Dataset:
         if labels.dtype == bool:
             raise DataError("labels must be integers, not booleans")
         if not np.issubdtype(labels.dtype, np.integer):
-            flabels = np.asarray(labels, dtype=float)
-            if not np.isfinite(flabels).all():
+            if not np.issubdtype(labels.dtype, np.floating):
+                raise DataError(f"labels must be integers, got dtype {labels.dtype}")
+            if not np.isfinite(labels).all():
                 raise DataError("labels must be finite")
-            if not np.all(flabels == np.round(flabels)):
+            if not np.all(labels == np.round(labels)):
                 raise DataError("labels must be integers")
-            labels = flabels
         if not np.all((labels >= -(2**63)) & (labels < 2**63)):
             raise DataError("labels must lie in the int64 range")
         labels = labels.astype(np.int64)

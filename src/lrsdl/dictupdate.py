@@ -5,10 +5,10 @@ The class-c subproblem collects every fidelity term containing D_c into
 
     min_D  tr(D^T D A) - 2 tr(D^T B)   s.t. column norms <= 1
 
-with A the code Gram and B the data correlation (QuadDictProblem); both
-are read off one Gram pair for all classes (class_dict_gram). The
-shared dictionary fits the shared-layer target V = Y - 1/2 D M(X)
-(gradients.residual_matrices) with a nuclear-norm penalty,
+with A the code Gram and B the data correlation, the pair odl_update takes
+as plain arrays; both are read off one Gram pair for all classes
+(class_dict_gram). The shared dictionary fits the shared-layer target
+V = Y - 1/2 D M(X) (gradients.residual_matrices) with a nuclear-norm penalty,
 
     min_D0  ||V - D0 X0||_F^2 + eta ||D0||_*,
 
@@ -21,12 +21,11 @@ step returns a d x 0 matrix.
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import block_diagonal
-from .errors import DataError, DimensionError, NumericalError, ParameterError
+from .errors import DimensionError, NumericalError, ParameterError
 from .gradients import nuclear_term
 from .prox import admm_nuclear
 
@@ -37,31 +36,6 @@ ODL_SWEEPS = 2  # column sweeps per class dictionary refit
 ADMM_RHO = 1.0  # ADMM penalty of the shared-dictionary update
 
 
-@dataclass(frozen=True)
-class QuadDictProblem:
-    """Quadratic dictionary subproblem min tr(D^T D A) - 2 tr(D^T B)."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionError(f"A must be square, got {A.shape}")
-        if B.ndim != 2 or B.shape[1] != A.shape[0]:
-            raise DimensionError(f"B shape {B.shape} does not match A {A.shape}")
-        if (A.size and not np.isfinite(A).all()) or (
-            B.size and not np.isfinite(B).all()
-        ):
-            raise DataError("subproblem matrices contain NaN or Inf")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-
-    def objective(self, D):
-        return float(np.sum((D @ self.A) * D) - 2.0 * np.sum(D * self.B))
-
-
 def class_dict_gram(coefs, shifted, C):
     """Gram pair (F, E) of the class-dictionary step for shifted data Ys and
     codes whose K rows and N columns both split into C class blocks:
@@ -70,7 +44,7 @@ def class_dict_gram(coefs, shifted, C):
 
     so the summed fidelity is tr(F D^T D) - 2 tr(E D^T) plus a constant in
     D. With every other class dictionary held fixed, class c's problem is
-    the QuadDictProblem with A = F_cc and B = E_c - sum_{i != c} D_i F_ic.
+    the odl_update pair A = F_cc, B = E_c - sum_{i != c} D_i F_ic.
     """
     shifted = np.asarray(shifted, dtype=float)
     if shifted.ndim != 2 or shifted.shape[1] != coefs.N:
@@ -85,30 +59,39 @@ def class_dict_gram(coefs, shifted, C):
     return XXt + block_diagonal(XXt, C), shifted @ MX.T
 
 
-def count_dead_atoms(problem):
-    """Atoms whose code energy is too small to update."""
-    return int(np.sum(np.diag(problem.A) <= DEAD_ATOM_TOL))
+def _quad_value(A, B, D):
+    """tr(D^T D A) - 2 tr(D^T B), the class-dictionary subproblem."""
+    return float(np.sum((D @ A) * D) - 2.0 * np.sum(D * B))
 
 
-def odl_update(problem, D_init, sweeps=ODL_SWEEPS):
-    """Block-coordinate column sweeps for the quadratic subproblem.
+def count_dead_atoms(A):
+    """Atoms whose code energy, the diagonal of the code Gram A, is too small."""
+    return int(np.sum(np.diag(A) <= DEAD_ATOM_TOL))
+
+
+def odl_update(A, B, D_init, sweeps=ODL_SWEEPS):
+    """Block-coordinate column sweeps for min tr(D^T D A) - 2 tr(D^T B)
+    over d x k dictionaries D with column norms <= 1, for a k x k code Gram
+    A and a d x k correlation B.
 
     Each column j with code energy A_jj above DEAD_ATOM_TOL moves to
 
         u = (B_j - D A_j) / A_jj + d_j,   d_j = u / max(||u||, 1)
 
     dead atoms are left untouched. The inner objective must not increase
-    across sweeps (checked, since the update is exact per column).
+    across sweeps (checked, since the update is exact per column), and a
+    non-finite A, B or D_init raises NumericalError through its start value.
     """
     if sweeps < 1:
         raise ParameterError("sweeps must be positive")
     D = np.array(D_init, dtype=float)
-    A, B = problem.A, problem.B
-    if D.shape != B.shape:
-        raise DimensionError(f"dictionary shape {D.shape} != B {B.shape}")
-    if D.size and not np.isfinite(D).all():
-        raise NumericalError("initial dictionary contains NaN or Inf")
-    prev = problem.objective(D)
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if D.ndim != 2 or B.shape != D.shape or A.shape != (D.shape[1],) * 2:
+        raise DimensionError(f"A {A.shape}, B {B.shape} do not fit dictionary {D.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        prev = _quad_value(A, B, D)
+    if not np.isfinite(prev):
+        raise NumericalError("dictionary subproblem is non-finite at the start")
     for _ in range(sweeps):
         for j in range(D.shape[1]):
             ajj = A[j, j]
@@ -119,7 +102,7 @@ def odl_update(problem, D_init, sweeps=ODL_SWEEPS):
             if nu == 0:
                 continue
             D[:, j] = u / max(nu, 1.0)
-        cur = problem.objective(D)
+        cur = _quad_value(A, B, D)
         if cur > prev + 1e-10 * max(1.0, abs(prev)):
             raise NumericalError("dictionary sweep increased its objective")
         prev = cur

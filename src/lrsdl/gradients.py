@@ -25,8 +25,9 @@ B = 2 D0^T V and the shared dictionary fits V. With k0 = 0 the shared
 arrays are empty and every shared term is an exact zero.
 
 Each coding problem's Gram pair (H, B) is formed by one function that its
-solver calls (gram_class_codes, gram_shared_codes, gram_test_code); fista
-runs its gradient H X - B as the closure of SmoothObjective.quadratic.
+solver calls (build_augmented_gram, gram_shared_codes, gram_test_code),
+and each builder reads its block sizes off the array shapes; fista runs
+its gradient H X - B as the closure of SmoothObjective.quadratic.
 """
 
 from dataclasses import dataclass
@@ -37,31 +38,22 @@ from .data import block_diagonal, class_means
 from .errors import DimensionError, NumericalError
 
 
-def build_augmented_gram(dicts, shifted, n_c):
-    """Class-code Gram pair (M(D^T D), M(D^T Ys)) for shifted data Ys (class
-    contiguous), M(A) = A + blockdiag(A) (:func:`~lrsdl.data.block_diagonal`)."""
+def build_augmented_gram(dicts, shifted, lambda2):
+    """Class-code Gram pair (H, B) = (M(D^T D) + 2 lambda2 I, M(D^T Ys)) for
+    shifted data Ys whose columns split into C class blocks, M(A) = A +
+    blockdiag(A): the fidelity pair plus the 2 lambda2 X part of the Fisher
+    gradient, whose class-mean part is X Q (:func:`~lrsdl.data.fisher_mean_map`)."""
     shifted = np.asarray(shifted, dtype=float)
-    if shifted.shape != (dicts.d, dicts.C * n_c):
-        raise DimensionError(
-            f"shifted data shape {shifted.shape} does not match "
-            f"({dicts.d}, {dicts.C * n_c})"
-        )
+    d, C = dicts.d, dicts.C
+    if shifted.ndim != 2 or shifted.shape[0] != d or shifted.shape[1] % C:
+        raise DimensionError(f"shifted data {shifted.shape} is not {d} rows by {C} blocks")
     D = dicts.D
     gram = D.T @ D
     corr = D.T @ shifted
-    return gram + block_diagonal(gram, dicts.C), corr + block_diagonal(corr, dicts.C)
-
-
-def gram_class_codes(dicts, shifted, n_c, lambda2):
-    """Class-code Gram pair (H, B) = (M(D^T D) + 2 lambda2 I, M(D^T Ys)):
-    the fidelity pair of :func:`build_augmented_gram` with the 2 lambda2 X
-    part of the Fisher gradient joining H. The rest of that gradient, the
-    class-mean part, is the product X Q with Q from
-    :func:`~lrsdl.data.fisher_mean_map`."""
-    G, corr = build_augmented_gram(dicts, shifted, n_c)
+    G = gram + block_diagonal(gram, C)
     # on the diagonal only: an overflowing 2 lambda2 leaves the rest finite
     G[np.diag_indices_from(G)] += 2.0 * lambda2
-    return G, corr
+    return G, corr + block_diagonal(corr, C)
 
 
 def fisher_value(X, C):
@@ -121,12 +113,14 @@ def residual_matrices(data, dicts, coefs):
     return data.Y - 0.5 * (dicts.D @ (coefs.X + block_diagonal(coefs.X, data.C)))
 
 
-def fidelity_value(shifted, dicts, X, n_c):
-    """1/2 sum_c r_c(X) evaluated against shifted data Ys."""
+def fidelity_value(shifted, dicts, X):
+    """1/2 sum_c r_c(X) evaluated against shifted data Ys, whose columns
+    split into C class blocks."""
     shifted = np.asarray(shifted, dtype=float)
-    C = dicts.C
-    if shifted.shape != (dicts.d, C * n_c) or X.shape[0] != dicts.K:
+    C, (K, N) = dicts.C, X.shape
+    if K != dicts.K or N % C or shifted.shape != (dicts.d, N):
         raise DimensionError("shifted data or codes do not match the dictionaries")
+    n_c = N // C
     total = float(np.sum((shifted - dicts.D @ X) ** 2))
     own = 0.0
     cross = 0.0
@@ -186,7 +180,7 @@ def objective_terms(data, dicts, coefs, hyper):
     """Evaluate every objective term literally from its definition."""
     check_shapes(data, dicts, coefs)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-    fidelity = fidelity_value(shifted, dicts, coefs.X, data.n_c)
+    fidelity = fidelity_value(shifted, dicts, coefs.X)
     if not np.isfinite(fidelity):
         raise NumericalError("fidelity term is non-finite")
 

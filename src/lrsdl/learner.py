@@ -30,17 +30,11 @@ from .data import (
     mean_stats,
     normalize_columns,
 )
-from .dictupdate import (
-    QuadDictProblem,
-    class_dict_gram,
-    count_dead_atoms,
-    odl_update,
-    update_shared_dict,
-)
+from .dictupdate import class_dict_gram, count_dead_atoms, odl_update, update_shared_dict
 from .errors import NumericalError, ParameterError
 from .gradients import (
+    build_augmented_gram,
     check_shapes,
-    gram_class_codes,
     gram_shared_codes,
     objective_terms,
     residual_matrices,
@@ -129,19 +123,20 @@ def _code_classes(data, dicts, coefs, hyper, group, passes, budget):
     """Refit the class coefficients, `group` classes per FISTA call of
     `budget` iterations and `passes` visits of every group, then X0.
 
-    Each call solves the joint class-code quadratic (gram_class_codes) on
-    its columns, with its own class means differentiated exactly, so the
-    full objective never increases. The class-mean part of the gradient is
-    the product with Q of fisher_mean_map, built once here for every call;
-    that map is negative semidefinite, so L = lambda_max(H) still bounds the
-    step. The other classes' mean sum S, frozen during the call, enters B as
-    -(lambda2 / C) S; with one group of all C classes S is exactly zero and
-    B is corr itself.
+    Each call solves the joint class-code quadratic on its columns of one
+    Gram pair, H = M(D^T D) + 2 lambda2 I and corr = M(D^T Ys) of
+    build_augmented_gram, with its own class means differentiated exactly,
+    so the full objective never increases. The class-mean part of the
+    gradient is the product with Q of fisher_mean_map, built once here for
+    every call; that map is negative semidefinite, so L = lambda_max(H)
+    still bounds the step. The other classes' mean sum S, frozen during the
+    call, enters B as -(lambda2 / C) S; with one group of all C classes S is
+    exactly zero and B is corr itself.
     """
     C, lam2 = data.C, hyper.lambda2
     check_shapes(data, dicts, coefs)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-    H, corr = gram_class_codes(dicts, shifted, data.n_c, lam2)
+    H, corr = build_augmented_gram(dicts, shifted, lam2)
     L = power_iteration_lipschitz(H)
     Q = fisher_mean_map(group, data.n_c, C, lam2)
     X = coefs.X.copy()
@@ -185,9 +180,9 @@ def _update_class_dicts(data, dicts, coefs):
     dead = 0
     for c in range(1, dicts.C + 1):
         rows = dicts.row_block(c)
-        prob = QuadDictProblem(A=F[rows, rows], B=E[:, rows] - D @ cross[:, rows])
-        dead += count_dead_atoms(prob)
-        D[:, rows] = odl_update(prob, D[:, rows])
+        A = F[rows, rows]
+        dead += count_dead_atoms(A)
+        D[:, rows] = odl_update(A, E[:, rows] - D @ cross[:, rows], D[:, rows])
     if dead:
         log.debug("skipped %d dead atoms in dictionary sweep", dead)
     return replace(dicts, class_dicts=tuple(np.hsplit(D, dicts.C)))

@@ -20,7 +20,7 @@ from lrsdl.data import (
     block_diagonal,
     normalize_columns,
 )
-from lrsdl.dictupdate import ODL_SWEEPS, QuadDictProblem, odl_update
+from lrsdl.dictupdate import ODL_SWEEPS, odl_update
 from lrsdl.gradients import build_augmented_gram, residual_matrices
 from lrsdl.learner import _update_class_dicts
 
@@ -80,7 +80,7 @@ def test_block_diagonal_matches_loop(C, p, q, seed):
 def test_augmented_gram_matches_class_loop(C, n_c, k_c, k0, d, seed):
     data, dicts, coefs = problem(C, n_c, k_c, k0, d, seed)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-    G, corr = build_augmented_gram(dicts, shifted, n_c)
+    G, corr = build_augmented_gram(dicts, shifted, 0.0)
     combined, corr_loop = augmented_gram_loop(dicts.class_dicts, shifted, n_c)
     assert rel_err(G, combined) < 1e-12
     assert rel_err(corr, corr_loop) < 1e-12
@@ -104,7 +104,7 @@ def test_update_class_dicts_matches_residual_reference(C, n_c, k_c, k0, d, seed,
     shifted = data.Y - dicts.shared_dict @ coefs.X0
 
     def solve(A, B, Dc):
-        return odl_update(QuadDictProblem(A=A, B=B), Dc, sweeps=ODL_SWEEPS)
+        return odl_update(A, B, Dc, sweeps=ODL_SWEEPS)
 
     want = update_class_dicts_residual(
         shifted, dicts.class_dicts, coefs.X, n_c, solve

@@ -391,6 +391,17 @@ class TestEvaluate:
         with pytest.raises(DataError, match="no labeled samples"):
             score_predictions([], [], model.C)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[1.7, 2.2], [1.0, 2.0], np.array([True, True]), np.array(["1", "2"])],
+        ids=["fractional", "integral-float", "bool", "str"],
+    )
+    def test_score_predictions_rejects_non_integer_labels(self, labels):
+        # the check evaluate and `lrsdl classify` share: true labels are
+        # never truncated or cast into 1..C
+        with pytest.raises(DataError, match="labels must be integers"):
+            score_predictions(labels, [1, 2], 2)
+
 
 class TestBatchedClassify:
     def test_batch_shapes(self):

@@ -103,6 +103,28 @@ class TestDataset:
             with pytest.raises(DataError, match=msg):
                 Dataset.from_arrays(Y, bad)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array(["1", "1", "2", "2"]),
+            np.array([b"1", b"1", b"2", b"2"]),
+            np.array([1, 1, 2, 2], dtype=object),
+            np.array([1, 1, 2, 2], dtype=complex),
+        ],
+        ids=["str", "bytes", "object", "complex"],
+    )
+    def test_non_numeric_label_dtypes_rejected(self, labels):
+        # only integer and real floating labels are parsed; these must not
+        # become a C=2 Dataset, nor warn on a cast
+        with pytest.raises(DataError, match="labels must be integers"):
+            Dataset.from_arrays(np.zeros((2, 4)), labels)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32, np.float64])
+    def test_integer_and_integral_float_labels_accepted(self, dtype):
+        data = Dataset.from_arrays(np.zeros((2, 4)), np.array([2, 1, 2, 1], dtype=dtype))
+        assert data.C == 2 and data.labels.dtype == np.int64
+        assert np.array_equal(data.labels, [1, 1, 2, 2])
+
     def test_non_finite_samples_rejected(self):
         Y = np.zeros((2, 2))
         Y[0, 0] = np.inf

@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from lrsdl.data import CoefBundle, DictionaryBundle, generate_synthetic, normalize_columns
 from lrsdl.dictupdate import (
-    QuadDictProblem,
+    _quad_value,
     class_dict_gram,
     count_dead_atoms,
     odl_update,
     update_shared_dict,
 )
-from lrsdl.errors import DataError, DimensionError, NumericalError, ParameterError
+from lrsdl.errors import DimensionError, NumericalError, ParameterError
 from lrsdl.prox import admm_nuclear
 
 from oracles import (
@@ -57,23 +57,6 @@ def random_problem(seed, C=3, d=8, n_c=4, k_c=3, k0=2):
         X0=rng.standard_normal((k0, C * n_c)),
     )
     return data, dicts, coefs
-
-
-class TestQuadDictProblem:
-    def test_objective_formula(self):
-        A = np.array([[2.0, 0.0], [0.0, 1.0]])
-        B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        D = np.ones((3, 2))
-        # tr(D^T D A) = 2*3 + 1*3 = 9, tr(D^T B) = sum(D*B) = 4
-        assert QuadDictProblem(A=A, B=B).objective(D) == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(DimensionError):
-            QuadDictProblem(A=np.zeros((2, 3)), B=np.zeros((4, 2)))
-        with pytest.raises(DimensionError):
-            QuadDictProblem(A=np.zeros((2, 2)), B=np.zeros((4, 3)))
-        with pytest.raises(DataError):
-            QuadDictProblem(A=np.array([[np.nan]]), B=np.zeros((2, 1)))
 
 
 class TestAssembleClassProblem:
@@ -122,8 +105,7 @@ class TestAssembleClassProblem:
         rows = dicts.row_block(2)
         cross = F[:, rows].copy()
         cross[rows] = 0.0
-        whole = QuadDictProblem(A=F, B=E)
-        own = QuadDictProblem(A=F[rows, rows], B=E[:, rows] - D @ cross)
+        A_own, B_own = F[rows, rows], E[:, rows] - D @ cross
 
         def f(M):
             return stacked_fidelity(shifted, np.hsplit(M, dicts.C), coefs.X, data.labels)
@@ -133,11 +115,12 @@ class TestAssembleClassProblem:
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
         M1, M2 = rng.standard_normal(D.shape), rng.standard_normal(D.shape)
-        assert_tracks(whole.objective(M1) - whole.objective(M2), M1, M2)
+        assert_tracks(_quad_value(F, E, M1) - _quad_value(F, E, M2), M1, M2)
         P1, P2 = D.copy(), D.copy()
         P1[:, rows] = M1[:, rows]
         P2[:, rows] = M2[:, rows]
-        assert_tracks(own.objective(P1[:, rows]) - own.objective(P2[:, rows]), P1, P2)
+        own1, own2 = (_quad_value(A_own, B_own, P[:, rows]) for P in (P1, P2))
+        assert_tracks(own1 - own2, P1, P2)
 
     def test_shifted_shape_checked(self):
         data, dicts, coefs = random_problem(5)
@@ -160,22 +143,44 @@ class TestAssembleClassProblem:
 class TestCountDeadAtoms:
     def test_counts_small_diagonal(self):
         A = np.diag([1.0, 0.0, 1e-12, 0.5])
-        prob = QuadDictProblem(A=A, B=np.zeros((3, 4)))
-        assert count_dead_atoms(prob) == 2
+        assert count_dead_atoms(A) == 2
 
 
 class TestOdlUpdate:
+    def test_objective_formula(self):
+        A = np.array([[2.0, 0.0], [0.0, 1.0]])
+        B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        D = np.ones((3, 2))
+        # tr(D^T D A) = 2*3 + 1*3 = 9, tr(D^T B) = sum(D*B) = 4
+        assert _quad_value(A, B, D) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [(np.zeros((2, 3)), np.zeros((4, 2))), (np.zeros((2, 2)), np.zeros((4, 3)))],
+        ids=["A-not-square", "B-not-D"],
+    )
+    def test_pair_shapes_checked(self, A, B):
+        with pytest.raises(DimensionError):
+            odl_update(A, B, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["A", "B"])
+    def test_non_finite_pair_rejected(self, where, value):
+        # the starting objective is non-finite, which raises as a NaN
+        # initial dictionary does, and no numpy warning escapes
+        pair = {"A": np.array([[1.0]]), "B": np.zeros((2, 1))}
+        pair[where] = np.full_like(pair[where], value)
+        with pytest.raises(NumericalError):
+            odl_update(pair["A"], pair["B"], np.array([[1.0], [0.0]]))
+
     def test_single_atom_interior(self):
         b = np.array([[0.3], [0.4], [0.0]])
-        prob = QuadDictProblem(A=np.array([[1.0]]), B=b)
-        D = odl_update(prob, np.array([[1.0], [0.0], [0.0]]), sweeps=1)
+        D = odl_update(np.array([[1.0]]), b, np.array([[1.0], [0.0], [0.0]]), sweeps=1)
         assert np.allclose(D, b, atol=1e-12)
 
     def test_single_atom_capped(self):
-        prob = QuadDictProblem(
-            A=np.array([[1.0]]), B=np.array([[2.0], [0.0], [0.0]])
-        )
-        D = odl_update(prob, np.array([[0.0], [1.0], [0.0]]), sweeps=1)
+        A, B = np.array([[1.0]]), np.array([[2.0], [0.0], [0.0]])
+        D = odl_update(A, B, np.array([[0.0], [1.0], [0.0]]), sweeps=1)
         assert np.allclose(D, [[1.0], [0.0], [0.0]], atol=1e-12)
 
     def test_beats_projected_gradient(self):
@@ -185,19 +190,18 @@ class TestOdlUpdate:
         Y = rng.standard_normal((d, n))
         A = X @ X.T
         B = Y @ X.T
-        prob = QuadDictProblem(A=A, B=B)
         D0 = normalize_columns(rng.standard_normal((d, k)), warn=False)
-        D = odl_update(prob, D0, sweeps=30)
+        D = odl_update(A, B, D0, sweeps=30)
         ref = projected_gradient_dict(A, B, D0, steps=500)
-        assert prob.objective(D) <= prob.objective(D0) + 1e-12
-        assert prob.objective(D) <= quad_dict_objective(A, B, ref) + 1e-6
+        assert _quad_value(A, B, D) <= _quad_value(A, B, D0) + 1e-12
+        assert _quad_value(A, B, D) <= quad_dict_objective(A, B, ref) + 1e-6
 
     def test_columns_stay_in_unit_ball(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((4, 15))
         B = 200.0 * rng.standard_normal((5, 4))
-        prob = QuadDictProblem(A=X @ X.T, B=B)
-        D = odl_update(prob, normalize_columns(rng.standard_normal((5, 4)), warn=False))
+        D0 = normalize_columns(rng.standard_normal((5, 4)), warn=False)
+        D = odl_update(X @ X.T, B, D0)
         norms = np.linalg.norm(D, axis=0)
         assert np.all(norms <= 1 + 1e-12)
         # strong correlation pushes every atom onto the sphere
@@ -208,30 +212,30 @@ class TestOdlUpdate:
         A = np.diag([1.0, 0.0, 2.0])
         B = rng.standard_normal((4, 3))
         D0 = normalize_columns(rng.standard_normal((4, 3)), warn=False)
-        D = odl_update(QuadDictProblem(A=A, B=B), D0, sweeps=3)
+        D = odl_update(A, B, D0, sweeps=3)
         assert np.array_equal(D[:, 1], D0[:, 1])
 
     def test_monotone_across_sweeps(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((5, 12))
         Y = rng.standard_normal((7, 12))
-        prob = QuadDictProblem(A=X @ X.T, B=Y @ X.T)
+        A, B = X @ X.T, Y @ X.T
         D = normalize_columns(rng.standard_normal((7, 5)), warn=False)
-        prev = prob.objective(D)
+        prev = _quad_value(A, B, D)
         for _ in range(4):
-            D = odl_update(prob, D, sweeps=1)
-            cur = prob.objective(D)
+            D = odl_update(A, B, D, sweeps=1)
+            cur = _quad_value(A, B, D)
             assert cur <= prev + 1e-10 * max(1.0, abs(prev))
             prev = cur
 
     def test_bad_inputs(self):
-        prob = QuadDictProblem(A=np.eye(2), B=np.zeros((3, 2)))
+        A, B = np.eye(2), np.zeros((3, 2))
         with pytest.raises(ParameterError):
-            odl_update(prob, np.zeros((3, 2)), sweeps=0)
+            odl_update(A, B, np.zeros((3, 2)), sweeps=0)
         with pytest.raises(DimensionError):
-            odl_update(prob, np.zeros((3, 3)))
+            odl_update(A, B, np.zeros((3, 3)))
         with pytest.raises(NumericalError):
-            odl_update(prob, np.full((3, 2), np.nan))
+            odl_update(A, B, np.full((3, 2), np.nan))
 
 
 class TestUpdateSharedDict:

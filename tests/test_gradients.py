@@ -152,7 +152,7 @@ class TestAugmentedGram:
         d, k, n = 6, 4, 5
         dicts = random_bundle(rng, d, 1, k, 0)
         Ys = rng.standard_normal((d, n))
-        G, corr = build_augmented_gram(dicts, Ys, n)
+        G, corr = build_augmented_gram(dicts, Ys, 0.0)
         DtD = dicts.D.T @ dicts.D
         X = rng.standard_normal((k, n))
         assert np.allclose(G @ X, 2.0 * DtD @ X, atol=1e-12)
@@ -165,21 +165,21 @@ class TestAugmentedGram:
         cds = tuple(Q[:, c * k_c : (c + 1) * k_c] for c in range(C))
         dicts = DictionaryBundle(class_dicts=cds, shared_dict=np.zeros((d, 0)))
         Ys = np.random.default_rng(7).standard_normal((d, C * n_c))
-        G, _ = build_augmented_gram(dicts, Ys, n_c)
+        G, _ = build_augmented_gram(dicts, Ys, 0.0)
         X = np.random.default_rng(8).standard_normal((C * k_c, C * n_c))
         assert np.allclose(G @ X, 2.0 * X, atol=1e-10)
 
     def test_combined_symmetric_psd(self):
         data, dicts, coefs = random_problem(9)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        G, _ = build_augmented_gram(dicts, shifted, data.n_c)
+        G, _ = build_augmented_gram(dicts, shifted, 0.0)
         assert np.array_equal(G, G.T)
         assert np.linalg.eigvalsh(G)[0] > -1e-10
 
     def test_combined_matches_dense_construction(self):
         data, dicts, coefs = random_problem(10)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        G, _ = build_augmented_gram(dicts, shifted, data.n_c)
+        G, _ = build_augmented_gram(dicts, shifted, 0.0)
         dense = dicts.D.T @ dicts.D
         for c in range(1, dicts.C + 1):
             rows = dicts.row_block(c)
@@ -187,10 +187,26 @@ class TestAugmentedGram:
             dense[rows, rows] += Dc.T @ Dc
         assert np.max(np.abs(G - dense)) < 1e-12
 
-    def test_shifted_shape_checked(self):
+    def test_lambda2_joins_the_diagonal_only(self):
+        # H = M(D^T D) + 2 lambda2 I: the diagonal gains exactly 2 lambda2,
+        # every other entry and the correlation are those of lambda2 = 0
+        data, dicts, coefs = random_problem(12)
+        shifted = data.Y - dicts.shared_dict @ coefs.X0
+        G0, corr0 = build_augmented_gram(dicts, shifted, 0.0)
+        G, corr = build_augmented_gram(dicts, shifted, 0.7)
+        diag = np.eye(dicts.K, dtype=bool)
+        assert np.array_equal(G[diag], G0[diag] + 2.0 * 0.7)
+        assert np.array_equal(G[~diag], G0[~diag])
+        assert np.array_equal(corr, corr0)
+
+    @pytest.mark.parametrize(
+        "cut", [np.s_[:, :-1], np.s_[:-1, :], np.s_[:, 0]], ids=["cols", "rows", "1-d"]
+    )
+    def test_shifted_shape_checked(self, cut):
+        # d rows, and columns that split into C = 3 blocks
         data, dicts, _ = random_problem(11)
-        with pytest.raises(DimensionError):
-            build_augmented_gram(dicts, data.Y[:, :-1], data.n_c)
+        with pytest.raises(DimensionError, match="8 rows by 3 blocks"):
+            build_augmented_gram(dicts, data.Y[cut], 0.0)
 
 
 class TestGradFidelity:
@@ -200,7 +216,7 @@ class TestGradFidelity:
     def test_zero_codes_give_minus_correlation(self):
         data, dicts, coefs = random_problem(12)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        _, corr = build_augmented_gram(dicts, shifted, data.n_c)
+        _, corr = build_augmented_gram(dicts, shifted, 0.0)
         obj = class_code_objective(data, dicts, coefs, lambda2=0.7)
         assert np.array_equal(obj.grad(np.zeros_like(coefs.X)), -corr)
 
@@ -228,7 +244,7 @@ class TestGradFidelity:
         obj = class_code_objective(data, dicts, coefs, lambda2=0.0)
 
         def f(X):
-            return fidelity_value(shifted, dicts, X, data.n_c)
+            return fidelity_value(shifted, dicts, X)
 
         fd = fd_grad(f, coefs.X, eps=1e-6)
         assert rel_err(obj.grad(coefs.X), fd) < 1e-4
@@ -252,7 +268,7 @@ class TestFidelityValue:
         for seed in range(5):
             data, dicts, coefs = random_problem(20 + seed)
             shifted = data.Y - dicts.shared_dict @ coefs.X0
-            mine = fidelity_value(shifted, dicts, coefs.X, data.n_c)
+            mine = fidelity_value(shifted, dicts, coefs.X)
             ref = stacked_fidelity(
                 shifted, list(dicts.class_dicts), coefs.X, data.labels
             )
@@ -263,7 +279,23 @@ class TestFidelityValue:
         X = np.zeros((dicts.K, data.N))
         # all three residual pieces collapse to the data itself
         want = float(np.sum(data.Y**2))
-        assert fidelity_value(data.Y, dicts, X, data.n_c) == pytest.approx(want)
+        assert fidelity_value(data.Y, dicts, X) == pytest.approx(want)
+
+    @pytest.mark.parametrize(
+        "cut_Ys, cut_X",
+        [
+            (np.s_[:, :-1], np.s_[:, :-1]),
+            (np.s_[:, :-1], np.s_[:, :]),
+            (np.s_[:-1], np.s_[:]),
+        ],
+        ids=["not-C-blocks", "shifted-vs-codes", "rows"],
+    )
+    def test_shapes_checked(self, cut_Ys, cut_X):
+        # n_c is read off the codes: their columns must split into C = 3
+        # blocks and match the shifted data
+        data, dicts, coefs = random_problem(27)
+        with pytest.raises(DimensionError):
+            fidelity_value(data.Y[cut_Ys], dicts, coefs.X[cut_X])
 
 
 class TestGramClassCodes:
@@ -277,7 +309,7 @@ class TestGramClassCodes:
         obj = class_code_objective(data, dicts, coefs, lam2)
 
         def f(M):
-            fidelity = fidelity_value(shifted, dicts, M, data.n_c)
+            fidelity = fidelity_value(shifted, dicts, M)
             return fidelity + 0.5 * lam2 * fisher_value(M, data.C)
 
         assert rel_err(obj.grad(coefs.X), fd_grad(f, coefs.X, eps=1e-6)) < 1e-7

@@ -7,7 +7,8 @@ through its arguments only.
 
 src holds only what the system runs: every public function is called
 from within the package, bar a named few. Importing the command line
-loads nothing beyond numpy and the standard library.
+loads nothing beyond numpy and the standard library. Every function the
+benchmark's span tracer wraps by name is defined where it looks for it.
 """
 
 import ast
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lrsdl"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lrsdl"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
@@ -131,3 +133,28 @@ def test_import_loads_only_numpy_and_stdlib():
     assert "lrsdl" in out
     extra = set(out) - set(sys.stdlib_module_names) - {"numpy", "lrsdl"}
     assert not extra, f"import lrsdl.cli loads {sorted(extra)}"
+
+
+def module_functions(module):
+    """Names of the module-level functions defined in a package module."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+
+
+def test_benchmark_tracer_names_exist():
+    # perfbench/tracer.py imports only the standard library, so its source
+    # is run here as read from disk (nothing is written beside it); a name
+    # in its TRACED map that src no longer defines would otherwise surface
+    # only as a crash of Tracer.install in a benchmark run
+    tracer = ROOT / "perfbench" / "tracer.py"
+    namespace = {"__name__": "tracer"}
+    exec(compile(tracer.read_text(), str(tracer), "exec"), namespace)
+    traced = namespace["TRACED"]
+    assert traced
+    missing = [
+        f"lrsdl.{module}.{name}"
+        for module, names in traced.items()
+        for name in names
+        if module not in MODULES or name not in module_functions(module)
+    ]
+    assert not missing, f"the benchmark tracer wraps undefined functions {missing}"
