@@ -6,12 +6,12 @@ mean. The shared reconstruction is subtracted out and each class is
 scored by a weighted mix of its reconstruction residual and the distance
 of the code to the class's training code mean. Smallest score wins.
 
-Every entry point takes one sample (d,) or a batch (d, N). A batch is
-coded in one FISTA solve over the precomputed Gram matrix; its safeguard
-accepts, rejects, restarts and stops each column on its own, so each
-sample takes the steps a solve of that sample alone takes. Only round-off
-differs (BLAS sums a matrix product in another order than a matrix-vector
-one).
+Every entry point takes one sample (d,) or a batch (d, N). Test coding
+codes one sample as a batch of one column, in one FISTA solve over the
+precomputed Gram matrix; in a batch of two or more, the safeguard accepts,
+rejects, restarts and stops each column on its own, so each sample takes
+the steps a solve of it alone takes. Only round-off differs (BLAS sums a
+matrix product in another order than a matrix-vector one).
 """
 
 import logging
@@ -70,28 +70,20 @@ def encode_test(Y, model):
     For each sample y, minimizes 1/2 ||y - D_total x||^2
     + lambda2/2 ||x0 - m0||^2 + lambda1 ||x||_1 over the stacked code x.
     Samples are unit normalized first, matching training; zero samples
-    are logged here, once per call. Returns a (K + k0,) code for one
-    sample and a (K + k0, N) matrix for a batch, whose columns fista
-    accepts, rejects, restarts and stops one by one.
+    are logged here, once per call. One sample is solved as a batch of one
+    column and returns a (K + k0,) code; a batch returns (K + k0, N) codes,
+    whose columns fista accepts, rejects, restarts and stops one by one.
     """
     dicts = model.dict_bundle
     samples = _as_samples(Y, dicts.d)
     zero = ~samples.any(axis=0)  # the samples are finite
     if zero.any():
         log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())
-    Yn = normalize_columns(samples, warn=False).reshape(np.shape(Y))
-    H, B = gram_test_code(
-        dicts, Yn, model.mean_stats.shared_mean, model.hyper.lambda2
-    )
-    obj = SmoothObjective.quadratic(
-        H, B, test_coding_lipschitz(H), per_column=B.ndim == 2
-    )
-    return fista(
-        obj,
-        model.hyper.lambda1,
-        np.zeros(B.shape),
-        max_iter=TEST_CODING_ITERS,
-    )
+    Yn = normalize_columns(samples, warn=False)
+    H, B = gram_test_code(dicts, Yn, model.mean_stats.shared_mean, model.hyper.lambda2)
+    obj = SmoothObjective.quadratic(H, B, test_coding_lipschitz(H), per_column=True)
+    code = fista(obj, model.hyper.lambda1, np.zeros(B.shape), max_iter=TEST_CODING_ITERS)
+    return code[:, 0] if np.ndim(Y) == 1 else code
 
 
 def class_scores(Y, model, code, w):

@@ -91,18 +91,17 @@ def gram_shared_codes(D0, V, m0, lambda2):
 
 def gram_test_code(dicts, Y, m0, lambda2):
     """Test-coding Gram pair of 1/2 ||y - D_total x||^2 + lambda2/2 ||x0 - m0||^2
-    for one sample Y (d,) or each column of a batch Y (d, N):
+    for each column y of a batch Y (d, N), one sample being a (d, 1) batch:
     G = D_total^T D_total and corr = D_total^T Y, so H acts on each column
     separately and one product serves all samples."""
     Y, m0 = np.asarray(Y, dtype=float), np.asarray(m0, dtype=float)
     Dt = dicts.D_total
-    if Y.ndim not in (1, 2) or Y.shape[0] != dicts.d or m0.shape != (dicts.k0,):
+    if Y.ndim != 2 or Y.shape[0] != dicts.d or m0.shape != (dicts.k0,):
         raise DimensionError(
             f"samples of shape {Y.shape} or shared mean of shape {m0.shape} "
             f"do not match dictionary {Dt.shape}"
         )
-    m0 = m0.reshape((-1,) + (1,) * (Y.ndim - 1))
-    return _gram_form(Dt.T @ Dt, Dt.T @ Y, m0, lambda2)
+    return _gram_form(Dt.T @ Dt, Dt.T @ Y, m0[:, None], lambda2)
 
 
 def residual_matrices(data, dicts, coefs):

@@ -9,7 +9,8 @@ Two on-disk matrix formats:
   An input format only: ``load_matrix`` reads it.
 
 ``load_matrix`` sniffs the format from the file content. Label files hold
-one integer per line (class ids 1..C).
+one integer per line (class ids 1..C). The writers refuse, before opening
+the file, what the readers would refuse.
 """
 
 import numpy as np
@@ -20,10 +21,12 @@ _MAGIC = b"LMX "
 
 
 def save_matrix(M, path):
-    """Write a 2-d float matrix to ``path`` in LMX binary form."""
+    """Write a 2-d finite float matrix to ``path`` in LMX binary form."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise DataError("matrix contains NaN or Inf")
     header = f"LMX {M.shape[0]} {M.shape[1]}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -99,7 +102,12 @@ def _parse_csv(blob, path):
 
 
 def save_labels(labels, path):
+    """Write 1-d integer labels >= 1 (``bool`` is not an integer), one per line."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise DimensionError(f"expected a 1-d label array, got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer) or (labels.size and labels.min() < 1):
+        raise DataError(f"labels must be integers >= 1, got {labels.dtype} labels")
     with open(path, "w") as fh:
         for v in labels:
             fh.write(f"{int(v)}\n")

@@ -22,10 +22,10 @@ class SmoothObjective:
     grad maps a matrix to its gradient, which must be affine (g is a
     quadratic), and lipschitz bounds its Lipschitz constant. per_column
     marks the columns of W as independent problems, each its own safeguard
-    block. fista never calls value: it steps through prox points
-    M - grad(M) / lipschitz, combined as the points are because grad is
-    affine, takes g(M) - g(0) as 1/2 <M, grad(M) + grad(0)>, and reads the
-    l1 term of a candidate off the clip of its shrink.
+    block when there are two or more. fista never calls value: it steps
+    through prox points M - grad(M) / lipschitz, combined as the points are
+    because grad is affine, takes g(M) - g(0) as 1/2 <M, grad(M) + grad(0)>,
+    and reads the l1 term of a candidate off the clip of its shrink.
 
     No coding site sets value or raw_grad; both serve the benchmark tracer,
     which wraps grad and value through dataclasses.replace and counts grad
@@ -147,13 +147,14 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     value checks the gradient too.
 
     The safeguard works on blocks: the whole matrix, or each column when
-    obj.per_column is set. A column block is accepted or rejected, restarts
+    obj.per_column is set and W has two or more columns (one column is one
+    block either way). A column block is accepted or rejected, restarts
     and stops on its own values and its own relative change, with its own
     momentum weight t; once stopped it is frozen, and the solve ends when
     every block has stopped or the budget is spent. A block's t depends
     only on its own accepts and rejects, so when grad computes each column
-    by the same arithmetic in a batch as alone, each column gets the bits a
-    solve of it alone returns.
+    by the same arithmetic in a batch as alone, each column takes the steps
+    a solve of it alone takes, bar a safeguard test tied in its last bit.
 
     The loop runs in place: the iterates, prox points and scratch space
     are allocated once per solve. Each array obj.grad returns is read
@@ -169,7 +170,7 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     GW = obj.raw_grad(W)
     G0 = obj.raw_grad(np.zeros_like(W))
     cand, clip, scratch = (np.empty_like(W) for _ in range(3))
-    if obj.per_column:
+    if obj.per_column and W.ndim == 2 and W.shape[1] > 1:
         # one block per column: each column is summed as a contiguous row
         # of a transposed copy, so its sum does not depend on the others
         prod, rows = np.empty_like(W), np.empty(W.shape[::-1])

@@ -425,7 +425,11 @@ class TestBatchedClassify:
         assert one.label.shape == (1,)
         assert one.per_class_scores.shape == (model.C, 1)
         assert one.code.shape == (K, 1)
-        assert one.label[0] == classify(data.Y[:, 3], model).label
+        # a batch of one column is solved as the lone sample is, bit for bit
+        lone = classify(data.Y[:, 3], model)
+        assert one.label[0] == lone.label
+        assert one.per_class_scores[:, 0].tobytes() == lone.per_class_scores.tobytes()
+        assert one.code[:, 0].tobytes() == lone.code.tobytes()
 
     def test_bad_batches_rejected(self):
         model = block_model()

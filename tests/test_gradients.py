@@ -428,9 +428,9 @@ class TestBuildTestGram:
 
         fd = fd_grad(f, X, eps=1e-6)
         assert rel_err(self.grad(dicts, Y, X, m0, lam2), fd) < 1e-4
-        # one sample (d,) is the same quadratic with vector B
-        g1 = self.grad(dicts, Y[:, 0], X[:, 0], m0, lam2)
-        assert np.allclose(g1, self.grad(dicts, Y, X, m0, lam2)[:, 0], atol=1e-12)
+        # one sample is a (d, 1) batch of the same quadratic
+        g1 = self.grad(dicts, Y[:, [0]], X[:, [0]], m0, lam2)
+        assert np.allclose(g1, self.grad(dicts, Y, X, m0, lam2)[:, [0]], atol=1e-12)
 
     def test_no_shared_atoms(self):
         _, dicts, _ = random_problem(38, k0=0)
@@ -445,6 +445,8 @@ class TestBuildTestGram:
             gram_test_code(dicts, np.zeros((dicts.d + 1, 2)), np.zeros(2), 0.1)
         with pytest.raises(DimensionError):
             gram_test_code(dicts, np.zeros((dicts.d, 2)), np.zeros(3), 0.1)
+        with pytest.raises(DimensionError):  # one sample comes as a (d, 1) batch
+            gram_test_code(dicts, np.zeros(dicts.d), np.zeros(2), 0.1)
 
 
 class TestObjective:

@@ -8,7 +8,8 @@ through its arguments only.
 src holds only what the system runs: every public function is called
 from within the package, bar a named few. Importing the command line
 loads nothing beyond numpy and the standard library. Every function the
-benchmark's span tracer wraps by name is defined where it looks for it.
+benchmark's span tracer wraps by name is defined where it looks for it, and
+the tracer counts the iterations of every fista role on a tiny run.
 """
 
 import ast
@@ -141,15 +142,20 @@ def module_functions(module):
     return {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
 
 
-def test_benchmark_tracer_names_exist():
-    # perfbench/tracer.py imports only the standard library, so its source
-    # is run here as read from disk (nothing is written beside it); a name
-    # in its TRACED map that src no longer defines would otherwise surface
-    # only as a crash of Tracer.install in a benchmark run
+def benchmark_tracer():
+    """The namespace of perfbench/tracer.py. It imports only the standard
+    library, so its source is run as read from disk, with nothing written
+    beside it."""
     tracer = ROOT / "perfbench" / "tracer.py"
     namespace = {"__name__": "tracer"}
     exec(compile(tracer.read_text(), str(tracer), "exec"), namespace)
-    traced = namespace["TRACED"]
+    return namespace
+
+
+def test_benchmark_tracer_names_exist():
+    # a name in the tracer's TRACED map that src no longer defines would
+    # otherwise surface only as a crash of Tracer.install in a benchmark run
+    traced = benchmark_tracer()["TRACED"]
     assert traced
     missing = [
         f"lrsdl.{module}.{name}"
@@ -158,3 +164,35 @@ def test_benchmark_tracer_names_exist():
         if module not in MODULES or name not in module_functions(module)
     ]
     assert not missing, f"the benchmark tracer wraps undefined functions {missing}"
+
+
+def test_benchmark_tracer_counts_every_fista_role():
+    # the tracer rebuilds each fista objective with its grad and value
+    # fields and names the solve after the coding span it runs in, so a
+    # change to fista's arguments, to SmoothObjective's fields or to where
+    # a coding site calls fista shows up here as an error or a role
+    # without iterations, not only in a benchmark run
+    import lrsdl.cli  # noqa: F401  (the tracer patches every lrsdl module)
+    from lrsdl import classifier, data, learner
+
+    tracer_ns = benchmark_tracer()
+    sample, _ = data.generate_synthetic(
+        C=2, d=8, n_c=4, k_c=2, k0=2, shared_rank=1, noise_sigma=0.05, seed=3
+    )
+    plain, _ = data.generate_synthetic(
+        C=2, d=8, n_c=4, k_c=2, k0=0, shared_rank=0, noise_sigma=0.05, seed=4
+    )
+    hyper = data.HyperParams(outer_iters=2, seed=0)
+    tracer = tracer_ns["Tracer"]()
+    tracer.install()
+    try:
+        model = learner.fit(sample, learner.TrainConfig(hyper=hyper, k_c=2, k0=2))
+        plain_config = learner.TrainConfig(hyper=hyper, k_c=2, k0=0)
+        learner.bench_joint_vs_sequential(plain, plain_config)
+        classifier.classify(sample.Y[:, 0], model)
+        classifier.classify(sample.Y, model)
+    finally:
+        tracer.uninstall()
+    assert tracer.errors == []
+    iters = {role: tracer.fista[role]["iters"] for role in tracer_ns["ROLES"]}
+    assert all(n > 0 for n in iters.values()), iters

@@ -131,6 +131,41 @@ def test_missing_file_raises_oserror(tmp_path):
         load_matrix(tmp_path / "nope.lmx")
 
 
+@pytest.mark.parametrize(
+    "M",
+    [[[1.0, np.nan]], [[np.inf], [0.0]], [[-np.inf, 2.0]]],
+    ids=["nan", "inf", "minus-inf"],
+)
+def test_save_refuses_non_finite_entries_and_writes_nothing(tmp_path, M):
+    p = tmp_path / "m.lmx"
+    with pytest.raises(DataError):
+        save_matrix(np.array(M), p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize(
+    "labels, error",
+    [
+        (np.array([1.7, 2.0]), DataError),
+        (np.array([1.0, 2.0]), DataError),
+        (np.array([True, True]), DataError),
+        (np.array(["1", "2"]), DataError),
+        (np.array([1, 0]), DataError),
+        (np.array([-3, 1]), DataError),
+        (np.array([[1, 2], [2, 1]]), DimensionError),
+        (np.array(1), DimensionError),
+    ],
+    ids=[
+        "fraction", "integral-float", "bool", "string", "zero", "negative", "2-d", "0-d",
+    ],
+)
+def test_save_labels_takes_only_1d_integer_labels_from_one(tmp_path, labels, error):
+    p = tmp_path / "labels.csv"
+    with pytest.raises(error):
+        save_labels(labels, p)
+    assert not p.exists()
+
+
 def test_labels_round_trip(tmp_path):
     p = tmp_path / "labels.csv"
     labels = np.array([1, 1, 2, 2, 3, 3])

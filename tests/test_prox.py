@@ -386,6 +386,23 @@ def test_rejected_plain_step_is_proposed_again(per_column):
         assert np.array_equal(cand, plain), k
 
 
+@pytest.mark.parametrize("lone", [0, [0]], ids=["vector", "one-column"])
+def test_lone_column_is_one_block(lone):
+    """With per_column set, a vector or a one-column start is one safeguard
+    block, so fista returns the bits of the whole-block solve, rejected
+    steps and tolerance stops included."""
+    A, B, L, W0 = rejecting_problem()
+    for j in range(B.shape[1]):
+        cols = j if lone == 0 else [j]
+        H, b = A.T @ A, A.T @ B[:, cols]
+        out = [
+            fista(SmoothObjective.quadratic(H, b, L, per_column=per_column), 0.05, W0[:, cols])
+            for per_column in (False, True)
+        ]
+        assert out[1].shape == W0[:, cols].shape
+        assert out[1].tobytes() == out[0].tobytes(), j
+
+
 @pytest.mark.parametrize("per_column", [False, True], ids=["whole", "columns"])
 @pytest.mark.parametrize("problem", ["rejecting", "column-blocks"])
 def test_iterates_match_direct_gradient_loop(per_column, problem):
