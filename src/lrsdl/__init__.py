@@ -30,7 +30,6 @@ from .errors import (
 )
 from .gradients import objective_terms
 from .learner import (
-    BenchResult,
     TrainConfig,
     bench_joint_vs_sequential,
     fit,
@@ -44,7 +43,6 @@ from .prox import admm_nuclear, fista, soft_threshold, svt
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchResult",
     "CoefBundle",
     "DataError",
     "Dataset",

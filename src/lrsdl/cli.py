@@ -154,9 +154,8 @@ def _cmd_bench(args):
     # coders face the same objective
     hyper = HyperParams(outer_iters=args.iters, seed=args.seed)
     config = TrainConfig(hyper=hyper, k_c=data.n_c, k0=0)
-    result = bench_joint_vs_sequential(data, config)
+    joint, seq = bench_joint_vs_sequential(data, config)
     os.makedirs(args.out, exist_ok=True)
-    joint, seq = result.joint_model, result.sequential_model
     write_trace(joint.trace, os.path.join(args.out, "joint.csv"))
     write_trace(seq.trace, os.path.join(args.out, "sequential.csv"))
     aborted = [name for name, m in (("joint", joint), ("sequential", seq)) if m.aborted]

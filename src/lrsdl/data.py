@@ -20,19 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DimensionError,
-    DomainError,
-    ParameterError,
-)
-
-
-def check_integer(name, value, low):
-    """Raise ParameterError unless value is an integer (numpy integers
-    pass, bool does not) of at least low."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+from .errors import DataError, DimensionError, DomainError, ParameterError, check_integer
 
 
 def _freeze(a, dtype=float):

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .data import block_diagonal
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import DimensionError, NumericalError, check_integer
 from .gradients import nuclear_term
 from .prox import admm_nuclear
 
@@ -82,8 +82,7 @@ def odl_update(A, B, D_init, sweeps=ODL_SWEEPS):
     across sweeps (checked, since the update is exact per column), and a
     non-finite A, B or D_init raises NumericalError through its start value.
     """
-    if sweeps < 1:
-        raise ParameterError("sweeps must be positive")
+    check_integer("sweeps", sweeps, 1)
     D = np.array(D_init, dtype=float)
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if D.ndim != 2 or B.shape != D.shape or A.shape != (D.shape[1],) * 2:

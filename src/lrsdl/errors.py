@@ -1,8 +1,11 @@
-"""Exception types raised by the toolkit.
+"""Exception types raised by the toolkit, and check_integer, the integer
+parameter check every module (the solvers of prox too) shares.
 
 Every error the library raises deliberately derives from ToolkitError so
 callers can distinguish toolkit failures from programming mistakes.
 """
+
+import numbers
 
 
 class ToolkitError(Exception):
@@ -31,3 +34,10 @@ class DomainError(ToolkitError):
 
 class NumericalError(ToolkitError):
     """A computation produced non-finite values or a decomposition failed."""
+
+
+def check_integer(name, value, low):
+    """Raise ParameterError unless value is an integer (numpy integers
+    pass, bool does not) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -7,9 +7,10 @@ The discriminative fidelity for class c is
 
 where Ys is the data with the shared-dictionary reconstruction subtracted
 (Ys = Y - D_shared X0). Stacking all three pieces row-wise gives a single
-least-squares system whose normal matrix is D^T D plus a block-diagonal of
-the per-class Grams; build_augmented_gram forms that Gram pair so the big
-stacked matrices are never materialized.
+least-squares system whose normal matrix is M(D^T D), M(A) = A + blockdiag(A)
+(data.block_diagonal); every fidelity quantity, the Gram pairs, the shared
+target V and the traced fidelity_value, is read off M, so the big stacked
+matrices are never materialized.
 
 The Fisher-style penalty on the codes is
 
@@ -30,7 +31,7 @@ and each builder reads its block sizes off the array shapes; fista runs
 its gradient H X - B as the closure of SmoothObjective.quadratic.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -113,23 +114,18 @@ def residual_matrices(data, dicts, coefs):
 
 
 def fidelity_value(shifted, dicts, X):
-    """1/2 sum_c r_c(X) evaluated against shifted data Ys, whose columns
-    split into C class blocks."""
+    """1/2 sum_c r_c(X) against shifted data Ys in C class column blocks:
+    1/2 (||Ys - D X||^2 + ||Ys - D B||^2 + <R, blockdiag(D^T D) R>) with
+    B = blockdiag(X), the own codes X_c^c, and R = X - B, so the last term
+    sums ||D_i X_c^i||^2 over i != c as squares, with no cancellation."""
     shifted = np.asarray(shifted, dtype=float)
     C, (K, N) = dicts.C, X.shape
     if K != dicts.K or N % C or shifted.shape != (dicts.d, N):
         raise DimensionError("shifted data or codes do not match the dictionaries")
-    n_c = N // C
-    total = float(np.sum((shifted - dicts.D @ X) ** 2))
-    own = 0.0
-    cross = 0.0
-    for i in range(1, C + 1):
-        Wi = dicts.class_dict(i) @ X[dicts.row_block(i), :]
-        cols = slice((i - 1) * n_c, i * n_c)
-        Wii = Wi[:, cols]
-        own += float(np.sum((shifted[:, cols] - Wii) ** 2))
-        cross += float(np.sum(Wi * Wi)) - float(np.sum(Wii * Wii))
-    return 0.5 * (total + own + cross)
+    D, B = dicts.D, block_diagonal(X, C)
+    R = X - B
+    total = float(np.sum((shifted - D @ X) ** 2)) + float(np.sum((shifted - D @ B) ** 2))
+    return 0.5 * (total + float(np.sum(R * (block_diagonal(D.T @ D, C) @ R))))
 
 
 @dataclass(frozen=True)
@@ -176,23 +172,19 @@ def nuclear_term(D0, eta):
 
 
 def objective_terms(data, dicts, coefs, hyper):
-    """Evaluate every objective term literally from its definition."""
+    """Every objective term, literally from its definition: the one window
+    on a fit, which calls it once per completed outer iteration and traces
+    its terms. NumericalError names the first non-finite term."""
     check_shapes(data, dicts, coefs)
-    shifted = data.Y - dicts.shared_dict @ coefs.X0
-    fidelity = fidelity_value(shifted, dicts, coefs.X)
-    if not np.isfinite(fidelity):
-        raise NumericalError("fidelity term is non-finite")
-
-    l1 = hyper.lambda1 * (float(np.abs(coefs.X).sum()) + float(np.abs(coefs.X0).sum()))
-    if not np.isfinite(l1):
-        raise NumericalError("l1 term is non-finite")
-
-    X0 = coefs.X0
-    f = fisher_value(coefs.X, data.C)
-    f += float(np.sum((X0 - X0.mean(axis=1)[:, None]) ** 2))
-    fisher = 0.5 * hyper.lambda2 * f
-    if not np.isfinite(fisher):
-        raise NumericalError("fisher term is non-finite")
-
-    nuclear = nuclear_term(dicts.shared_dict, hyper.eta)
-    return ObjectiveTerms(fidelity=fidelity, l1=l1, fisher=fisher, nuclear=nuclear)
+    X, X0 = coefs.X, coefs.X0
+    f = fisher_value(X, data.C) + float(np.sum((X0 - X0.mean(axis=1)[:, None]) ** 2))
+    terms = ObjectiveTerms(
+        fidelity=fidelity_value(data.Y - dicts.shared_dict @ X0, dicts, X),
+        l1=hyper.lambda1 * (float(np.abs(X).sum()) + float(np.abs(X0).sum())),
+        fisher=0.5 * hyper.lambda2 * f,
+        nuclear=nuclear_term(dicts.shared_dict, hyper.eta),
+    )
+    for name, value in asdict(terms).items():
+        if not np.isfinite(value):
+            raise NumericalError(f"{name} term is non-finite")
+    return terms

@@ -24,14 +24,13 @@ from .data import (
     IterationRecord,
     LearnedModel,
     block_diagonal,
-    check_integer,
     class_means,
     fisher_mean_map,
     mean_stats,
     normalize_columns,
 )
 from .dictupdate import class_dict_gram, count_dead_atoms, odl_update, update_shared_dict
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_integer
 from .gradients import (
     build_augmented_gram,
     check_shapes,
@@ -188,12 +187,12 @@ def _update_class_dicts(data, dicts, coefs):
     return replace(dicts, class_dicts=tuple(np.hsplit(D, dicts.C)))
 
 
-def fit(data, config, coder="joint", iteration_callback=None):
+def fit(data, config, coder="joint"):
     """Train a model. Feature columns are unit-normalized before anything else.
 
-    Returns a LearnedModel whose trace holds one record per completed outer
-    iteration. A numerical failure mid-run aborts the loop and returns the
-    last completed iterate with aborted=True instead of raising.
+    Returns a LearnedModel whose trace holds the objective_terms of each
+    completed outer iteration, one call each. A numerical failure mid-run
+    aborts the loop and returns the last completed iterate with aborted=True.
     """
     if coder not in ("joint", "sequential"):
         raise ParameterError(f"unknown coder {coder!r}")
@@ -224,8 +223,6 @@ def fit(data, config, coder="joint", iteration_callback=None):
             break
         elapsed = perf_counter() - start
         records.append(IterationRecord(it, terms.total, seconds=elapsed, **asdict(terms)))
-        if iteration_callback is not None:
-            iteration_callback(it, data, dicts, coefs)
 
     means = mean_stats(coefs, data.labels)
     return LearnedModel(
@@ -237,20 +234,13 @@ def fit(data, config, coder="joint", iteration_callback=None):
     )
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    joint_model: LearnedModel
-    sequential_model: LearnedModel
-
-
 def bench_joint_vs_sequential(data, config):
     """Train twice, once per coder, under the same config and budget.
 
-    The sequential run gets the same total inner-iteration budget as the
-    joint one (see sparse_code_sequential).
+    Returns the (joint, sequential) models. The sequential run gets the
+    same total inner-iteration budget as the joint one (see
+    sparse_code_sequential).
     """
     if config.k0 != 0:
         raise ParameterError("coder benchmark requires k0=0")
-    joint = fit(data, config, coder="joint")
-    other = fit(data, config, coder="sequential")
-    return BenchResult(joint_model=joint, sequential_model=other)
+    return fit(data, config, coder="joint"), fit(data, config, coder="sequential")

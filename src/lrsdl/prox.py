@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericalError, ParameterError
+from .errors import DataError, DimensionError, NumericalError, ParameterError, check_integer
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,10 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
         obj: SmoothObjective with a quadratic g (affine gradient).
         lam: l1 weight, >= 0.
         W0: warm start (copied, never modified).
-        max_iter: iteration budget.
+        max_iter: iteration budget, an integer >= 1.
         tol: stop when the relative iterate change
             ||W_k - W_{k-1}||_F / max(1, ||W_{k-1}||_F) drops below tol
-            on an accepted step.
+            on an accepted step; finite and >= 0.
 
     Returns the final iterate. A candidate that would increase the
     composite objective is rejected: the previous iterate is kept and the
@@ -163,8 +163,9 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     """
     if not lam >= 0:  # also rejects NaN
         raise ParameterError(f"l1 weight must be >= 0, got {lam}")
-    if max_iter < 1:
-        raise ParameterError("max_iter must be positive")
+    check_integer("max_iter", max_iter, 1)
+    if not 0 <= tol < math.inf:  # also rejects NaN
+        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
     L = obj.lipschitz
     W = np.array(W0, dtype=float)
     GW = obj.raw_grad(W)
@@ -304,10 +305,9 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
         )
     if not eta >= 0:  # also rejects NaN
         raise ParameterError(f"eta must be >= 0, got {eta}")
-    if not rho > 0:
-        raise ParameterError(f"rho must be positive, got {rho} (system singular)")
-    if iters < 1:
-        raise ParameterError("iters must be positive")
+    if not 0 < rho < math.inf:  # also rejects NaN
+        raise ParameterError(f"rho must be finite and positive, got {rho}")
+    check_integer("iters", iters, 1)
     d = V.shape[0]
     k = Xcoef.shape[0]
     try:

@@ -230,18 +230,22 @@ def test_criterion_3_no_shared_reduction():
         )
         hyper = HyperParams(lambda1=0.01, lambda2=0.05, outer_iters=6, fista_iters=40)
         cfg = TrainConfig(hyper=hyper, k_c=4, k0=0)
-        seen = {}
+        seen = []
 
-        def snoop(it, ndata, dicts, coefs):
-            seen[it] = fddl_objective(
+        def snoop(ndata, dicts, coefs, hyper):
+            # fit evaluates the objective once per completed iteration
+            seen.append(fddl_objective(
                 ndata.Y, list(dicts.class_dicts), coefs.X, ndata.labels,
                 hyper.lambda1, hyper.lambda2,
-            )
+            ))
+            return objective_terms(ndata, dicts, coefs, hyper)
 
-        model = fit(data, cfg, iteration_callback=snoop)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learner, "objective_terms", snoop)
+            model = fit(data, cfg)
         assert not model.aborted
-        for rec in model.trace:
-            ref = seen[rec.iteration]
+        assert len(seen) == len(model.trace) == hyper.outer_iters
+        for rec, ref in zip(model.trace, seen):
             assert abs(rec.objective - ref) <= 1e-10 * max(1.0, abs(ref)), (
                 f"iteration {rec.iteration}: {rec.objective!r} vs {ref!r}"
             )

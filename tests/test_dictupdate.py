@@ -228,6 +228,13 @@ class TestOdlUpdate:
             assert cur <= prev + 1e-10 * max(1.0, abs(prev))
             prev = cur
 
+    @pytest.mark.parametrize("sweeps", [2.5, True, np.float64(2.0)],
+                             ids=["fraction", "bool", "float"])
+    def test_sweep_budget_checked(self, sweeps):
+        A, B = np.eye(2), np.ones((3, 2))
+        with pytest.raises(ParameterError):
+            odl_update(A, B, np.zeros((3, 2)), sweeps=sweeps)
+
     def test_bad_inputs(self):
         A, B = np.eye(2), np.zeros((3, 2))
         with pytest.raises(ParameterError):

@@ -10,7 +10,10 @@ per-class design matrices.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lrsdl.gradients as gradients
 import lrsdl.learner as learner
 from lrsdl.data import (
     CoefBundle,
@@ -274,6 +277,29 @@ class TestFidelityValue:
             )
             assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        C=st.integers(1, 4),
+        n_c=st.integers(1, 4),
+        k_c=st.integers(1, 3),
+        d=st.integers(1, 6),
+        zero_codes=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_stacked_oracle_on_generated_layouts(
+        self, C, n_c, k_c, d, zero_codes, seed
+    ):
+        # the block-operator form against the per-class stacked system, down
+        # to one class, one sample or one atom per class
+        rng = np.random.default_rng(seed)
+        dicts = random_bundle(rng, d, C, k_c, 0)
+        shifted = rng.standard_normal((d, C * n_c))
+        X = rng.standard_normal((C * k_c, C * n_c)) * (not zero_codes)
+        labels = np.repeat(np.arange(1, C + 1), n_c)
+        mine = fidelity_value(shifted, dicts, X)
+        ref = stacked_fidelity(shifted, list(dicts.class_dicts), X, labels)
+        assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
+
     def test_zero_codes(self):
         data, dicts, _ = random_problem(26)
         X = np.zeros((dicts.K, data.N))
@@ -496,6 +522,17 @@ class TestObjective:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalError, match="fidelity"):
                 objective_terms(big, dicts, coefs, HyperParams())
+
+    @pytest.mark.parametrize("term", ["fidelity", "l1", "fisher"])
+    def test_non_finite_term_is_named(self, monkeypatch, term):
+        data, dicts, coefs = random_problem(73)
+        hyper = HyperParams()
+        if term == "l1":  # no helper: lambda1 ||X||_1 overflows to inf
+            hyper = HyperParams(lambda1=1e308)
+        else:
+            monkeypatch.setattr(gradients, f"{term}_value", lambda *args: np.inf)
+        with pytest.raises(NumericalError, match=f"^{term} term is non-finite$"):
+            objective_terms(data, dicts, coefs, hyper)
 
     def test_shape_mismatch_rejected(self):
         data, dicts, coefs = random_problem(71)

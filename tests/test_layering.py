@@ -6,13 +6,15 @@ coding problem's structure (classes, blocks, weights) reaches the solver
 through its arguments only.
 
 src holds only what the system runs: every public function is called
-from within the package, bar a named few. Importing the command line
+from within the package, and each of its parameters with a default is set
+by some call there, bar a named few. Importing the command line
 loads nothing beyond numpy and the standard library. Every function the
 benchmark's span tracer wraps by name is defined where it looks for it, and
 the tracer counts the iterations of every fista role on a tiny run.
 """
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -116,6 +118,57 @@ def test_every_public_function_is_called_in_src():
     uncalled = {name for name, used in functions.items() if not used}
     assert uncalled <= set(UNCALLED_IN_SRC), (
         f"public functions only tests call: {sorted(uncalled - set(UNCALLED_IN_SRC))}"
+    )
+
+
+# Parameters with a default that no call in the package sets, each with its
+# reason; any other such parameter is an option only tests use.
+DEFAULT_UNSET_IN_SRC = {
+    "prox.fista.tol": "criterion 2 and the solver tests run tight or zero tolerances",
+    "dictupdate.odl_update.sweeps": "tests check single sweeps",
+    "classifier.evaluate.w": "mirrors classify's w, which lrsdl classify --w sets",
+    "data.generate_synthetic.shared_scale": "a planted-model parameter, like noise_sigma",
+    "cli.main.argv": "the console-script entry point",
+}
+
+
+def defaulted_parameters():
+    """{module.function.param: set in src} for each parameter with a default
+    of a public module-level function, set when some call in the package
+    passes it, by keyword or by position (a call with *args or **kwargs
+    sets every parameter it could reach)."""
+    modules = [m for m in MODULES if m != "__init__"]
+    trees = [ast.parse((SRC / f"{m}.py").read_text()) for m in modules]
+    params = {}  # function name -> {qualified parameter name: position}
+    for module, tree in zip(modules, trees):
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                assert top.name not in params, f"public name {top.name} defined twice"
+                args = top.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                defaulted = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+                defaulted += [
+                    (a.arg, math.inf) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d
+                ]
+                params[top.name] = {f"{module}.{top.name}.{a}": i for a, i in defaulted}
+    set_in_src = {name: False for entries in params.values() for name in entries}
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        keywords = {k.arg for k in call.keywords}
+        starred = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+        for name, position in params.get(callee, {}).items():
+            if starred or position < len(call.args) or name.rsplit(".", 1)[1] in keywords:
+                set_in_src[name] = True
+    return set_in_src
+
+
+def test_every_default_parameter_is_set_in_src():
+    defaulted = defaulted_parameters()
+    assert set(DEFAULT_UNSET_IN_SRC) <= set(defaulted)
+    unset = {name for name, used in defaulted.items() if not used}
+    assert unset <= set(DEFAULT_UNSET_IN_SRC), (
+        f"parameters only tests set: {sorted(unset - set(DEFAULT_UNSET_IN_SRC))}"
     )
 
 

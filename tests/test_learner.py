@@ -247,24 +247,26 @@ class TestFitTraces:
         )
         assert np.array_equal(model.dict_bundle.D, ref_dicts.D)
 
-    def test_matches_reference_objective_without_shared(self):
+    def test_matches_reference_objective_without_shared(self, monkeypatch):
         # with no shared dictionary the traced objective must equal the
         # plain class-dictionary objective computed from first principles
         data, _ = self.make(seed=21)
         hyper = HyperParams(lambda1=0.01, lambda2=0.05, outer_iters=6, fista_iters=40)
         cfg = TrainConfig(hyper=hyper, k_c=4, k0=0)
-        seen = {}
+        seen = []
 
-        def snoop(it, ndata, dicts, coefs):
-            seen[it] = fddl_objective(
+        def snoop(ndata, dicts, coefs, hyper):
+            seen.append(fddl_objective(
                 ndata.Y, list(dicts.class_dicts), coefs.X, ndata.labels,
                 hyper.lambda1, hyper.lambda2,
-            )
+            ))
+            return objective_terms(ndata, dicts, coefs, hyper)
 
-        model = fit(data, cfg, iteration_callback=snoop)
+        monkeypatch.setattr(learner, "objective_terms", snoop)
+        model = fit(data, cfg)
         assert not model.aborted
-        for rec in model.trace:
-            ref = seen[rec.iteration]
+        assert len(seen) == len(model.trace) == hyper.outer_iters
+        for rec, ref in zip(model.trace, seen):
             assert abs(rec.objective - ref) <= 1e-10 * max(1.0, abs(ref))
 
     def test_worse_shared_dictionary_is_rejected(self, monkeypatch):
@@ -280,21 +282,20 @@ class TestFitTraces:
             return candidates[-1], [(0.0, 0.0)]
 
         monkeypatch.setattr(dictupdate, "admm_nuclear", random_dict)
-        seen = {}
+        seen = []
 
-        def snoop(it, ndata, dicts, coefs):
+        def snoop(ndata, dicts, coefs, hyper):
             cand = DictionaryBundle(class_dicts=dicts.class_dicts, shared_dict=candidates[-1])
-            seen[it] = (
-                dicts.shared_dict,
-                objective_terms(ndata, dicts, coefs, cfg.hyper),
-                objective_terms(ndata, cand, coefs, cfg.hyper).total,
-            )
+            terms = objective_terms(ndata, dicts, coefs, hyper)
+            cand_total = objective_terms(ndata, cand, coefs, hyper).total
+            seen.append((dicts.shared_dict, terms, cand_total))
+            return terms
 
-        model = fit(data, cfg, iteration_callback=snoop)
+        monkeypatch.setattr(learner, "objective_terms", snoop)
+        model = fit(data, cfg)
         init, _ = initialize(normalized(data), cfg, cfg.hyper.seed)
-        assert len(candidates) == len(model.trace) == cfg.hyper.outer_iters
-        for rec in model.trace:
-            D0, terms, cand_total = seen[rec.iteration]
+        assert len(candidates) == len(seen) == len(model.trace) == cfg.hyper.outer_iters
+        for rec, (D0, terms, cand_total) in zip(model.trace, seen):
             assert cand_total > terms.total
             assert np.array_equal(D0, init.shared_dict)
             assert (rec.objective, rec.fidelity, rec.l1, rec.fisher, rec.nuclear) == (
@@ -394,8 +395,8 @@ class TestBenchHarness:
         data = small_data(32)
         hyper = HyperParams(lambda1=0.01, lambda2=0.05, outer_iters=6, fista_iters=30)
         cfg = TrainConfig(hyper=hyper, k_c=4, k0=0)
-        br = bench_joint_vs_sequential(data, cfg)
-        for model in (br.joint_model, br.sequential_model):
+        joint, sequential = bench_joint_vs_sequential(data, cfg)
+        for model in (joint, sequential):
             objs = [r.objective for r in model.trace]
             assert len(objs) == 6
             for a, b in zip(objs, objs[1:]):

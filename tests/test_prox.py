@@ -166,6 +166,26 @@ class TestFista:
         with pytest.raises(ParameterError):
             SmoothObjective(grad=lambda W: W, lipschitz=0.0, value=half_square)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(max_iter=2.5),
+            dict(max_iter=True),
+            dict(max_iter=np.float64(3.0)),
+            dict(tol=np.nan),
+            dict(tol=-1.0),
+            dict(tol=np.inf),
+        ],
+        ids=["max_iter-fraction", "max_iter-bool", "max_iter-float", "tol-nan",
+             "tol-negative", "tol-inf"],
+    )
+    def test_budget_and_tolerance_checked(self, kwargs):
+        # a fractional or boolean budget, or a tolerance that would turn the
+        # stop off or fire it at once, is a ParameterError before any step
+        obj = SmoothObjective(grad=lambda W: W, lipschitz=1.0, value=half_square)
+        with pytest.raises(ParameterError):
+            fista(obj, 0.1, np.ones((2, 2)), **kwargs)
+
     def test_warm_start_not_modified(self):
         obj = SmoothObjective(grad=lambda W: W, lipschitz=1.0, value=half_square)
         W0 = np.ones((3, 3))
@@ -847,6 +867,24 @@ class TestAdmmNuclear:
             admm_nuclear(V, X, eta=0.1, rho=1.0, iters=0)
         with pytest.raises(DimensionError):
             admm_nuclear(np.zeros((3, 5)), np.zeros((2, 4)), eta=0.1, rho=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(iters=2.5),
+            dict(iters=True),
+            dict(iters=np.float64(3.0)),
+            dict(rho=np.inf),
+        ],
+        ids=["iters-fraction", "iters-bool", "iters-float", "rho-inf"],
+    )
+    def test_budget_and_penalty_checked(self, kwargs):
+        # an infinite rho used to reach the SVD as NaN and surface as a
+        # misleading DataError after a RuntimeWarning
+        rng = np.random.default_rng(0)
+        V, X = rng.standard_normal((3, 5)), rng.standard_normal((2, 5))
+        with pytest.raises(ParameterError):
+            admm_nuclear(V, X, **{"eta": 0.1, "rho": 1.0, **kwargs})
 
 
 @settings(max_examples=300, deadline=None)
