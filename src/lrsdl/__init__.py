@@ -6,7 +6,7 @@ workflow from the shell.
 """
 
 from .archive import load_model, save_model
-from .classifier import Prediction, classify, encode_test, evaluate
+from .classifier import Prediction, classify, evaluate
 from .data import (
     CoefBundle,
     Dataset,
@@ -62,7 +62,6 @@ __all__ = [
     "admm_nuclear",
     "bench_joint_vs_sequential",
     "classify",
-    "encode_test",
     "evaluate",
     "fista",
     "fit",

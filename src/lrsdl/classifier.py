@@ -6,8 +6,10 @@ mean. The shared reconstruction is subtracted out and each class is
 scored by a weighted mix of its reconstruction residual and the distance
 of the code to the class's training code mean. Smallest score wins.
 
-Every entry point takes one sample (d,) or a batch (d, N). Test coding
-codes one sample as a batch of one column, in one FISTA solve over the
+classify takes one sample (d,) or a batch (d, N), and it alone checks and
+unit normalizes it; encode_test and class_scores are its steps on that
+(d, N) batch, and only score_predictions checks labels. Test coding codes
+one sample as a batch of one column, in one FISTA solve over the
 precomputed Gram matrix; in a batch of two or more, the safeguard accepts,
 rejects, restarts and stops each column on its own, so each sample takes
 the steps a solve of it alone takes. Only round-off differs (BLAS sums a
@@ -44,8 +46,9 @@ class Prediction:
     code: np.ndarray
 
 
-def _as_samples(Y, d):
-    """One sample (d,) or a batch (d, N) as a validated (d, N) matrix."""
+def _unit_samples(Y, d):
+    """One sample (d,) or a batch (d, N), checked, as a unit-normalized (d, N)
+    batch; zero samples stay zero and are logged, once per call."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim not in (1, 2) or Y.shape[0] != d:
         raise DimensionError(
@@ -53,7 +56,11 @@ def _as_samples(Y, d):
         )
     if not np.all(np.isfinite(Y)):
         raise NumericalError("test samples contain non-finite values")
-    return Y.reshape(d, -1)
+    Y = Y.reshape(d, -1)
+    zero = ~Y.any(axis=0)  # the samples are finite
+    if zero.any():
+        log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())
+    return normalize_columns(Y, warn=False)
 
 
 def test_coding_lipschitz(H):
@@ -63,36 +70,20 @@ def test_coding_lipschitz(H):
     return power_iteration_lipschitz(H)
 
 
-def encode_test(Y, model):
-    """Code one sample (d,) or each column of a batch (d, N) against the
-    stacked dictionary.
-
-    For each sample y, minimizes 1/2 ||y - D_total x||^2
-    + lambda2/2 ||x0 - m0||^2 + lambda1 ||x||_1 over the stacked code x.
-    Samples are unit normalized first, matching training; zero samples
-    are logged here, once per call. One sample is solved as a batch of one
-    column and returns a (K + k0,) code; a batch returns (K + k0, N) codes,
-    whose columns fista accepts, rejects, restarts and stops one by one.
-    """
+def encode_test(Yn, model):
+    """(K + k0, N) codes of the unit-normalized batch Yn (d, N): one FISTA
+    solve that minimizes, for each column y, 1/2 ||y - D_total x||^2
+    + lambda2/2 ||x0 - m0||^2 + lambda1 ||x||_1 over the stacked code x."""
     dicts = model.dict_bundle
-    samples = _as_samples(Y, dicts.d)
-    zero = ~samples.any(axis=0)  # the samples are finite
-    if zero.any():
-        log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())
-    Yn = normalize_columns(samples, warn=False)
     H, B = gram_test_code(dicts, Yn, model.mean_stats.shared_mean, model.hyper.lambda2)
     obj = SmoothObjective.quadratic(H, B, test_coding_lipschitz(H), per_column=True)
-    code = fista(obj, model.hyper.lambda1, np.zeros(B.shape), max_iter=TEST_CODING_ITERS)
-    return code[:, 0] if np.ndim(Y) == 1 else code
+    return fista(obj, model.hyper.lambda1, np.zeros(B.shape), max_iter=TEST_CODING_ITERS)
 
 
-def class_scores(Y, model, code, w):
-    """Class scores of already-coded samples: (C,) for one sample (d,),
-    (C, N) for a batch (d, N) with codes (K + k0, N)."""
+def class_scores(Yn, model, code, w):
+    """(C, N) class scores of the unit-normalized batch Yn (d, N) coded as
+    code (K + k0, N)."""
     dicts = model.dict_bundle
-    # encode_test logs zero samples
-    Yn = normalize_columns(_as_samples(Y, dicts.d), warn=False)
-    code = np.reshape(code, (dicts.K + dicts.k0, -1))
     X, X0 = code[: dicts.K], code[dicts.K :]
     Ybar = Yn - dicts.shared_dict @ X0
     scores = np.empty((dicts.C, Yn.shape[1]))
@@ -102,35 +93,40 @@ def class_scores(Y, model, code, w):
         scores[c - 1] = w * np.sum(resid**2, axis=0) + (1.0 - w) * np.sum(
             coef_dist**2, axis=0
         )
-    return scores[:, 0] if np.ndim(Y) == 1 else scores
+    return scores
 
 
 def classify(Y, model, w=None):
-    """Two-stage rule for one sample (d,) or a batch (d, N): sparse code,
-    then argmin of the class scores. See :class:`Prediction` for shapes."""
-    if w is None:
-        w = model.hyper.w
+    """Two-stage rule for one sample (d,) or a batch (d, N), unit normalized
+    as in training: sparse code, then argmin of the class scores. See
+    :class:`Prediction` for shapes."""
+    w = model.hyper.w if w is None else w
     if not 0.0 <= w <= 1.0:
         raise ParameterError(f"w must lie in [0, 1], got {w}")
-    code = encode_test(Y, model)
-    scores = class_scores(Y, model, code, w)
+    Yn = _unit_samples(Y, model.d)
+    code = encode_test(Yn, model)
+    scores = class_scores(Yn, model, code, w)
     label = np.argmin(scores, axis=0) + 1
-    return Prediction(
-        label=int(label) if scores.ndim == 1 else label,
-        per_class_scores=scores,
-        code=code,
-    )
+    if np.ndim(Y) == 1:
+        return Prediction(int(label[0]), scores[:, 0], code[:, 0])
+    return Prediction(label, scores, code)
 
 
 def score_predictions(labels, predicted, C):
     """Accuracy and confusion matrix of predicted against true labels.
 
     confusion[i, j] counts true class i+1 predicted as j+1, so rows sum
-    to the per-class counts. No samples, true labels that are not integers
-    (``bool`` included) or true labels outside 1..C raise DataError.
+    to the per-class counts. True labels that are not 1-D or not shaped
+    like the predictions raise DimensionError; no samples, true labels that
+    are not integers (``bool`` included) or true labels outside 1..C raise
+    DataError.
     """
     labels = np.asarray(labels)
     predicted = np.asarray(predicted, dtype=int)
+    if labels.ndim != 1 or labels.shape != predicted.shape:
+        raise DimensionError(
+            f"labels of shape {labels.shape} for predictions of shape {predicted.shape}"
+        )
     if not labels.size:
         raise DataError("no labeled samples to score")
     if not np.issubdtype(labels.dtype, np.integer):
@@ -142,9 +138,10 @@ def score_predictions(labels, predicted, C):
     return float(np.mean(labels == predicted)), confusion
 
 
-def evaluate(test, model, w=None):
+def evaluate(test, model):
     """Accuracy and confusion matrix (see :func:`score_predictions`) over a
-    labeled test set, all samples classified in one batch.
+    labeled test set, all samples classified in one batch with the model's
+    own weight w.
 
     test is a Dataset or a pair (Y, labels): samples (d, N) and their N
     labels in 1..C, in any order and with any number of samples per class
@@ -156,14 +153,4 @@ def evaluate(test, model, w=None):
         Y, labels = test.Y, test.labels
     else:
         Y, labels = test
-        Y, labels = np.asarray(Y, dtype=float), np.asarray(labels)
-        if Y.ndim != 2 or labels.shape != (Y.shape[1],):
-            raise DimensionError(
-                f"labels of shape {labels.shape} do not match samples of shape {Y.shape}"
-            )
-    if Y.shape[0] != model.d:
-        raise DimensionError(
-            f"test features have dimension {Y.shape[0]}, model expects {model.d}"
-        )
-    pred = classify(Y, model, w=w)
-    return score_predictions(labels, pred.label, model.C)
+    return score_predictions(labels, classify(Y, model).label, model.C)

@@ -11,7 +11,7 @@ import sys
 from .archive import load_model, save_model, write_trace
 from .classifier import classify, evaluate, score_predictions
 from .data import Dataset, HyperParams, generate_synthetic
-from .errors import DimensionError, NumericalError, ToolkitError
+from .errors import NumericalError, ToolkitError
 from .learner import TrainConfig, bench_joint_vs_sequential, fit
 from .matio import load_labels, load_matrix, save_labels, save_matrix
 
@@ -122,13 +122,7 @@ def _cmd_train(args):
 def _cmd_classify(args):
     model = load_model(args.model)
     Y = load_matrix(args.data)
-    labels = None
-    if args.labels is not None:
-        labels = load_labels(args.labels)
-        if labels.shape != (Y.shape[1],):
-            raise DimensionError(
-                f"{labels.shape[0]} labels for {Y.shape[1]} samples"
-            )
+    labels = None if args.labels is None else load_labels(args.labels)
     pred = classify(Y, model, w=args.w)
     if labels is not None:
         accuracy, confusion = score_predictions(labels, pred.label, model.C)

@@ -33,6 +33,13 @@ def _freeze(a, dtype=float):
 _MIN_PLAIN_NORM = np.sqrt(np.finfo(float).tiny)
 
 
+def _class_index(c, C):
+    """0-based index of the 1-based class c; DomainError outside 1..C."""
+    if not 1 <= c <= C:
+        raise DomainError(f"class {c} outside 1..{C}")
+    return c - 1
+
+
 def normalize_columns(M, warn=True):
     """Scale each column of M to unit Euclidean norm.
 
@@ -91,9 +98,7 @@ class Dataset:
 
     def class_columns(self, c):
         """Column slice of class c (1-based)."""
-        if not 1 <= c <= self.C:
-            raise DomainError(f"class {c} outside 1..{self.C}")
-        return slice((c - 1) * self.n_c, c * self.n_c)
+        return slice(_class_index(c, self.C) * self.n_c, c * self.n_c)
 
     def class_block(self, c):
         return self.Y[:, self.class_columns(c)]
@@ -203,11 +208,11 @@ class DictionaryBundle:
         return self.C * self.k_c
 
     def class_dict(self, c):
-        return self.class_dicts[c - 1]
+        return self.class_dicts[_class_index(c, self.C)]
 
-    def row_block(self, i):
-        """Row slice of the code matrix owned by class dictionary i (1-based)."""
-        return slice((i - 1) * self.k_c, i * self.k_c)
+    def row_block(self, c):
+        """Row slice of the code matrix owned by class dictionary c (1-based)."""
+        return slice(_class_index(c, self.C) * self.k_c, c * self.k_c)
 
 
 @dataclass(frozen=True)
@@ -261,7 +266,7 @@ class MeanStats:
             raise DimensionError("class_means must be K x C")
 
     def class_mean(self, c):
-        return self.class_means[:, c - 1]
+        return self.class_means[:, _class_index(c, self.class_means.shape[1])]
 
 
 def class_means(X, C):

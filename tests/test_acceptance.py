@@ -144,7 +144,7 @@ def test_criterion_1_gradient_check():
             Yn = Y / np.linalg.norm(Y, axis=0)
             with pytest.MonkeyPatch.context() as mp:
                 test = capture(mp, classifier)
-                classifier.encode_test(Y, model)
+                classifier.encode_test(Yn, model)
             (test_obj,) = test
             m0 = model.mean_stats.shared_mean[:, None]
             D_total = np.hstack(dicts.class_dicts + (dicts.shared_dict,))

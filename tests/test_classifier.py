@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from lrsdl.classifier import (
     Prediction,
-    class_scores,
     classify,
-    encode_test,
     evaluate,
     score_predictions,
 )
@@ -27,6 +25,7 @@ from lrsdl.data import (
     LearnedModel,
     MeanStats,
     generate_synthetic,
+    normalize_columns,
 )
 from lrsdl.errors import (
     DataError,
@@ -74,14 +73,14 @@ class TestEncodeTest:
         model = block_model(lambda1=10.0)
         y = np.random.default_rng(0).standard_normal(model.d)
         # after unit normalization |D^T y|_inf <= 1 < lambda1
-        code = encode_test(y, model)
+        code = classify(y, model).code
         assert np.array_equal(code, np.zeros_like(code))
 
     def test_orthonormal_unpenalized_recovers_analysis_coefficients(self):
         model = block_model(lambda1=0.0, lambda2=0.0)
         rng = np.random.default_rng(1)
         y = rng.standard_normal(model.d)
-        code = encode_test(y, model)
+        code = classify(y, model).code
         want = model.dict_bundle.D_total.T @ (y / np.linalg.norm(y))
         assert np.max(np.abs(code - want)) < 1e-6
 
@@ -100,7 +99,7 @@ class TestEncodeTest:
             y = rng.standard_normal(model.d)
             yn = y / np.linalg.norm(y)
             b = np.concatenate([yn, root * m0])
-            code = encode_test(y, model)
+            code = classify(y, model).code
             ref = cd_lasso(A, b, lam1)
             mine = lasso_objective(A, b, lam1, code)
             best = lasso_objective(A, b, lam1, ref)
@@ -113,7 +112,7 @@ class TestEncodeTest:
         m0 = model.mean_stats.shared_mean
         y = np.random.default_rng(5).standard_normal(model.d)
         yn = y / np.linalg.norm(y)
-        code = encode_test(y, model)
+        code = classify(y, model).code
         g = dicts.D_total.T @ (dicts.D_total @ code - yn)
         g[dicts.K :] += lam2 * (code[dicts.K :] - m0)
         active = code != 0
@@ -125,7 +124,7 @@ class TestEncodeTest:
 
         model = block_model(lambda1=0.1)
         with caplog.at_level(logging.WARNING, logger="lrsdl.classifier"):
-            code = encode_test(np.zeros(model.d), model)
+            code = classify(np.zeros(model.d), model).code
         assert np.array_equal(code, np.zeros_like(code))
         assert any("zero-norm" in r.message for r in caplog.records)
 
@@ -144,9 +143,9 @@ class TestEncodeTest:
     def test_bad_samples_rejected(self):
         model = block_model()
         with pytest.raises(DimensionError):
-            encode_test(np.zeros(model.d + 1), model)
+            classify(np.zeros(model.d + 1), model)
         with pytest.raises(NumericalError):
-            encode_test(np.full(model.d, np.nan), model)
+            classify(np.full(model.d, np.nan), model)
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
     def test_extreme_sample_scale_keeps_labels(self, scale):
@@ -301,7 +300,7 @@ class TestEvaluate:
                     assert gap < 1e-12
                 else:
                     assert gap > 0.99
-        acc, confusion = evaluate(test, model, w=1.0)
+        acc, confusion = evaluate(test, model)
         assert acc >= 0.99
         assert confusion.sum() == test.N
         assert np.array_equal(confusion, np.diag([5, 5, 5]))
@@ -392,6 +391,16 @@ class TestEvaluate:
             score_predictions([], [], model.C)
 
     @pytest.mark.parametrize(
+        "labels, predicted",
+        [([1, 2], [1, 2, 1]), ([1, 2, 1], [1, 2]), ([[1, 2]], [1, 2]), (1, 1)],
+        ids=["too-few", "too-many", "2-d", "scalar"],
+    )
+    def test_score_predictions_checks_label_shape(self, labels, predicted):
+        # the one label shape check evaluate and `lrsdl classify` share
+        with pytest.raises(DimensionError, match="labels of shape"):
+            score_predictions(labels, predicted, 2)
+
+    @pytest.mark.parametrize(
         "labels",
         [[1.7, 2.2], [1.0, 2.0], np.array([True, True]), np.array(["1", "2"])],
         ids=["fractional", "integral-float", "bool", "str"],
@@ -430,6 +439,24 @@ class TestBatchedClassify:
         assert one.label[0] == lone.label
         assert one.per_class_scores[:, 0].tobytes() == lone.per_class_scores.tobytes()
         assert one.code[:, 0].tobytes() == lone.code.tobytes()
+
+    def test_samples_normalized_once_per_call(self, monkeypatch):
+        from lrsdl import classifier
+
+        shapes = []
+
+        def counting(M, warn=True):
+            shapes.append(np.shape(M))
+            return normalize_columns(M, warn=warn)
+
+        monkeypatch.setattr(classifier, "normalize_columns", counting)
+        model = block_model()
+        Y = np.random.default_rng(27).standard_normal((model.d, 5))
+        classify(Y[:, 0], model)
+        assert shapes == [(model.d, 1)]
+        shapes.clear()
+        classify(Y, model)
+        assert shapes == [(model.d, 5)]
 
     def test_bad_batches_rejected(self):
         model = block_model()

@@ -259,6 +259,22 @@ class TestClassify:
         assert "accuracy=" not in stdout
         assert not os.path.exists(out)
 
+    def test_label_count_mismatch_exit_2(self, capsys, tmp_path, dataset):
+        model_dir = self.fit_model(capsys, tmp_path, dataset)
+        labels = np.loadtxt(os.path.join(dataset, "labels.csv"), dtype=int)
+        short = tmp_path / "short_labels.csv"
+        short.write_text("".join(f"{v}\n" for v in labels[:-1]))
+        out = str(tmp_path / "preds")
+        code, stdout, err = run(
+            capsys, "classify", "--model", model_dir,
+            "--data", os.path.join(dataset, "Y.lmx"),
+            "--labels", str(short), "--out", out,
+        )
+        assert code == 2
+        assert "labels of shape (14,)" in err
+        assert "accuracy=" not in stdout
+        assert not os.path.exists(out)
+
     def test_empty_labeled_set_exit_2(self, capsys, tmp_path, dataset):
         # an accuracy over no samples is undefined; an unlabeled empty batch
         # still writes its (empty) predictions

@@ -178,7 +178,7 @@ def test_site_values_match_literal_objectives(
     m0 = model.mean_stats.shared_mean
     with pytest.MonkeyPatch.context() as mp:
         test = capture(mp, classifier)
-        classifier.encode_test(Y, model)
+        classifier.encode_test(Yn, model)
     assert len(test) == 1
 
     assert_step_size(test[0], H_test, (K + k0, n_test))

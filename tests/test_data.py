@@ -137,6 +137,21 @@ class TestDataset:
             data.Y[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("c", [0, 4], ids=["zero", "C+1"])
+@pytest.mark.parametrize("accessor", ["class_columns", "class_dict", "row_block", "class_mean"])
+def test_class_accessors_reject_classes_outside_1_to_C(accessor, c):
+    # class 0 would wrap around to class C, and class C+1 slice past the end
+    C = 3
+    owners = {
+        "class_columns": _rand_dataset(C=C),
+        "class_dict": DictionaryBundle(class_dicts=(np.eye(2),) * C, shared_dict=np.zeros((2, 0))),
+        "class_mean": MeanStats(class_means=np.ones((2 * C, C)), shared_mean=np.zeros(0)),
+    }
+    owners["row_block"] = owners["class_dict"]
+    with pytest.raises(DomainError, match=f"class {c} outside 1..{C}"):
+        getattr(owners[accessor], accessor)(c)
+
+
 class TestDictionaryBundle:
     def _bundle(self, d=4, C=2, k_c=3, k0=2, seed=0):
         rng = np.random.default_rng(seed)
