@@ -117,22 +117,22 @@ def score_predictions(labels, predicted, C):
 
     confusion[i, j] counts true class i+1 predicted as j+1, so rows sum
     to the per-class counts. True labels that are not 1-D or not shaped
-    like the predictions raise DimensionError; no samples, true labels that
-    are not integers (``bool`` included) or true labels outside 1..C raise
-    DataError.
+    like the predictions raise DimensionError; no samples, or true or
+    predicted labels that are not integers (``bool`` included) or lie
+    outside 1..C, raise DataError.
     """
-    labels = np.asarray(labels)
-    predicted = np.asarray(predicted, dtype=int)
+    labels, predicted = np.asarray(labels), np.asarray(predicted)
     if labels.ndim != 1 or labels.shape != predicted.shape:
         raise DimensionError(
             f"labels of shape {labels.shape} for predictions of shape {predicted.shape}"
         )
     if not labels.size:
         raise DataError("no labeled samples to score")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.min() < 1 or labels.max() > C:
-        raise DataError(f"true labels must lie in 1..{C}")
+    for name, lab in (("true labels", labels), ("predicted labels", predicted)):
+        if not np.issubdtype(lab.dtype, np.integer):
+            raise DataError(f"{name} must be integers, got dtype {lab.dtype}")
+        if lab.min() < 1 or lab.max() > C:
+            raise DataError(f"{name} must lie in 1..{C}")
     confusion = np.zeros((C, C), dtype=int)
     np.add.at(confusion, (labels - 1, predicted - 1), 1)
     return float(np.mean(labels == predicted)), confusion

@@ -6,9 +6,10 @@ The class-c subproblem collects every fidelity term containing D_c into
     min_D  tr(D^T D A) - 2 tr(D^T B)   s.t. column norms <= 1
 
 with A the code Gram and B the data correlation, the pair odl_update takes
-as plain arrays; both are read off one Gram pair for all classes
-(class_dict_gram). The shared dictionary fits the shared-layer target
-V = Y - 1/2 D M(X) (gradients.residual_matrices) with a nuclear-norm penalty,
+as plain arrays and checks; both are read off one Gram pair for all classes
+(class_dict_gram, which trusts the shapes its caller checked). The shared
+dictionary fits the shared-layer target V = Y - 1/2 D M(X)
+(gradients.residual_matrices) with a nuclear-norm penalty,
 
     min_D0  ||V - D0 X0||_F^2 + eta ||D0||_*,
 
@@ -46,13 +47,6 @@ def class_dict_gram(coefs, shifted, C):
     D. With every other class dictionary held fixed, class c's problem is
     the odl_update pair A = F_cc, B = E_c - sum_{i != c} D_i F_ic.
     """
-    shifted = np.asarray(shifted, dtype=float)
-    if shifted.ndim != 2 or shifted.shape[1] != coefs.N:
-        raise DimensionError(
-            f"shifted data shape {shifted.shape} does not match {coefs.N} code columns"
-        )
-    if coefs.K % C or coefs.N % C:
-        raise DimensionError(f"codes {coefs.X.shape} do not split into {C} class blocks")
     X = coefs.X
     XXt = X @ X.T
     MX = X + block_diagonal(X, C)

@@ -26,9 +26,11 @@ B = 2 D0^T V and the shared dictionary fits V. With k0 = 0 the shared
 arrays are empty and every shared term is an exact zero.
 
 Each coding problem's Gram pair (H, B) is formed by one function that its
-solver calls (build_augmented_gram, gram_shared_codes, gram_test_code),
-and each builder reads its block sizes off the array shapes; fista runs
-its gradient H X - B as the closure of SmoothObjective.quadratic.
+solver calls (build_augmented_gram, gram_shared_codes, gram_test_code);
+fista runs its gradient H X - B as the closure of SmoothObjective.quadratic.
+Like residual_matrices and fidelity_value, each builder reads its sizes off
+the array shapes and checks nothing: its callers run after check_shapes
+(learner._code_classes, objective_terms) or classify.
 """
 
 from dataclasses import asdict, dataclass
@@ -44,11 +46,7 @@ def build_augmented_gram(dicts, shifted, lambda2):
     shifted data Ys whose columns split into C class blocks, M(A) = A +
     blockdiag(A): the fidelity pair plus the 2 lambda2 X part of the Fisher
     gradient, whose class-mean part is X Q (:func:`~lrsdl.data.fisher_mean_map`)."""
-    shifted = np.asarray(shifted, dtype=float)
-    d, C = dicts.d, dicts.C
-    if shifted.ndim != 2 or shifted.shape[0] != d or shifted.shape[1] % C:
-        raise DimensionError(f"shifted data {shifted.shape} is not {d} rows by {C} blocks")
-    D = dicts.D
+    D, C = dicts.D, dicts.C
     gram = D.T @ D
     corr = D.T @ shifted
     G = gram + block_diagonal(gram, C)
@@ -82,11 +80,8 @@ def _gram_form(G, corr, mean, lambda2):
 
 def gram_shared_codes(D0, V, m0, lambda2):
     """Shared-code Gram pair: G = 2 D0^T D0 and corr = 2 D0^T V for the
-    target V of :func:`residual_matrices`, pulled toward the code mean m0,
-    a (k0, 1) column or a (k0, N) tile."""
-    k0 = D0.shape[1]
-    if V.shape[0] != D0.shape[0] or np.shape(m0) not in ((k0, 1), (k0, V.shape[1])):
-        raise DimensionError(f"shapes D0={D0.shape} V={V.shape} m0={np.shape(m0)}")
+    target V of :func:`residual_matrices`, pulled toward the (k0, 1) code
+    mean column m0."""
     return _gram_form(2.0 * (D0.T @ D0), 2.0 * (D0.T @ V), m0, lambda2)
 
 
@@ -95,13 +90,7 @@ def gram_test_code(dicts, Y, m0, lambda2):
     for each column y of a batch Y (d, N), one sample being a (d, 1) batch:
     G = D_total^T D_total and corr = D_total^T Y, so H acts on each column
     separately and one product serves all samples."""
-    Y, m0 = np.asarray(Y, dtype=float), np.asarray(m0, dtype=float)
     Dt = dicts.D_total
-    if Y.ndim != 2 or Y.shape[0] != dicts.d or m0.shape != (dicts.k0,):
-        raise DimensionError(
-            f"samples of shape {Y.shape} or shared mean of shape {m0.shape} "
-            f"do not match dictionary {Dt.shape}"
-        )
     return _gram_form(Dt.T @ Dt, Dt.T @ Y, m0[:, None], lambda2)
 
 
@@ -109,7 +98,6 @@ def residual_matrices(data, dicts, coefs):
     """The shared-layer target V = Y - 1/2 D M(X), M(X) = X + blockdiag(X):
     the mean of Ybar = Y - D X and Ytilde = Y - D blockdiag(X), whose
     class-c columns are Y_c - D_c X_c^c. One product with D."""
-    check_shapes(data, dicts, coefs)
     return data.Y - 0.5 * (dicts.D @ (coefs.X + block_diagonal(coefs.X, data.C)))
 
 
@@ -118,14 +106,10 @@ def fidelity_value(shifted, dicts, X):
     1/2 (||Ys - D X||^2 + ||Ys - D B||^2 + <R, blockdiag(D^T D) R>) with
     B = blockdiag(X), the own codes X_c^c, and R = X - B, so the last term
     sums ||D_i X_c^i||^2 over i != c as squares, with no cancellation."""
-    shifted = np.asarray(shifted, dtype=float)
-    C, (K, N) = dicts.C, X.shape
-    if K != dicts.K or N % C or shifted.shape != (dicts.d, N):
-        raise DimensionError("shifted data or codes do not match the dictionaries")
-    D, B = dicts.D, block_diagonal(X, C)
+    D, B = dicts.D, block_diagonal(X, dicts.C)
     R = X - B
     total = float(np.sum((shifted - D @ X) ** 2)) + float(np.sum((shifted - D @ B) ** 2))
-    return 0.5 * (total + float(np.sum(R * (block_diagonal(D.T @ D, C) @ R))))
+    return 0.5 * (total + float(np.sum(R * (block_diagonal(D.T @ D, dicts.C) @ R))))
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,8 @@ class TestEncodeTest:
         model = block_model()
         with pytest.raises(DimensionError):
             classify(np.zeros(model.d + 1), model)
+        with pytest.raises(DimensionError):
+            classify(np.zeros((model.d + 1, 2)), model)
         with pytest.raises(NumericalError):
             classify(np.full(model.d, np.nan), model)
 
@@ -410,6 +412,17 @@ class TestEvaluate:
         # never truncated or cast into 1..C
         with pytest.raises(DataError, match="labels must be integers"):
             score_predictions(labels, [1, 2], 2)
+
+    @pytest.mark.parametrize(
+        "predicted",
+        [[0, 2], [1, 3], [1.7, 2.0], [True, True]],
+        ids=["zero", "above-C", "fractional", "bool"],
+    )
+    def test_score_predictions_rejects_bad_predicted_labels(self, predicted):
+        # predicted labels follow the rule true labels follow: a 0 is not
+        # wrapped into column C, a 1.7 not truncated to 1, a 3 not an IndexError
+        with pytest.raises(DataError, match="^predicted labels must"):
+            score_predictions([1, 2], predicted, 2)
 
 
 class TestBatchedClassify:

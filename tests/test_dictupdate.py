@@ -122,23 +122,6 @@ class TestAssembleClassProblem:
         own1, own2 = (_quad_value(A_own, B_own, P[:, rows]) for P in (P1, P2))
         assert_tracks(own1 - own2, P1, P2)
 
-    def test_shifted_shape_checked(self):
-        data, dicts, coefs = random_problem(5)
-        with pytest.raises(DimensionError):
-            class_dict_gram(coefs, data.Y[:, :-1], dicts.C)
-
-    @pytest.mark.parametrize("extra_rows, extra_cols", [(1, 0), (0, 1), (1, 1)])
-    def test_codes_that_do_not_split_into_C_blocks_rejected(self, extra_rows, extra_cols):
-        # 3 classes: K = 9 + extra_rows rows, N = 12 + extra_cols columns
-        data, dicts, coefs = random_problem(6)
-        rng = np.random.default_rng(6)
-        N = data.N + extra_cols
-        bad = CoefBundle(
-            X=rng.standard_normal((dicts.K + extra_rows, N)), X0=np.zeros((dicts.k0, N))
-        )
-        with pytest.raises(DimensionError, match="class blocks"):
-            class_dict_gram(bad, rng.standard_normal((dicts.d, N)), dicts.C)
-
 
 class TestCountDeadAtoms:
     def test_counts_small_diagonal(self):
