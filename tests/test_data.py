@@ -223,7 +223,7 @@ class TestCoefBundle:
     def test_divisibility_checks(self):
         # the codes check their own column counts; the class blocks are
         # checked where the codes meet labels (here) or dictionaries
-        # (check_shapes, class_dict_gram)
+        # (check_shapes)
         with pytest.raises(DimensionError):
             CoefBundle(X=np.zeros((4, 6)), X0=np.zeros((0, 4)))
         five_rows = CoefBundle(X=np.ones((5, 6)), X0=np.zeros((0, 6)))

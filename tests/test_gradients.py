@@ -508,10 +508,13 @@ class TestCodesMeetDataAndDictionaries:
             (0, 1, 0, 0, 0),
             (0, 0, 1, 0, 0),
             (0, 0, 3, 0, 0),
+            (1, 0, 1, 0, 0),
             (0, 0, 0, 1, 0),
             (0, 0, 0, 0, 1),
         ],
-        ids=["K+1", "K+C", "k0+1", "N+1", "N+C", "dicts-d+1", "dicts-C+1"],
+        ids=[
+            "K+1", "K+C", "k0+1", "N+1", "N+C", "K+1,N+1", "dicts-d+1", "dicts-C+1"
+        ],
     )
     @pytest.mark.parametrize(
         "call",

@@ -5,6 +5,10 @@ solver module prox is a leaf: of the package it imports only errors, so a
 coding problem's structure (classes, blocks, weights) reaches the solver
 through its arguments only.
 
+Shapes are checked where they enter: check_shapes runs at the coders'
+shared step and at objective_terms only, and the builders between the
+entry points and the solvers check nothing and cast nothing.
+
 src holds only what the system runs: every public function is called
 from within the package, and each of its parameters with a default is set
 by some call there, bar a named few. Importing the command line
@@ -83,6 +87,45 @@ def test_no_private_name_imported_across_modules(module):
 def test_prox_imports_only_errors_from_the_package():
     sources = {source for source, _ in package_imports("prox")}
     assert sources == {"errors"}
+
+
+def top_functions(module):
+    """{name: FunctionDef} of the module-level functions of a package module."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+
+
+# Each builder's callers run after check_shapes or classify's sample check.
+BUILDERS = [
+    ("gradients", "build_augmented_gram"),
+    ("gradients", "gram_shared_codes"),
+    ("gradients", "gram_test_code"),
+    ("gradients", "residual_matrices"),
+    ("gradients", "fidelity_value"),
+    ("dictupdate", "class_dict_gram"),
+]
+
+
+@pytest.mark.parametrize("module, name", BUILDERS, ids=[n for _, n in BUILDERS])
+def test_builders_check_nothing(module, name):
+    body = list(ast.walk(top_functions(module)[name]))
+    names = {n.id for n in body if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in body if isinstance(n, ast.Attribute)}
+    assert not names & {"DimensionError", "check_shapes"}
+    assert "asarray" not in attrs
+
+
+def test_check_shapes_runs_only_at_entry_points():
+    callers = {
+        (module, name)
+        for module in MODULES
+        for name, top in top_functions(module).items()
+        for n in ast.walk(top)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "check_shapes"
+    }
+    assert callers == {("learner", "_code_classes"), ("gradients", "objective_terms")}
 
 
 # Public functions that nothing in the package calls, each with its reason.
