@@ -144,8 +144,7 @@ def evaluate(test, model):
     own weight w.
 
     test is a Dataset or a pair (Y, labels): samples (d, N) and their N
-    labels in 1..C, in any order and with any number of samples per class
-    (a Dataset needs equal class sizes).
+    labels in 1..C, in any order and with any number of samples per class.
     """
     if isinstance(test, Dataset):
         if test.C != model.C:

@@ -144,10 +144,10 @@ def _cmd_classify(args):
 
 def _cmd_bench(args):
     data = _load_dataset(args.data, args.labels)
-    # k_c = n_c mirrors the reference comparison setup; k0 stays 0 so both
-    # coders face the same objective
+    # k_c = the smallest class size mirrors the reference comparison setup
+    # with no atom drawn twice; k0 stays 0 so both coders face the same objective
     hyper = HyperParams(outer_iters=args.iters, seed=args.seed)
-    config = TrainConfig(hyper=hyper, k_c=data.n_c, k0=0)
+    config = TrainConfig(hyper=hyper, k_c=min(data.sizes), k0=0)
     joint, seq = bench_joint_vs_sequential(data, config)
     os.makedirs(args.out, exist_ok=True)
     write_trace(joint.trace, os.path.join(args.out, "joint.csv"))

@@ -4,12 +4,13 @@ Conventions used throughout the package:
 
 * samples are columns; a data matrix is d x N,
 * class labels are integers 1..C; a Dataset is class contiguous (C blocks
-  of n_c = N / C columns) and reads C and n_c off its labels when built,
+  of n_1, ..., n_C columns) and reads C and these sizes, the one class
+  layout every class-blocked operation takes, off its labels when built,
 * a model holds C class dictionaries (d x k_c each) plus one shared
   dictionary (d x k0, possibly empty), concatenated as D = [D_1 .. D_C]
   and D_total = [D, D_shared],
 * codes for the class dictionaries are K x N with K = C * k_c, codes for
-  the shared dictionary are k0 x N; their blocks are the Dataset's n_c
+  the shared dictionary are k0 x N; their blocks are the Dataset's class
   columns and the DictionaryBundle's k_c rows (gradients.check_shapes).
 
 All containers are frozen dataclasses holding read-only arrays.
@@ -66,14 +67,14 @@ def normalize_columns(M, warn=True):
 @dataclass(frozen=True)
 class Dataset:
     """Samples Y (d x N, finite) with labels 1..C in the class layout (C
-    contiguous blocks of n_c = N / C columns), from which C and n_c are read
-    when it is built. Y and labels are its only settable fields; use
+    contiguous blocks of sizes[c - 1] columns), from which C and sizes are
+    read when it is built. Y and labels are its only settable fields; use
     :meth:`from_arrays` for samples in any column order."""
 
     Y: np.ndarray
     labels: np.ndarray
     C: int = field(init=False)
-    n_c: int = field(init=False)
+    sizes: tuple = field(init=False)
 
     def __post_init__(self):
         Y = _freeze(self.Y)
@@ -82,11 +83,11 @@ class Dataset:
         if not np.isfinite(Y).all():
             raise DataError("sample matrix contains NaN or Inf")
         # checked before the cast to int, which would truncate 1.7 to 1
-        C = check_class_layout(self.labels, Y.shape[1])
+        sizes = check_class_layout(self.labels, Y.shape[1])
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "labels", _freeze(self.labels, dtype=int))
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "n_c", Y.shape[1] // C)
+        object.__setattr__(self, "C", len(sizes))
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def d(self):
@@ -98,7 +99,8 @@ class Dataset:
 
     def class_columns(self, c):
         """Column slice of class c (1-based)."""
-        return slice(_class_index(c, self.C) * self.n_c, c * self.n_c)
+        start = sum(self.sizes[: _class_index(c, self.C)])
+        return slice(start, start + self.sizes[c - 1])
 
     def class_block(self, c):
         return self.Y[:, self.class_columns(c)]
@@ -129,16 +131,14 @@ class Dataset:
         if not np.all((labels >= -(2**63)) & (labels < 2**63)):
             raise DataError("labels must lie in the int64 range")
         labels = labels.astype(np.int64)
-        C = int(labels.max())
         if labels.min() < 1:
             raise DataError("labels must be >= 1")
-        # memory follows the sample count, not the largest label
-        present, counts = np.unique(labels, return_counts=True)
-        if present.size < C:
+        # memory follows the sample count, not the largest label; np.unique is
+        # called as check_class_layout calls it (numpy 2.4's plain form adds 1 MB)
+        present, _ = np.unique(labels, return_counts=True)
+        if present.size < present[-1]:
             missing = int(np.argmax(present != np.arange(1, present.size + 1))) + 1
             raise DomainError(f"class {missing} has zero samples")
-        if len(set(counts.tolist())) != 1:
-            raise DomainError(f"unequal class sizes {counts.tolist()}")
         order = np.argsort(labels, kind="stable")
         return cls(Y=Y[:, order], labels=labels[order])
 
@@ -158,11 +158,11 @@ class DictionaryBundle:
 
     def __post_init__(self):
         cds = tuple(_freeze(Dc) for Dc in self.class_dicts)
-        if not cds:
-            raise DimensionError("need at least one class dictionary")
+        if not cds or cds[0].ndim != 2:
+            raise DimensionError(f"need 2-d class dictionaries, got {[D.shape for D in cds]}")
         d, k_c = cds[0].shape
         for i, Dc in enumerate(cds):
-            if Dc.ndim != 2 or Dc.shape != (d, k_c):
+            if Dc.shape != (d, k_c):
                 raise DimensionError(
                     f"class dictionary {i + 1} has shape {Dc.shape}, expected {(d, k_c)}"
                 )
@@ -269,58 +269,59 @@ class MeanStats:
         return self.class_means[:, _class_index(c, self.class_means.shape[1])]
 
 
-def class_means(X, C):
-    """Per-class means (rows x C) of the columns of X in the class layout:
-    C contiguous blocks of equal size."""
-    return X.reshape(X.shape[0], C, -1).mean(axis=2)
+def class_means(X, sizes):
+    """Per-class means (rows x C) of the columns of X in the class layout
+    `sizes`: C contiguous blocks, one column slice each."""
+    o = np.cumsum((0, *sizes))
+    return np.column_stack([X[:, a:b].mean(axis=1) for a, b in zip(o, o[1:])])
 
 
-def fisher_mean_map(blocks, n, C, lambda2):
-    """Class-mean part of the Fisher gradient as a (blocks n) x blocks
-    matrix Q: for codes W made of `blocks` class blocks of n columns with
-    means M_b, out of C classes (a sequential solve holds one block), W Q
-    has the column lambda2 (sum_b M_b / C - 2 M_b) per block, which every
-    column of block b gets. Q = (E / n) lambda2 (J / C - 2 I), with E the
-    class-block indicator, J all-ones and I the identity; the map is linear
-    and symmetric."""
-    E = np.repeat(np.eye(blocks), n, axis=0) / n
-    return E @ (lambda2 * (np.ones((blocks, blocks)) / C - 2.0 * np.eye(blocks)))
+def fisher_mean_map(sizes, N, lambda2):
+    """Class-mean part of the Fisher gradient as a pair (Q, S): for codes W
+    of classes in blocks of n_b = sizes[b] columns with means M_b, out of N
+    samples (a sequential solve holds one block), W Q has the column
+    lambda2 (sum_b n_b M_b / N - 2 M_b) per block, and the spread S = E^T
+    gives it every column of block b. Q = E diag(1/n) lambda2 (n 1^T / N - 2 I),
+    E the class-block indicator; the map W Q S is symmetric and negative
+    semidefinite."""
+    n = np.asarray(sizes, dtype=float)
+    S = np.repeat(np.eye(n.size), sizes, axis=1)  # contiguous: the faster product
+    return (S.T / n) @ (lambda2 * ((n / N)[:, None] - 2.0 * np.eye(n.size))), S
 
 
-def block_diagonal(A, C):
-    """The C equal diagonal blocks of A (block c: row block c, column
-    block c) with zeros elsewhere, as a matrix of A's shape."""
-    r, s = A.shape
-    idx = np.arange(C)
-    out = np.zeros((C, r // C, C, s // C))
-    out[idx, :, idx] = np.reshape(A, out.shape)[idx, :, idx]
-    return out.reshape(r, s)
+def block_diagonal(A, sizes):
+    """The C diagonal blocks of A (block c: the c-th of C equal row blocks and
+    of the column blocks of `sizes`) with zeros elsewhere, in A's shape."""
+    out, k, o = np.zeros(A.shape), A.shape[0] // len(sizes), np.cumsum((0, *sizes))
+    for c, (a, b) in enumerate(zip(o, o[1:])):
+        out[c * k : (c + 1) * k, a:b] = A[c * k : (c + 1) * k, a:b]
+    return out
 
 
 def check_class_layout(labels, N):
-    """Class count C of a label vector of length N in the class layout
-    (labels 1..C in contiguous blocks of N / C columns each). Raises
-    DataError unless the labels are integers (bool is not), DimensionError
-    for a wrong length, DomainError for any other layout."""
+    """Class sizes (n_1, ..., n_C) of a label vector of length N in the
+    class layout (labels 1..C in contiguous blocks, each class present).
+    Raises DataError unless the labels are integers (bool is not),
+    DimensionError for a wrong length, DomainError for any other layout."""
     labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):
         raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.shape != (N,):
         raise DimensionError(f"labels length {labels.shape} does not match {N} columns")
-    C = int(labels.max(initial=0))
-    if C < 1 or N % C or not np.array_equal(labels, np.repeat(np.arange(1, C + 1), N // C)):
-        raise DomainError("labels must be 1..C in contiguous blocks of equal size")
-    return C
+    present, sizes = np.unique(labels, return_counts=True)
+    if not N or not np.array_equal(labels, np.repeat(np.arange(1, present.size + 1), sizes)):
+        raise DomainError("labels must be 1..C in contiguous blocks, each class present")
+    return tuple(sizes.tolist())
 
 
 def mean_stats(coefs, labels):
-    """MeanStats from a CoefBundle and its column labels, which give C;
-    DomainError unless the K code rows split into C blocks."""
-    C = check_class_layout(labels, coefs.N)
-    if coefs.K % C:
-        raise DomainError(f"{coefs.K} code rows do not split into {C} class blocks")
+    """MeanStats from a CoefBundle and its column labels, which give the
+    class layout; DomainError unless the K code rows split into C blocks."""
+    sizes = check_class_layout(labels, coefs.N)
+    if coefs.K % len(sizes):
+        raise DomainError(f"{coefs.K} code rows do not split into {len(sizes)} class blocks")
     return MeanStats(
-        class_means=class_means(coefs.X, C),
+        class_means=class_means(coefs.X, sizes),
         shared_mean=coefs.X0.mean(axis=1),
     )
 

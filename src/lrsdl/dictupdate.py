@@ -37,9 +37,9 @@ ODL_SWEEPS = 2  # column sweeps per class dictionary refit
 ADMM_RHO = 1.0  # ADMM penalty of the shared-dictionary update
 
 
-def class_dict_gram(coefs, shifted, C):
+def class_dict_gram(coefs, shifted, sizes):
     """Gram pair (F, E) of the class-dictionary step for shifted data Ys and
-    codes whose K rows and N columns both split into C class blocks:
+    codes in C equal row blocks and the class column blocks of `sizes`:
 
         F = M(X X^T),  E = Ys M(X)^T,  M(A) = A + blockdiag(A),
 
@@ -47,10 +47,10 @@ def class_dict_gram(coefs, shifted, C):
     D. With every other class dictionary held fixed, class c's problem is
     the odl_update pair A = F_cc, B = E_c - sum_{i != c} D_i F_ic.
     """
-    X = coefs.X
+    X, C = coefs.X, len(sizes)
     XXt = X @ X.T
-    MX = X + block_diagonal(X, C)
-    return XXt + block_diagonal(XXt, C), shifted @ MX.T
+    MX = X + block_diagonal(X, sizes)
+    return XXt + block_diagonal(XXt, [X.shape[0] // C] * C), shifted @ MX.T
 
 
 def _quad_value(A, B, D):

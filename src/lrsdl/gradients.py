@@ -28,9 +28,9 @@ arrays are empty and every shared term is an exact zero.
 Each coding problem's Gram pair (H, B) is formed by one function that its
 solver calls (build_augmented_gram, gram_shared_codes, gram_test_code);
 fista runs its gradient H X - B as the closure of SmoothObjective.quadratic.
-Like residual_matrices and fidelity_value, each builder reads its sizes off
-the array shapes and checks nothing: its callers run after check_shapes
-(learner._code_classes, objective_terms) or classify.
+Like residual_matrices and fidelity_value, each builder is handed the class
+sizes, reads the rest off its arrays and checks nothing: its callers run
+after check_shapes (learner._code_classes, objective_terms) or classify.
 """
 
 from dataclasses import asdict, dataclass
@@ -41,27 +41,26 @@ from .data import block_diagonal, class_means
 from .errors import DimensionError, NumericalError
 
 
-def build_augmented_gram(dicts, shifted, lambda2):
+def build_augmented_gram(dicts, shifted, sizes, lambda2):
     """Class-code Gram pair (H, B) = (M(D^T D) + 2 lambda2 I, M(D^T Ys)) for
-    shifted data Ys whose columns split into C class blocks, M(A) = A +
-    blockdiag(A): the fidelity pair plus the 2 lambda2 X part of the Fisher
-    gradient, whose class-mean part is X Q (:func:`~lrsdl.data.fisher_mean_map`)."""
-    D, C = dicts.D, dicts.C
+    shifted data Ys in class column blocks of `sizes`, M(A) = A + blockdiag(A):
+    the fidelity pair plus the 2 lambda2 X part of the Fisher gradient, whose
+    class-mean part is X Q S (:func:`~lrsdl.data.fisher_mean_map`)."""
+    D = dicts.D
     gram = D.T @ D
     corr = D.T @ shifted
-    G = gram + block_diagonal(gram, C)
+    G = gram + block_diagonal(gram, [dicts.k_c] * dicts.C)
     # on the diagonal only: an overflowing 2 lambda2 leaves the rest finite
     G[np.diag_indices_from(G)] += 2.0 * lambda2
-    return G, corr + block_diagonal(corr, C)
+    return G, corr + block_diagonal(corr, sizes)
 
 
-def fisher_value(X, C):
-    """f(X) itself (the X part of the code penalty, no lambda factor) for
-    codes X in the class layout with C classes."""
-    K, N = X.shape
-    m, cm = X.mean(axis=1), class_means(X, C)
-    within = float(np.sum((X.reshape(K, C, N // C) - cm[:, :, None]) ** 2))
-    between = (N // C) * float(np.sum((cm - m[:, None]) ** 2))
+def fisher_value(X, sizes):
+    """f(X) itself (the X part of the code penalty, no lambda factor) for codes
+    X in the class layout `sizes`, each ||m_c - m||^2 weighed by n_c."""
+    m, cm = X.mean(axis=1), class_means(X, sizes)
+    within = float(np.sum((X - np.repeat(cm, sizes, axis=1)) ** 2))
+    between = float(np.sum(np.sum((cm - m[:, None]) ** 2, axis=0) * sizes))
     return within - between + float(np.sum(X * X))
 
 
@@ -98,18 +97,19 @@ def residual_matrices(data, dicts, coefs):
     """The shared-layer target V = Y - 1/2 D M(X), M(X) = X + blockdiag(X):
     the mean of Ybar = Y - D X and Ytilde = Y - D blockdiag(X), whose
     class-c columns are Y_c - D_c X_c^c. One product with D."""
-    return data.Y - 0.5 * (dicts.D @ (coefs.X + block_diagonal(coefs.X, data.C)))
+    return data.Y - 0.5 * (dicts.D @ (coefs.X + block_diagonal(coefs.X, data.sizes)))
 
 
-def fidelity_value(shifted, dicts, X):
-    """1/2 sum_c r_c(X) against shifted data Ys in C class column blocks:
+def fidelity_value(shifted, dicts, X, sizes):
+    """1/2 sum_c r_c(X) against shifted data Ys in class column blocks of `sizes`:
     1/2 (||Ys - D X||^2 + ||Ys - D B||^2 + <R, blockdiag(D^T D) R>) with
     B = blockdiag(X), the own codes X_c^c, and R = X - B, so the last term
     sums ||D_i X_c^i||^2 over i != c as squares, with no cancellation."""
-    D, B = dicts.D, block_diagonal(X, dicts.C)
+    D, B = dicts.D, block_diagonal(X, sizes)
     R = X - B
     total = float(np.sum((shifted - D @ X) ** 2)) + float(np.sum((shifted - D @ B) ** 2))
-    return 0.5 * (total + float(np.sum(R * (block_diagonal(D.T @ D, dicts.C) @ R))))
+    own = block_diagonal(D.T @ D, [dicts.k_c] * dicts.C)
+    return 0.5 * (total + float(np.sum(R * (own @ R))))
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ class ObjectiveTerms:
 
 def check_shapes(data, dicts, coefs):
     """Raise DimensionError unless data, dictionaries and codes agree in
-    d, C, K = C k_c, k0 and N = C n_c, which fix the codes' class blocks."""
+    d, C, K = C k_c, k0 and N, which with the data's sizes fix the code blocks."""
     if dicts.d != data.d or dicts.C != data.C:
         raise DimensionError(
             f"dictionary ({dicts.d}, C={dicts.C}) does not match data "
@@ -161,9 +161,9 @@ def objective_terms(data, dicts, coefs, hyper):
     its terms. NumericalError names the first non-finite term."""
     check_shapes(data, dicts, coefs)
     X, X0 = coefs.X, coefs.X0
-    f = fisher_value(X, data.C) + float(np.sum((X0 - X0.mean(axis=1)[:, None]) ** 2))
+    f = fisher_value(X, data.sizes) + float(np.sum((X0 - X0.mean(axis=1)[:, None]) ** 2))
     terms = ObjectiveTerms(
-        fidelity=fidelity_value(data.Y - dicts.shared_dict @ X0, dicts, X),
+        fidelity=fidelity_value(data.Y - dicts.shared_dict @ X0, dicts, X, data.sizes),
         l1=hyper.lambda1 * (float(np.abs(X).sum()) + float(np.abs(X0).sum())),
         fisher=0.5 * hyper.lambda2 * f,
         nuclear=nuclear_term(dicts.shared_dict, hyper.eta),

@@ -62,26 +62,25 @@ def initialize(data, config, seed):
     """Random-sample class dictionaries and an SVD-based shared dictionary.
 
     Class atoms are drawn from the class's own training columns (without
-    replacement when k_c <= n_c) and renormalized. The shared dictionary
-    starts from the top left-singular vectors of the full data matrix,
-    which are unit-norm already.
+    replacement from a class of k_c or more) and renormalized. The shared
+    dictionary starts from the top left-singular vectors of the full data
+    matrix, which are unit-norm already.
     """
     k_c, k0 = config.k_c, config.k0
     if k0 > min(data.d, data.N):
         raise ParameterError(
             f"k0={k0} exceeds min(d, N)={min(data.d, data.N)}"
         )
-    if k_c > data.n_c:
+    if k_c > min(data.sizes):
         log.warning(
-            "k_c=%d exceeds the %d samples per class; sampling atoms with replacement",
-            k_c,
-            data.n_c,
+            "k_c=%d exceeds the %d samples of class %d, the smallest; drawn with replacement",
+            k_c, min(data.sizes), np.argmin(data.sizes) + 1,
         )
     rng = np.random.default_rng(seed)
     class_dicts = []
     for c in range(1, data.C + 1):
         block = data.class_block(c)
-        idx = rng.choice(data.n_c, size=k_c, replace=k_c > data.n_c)
+        idx = rng.choice(block.shape[1], size=k_c, replace=k_c > block.shape[1])
         atoms = block[:, idx].copy()
         norms = np.linalg.norm(atoms, axis=0)
         for j in np.flatnonzero(norms == 0.0):
@@ -126,29 +125,30 @@ def _code_classes(data, dicts, coefs, hyper, group, passes, budget):
     Gram pair, H = M(D^T D) + 2 lambda2 I and corr = M(D^T Ys) of
     build_augmented_gram, with its own class means differentiated exactly,
     so the full objective never increases. The class-mean part of the
-    gradient is the product with Q of fisher_mean_map, built once here for
-    every call; that map is negative semidefinite, so L = lambda_max(H)
-    still bounds the step. The other classes' mean sum S, frozen during the
-    call, enters B as -(lambda2 / C) S; with one group of all C classes S is
-    exactly zero and B is corr itself.
+    gradient is the product with the group's fisher_mean_map pair, built
+    once here; that map is negative semidefinite, so L = lambda_max(H)
+    still bounds the step. The other classes' means, frozen during the
+    call, enter B as -lambda2 sum_c (n_c / N) m_c; with one group of all C
+    classes that sum is exactly zero and B is corr itself.
     """
-    C, lam2 = data.C, hyper.lambda2
+    C, lam2, sizes = data.C, hyper.lambda2, data.sizes
     check_shapes(data, dicts, coefs)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-    H, corr = build_augmented_gram(dicts, shifted, lam2)
+    H, corr = build_augmented_gram(dicts, shifted, sizes, lam2)
     L = power_iteration_lipschitz(H)
-    Q = fisher_mean_map(group, data.n_c, C, lam2)
+    share, offsets = np.asarray(sizes) / data.N, np.cumsum((0, *sizes))
+    fisher = [fisher_mean_map(sizes[f : f + group], data.N, lam2) for f in range(0, C, group)]
     X = coefs.X.copy()
-    cmeans = class_means(X, C)
+    cmeans = class_means(X, sizes)
     for _ in range(passes):
         for first in range(0, C, group):
             classes = slice(first, first + group)
-            cols = slice(first * data.n_c, (first + group) * data.n_c)
-            other_sum = cmeans.sum(axis=1) - cmeans[:, classes].sum(axis=1)
-            B = corr[:, cols] - (lam2 / C) * other_sum[:, None]
-            obj = SmoothObjective.quadratic(H, B, L, fisher=Q)
+            cols = slice(offsets[first], offsets[first + group])
+            other = cmeans @ share - cmeans[:, classes] @ share[classes]
+            B = corr[:, cols] - lam2 * other[:, None]
+            obj = SmoothObjective.quadratic(H, B, L, fisher=fisher[first // group])
             X[:, cols] = fista(obj, hyper.lambda1, X[:, cols], max_iter=budget)
-            cmeans[:, classes] = class_means(X[:, cols], group)
+            cmeans[:, classes] = class_means(X[:, cols], sizes[classes])
     return _solve_shared_codes(data, dicts, replace(coefs, X=X), hyper)
 
 
@@ -173,8 +173,8 @@ def _update_class_dicts(data, dicts, coefs):
     Column norms stay at <= 1.
     """
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-    F, E = class_dict_gram(coefs, shifted, dicts.C)
-    cross = F - block_diagonal(F, dicts.C)  # F with its own-class blocks zeroed
+    F, E = class_dict_gram(coefs, shifted, data.sizes)
+    cross = F - block_diagonal(F, [dicts.k_c] * dicts.C)  # own-class blocks zeroed
     D = np.array(dicts.D)
     dead = 0
     for c in range(1, dicts.C + 1):

@@ -52,18 +52,18 @@ class SmoothObjective:
         the gradient is H W - B, a product with the small matrix H, formed
         in the product's own array.
 
-        fisher, a matrix Q with one column per block of W's Q.shape[1]
-        equal column blocks, adds the product W Q to the gradient, column b
-        to every column of block b. That map must be symmetric, so g stays
-        a quadratic with gradient -B at 0.
+        fisher, a pair (Q, S) of matrices, adds the product W Q S to the
+        gradient, the spread by S formed in one array kept for every call.
+        That map W -> W Q S must be symmetric, so g stays a quadratic with
+        gradient -B at 0.
         """
+        spread = None if fisher is None else np.empty((H.shape[0], fisher[1].shape[1]))
 
         def grad(W):
             G = H @ W
             G -= B
             if fisher is not None:
-                per_block = G.reshape(W.shape[0], fisher.shape[1], -1)
-                per_block += (W @ fisher)[:, :, None]
+                G += np.matmul(W @ fisher[0], fisher[1], out=spread)
             return G
 
         return cls(grad=grad, lipschitz=lipschitz, per_column=per_column)

@@ -305,50 +305,56 @@ def fista_one_product(grad, L, lam, W0, max_iter, tol):
     return W, k
 
 
-def block_diagonal_loop(A, C):
-    """The C equal diagonal blocks of A copied one by one into zeros."""
+def class_column_slices(sizes):
+    """Column slice of each class block of `sizes` columns, in order."""
+    ends = np.cumsum(sizes)
+    return [slice(int(e) - n, int(e)) for n, e in zip(sizes, ends)]
+
+
+def block_diagonal_loop(A, sizes):
+    """The C diagonal blocks of A, equal row blocks and column blocks of
+    `sizes` columns, copied one by one into zeros."""
     A = np.asarray(A, dtype=float)
-    p, q = A.shape[0] // C, A.shape[1] // C
+    p = A.shape[0] // len(sizes)
     out = np.zeros_like(A)
-    for c in range(C):
-        rows, cols = slice(c * p, (c + 1) * p), slice(c * q, (c + 1) * q)
+    for c, cols in enumerate(class_column_slices(sizes)):
+        rows = slice(c * p, (c + 1) * p)
         out[rows, cols] = A[rows, cols]
     return out
 
 
-def augmented_gram_loop(class_dicts, shifted, n_c):
+def augmented_gram_loop(class_dicts, shifted, sizes):
     """(combined, corr) of the stacked fidelity, one class block at a time:
     D^T D and D^T Ys plus D_c^T D_c in diagonal block c and D_c^T Ys_c in
-    row block c, column block c."""
+    row block c, column block c of sizes[c] columns."""
     D = np.hstack(class_dicts)
     k_c = class_dicts[0].shape[1]
     gram = D.T @ D
     combined = 0.5 * (gram + gram.T)
     corr = D.T @ shifted
-    for c, Dc in enumerate(class_dicts):
+    for c, (Dc, cols) in enumerate(zip(class_dicts, class_column_slices(sizes))):
         rows = slice(c * k_c, (c + 1) * k_c)
-        cols = slice(c * n_c, (c + 1) * n_c)
         Gc = Dc.T @ Dc
         combined[rows, rows] += 0.5 * (Gc + Gc.T)
         corr[rows, cols] += Dc.T @ shifted[:, cols]
     return combined, corr
 
 
-def residuals_loop(Y, class_dicts, X, n_c):
-    """(Ybar, Ytilde): Y - D X and, class by class, Y_c - D_c X_c^c."""
+def residuals_loop(Y, class_dicts, X, sizes):
+    """(Ybar, Ytilde): Y - D X and, class by class over column blocks of
+    `sizes`, Y_c - D_c X_c^c."""
     k_c = class_dicts[0].shape[1]
     Ybar = Y - np.hstack(class_dicts) @ X
     Ytilde = np.empty_like(Y)
-    for c, Dc in enumerate(class_dicts):
-        cols = slice(c * n_c, (c + 1) * n_c)
+    for c, (Dc, cols) in enumerate(zip(class_dicts, class_column_slices(sizes))):
         Ytilde[:, cols] = Y[:, cols] - Dc @ X[c * k_c : (c + 1) * k_c, cols]
     return Ybar, Ytilde
 
 
-def update_class_dicts_residual(shifted, class_dicts, X, n_c, solve):
-    """Gauss-Seidel refit of the class dictionaries on shifted data Ys,
-    with the subproblem of class c built from a maintained residual
-    R = Ys - D X:
+def update_class_dicts_residual(shifted, class_dicts, X, sizes, solve):
+    """Gauss-Seidel refit of the class dictionaries on shifted data Ys in
+    column blocks of `sizes`, with the subproblem of class c built from a
+    maintained residual R = Ys - D X:
 
         A = X^c X^c^T + X_c^c X_c^c^T + sum_{i != c} X_i^c X_i^c^T
         B = (R + D_c X^c) X^c^T + Ys_c X_c^c^T
@@ -359,18 +365,18 @@ def update_class_dicts_residual(shifted, class_dicts, X, n_c, solve):
     """
     C = len(class_dicts)
     k_c = class_dicts[0].shape[1]
+    slices = class_column_slices(sizes)
     dicts = [np.array(Dc, dtype=float) for Dc in class_dicts]
     R = shifted - np.hstack(dicts) @ X
     for c in range(C):
         Xc = X[c * k_c : (c + 1) * k_c]
-        cols = slice(c * n_c, (c + 1) * n_c)
-        Xcc = Xc[:, cols]
+        Xcc = Xc[:, slices[c]]
         A = Xc @ Xc.T + Xcc @ Xcc.T
         for i in range(C):
             if i != c:
-                blk = Xc[:, i * n_c : (i + 1) * n_c]
+                blk = Xc[:, slices[i]]
                 A += blk @ blk.T
-        B = (R + dicts[c] @ Xc) @ Xc.T + shifted[:, cols] @ Xcc.T
+        B = (R + dicts[c] @ Xc) @ Xc.T + shifted[:, slices[c]] @ Xcc.T
         new = solve(0.5 * (A + A.T), B, dicts[c])
         R += (dicts[c] - new) @ Xc
         dicts[c] = new

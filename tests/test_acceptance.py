@@ -31,6 +31,7 @@ from lrsdl.data import (
 )
 from lrsdl.gradients import objective_terms
 from lrsdl.learner import TrainConfig, fit
+from lrsdl.matio import load_labels, load_matrix, save_labels, save_matrix
 from lrsdl.prox import SmoothObjective, admm_nuclear, fista, svt
 
 from oracles import (
@@ -58,12 +59,28 @@ def verdict(n, name):
         print(f"ACCEPTANCE {n} {name}: PASS", flush=True)
 
 
-def random_triple(seed, C=3, d=8, n_c=4, k_c=3, k0=2):
+def first_samples(data, sizes):
+    """The Dataset of the first sizes[c - 1] samples of each class c."""
+    cols = np.concatenate(
+        [np.flatnonzero(data.labels == c)[:n] for c, n in enumerate(sizes, 1)]
+    )
+    return Dataset.from_arrays(data.Y[:, cols], data.labels[cols])
+
+
+# unequal classes: the layout of a data set like Extended YaleB
+UNEQUAL = (7, 4, 5)
+
+
+def random_triple(seed, C=3, d=8, n_c=4, k_c=3, k0=2, sizes=None):
+    """Data, dictionaries and codes; with sizes, the data keeps the first
+    sizes[c - 1] of the n_c samples of each class c."""
     rng = np.random.default_rng(seed)
     data, _ = generate_synthetic(
         C=C, d=d, n_c=n_c, k_c=k_c, k0=k0,
         shared_rank=min(2, k0), noise_sigma=0.1, seed=seed,
     )
+    if sizes is not None:
+        data = first_samples(data, sizes)
     cds = tuple(
         normalize_columns(rng.standard_normal((d, k_c)), warn=False)
         for _ in range(C)
@@ -75,8 +92,8 @@ def random_triple(seed, C=3, d=8, n_c=4, k_c=3, k0=2):
     )
     dicts = DictionaryBundle(class_dicts=cds, shared_dict=shared)
     coefs = CoefBundle(
-        X=rng.standard_normal((C * k_c, C * n_c)),
-        X0=rng.standard_normal((k0, C * n_c)),
+        X=rng.standard_normal((C * k_c, data.N)),
+        X0=rng.standard_normal((k0, data.N)),
     )
     return data, dicts, coefs
 
@@ -88,17 +105,29 @@ def cli(*argv):
     return code, buf.getvalue()
 
 
+def drop_last_sample(data_dir, out_dir):
+    """Copy of the Y.lmx / labels.csv pair in data_dir without its last
+    sample, so the last class has one sample fewer; returns out_dir."""
+    Y = load_matrix(os.path.join(data_dir, "Y.lmx"))
+    labels = load_labels(os.path.join(data_dir, "labels.csv"))
+    os.makedirs(out_dir)
+    save_matrix(Y[:, :-1], os.path.join(out_dir, "Y.lmx"))
+    save_labels(labels[:-1], os.path.join(out_dir, "labels.csv"))
+    return out_dir
+
+
 def test_criterion_1_gradient_check():
     """The gradient of each SmoothObjective a coding site hands fista,
     captured by a stub, against finite differences of the literal objective
     of that site: joint class codes (Fisher product included), one
-    sequential class block (the other classes' frozen mean sum in B),
-    shared codes and a test batch."""
+    sequential class block (the other classes' frozen means in B),
+    shared codes and a test batch; the last problem has unequal classes."""
     with verdict(1, "gradient-check"):
         start = time.perf_counter()
         errors = []
-        for seed in range(10):
-            data, dicts, coefs = random_triple(seed)
+        for seed in range(11):
+            unequal = dict(n_c=max(UNEQUAL), sizes=UNEQUAL) if seed == 10 else {}
+            data, dicts, coefs = random_triple(seed, **unequal)
             hyper = HyperParams(lambda1=0.05, lambda2=0.3)
             rng = np.random.default_rng(100 + seed)
 
@@ -212,8 +241,9 @@ def test_criterion_3_no_shared_reduction():
     with verdict(3, "no-shared-reduction"):
         # static: the full objective with k0=0 equals the class-only one
         hyper = HyperParams(lambda1=0.05, lambda2=0.3)
-        for seed in range(10):
-            data, dicts, coefs = random_triple(seed, k0=0)
+        for seed in range(11):
+            unequal = dict(n_c=max(UNEQUAL), sizes=UNEQUAL) if seed == 10 else {}
+            data, dicts, coefs = random_triple(seed, k0=0, **unequal)
             mine = objective_terms(data, dicts, coefs, hyper).total
             ref = fddl_objective(
                 data.Y, list(dicts.class_dicts), coefs.X, data.labels,
@@ -223,32 +253,34 @@ def test_criterion_3_no_shared_reduction():
                 f"seed {seed}: {mine!r} vs {ref!r}"
             )
 
-        # dynamic: a k0=0 training run traces the class-only objective
+        # dynamic: a k0=0 training run traces the class-only objective, on
+        # equal classes and on classes of 8, 5, 7 and 6 samples
         data, _ = generate_synthetic(
             C=4, d=20, n_c=8, k_c=4, k0=0, shared_rank=0,
             noise_sigma=0.1, seed=0,
         )
         hyper = HyperParams(lambda1=0.01, lambda2=0.05, outer_iters=6, fista_iters=40)
         cfg = TrainConfig(hyper=hyper, k_c=4, k0=0)
-        seen = []
+        for train in (data, first_samples(data, (8, 5, 7, 6))):
+            seen = []
 
-        def snoop(ndata, dicts, coefs, hyper):
-            # fit evaluates the objective once per completed iteration
-            seen.append(fddl_objective(
-                ndata.Y, list(dicts.class_dicts), coefs.X, ndata.labels,
-                hyper.lambda1, hyper.lambda2,
-            ))
-            return objective_terms(ndata, dicts, coefs, hyper)
+            def snoop(ndata, dicts, coefs, hyper):
+                # fit evaluates the objective once per completed iteration
+                seen.append(fddl_objective(
+                    ndata.Y, list(dicts.class_dicts), coefs.X, ndata.labels,
+                    hyper.lambda1, hyper.lambda2,
+                ))
+                return objective_terms(ndata, dicts, coefs, hyper)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(learner, "objective_terms", snoop)
-            model = fit(data, cfg)
-        assert not model.aborted
-        assert len(seen) == len(model.trace) == hyper.outer_iters
-        for rec, ref in zip(model.trace, seen):
-            assert abs(rec.objective - ref) <= 1e-10 * max(1.0, abs(ref)), (
-                f"iteration {rec.iteration}: {rec.objective!r} vs {ref!r}"
-            )
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(learner, "objective_terms", snoop)
+                model = fit(train, cfg)
+            assert not model.aborted
+            assert len(seen) == len(model.trace) == hyper.outer_iters
+            for rec, ref in zip(model.trace, seen):
+                assert abs(rec.objective - ref) <= 1e-10 * max(1.0, abs(ref)), (
+                    f"iteration {rec.iteration}: {rec.objective!r} vs {ref!r}"
+                )
 
 
 def test_criterion_4_monotone_objective():
@@ -259,11 +291,15 @@ def test_criterion_4_monotone_objective():
             dict(C=10, d=50, n_c=5, k_c=4, k0=6, shared_rank=3, seed=2),
             dict(C=4, d=25, n_c=10, k_c=5, k0=0, shared_rank=0, seed=3),
             dict(C=6, d=40, n_c=8, k_c=4, k0=3, shared_rank=2, seed=4),
+            dict(C=3, d=20, n_c=7, k_c=4, k0=2, shared_rank=2, seed=5, sizes=UNEQUAL),
         ]
         for problem_kw in problems:
             seed = problem_kw.pop("seed")
+            sizes = problem_kw.pop("sizes", None)
             k0 = problem_kw["k0"]
             data, _ = generate_synthetic(noise_sigma=0.1, seed=seed, **problem_kw)
+            if sizes is not None:
+                data = first_samples(data, sizes)
             hyper = HyperParams(
                 lambda1=0.001, lambda2=0.01, eta=0.1,
                 outer_iters=15, fista_iters=50, admm_iters=50,
@@ -309,6 +345,15 @@ def test_criterion_5_coder_benchmark(tmp_path):
             objs = [r.objective for r in trace]
             for a, b in zip(objs, objs[1:]):
                 assert b <= a + 1e-6 * max(1.0, abs(a))
+        # the command takes classes that differ by one sample
+        unequal = drop_last_sample(data_dir, str(tmp_path / "unequal"))
+        code, _ = cli(
+            "bench",
+            "--data", os.path.join(unequal, "Y.lmx"),
+            "--labels", os.path.join(unequal, "labels.csv"),
+            "--iters", "2", "--seed", "0", "--out", str(tmp_path / "bench_unequal"),
+        )
+        assert code == 0
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0, f"benchmark took {elapsed:.0f}s"
 
@@ -376,27 +421,38 @@ def test_criterion_8_determinism_roundtrip(tmp_path):
             "--noise", "0.05", "--seed", "0", "--out", data_dir,
         )
         assert code == 0
-        args = (
-            "train",
-            "--data", os.path.join(data_dir, "Y.lmx"),
-            "--labels", os.path.join(data_dir, "labels.csv"),
-            "--kc", "3", "--k0", "2", "--iters", "3", "--seed", "0",
-        )
-        m1, m2 = str(tmp_path / "m1"), str(tmp_path / "m2")
-        assert cli(*args, "--out", m1)[0] == 0
-        assert cli(*args, "--out", m2)[0] == 0
-        for name in ("D.lmx", "D0.lmx", "means_mc.lmx", "mean_m0.lmx"):
-            with open(os.path.join(m1, name), "rb") as fa:
-                with open(os.path.join(m2, name), "rb") as fb:
-                    assert fa.read() == fb.read(), f"{name} differs across reruns"
+        # the same checks on classes of 5, 5 and 4 samples
+        unequal = drop_last_sample(data_dir, str(tmp_path / "unequal"))
+        for data_dir in (data_dir, unequal):
+            Y_path = os.path.join(data_dir, "Y.lmx")
+            labels_path = os.path.join(data_dir, "labels.csv")
+            args = (
+                "train", "--data", Y_path, "--labels", labels_path,
+                "--kc", "3", "--k0", "2", "--iters", "3", "--seed", "0",
+            )
+            m1, m2 = os.path.join(data_dir, "m1"), os.path.join(data_dir, "m2")
+            assert cli(*args, "--out", m1)[0] == 0
+            assert cli(*args, "--out", m2)[0] == 0
+            for name in ("D.lmx", "D0.lmx", "means_mc.lmx", "mean_m0.lmx"):
+                with open(os.path.join(m1, name), "rb") as fa:
+                    with open(os.path.join(m2, name), "rb") as fb:
+                        assert fa.read() == fb.read(), f"{name} differs across reruns"
 
-        model = load_model(m1)
-        back = load_model(m2)
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            y = rng.standard_normal(model.d)
-            a = classify(y, model)
-            b = classify(y, back)
-            assert a.label == b.label
-            assert np.array_equal(a.per_class_scores, b.per_class_scores)
-            assert np.array_equal(a.code, b.code)
+            model = load_model(m1)
+            back = load_model(m2)
+            # the archive holds the model an in-process fit returns
+            data = Dataset.from_arrays(load_matrix(Y_path), load_labels(labels_path))
+            hyper = HyperParams(outer_iters=3, seed=0)
+            fitted = fit(data, TrainConfig(hyper=hyper, k_c=3, k0=2))
+            assert np.array_equal(model.dict_bundle.D_total, fitted.dict_bundle.D_total)
+            assert np.array_equal(model.mean_stats.class_means, fitted.mean_stats.class_means)
+            assert np.array_equal(model.mean_stats.shared_mean, fitted.mean_stats.shared_mean)
+            assert [r.objective for r in model.trace] == [r.objective for r in fitted.trace]
+            rng = np.random.default_rng(7)
+            for _ in range(5):
+                y = rng.standard_normal(model.d)
+                a = classify(y, model)
+                b = classify(y, back)
+                assert a.label == b.label
+                assert np.array_equal(a.per_class_scores, b.per_class_scores)
+                assert np.array_equal(a.code, b.code)

@@ -1,13 +1,14 @@
 """Property tests of the class-layout helpers and the k0=0 reduction.
 
-Codes follow the class layout: C contiguous column blocks of n_c columns,
-one per class. On generated C, n_c and K (C=1 and n_c=1 included),
-class_means, fisher_mean_map, fisher_value with its gradient 4 X plus the
-class-mean product X Q, and mean_stats are checked against the per-label
-loop in oracles.column_means_by_class and against finite differences, and
-with no shared dictionary the training objective must equal the literal
-FDDL objective. A Dataset reads C and n_c
-off its labels, however it is built, and rejects a bad layout when built.
+Codes follow the class layout: C contiguous column blocks, one per class,
+of n_1, ..., n_C columns. On generated layouts, each class size drawn on
+its own in 1..4 (C=1 and size 1 included), class_means, fisher_mean_map,
+fisher_value with its gradient 4 X plus the class-mean product X Q S, and
+mean_stats are checked against the per-label loop in
+oracles.column_means_by_class and against finite differences, and with no
+shared dictionary the training objective must equal the literal FDDL
+objective. A Dataset reads C and its class sizes off its labels, however
+it is built, and rejects a bad layout when built.
 """
 
 import dataclasses
@@ -33,13 +34,15 @@ from lrsdl.gradients import fisher_value, objective_terms
 
 from oracles import column_means_by_class, fd_grad, fddl_objective, rel_err
 
-shapes = dict(C=st.integers(1, 4), n_c=st.integers(1, 4), K=st.integers(1, 5))
+class_sizes = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
+shapes = dict(sizes=class_sizes, K=st.integers(1, 5))
 
 
-def layout(C, n_c, K, seed):
-    """Random codes (K x C n_c) and their class-contiguous labels."""
-    X = np.random.default_rng(seed).standard_normal((K, C * n_c))
-    return X, np.repeat(np.arange(1, C + 1), n_c)
+def layout(sizes, K, seed):
+    """Random codes (K x N) and their class-contiguous labels, sizes[c - 1]
+    columns of class c."""
+    X = np.random.default_rng(seed).standard_normal((K, sum(sizes)))
+    return X, np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
 
 def literal_fisher(X, labels):
@@ -56,10 +59,10 @@ def literal_fisher(X, labels):
 
 @settings(max_examples=60, deadline=None)
 @given(**shapes, seed=st.integers(0, 2**32 - 1))
-def test_class_means_match_per_label_loop(C, n_c, K, seed):
-    X, labels = layout(C, n_c, K, seed)
-    cm = class_means(X, C)
-    assert cm.shape == (K, C)
+def test_class_means_match_per_label_loop(sizes, K, seed):
+    X, labels = layout(sizes, K, seed)
+    cm = class_means(X, sizes)
+    assert cm.shape == (K, len(sizes))
     _, means = column_means_by_class(X, labels)
     for c, mc in means.items():
         np.testing.assert_allclose(cm[:, c - 1], mc, rtol=1e-13, atol=1e-14)
@@ -67,47 +70,46 @@ def test_class_means_match_per_label_loop(C, n_c, K, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    C=st.integers(1, 5),
-    n=st.integers(1, 6),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5).map(tuple),
     K=st.integers(1, 6),
     all_classes=st.booleans(),
-    # a lambda2 near the underflow threshold makes lambda2 / (n C) a
+    # a lambda2 near the underflow threshold makes lambda2 / (n N) a
     # subnormal, which no float64 Q holds to 1e-13 relative accuracy
     lambda2=st.just(0.0) | st.floats(1e-300, 10.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fisher_mean_map_matches_per_label_loop(C, n, K, all_classes, lambda2, seed):
-    # a joint solve holds all C class blocks, a sequential solve one
-    blocks = C if all_classes else 1
-    W, labels = layout(blocks, n, K, seed)
-    Q = fisher_mean_map(blocks, n, C, lambda2)
-    assert Q.shape == (blocks * n, blocks)
+def test_fisher_mean_map_matches_per_label_loop(sizes, K, all_classes, lambda2, seed):
+    # a joint solve holds all C class blocks, a sequential solve the last
+    group = sizes if all_classes else sizes[-1:]
+    W, labels = layout(group, K, seed)
+    Q, S = fisher_mean_map(group, sum(sizes), lambda2)
+    assert Q.shape == (sum(group), len(group)) and S.shape == Q.shape[::-1]
     _, means = column_means_by_class(W, labels)
-    total = sum(means.values())
-    want = np.column_stack([lambda2 * (total / C - 2.0 * means[b]) for b in range(1, blocks + 1)])
+    total = sum(n * means[b] for b, n in enumerate(group, 1))
+    want = [lambda2 * (total / sum(sizes) - 2.0 * means[b]) for b in labels]
     scale = lambda2 * float(np.abs(W).max())
-    np.testing.assert_allclose(W @ Q, want, rtol=1e-13, atol=1e-13 * scale)
+    np.testing.assert_allclose(W @ Q @ S, np.column_stack(want), rtol=1e-13, atol=1e-13 * scale)
 
 
 @settings(max_examples=60, deadline=None)
 @given(**shapes, seed=st.integers(0, 2**32 - 1))
-def test_fisher_value_and_gradient(C, n_c, K, seed):
-    X, labels = layout(C, n_c, K, seed)
+def test_fisher_value_and_gradient(sizes, K, seed):
+    X, labels = layout(sizes, K, seed)
     want = literal_fisher(X, labels)
-    assert abs(fisher_value(X, C) - want) <= 1e-11 * max(1.0, abs(want))
+    assert abs(fisher_value(X, sizes) - want) <= 1e-11 * max(1.0, abs(want))
     # f is quadratic, so central differences are exact up to round-off
-    fd = fd_grad(lambda M: fisher_value(M, C), X, eps=1e-3)
-    grad = 4.0 * X + np.repeat(X @ fisher_mean_map(C, n_c, C, 2.0), n_c, axis=1)
-    assert rel_err(grad, fd) < 1e-7
+    fd = fd_grad(lambda M: fisher_value(M, sizes), X, eps=1e-3)
+    Q, S = fisher_mean_map(sizes, X.shape[1], 2.0)
+    assert rel_err(4.0 * X + X @ Q @ S, fd) < 1e-7
 
 
 @settings(max_examples=60, deadline=None)
 @given(**shapes, k_c=st.integers(1, 3), k0=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
-def test_mean_stats_match_per_label_loop(C, n_c, K, k_c, k0, seed):
+def test_mean_stats_match_per_label_loop(sizes, K, k_c, k0, seed):
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((C * k_c, C * n_c))
-    X0 = rng.standard_normal((k0, C * n_c))
-    labels = np.repeat(np.arange(1, C + 1), n_c)
+    X = rng.standard_normal((len(sizes) * k_c, sum(sizes)))
+    X0 = rng.standard_normal((k0, sum(sizes)))
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     ms = mean_stats(CoefBundle(X=X, X0=X0), labels)
     _, means = column_means_by_class(X, labels)
     for c, mc in means.items():
@@ -117,24 +119,24 @@ def test_mean_stats_match_per_label_loop(C, n_c, K, k_c, k0, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    C=st.integers(1, 3),
-    n_c=st.integers(1, 4),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
     k_c=st.integers(1, 3),
     d=st.integers(2, 8),
     lambda1=st.floats(0.0, 1.0),
     lambda2=st.floats(0.0, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_no_shared_dictionary_is_fddl(C, n_c, k_c, d, lambda1, lambda2, seed):
+def test_no_shared_dictionary_is_fddl(sizes, k_c, d, lambda1, lambda2, seed):
     rng = np.random.default_rng(seed)
-    labels = np.repeat(np.arange(1, C + 1), n_c)
-    data = Dataset.from_arrays(rng.standard_normal((d, C * n_c)), labels)
+    C, N = len(sizes), sum(sizes)
+    labels = np.repeat(np.arange(1, C + 1), sizes)
+    data = Dataset.from_arrays(rng.standard_normal((d, N)), labels)
     class_dicts = tuple(
         normalize_columns(rng.standard_normal((d, k_c)), warn=False) for _ in range(C)
     )
     dicts = DictionaryBundle(class_dicts=class_dicts, shared_dict=np.zeros((d, 0)))
-    X = rng.standard_normal((C * k_c, C * n_c))
-    coefs = CoefBundle(X=X, X0=np.zeros((0, C * n_c)))
+    X = rng.standard_normal((C * k_c, N))
+    coefs = CoefBundle(X=X, X0=np.zeros((0, N)))
     hyper = HyperParams(lambda1=lambda1, lambda2=lambda2, eta=0.3)
     mine = objective_terms(data, dicts, coefs, hyper).total
     want = fddl_objective(data.Y, list(class_dicts), X, labels, lambda1, lambda2)
@@ -169,17 +171,17 @@ def test_labels_that_are_not_integers_rejected(call, labels):
 
 
 @settings(max_examples=40, deadline=None)
-@given(C=st.integers(1, 4), n_c=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_dataset_reads_layout_off_labels(C, n_c, seed):
+@given(sizes=class_sizes, seed=st.integers(0, 2**32 - 1))
+def test_dataset_reads_layout_off_labels(sizes, seed):
     rng = np.random.default_rng(seed)
-    Y = rng.standard_normal((3, C * n_c))
-    labels = np.repeat(np.arange(1, C + 1), n_c)
-    shuffled = rng.permutation(C * n_c)
+    Y = rng.standard_normal((3, sum(sizes)))
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    shuffled = rng.permutation(sum(sizes))
     sorted_input = Dataset.from_arrays(Y[:, shuffled], labels[shuffled])
     direct = Dataset(Y=Y, labels=labels)
     rescaled = dataclasses.replace(sorted_input, Y=2 * sorted_input.Y)
     for data in (sorted_input, direct, rescaled):
-        assert (data.C, data.n_c) == (C, n_c)
+        assert (data.C, data.sizes) == (len(sizes), sizes)
         assert np.array_equal(data.labels, labels)
 
 
@@ -191,7 +193,7 @@ def test_dataset_reads_layout_off_labels(C, n_c, seed):
         (np.zeros((3, 4)), [True, True, True, True], DataError),
         (np.zeros((3, 4)), [1, 2], DimensionError),
         (np.zeros((3, 4)), [2, 2, 1, 1], DomainError),
-        (np.zeros((3, 4)), [1, 1, 1, 2], DomainError),
+        (np.zeros((3, 4)), [1, 1, 3, 3], DomainError),
         (np.array([[0.0, np.nan, 0.0, 0.0]]), [1, 1, 2, 2], DataError),
         (np.zeros(4), [1, 1, 2, 2], DimensionError),
     ],
@@ -201,7 +203,7 @@ def test_dataset_reads_layout_off_labels(C, n_c, seed):
         "bool-labels",
         "short-labels",
         "unsorted-labels",
-        "unequal-classes",
+        "missing-class",
         "nan-sample",
         "1-d-samples",
     ],
@@ -210,3 +212,9 @@ def test_dataset_checks_samples_and_labels_when_built(Y, labels, error):
     # never truncated to a layout or trained on before the error
     with pytest.raises(error):
         Dataset(Y=Y, labels=labels)
+
+
+def test_dataset_accepts_unequal_classes():
+    data = Dataset(Y=np.zeros((3, 4)), labels=[1, 1, 1, 2])
+    assert (data.C, data.sizes) == (2, (3, 1))
+    assert check_class_layout(np.array([1, 2, 2, 2]), 4) == (1, 3)

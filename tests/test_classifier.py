@@ -30,7 +30,6 @@ from lrsdl.data import (
 from lrsdl.errors import (
     DataError,
     DimensionError,
-    DomainError,
     NumericalError,
     ParameterError,
 )
@@ -358,15 +357,16 @@ class TestEvaluate:
             evaluate(two_class, model)
 
     def test_plain_samples_with_unequal_class_counts(self):
-        # a held-out set that Dataset refuses: 5, 2 and 1 samples per class,
-        # in no particular order
+        # a held-out set of 5, 2 and 1 samples per class, in no particular
+        # order, as plain samples and as the Dataset they sort into
         data, model = fitted_model(seed=24)
         cols = np.array([0, 1, 2, 3, 4, 6, 7, 12])
         order = np.random.default_rng(25).permutation(cols.size)
         Y, labels = data.Y[:, cols[order]], data.labels[cols[order]]
-        with pytest.raises(DomainError):
-            Dataset.from_arrays(Y, labels)
+        held_out = Dataset.from_arrays(Y, labels)
+        assert held_out.sizes == (5, 2, 1)
         acc, confusion = evaluate((Y, labels), model)
+        assert np.array_equal(evaluate(held_out, model)[1], confusion)
         preds = [classify(Y[:, j], model).label for j in range(cols.size)]
         assert acc == pytest.approx(np.mean(np.array(preds) == labels))
         assert np.array_equal(confusion.sum(axis=1), [5, 2, 1])

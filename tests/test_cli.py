@@ -10,12 +10,12 @@ import os
 import numpy as np
 import pytest
 
-from lrsdl import learner
+from lrsdl import cli, learner
 from lrsdl.archive import _parse_trace, load_model
 from lrsdl.classifier import classify
 from lrsdl.cli import main
 from lrsdl.errors import NumericalError
-from lrsdl.matio import load_matrix, save_matrix
+from lrsdl.matio import load_labels, load_matrix, save_labels, save_matrix
 
 
 def run(capsys, *argv):
@@ -370,6 +370,30 @@ class TestBench:
             trace = _parse_trace(os.path.join(out, name))
             assert len(trace) == 2
             assert [r.iteration for r in trace] == [1, 2]
+
+    def test_kc_is_the_smallest_class_size(self, capsys, tmp_path, monkeypatch):
+        # classes of 4, 4 and 3 samples: k_c = 3, so no atom is drawn twice
+        data = str(tmp_path / "data")
+        synth(capsys, data, classes=3, dim=12, per_class=4, kc=4, k0=0)
+        Y = load_matrix(os.path.join(data, "Y.lmx"))
+        labels = load_labels(os.path.join(data, "labels.csv"))
+        save_matrix(Y[:, :-1], os.path.join(data, "Y.lmx"))
+        save_labels(labels[:-1], os.path.join(data, "labels.csv"))
+        configs = []
+
+        def recording(data, config):
+            configs.append(config)
+            return learner.bench_joint_vs_sequential(data, config)
+
+        monkeypatch.setattr(cli, "bench_joint_vs_sequential", recording)
+        code, stdout, _ = run(
+            capsys, "bench",
+            "--data", os.path.join(data, "Y.lmx"),
+            "--labels", os.path.join(data, "labels.csv"),
+            "--iters", "2", "--out", str(tmp_path / "bench"),
+        )
+        assert code == 0 and stdout.startswith("joint_final=")
+        assert [c.k_c for c in configs] == [3]
 
     @pytest.mark.parametrize("abort_call", [1, 3])
     def test_aborted_fit_exit_3_without_comparison(

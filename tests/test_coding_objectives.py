@@ -2,8 +2,8 @@
 
 Each site builds its objective with SmoothObjective.quadratic, and fista
 takes its value from the gradient as g(W) - g(0) = 1/2 <W, grad(W) +
-grad(0)>, only defined up to the constant g(0). On generated shapes, seeds
-and weights, differences of that value must equal differences of the
+grad(0)>, only defined up to the constant g(0). On generated shapes (each
+class size drawn on its own), seeds and weights, differences of that value must equal differences of the
 literal objective of that site, evaluated independently:
 
 * joint class codes: fidelity + 1/2 lambda2 Fisher from objective_terms,
@@ -94,8 +94,7 @@ def smooth_terms(data, dicts, X, X0, hyper):
 @pytest.mark.parametrize("shared", [False, True])
 @settings(max_examples=25, deadline=None)
 @given(
-    C=st.integers(1, 3),
-    n_c=st.integers(1, 4),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
     k_c=st.integers(1, 3),
     k0=st.integers(1, 3),
     d=st.integers(2, 8),
@@ -104,13 +103,13 @@ def smooth_terms(data, dicts, X, X0, hyper):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_site_values_match_literal_objectives(
-    shared, C, n_c, k_c, k0, d, n_test, lambda2, seed
+    shared, sizes, k_c, k0, d, n_test, lambda2, seed
 ):
     k0 = k0 if shared else 0
     rng = np.random.default_rng(seed)
-    N = C * n_c
+    C, N = len(sizes), sum(sizes)
     data = Dataset.from_arrays(
-        normalize_columns(rng.standard_normal((d, N))), np.repeat(np.arange(1, C + 1), n_c)
+        normalize_columns(rng.standard_normal((d, N))), np.repeat(np.arange(1, C + 1), sizes)
     )
     dicts = DictionaryBundle(
         class_dicts=tuple(normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)),
@@ -165,6 +164,7 @@ def test_site_values_match_literal_objectives(
             X[:, cols] = W
             return sum(smooth_terms(data, dicts, X, coefs.X0, hyper))
 
+        n_c = sizes[i % C]
         assert_same_differences(obj, block_literal, *draw((K, n_c)))
         assert_step_size(obj, H_class, (K, n_c))
     if k0:

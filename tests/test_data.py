@@ -34,7 +34,7 @@ def _rand_dataset(seed=0, C=2, d=5, n_c=3):
 class TestDataset:
     def test_from_arrays_sorted_passthrough(self):
         data = _rand_dataset()
-        assert data.C == 2 and data.n_c == 3 and data.N == 6 and data.d == 5
+        assert data.C == 2 and data.sizes == (3, 3) and data.N == 6 and data.d == 5
         Y = np.random.default_rng(0).standard_normal((5, 6))
         assert np.array_equal(data.Y, Y)
 
@@ -59,10 +59,12 @@ class TestDataset:
         with pytest.raises(DomainError):
             data.class_columns(3)
 
-    def test_unequal_class_sizes_rejected(self):
-        Y = np.zeros((3, 5))
-        with pytest.raises(DomainError):
-            Dataset.from_arrays(Y, [1, 1, 1, 2, 2])
+    def test_unequal_class_sizes_accepted(self):
+        Y = np.arange(10.0).reshape(2, 5)
+        data = Dataset.from_arrays(Y, [2, 1, 1, 2, 1])
+        assert data.C == 2 and data.sizes == (3, 2)
+        assert data.class_columns(2) == slice(3, 5)
+        assert np.array_equal(data.class_block(2), Y[:, [0, 3]])
 
     def test_missing_class_rejected(self):
         Y = np.zeros((3, 4))
@@ -201,6 +203,11 @@ class TestDictionaryBundle:
             DictionaryBundle(
                 class_dicts=(np.eye(3), np.eye(4)), shared_dict=np.zeros((3, 0))
             )
+
+    @pytest.mark.parametrize("first", [np.ones(3), np.ones((3, 3, 1))], ids=["1-d", "3-d"])
+    def test_class_dictionary_that_is_not_2d_rejected(self, first):
+        with pytest.raises(DimensionError, match="need 2-d class dictionaries"):
+            DictionaryBundle(class_dicts=(first, np.eye(3)), shared_dict=np.zeros((3, 0)))
 
 
 class TestCoefBundle:

@@ -66,14 +66,14 @@ class TestAssembleClassProblem:
     def test_zero_codes_give_zero_problem(self):
         data, dicts, _ = random_problem(0)
         coefs = CoefBundle(X=np.zeros((dicts.K, data.N)), X0=np.zeros((dicts.k0, data.N)))
-        F, E = class_dict_gram(coefs, data.Y, dicts.C)
+        F, E = class_dict_gram(coefs, data.Y, data.sizes)
         assert F.shape == (dicts.K, dicts.K) and E.shape == (dicts.d, dicts.K)
         assert np.array_equal(F, np.zeros_like(F))
         assert np.array_equal(E, np.zeros_like(E))
 
     def test_single_class_closed_form(self):
         data, dicts, coefs = random_problem(1, C=1, k0=0)
-        F, E = class_dict_gram(coefs, data.Y, dicts.C)
+        F, E = class_dict_gram(coefs, data.Y, data.sizes)
         X = coefs.X
         assert np.allclose(F, 2.0 * X @ X.T, atol=1e-12)
         assert np.allclose(E, 2.0 * data.Y @ X.T, atol=1e-12)
@@ -82,7 +82,7 @@ class TestAssembleClassProblem:
         # d/dD of the summed (unhalved) fidelity is 2 (D F - E)
         data, dicts, coefs = random_problem(2)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        F, E = class_dict_gram(coefs, shifted, dicts.C)
+        F, E = class_dict_gram(coefs, shifted, data.sizes)
         D = np.array(dicts.D)
 
         def f(M):
@@ -100,7 +100,7 @@ class TestAssembleClassProblem:
         data, dicts, coefs = random_problem(3)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
         rng = np.random.default_rng(4)
-        F, E = class_dict_gram(coefs, shifted, dicts.C)
+        F, E = class_dict_gram(coefs, shifted, data.sizes)
         D = np.array(dicts.D)
         rows = dicts.row_block(2)
         cross = F[:, rows].copy()

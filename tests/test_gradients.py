@@ -92,11 +92,11 @@ def quadratic_grad(H, B, X):
     return SmoothObjective.quadratic(H, B, 1.0).grad(X)
 
 
-def fisher_mean_part(X, C):
-    """X Q for the Fisher map with lambda2 = 2, repeated over each class
-    block: the class-mean part of the gradient of f, which is 4 X plus it."""
-    n = X.shape[1] // C
-    return np.repeat(X @ fisher_mean_map(C, n, C, 2.0), n, axis=1)
+def fisher_mean_part(X, sizes):
+    """X Q S for the Fisher map with lambda2 = 2 on class blocks of `sizes`:
+    the class-mean part of the gradient of f, which is 4 X plus it."""
+    Q, S = fisher_mean_map(sizes, X.shape[1], 2.0)
+    return X @ Q @ S
 
 
 class TestColumnMeans:
@@ -104,7 +104,7 @@ class TestColumnMeans:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((4, 9))
         labels = np.repeat([1, 2, 3], 3)
-        cm = class_means(X, 3)
+        cm = class_means(X, (3, 3, 3))
         _, by_class = column_means_by_class(X, labels)
         for c, mean in by_class.items():
             assert np.max(np.abs(cm[:, c - 1] - mean)) < 1e-14
@@ -120,10 +120,11 @@ class TestColumnMeans:
             with pytest.raises(DomainError):
                 call()
 
-    def test_unequal_classes_rejected(self):
-        coefs = CoefBundle(X=np.zeros((2, 3)), X0=np.zeros((0, 3)))
-        with pytest.raises(DomainError):
-            mean_stats(coefs, np.array([1, 1, 2]))
+    def test_unequal_classes_accepted(self):
+        X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        coefs = CoefBundle(X=X, X0=np.zeros((0, 3)))
+        means = mean_stats(coefs, np.array([1, 1, 2]))
+        assert np.array_equal(means.class_means, [[1.5, 3.0], [4.5, 6.0]])
 
 
 class TestResidualMatrices:
@@ -149,7 +150,7 @@ class TestAugmentedGram:
         d, k, n = 6, 4, 5
         dicts = random_bundle(rng, d, 1, k, 0)
         Ys = rng.standard_normal((d, n))
-        G, corr = build_augmented_gram(dicts, Ys, 0.0)
+        G, corr = build_augmented_gram(dicts, Ys, (n,), 0.0)
         DtD = dicts.D.T @ dicts.D
         X = rng.standard_normal((k, n))
         assert np.allclose(G @ X, 2.0 * DtD @ X, atol=1e-12)
@@ -162,21 +163,21 @@ class TestAugmentedGram:
         cds = tuple(Q[:, c * k_c : (c + 1) * k_c] for c in range(C))
         dicts = DictionaryBundle(class_dicts=cds, shared_dict=np.zeros((d, 0)))
         Ys = np.random.default_rng(7).standard_normal((d, C * n_c))
-        G, _ = build_augmented_gram(dicts, Ys, 0.0)
+        G, _ = build_augmented_gram(dicts, Ys, (n_c,) * C, 0.0)
         X = np.random.default_rng(8).standard_normal((C * k_c, C * n_c))
         assert np.allclose(G @ X, 2.0 * X, atol=1e-10)
 
     def test_combined_symmetric_psd(self):
         data, dicts, coefs = random_problem(9)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        G, _ = build_augmented_gram(dicts, shifted, 0.0)
+        G, _ = build_augmented_gram(dicts, shifted, data.sizes, 0.0)
         assert np.array_equal(G, G.T)
         assert np.linalg.eigvalsh(G)[0] > -1e-10
 
     def test_combined_matches_dense_construction(self):
         data, dicts, coefs = random_problem(10)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        G, _ = build_augmented_gram(dicts, shifted, 0.0)
+        G, _ = build_augmented_gram(dicts, shifted, data.sizes, 0.0)
         dense = dicts.D.T @ dicts.D
         for c in range(1, dicts.C + 1):
             rows = dicts.row_block(c)
@@ -189,8 +190,8 @@ class TestAugmentedGram:
         # every other entry and the correlation are those of lambda2 = 0
         data, dicts, coefs = random_problem(12)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        G0, corr0 = build_augmented_gram(dicts, shifted, 0.0)
-        G, corr = build_augmented_gram(dicts, shifted, 0.7)
+        G0, corr0 = build_augmented_gram(dicts, shifted, data.sizes, 0.0)
+        G, corr = build_augmented_gram(dicts, shifted, data.sizes, 0.7)
         diag = np.eye(dicts.K, dtype=bool)
         assert np.array_equal(G[diag], G0[diag] + 2.0 * 0.7)
         assert np.array_equal(G[~diag], G0[~diag])
@@ -204,7 +205,7 @@ class TestGradFidelity:
     def test_zero_codes_give_minus_correlation(self):
         data, dicts, coefs = random_problem(12)
         shifted = data.Y - dicts.shared_dict @ coefs.X0
-        _, corr = build_augmented_gram(dicts, shifted, 0.0)
+        _, corr = build_augmented_gram(dicts, shifted, data.sizes, 0.0)
         obj = class_code_objective(data, dicts, coefs, lambda2=0.7)
         assert np.array_equal(obj.grad(np.zeros_like(coefs.X)), -corr)
 
@@ -232,7 +233,7 @@ class TestGradFidelity:
         obj = class_code_objective(data, dicts, coefs, lambda2=0.0)
 
         def f(X):
-            return fidelity_value(shifted, dicts, X)
+            return fidelity_value(shifted, dicts, X, data.sizes)
 
         fd = fd_grad(f, coefs.X, eps=1e-6)
         assert rel_err(obj.grad(coefs.X), fd) < 1e-4
@@ -256,7 +257,7 @@ class TestFidelityValue:
         for seed in range(5):
             data, dicts, coefs = random_problem(20 + seed)
             shifted = data.Y - dicts.shared_dict @ coefs.X0
-            mine = fidelity_value(shifted, dicts, coefs.X)
+            mine = fidelity_value(shifted, dicts, coefs.X, data.sizes)
             ref = stacked_fidelity(
                 shifted, list(dicts.class_dicts), coefs.X, data.labels
             )
@@ -281,7 +282,7 @@ class TestFidelityValue:
         shifted = rng.standard_normal((d, C * n_c))
         X = rng.standard_normal((C * k_c, C * n_c)) * (not zero_codes)
         labels = np.repeat(np.arange(1, C + 1), n_c)
-        mine = fidelity_value(shifted, dicts, X)
+        mine = fidelity_value(shifted, dicts, X, (n_c,) * C)
         ref = stacked_fidelity(shifted, list(dicts.class_dicts), X, labels)
         assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
@@ -290,7 +291,7 @@ class TestFidelityValue:
         X = np.zeros((dicts.K, data.N))
         # all three residual pieces collapse to the data itself
         want = float(np.sum(data.Y**2))
-        assert fidelity_value(data.Y, dicts, X) == pytest.approx(want)
+        assert fidelity_value(data.Y, dicts, X, data.sizes) == pytest.approx(want)
 
 
 class TestGramClassCodes:
@@ -304,8 +305,8 @@ class TestGramClassCodes:
         obj = class_code_objective(data, dicts, coefs, lam2)
 
         def f(M):
-            fidelity = fidelity_value(shifted, dicts, M)
-            return fidelity + 0.5 * lam2 * fisher_value(M, data.C)
+            fidelity = fidelity_value(shifted, dicts, M, data.sizes)
+            return fidelity + 0.5 * lam2 * fisher_value(M, data.sizes)
 
         assert rel_err(obj.grad(coefs.X), fd_grad(f, coefs.X, eps=1e-6)) < 1e-7
 
@@ -316,29 +317,29 @@ class TestGradFisher:
 
     def test_two_scalar_columns(self):
         X = np.array([[1.0, 3.0]])
-        assert np.allclose(4.0 * X + fisher_mean_part(X, 2), [[4.0, 4.0]])
+        assert np.allclose(4.0 * X + fisher_mean_part(X, (1, 1)), [[4.0, 4.0]])
 
     def test_identical_columns_reduce_to_two_x(self):
         rng = np.random.default_rng(27)
         col = rng.standard_normal(5)
         X = np.tile(col[:, None], (1, 6))
-        assert np.allclose(fisher_mean_part(X, 3), -2.0 * X, atol=1e-12)
+        assert np.allclose(fisher_mean_part(X, (1, 2, 3)), -2.0 * X, atol=1e-12)
 
     def test_finite_difference_through_means(self):
         rng = np.random.default_rng(28)
         X = rng.standard_normal((6, 8))
 
         def f(M):
-            return fisher_value(M, 2)
+            return fisher_value(M, (3, 5))
 
         fd = fd_grad(f, X, eps=1e-6)
-        assert rel_err(4.0 * X + fisher_mean_part(X, 2), fd) < 1e-4
+        assert rel_err(4.0 * X + fisher_mean_part(X, (3, 5)), fd) < 1e-4
 
     def test_fisher_value_nonnegative(self):
         # f(X) >= 0: within-class scatter minus between-class plus ||X||^2
         for seed in range(10):
             X = np.random.default_rng(seed).standard_normal((5, 9))
-            assert fisher_value(X, 3) >= -1e-10
+            assert fisher_value(X, (2, 3, 4)) >= -1e-10
 
     def test_label_length_checked(self):
         coefs = CoefBundle(X=np.zeros((2, 4)), X0=np.zeros((0, 4)))

@@ -1,9 +1,9 @@
 """Module layering of the package, read from the source with ast.
 
 No module reaches into another one's private (_underscore) names, and the
-solver module prox is a leaf: of the package it imports only errors, so a
-coding problem's structure (classes, blocks, weights) reaches the solver
-through its arguments only.
+solver module prox is a leaf: of the package it imports only errors and it
+reshapes nothing, so a coding problem's structure (classes, blocks,
+weights) reaches the solver through its arguments only.
 
 Shapes are checked where they enter: check_shapes runs at the coders'
 shared step and at objective_terms only, and the builders between the
@@ -87,6 +87,9 @@ def test_no_private_name_imported_across_modules(module):
 def test_prox_imports_only_errors_from_the_package():
     sources = {source for source, _ in package_imports("prox")}
     assert sources == {"errors"}
+    # nor does it reshape by a block count: a spread is handed to it whole
+    tree = ast.parse((SRC / "prox.py").read_text())
+    assert "reshape" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
 
 
 def top_functions(module):

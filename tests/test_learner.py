@@ -127,6 +127,20 @@ class TestInitialize:
         assert dicts.k_c == 6
         assert any("replacement" in r.message for r in caplog.records)
 
+    def test_oversampling_warning_names_the_smallest_class(self, caplog):
+        # classes of 8, 3, 8 and 5 samples: only class 2 has fewer than 4
+        data = small_data(7)
+        cols = np.concatenate([np.arange(8), np.arange(8, 11), np.arange(16, 29)])
+        data = normalized(Dataset(Y=data.Y[:, cols], labels=data.labels[cols]))
+        import logging
+
+        with caplog.at_level(logging.WARNING, logger="lrsdl.learner"):
+            initialize(data, TrainConfig(k_c=4, k0=0), seed=0)
+            initialize(data, TrainConfig(k_c=3, k0=0), seed=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "k_c=4 exceeds the 3 samples of class 2, the smallest; drawn with replacement"
+        ]
+
 
 class TestSparseCodeTrain:
     def setup_method(self):

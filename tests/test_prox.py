@@ -650,7 +650,7 @@ def test_fista_matches_direct_gradient_loop(n, m, lam, warm, per_column, max_ite
 
 class TestQuadraticObjective:
     """SmoothObjective.quadratic from a Gram pair (H, B) and an optional
-    Fisher class-mean map Q (data.fisher_mean_map). fista takes g(W) - g(0) as
+    Fisher class-mean map (Q, S) (data.fisher_mean_map). fista takes g(W) - g(0) as
     1/2 <W, grad(W) + grad(0)>, so that is the value checked here."""
 
     def setup_method(self):
@@ -661,18 +661,18 @@ class TestQuadraticObjective:
         self.rng = rng
 
     def explicit(self, W, fisher=None):
-        """1/2 <W, H W> - <B, W>, plus for fisher = (lambda2, blocks, C)
-        the term lambda2 n (||sum_b M_b||^2 / (2 C) - sum_b ||M_b||^2) over
-        the means M_b of the blocks of n columns, whose gradient at a
-        column of block b is lambda2 (sum_b M_b / C - 2 M_b)."""
+        """1/2 <W, H W> - <B, W>, plus for fisher = (lambda2, sizes, N) the
+        term lambda2 (||sum_b n_b M_b||^2 / (2 N) - sum_b n_b ||M_b||^2)
+        over the means M_b of the blocks of n_b = sizes[b] columns, whose
+        gradient at a column of block b is lambda2 (sum_b n_b M_b / N - 2 M_b)."""
         v = 0.5 * float(np.sum(W * (self.H @ W))) - float(np.sum(self.B * W))
         if fisher is not None:
-            lambda2, blocks, C = fisher
-            n = W.shape[1] // blocks
-            M = W.reshape(W.shape[0], blocks, n).mean(axis=2)
-            v += lambda2 * n * (
-                float(np.sum(M.sum(axis=1) ** 2)) / (2 * C) - float(np.sum(M * M))
-            )
+            lambda2, sizes, N = fisher
+            ends = np.cumsum(sizes)
+            M = [W[:, e - n : e].mean(axis=1) for n, e in zip(sizes, ends)]
+            total = sum(n * m for n, m in zip(sizes, M))
+            own = sum(n * float(m @ m) for n, m in zip(sizes, M))
+            v += lambda2 * (float(total @ total) / (2 * N) - own)
         return v
 
     @staticmethod
@@ -680,14 +680,14 @@ class TestQuadraticObjective:
         return 0.5 * float(np.vdot(W, obj.grad(W) + obj.grad(np.zeros_like(W))))
 
     def test_value_matches_explicit_quadratic(self):
-        # joint class codes (3 blocks of 3 classes), a sequential block
-        # (1 block of 4 classes) and no Fisher term
-        for fisher in (None, (0.7, 3, 3), (0.7, 1, 4)):
-            Q = None
+        # joint class codes (3 classes of 1, 2 and 3 columns), a sequential
+        # block (one class of 6 out of 15 columns) and no Fisher term
+        for fisher in (None, (0.7, (1, 2, 3), 6), (0.7, (6,), 15)):
+            pair = None
             if fisher is not None:
-                lambda2, blocks, C = fisher
-                Q = fisher_mean_map(blocks, 6 // blocks, C, lambda2)
-            obj = SmoothObjective.quadratic(self.H, self.B, 1.0, fisher=Q)
+                lambda2, sizes, N = fisher
+                pair = fisher_mean_map(sizes, N, lambda2)
+            obj = SmoothObjective.quadratic(self.H, self.B, 1.0, fisher=pair)
             assert np.array_equal(obj.grad(np.zeros((5, 6))), -self.B)
             for _ in range(5):
                 W = self.rng.standard_normal((5, 6))
