@@ -8,12 +8,12 @@ of the code to the class's training code mean. Smallest score wins.
 
 classify takes one sample (d,) or a batch (d, N), and it alone checks and
 unit normalizes it; encode_test and class_scores are its steps on that
-(d, N) batch, and only score_predictions checks labels. Test coding codes
-one sample as a batch of one column, in one FISTA solve over the
-precomputed Gram matrix; in a batch of two or more, the safeguard accepts,
-rejects, restarts and stops each column on its own, so each sample takes
-the steps a solve of it alone takes. Only round-off differs (BLAS sums a
-matrix product in another order than a matrix-vector one).
+(d, N) batch, and score_predictions checks labels (errors.check_labels).
+Test coding codes one sample as a batch of one column, in one FISTA solve
+over the precomputed Gram matrix; in a batch of two or more, the safeguard
+accepts, rejects, restarts and stops each column on its own, so each sample
+takes the steps a solve of it alone takes. Only round-off differs (BLAS sums
+a matrix product in another order than a matrix-vector one).
 """
 
 import logging
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, normalize_columns
-from .errors import DataError, DimensionError, NumericalError, ParameterError
+from .errors import DataError, DimensionError, NumericalError, ParameterError, check_labels
 from .gradients import gram_test_code
 from .prox import SmoothObjective, fista, power_iteration_lipschitz
 
@@ -60,7 +60,7 @@ def _unit_samples(Y, d):
     zero = ~Y.any(axis=0)  # the samples are finite
     if zero.any():
         log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())
-    return normalize_columns(Y, warn=False)
+    return normalize_columns(Y)
 
 
 def test_coding_lipschitz(H):
@@ -118,8 +118,7 @@ def score_predictions(labels, predicted, C):
     confusion[i, j] counts true class i+1 predicted as j+1, so rows sum
     to the per-class counts. True labels that are not 1-D or not shaped
     like the predictions raise DimensionError; no samples, or true or
-    predicted labels that are not integers (``bool`` included) or lie
-    outside 1..C, raise DataError.
+    predicted labels that fail errors.check_labels with C, raise DataError.
     """
     labels, predicted = np.asarray(labels), np.asarray(predicted)
     if labels.ndim != 1 or labels.shape != predicted.shape:
@@ -128,11 +127,8 @@ def score_predictions(labels, predicted, C):
         )
     if not labels.size:
         raise DataError("no labeled samples to score")
-    for name, lab in (("true labels", labels), ("predicted labels", predicted)):
-        if not np.issubdtype(lab.dtype, np.integer):
-            raise DataError(f"{name} must be integers, got dtype {lab.dtype}")
-        if lab.min() < 1 or lab.max() > C:
-            raise DataError(f"{name} must lie in 1..{C}")
+    check_labels(labels, "true labels", C)
+    check_labels(predicted, "predicted labels", C)
     confusion = np.zeros((C, C), dtype=int)
     np.add.at(confusion, (labels - 1, predicted - 1), 1)
     return float(np.mean(labels == predicted)), confusion

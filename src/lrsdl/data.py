@@ -16,12 +16,12 @@ Conventions used throughout the package:
 All containers are frozen dataclasses holding read-only arrays.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError, DomainError, ParameterError, check_integer
+from .errors import DataError, DimensionError, DomainError, ParameterError
+from .errors import check_integer, check_labels
 
 
 def _freeze(a, dtype=float):
@@ -41,7 +41,7 @@ def _class_index(c, C):
     return c - 1
 
 
-def normalize_columns(M, warn=True):
+def normalize_columns(M):
     """Scale each column of M to unit Euclidean norm.
 
     Where squaring the entries overflowed or underflowed (norm not finite,
@@ -59,8 +59,6 @@ def normalize_columns(M, warn=True):
     if redo.any():
         S = M[:, redo] / peak[redo]
         out[:, redo] = S / np.linalg.norm(S, axis=0)
-    if zero.any() and warn:
-        warnings.warn(f"{int(zero.sum())} zero column(s) left unnormalized")
     return out
 
 
@@ -107,38 +105,26 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, Y, labels):
-        """Dataset from samples and labels in any column order: integer or
-        integral real floating labels become int64 (any other dtype raises
-        DataError) and the columns are sorted by label with a stable sort,
-        so each class keeps its input column order."""
+        """Dataset from samples and labels in any column order: finite integral
+        real floats within int64 become integers, labels must pass
+        errors.check_labels, and a stable sort by label keeps each class's
+        column order; the Dataset casts them to int64 and checks the layout."""
         Y = np.asarray(Y, dtype=float)
         labels = np.asarray(labels)
         if Y.ndim != 2:
             raise DimensionError(f"expected 2-d sample matrix, got {Y.shape}")
         if labels.shape != Y.shape[1:]:
             raise DimensionError(f"labels of shape {labels.shape} for {Y.shape[1]} columns")
-        if labels.size == 0:
-            raise DomainError("dataset has no samples")
-        if labels.dtype == bool:
-            raise DataError("labels must be integers, not booleans")
-        if not np.issubdtype(labels.dtype, np.integer):
-            if not np.issubdtype(labels.dtype, np.floating):
-                raise DataError(f"labels must be integers, got dtype {labels.dtype}")
+        # checked before the cast, which would truncate, wrap or warn
+        if np.issubdtype(labels.dtype, np.floating):
             if not np.isfinite(labels).all():
                 raise DataError("labels must be finite")
             if not np.all(labels == np.round(labels)):
                 raise DataError("labels must be integers")
-        if not np.all((labels >= -(2**63)) & (labels < 2**63)):
-            raise DataError("labels must lie in the int64 range")
-        labels = labels.astype(np.int64)
-        if labels.min() < 1:
-            raise DataError("labels must be >= 1")
-        # memory follows the sample count, not the largest label; np.unique is
-        # called as check_class_layout calls it (numpy 2.4's plain form adds 1 MB)
-        present, _ = np.unique(labels, return_counts=True)
-        if present.size < present[-1]:
-            missing = int(np.argmax(present != np.arange(1, present.size + 1))) + 1
-            raise DomainError(f"class {missing} has zero samples")
+            if not np.all((labels >= -(2**63)) & (labels < 2**63)):
+                raise DataError("labels must lie in the int64 range")
+            labels = labels.astype(np.int64)
+        check_labels(labels)
         order = np.argsort(labels, kind="stable")
         return cls(Y=Y[:, order], labels=labels[order])
 
@@ -301,16 +287,22 @@ def block_diagonal(A, sizes):
 def check_class_layout(labels, N):
     """Class sizes (n_1, ..., n_C) of a label vector of length N in the
     class layout (labels 1..C in contiguous blocks, each class present).
-    Raises DataError unless the labels are integers (bool is not),
-    DimensionError for a wrong length, DomainError for any other layout."""
+    Raises DataError for labels that fail errors.check_labels,
+    DimensionError for a wrong length, and DomainError for no samples, a
+    missing class (named) or blocks that are not contiguous."""
+    check_labels(labels)
     labels = np.asarray(labels)
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.shape != (N,):
         raise DimensionError(f"labels length {labels.shape} does not match {N} columns")
+    if not N:
+        raise DomainError("there are no samples")
+    # memory follows N, not the largest label; the plain form adds 1 MB (numpy 2.4)
     present, sizes = np.unique(labels, return_counts=True)
-    if not N or not np.array_equal(labels, np.repeat(np.arange(1, present.size + 1), sizes)):
-        raise DomainError("labels must be 1..C in contiguous blocks, each class present")
+    if present.size < present[-1]:
+        missing = int(np.argmax(present != np.arange(1, present.size + 1))) + 1
+        raise DomainError(f"class {missing} has zero samples")
+    if not np.array_equal(labels, np.repeat(present, sizes)):
+        raise DomainError("labels must be 1..C in contiguous blocks")
     return tuple(sizes.tolist())
 
 
@@ -426,12 +418,12 @@ def generate_synthetic(
     class_dicts = []
     for _ in range(C):
         Dc = rng.standard_normal((d, k_c))
-        class_dicts.append(normalize_columns(Dc, warn=False))
+        class_dicts.append(normalize_columns(Dc))
 
     if k0 > 0 and shared_rank > 0:
         left = rng.standard_normal((d, shared_rank))
         right = rng.standard_normal((shared_rank, k0))
-        shared = normalize_columns(left @ right, warn=False)
+        shared = normalize_columns(left @ right)
     else:
         shared = np.zeros((d, k0))
 

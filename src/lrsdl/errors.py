@@ -1,11 +1,14 @@
-"""Exception types raised by the toolkit, and check_integer, the integer
-parameter check every module (the solvers of prox too) shares.
+"""Exception types raised by the toolkit, and the checks every module shares:
+check_integer for integer parameters (the solvers of prox too) and
+check_labels, the one rule for class labels wherever they enter.
 
 Every error the library raises deliberately derives from ToolkitError so
 callers can distinguish toolkit failures from programming mistakes.
 """
 
 import numbers
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -41,3 +44,16 @@ def check_integer(name, value, low):
     pass, bool does not) of at least low."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_labels(labels, name="labels", C=None):
+    """Raise DataError unless labels have an integer dtype (bool is not one)
+    and all lie in 1..C, or with no C in 1..2**63 - 1, which every label
+    reader accepts."""
+    labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise DataError(f"{name} must be integers, got dtype {labels.dtype}")
+    high = 2**63 - 1 if C is None else C
+    # int() compares uint64 with these bounds exactly, on any numpy
+    if labels.size and not 1 <= int(labels.min()) <= int(labels.max()) <= high:
+        raise DataError(f"{name} must lie in 1..{high}")

@@ -198,7 +198,10 @@ def fit(data, config, coder="joint"):
         raise ParameterError(f"unknown coder {coder!r}")
     code = sparse_code_train if coder == "joint" else sparse_code_sequential
     hyper = config.hyper
-    data = replace(data, Y=normalize_columns(data.Y, warn=True))
+    zero = ~data.Y.any(axis=0)  # a Dataset's samples are finite
+    if zero.any():
+        log.warning("%d zero-norm training sample(s) left unnormalized", zero.sum())
+    data = replace(data, Y=normalize_columns(data.Y))
     dicts, coefs = initialize(data, config, hyper.seed)
 
     records = []

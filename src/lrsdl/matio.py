@@ -9,13 +9,13 @@ Two on-disk matrix formats:
   An input format only: ``load_matrix`` reads it.
 
 ``load_matrix`` sniffs the format from the file content. Label files hold
-one integer per line (class ids 1..C). The writers refuse, before opening
-the file, what the readers would refuse.
+one integer per line, each a class id under errors.check_labels (1..2**63 - 1).
+The writers refuse, before opening the file, what the readers would refuse.
 """
 
 import numpy as np
 
-from .errors import DataError, DimensionError, FormatError
+from .errors import DataError, DimensionError, FormatError, check_labels
 
 _MAGIC = b"LMX "
 
@@ -102,12 +102,11 @@ def _parse_csv(blob, path):
 
 
 def save_labels(labels, path):
-    """Write 1-d integer labels >= 1 (``bool`` is not an integer), one per line."""
+    """Write 1-d labels that pass errors.check_labels, one per line."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionError(f"expected a 1-d label array, got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer) or (labels.size and labels.min() < 1):
-        raise DataError(f"labels must be integers >= 1, got {labels.dtype} labels")
+    check_labels(labels)
     with open(path, "w") as fh:
         for v in labels:
             fh.write(f"{int(v)}\n")
@@ -120,6 +119,5 @@ def load_labels(path):
         labels = np.array([int(ln) for ln in lines], dtype=int)
     except (ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: labels must be 64-bit integers") from exc
-    if labels.size and labels.min() < 1:
-        raise DataError(f"{path}: labels must be >= 1")
+    check_labels(labels, f"{path}: labels")
     return labels

@@ -82,11 +82,11 @@ def random_triple(seed, C=3, d=8, n_c=4, k_c=3, k0=2, sizes=None):
     if sizes is not None:
         data = first_samples(data, sizes)
     cds = tuple(
-        normalize_columns(rng.standard_normal((d, k_c)), warn=False)
+        normalize_columns(rng.standard_normal((d, k_c)))
         for _ in range(C)
     )
     shared = (
-        normalize_columns(rng.standard_normal((d, k0)), warn=False)
+        normalize_columns(rng.standard_normal((d, k0)))
         if k0
         else np.zeros((d, 0))
     )

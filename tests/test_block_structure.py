@@ -52,10 +52,10 @@ def problem(sizes, k_c, k0, d, seed, dead=()):
     data = Dataset.from_arrays(rng.standard_normal((d, N)), labels)
     dicts = DictionaryBundle(
         class_dicts=tuple(
-            normalize_columns(rng.standard_normal((d, k_c)), warn=False)
+            normalize_columns(rng.standard_normal((d, k_c)))
             for _ in range(C)
         ),
-        shared_dict=normalize_columns(rng.standard_normal((d, k0)), warn=False),
+        shared_dict=normalize_columns(rng.standard_normal((d, k0))),
     )
     X = rng.standard_normal((C * k_c, N))
     X[[r % (C * k_c) for r in dead]] = 0.0

@@ -8,7 +8,9 @@ mean_stats are checked against the per-label loop in
 oracles.column_means_by_class and against finite differences, and with no
 shared dictionary the training objective must equal the literal FDDL
 objective. A Dataset reads C and its class sizes off its labels, however
-it is built, and rejects a bad layout when built.
+it is built, and rejects a bad layout when built. Every entry point that
+takes labels (mean_stats, Dataset, check_class_layout, Dataset.from_arrays)
+rejects the same bad labels with the same error and message.
 """
 
 import dataclasses
@@ -132,7 +134,7 @@ def test_no_shared_dictionary_is_fddl(sizes, k_c, d, lambda1, lambda2, seed):
     labels = np.repeat(np.arange(1, C + 1), sizes)
     data = Dataset.from_arrays(rng.standard_normal((d, N)), labels)
     class_dicts = tuple(
-        normalize_columns(rng.standard_normal((d, k_c)), warn=False) for _ in range(C)
+        normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)
     )
     dicts = DictionaryBundle(class_dicts=class_dicts, shared_dict=np.zeros((d, 0)))
     X = rng.standard_normal((C * k_c, N))
@@ -143,31 +145,53 @@ def test_no_shared_dictionary_is_fddl(sizes, k_c, d, lambda1, lambda2, seed):
     assert abs(mine - want) <= 1e-10 * max(1.0, abs(want))
 
 
+# each takes labels as given and checks them against N samples X (4 x N)
+AS_GIVEN = {
+    "mean_stats": lambda X, labels: mean_stats(
+        CoefBundle(X=X, X0=np.zeros((0, X.shape[1]))), labels
+    ),
+    "Dataset": lambda X, labels: Dataset(Y=X, labels=labels),
+    "check_class_layout": lambda X, labels: check_class_layout(labels, X.shape[1]),
+}
+# from_arrays parses integral floats and sorts; on any other labels it agrees
+ENTRY_POINTS = {**AS_GIVEN, "from_arrays": Dataset.from_arrays}
+OUT_OF_RANGE = "labels must lie in 1..9223372036854775807"
+
+
+@pytest.mark.parametrize(
+    "labels, error, message",
+    [
+        (["1", "1", "2", "2"], DataError, "labels must be integers, got dtype <U1"),
+        ([True, True, True, True], DataError, "labels must be integers, got dtype bool"),
+        ([0, 1, 2, 2], DataError, OUT_OF_RANGE),
+        ([-3, 1, 2, 2], DataError, OUT_OF_RANGE),
+        (np.array([1, 1, 2, 2**63], dtype=np.uint64), DataError, OUT_OF_RANGE),
+        ([1, 1, 3, 3], DomainError, "class 2 has zero samples"),
+        (np.array([], dtype=int), DomainError, "there are no samples"),
+    ],
+    ids=["string", "bool", "zero", "negative", "uint64-2**63", "missing-class", "empty"],
+)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_bad_labels_rejected_alike(entry, labels, error, message):
+    # one rule (errors.check_labels, then check_class_layout) at every entry
+    # point, so a label is never truncated, wrapped or laid out before it
+    labels = np.array(labels)
+    with pytest.raises(error) as info:
+        ENTRY_POINTS[entry](np.zeros((4, labels.size)), labels)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "labels",
-    [
-        [1.7, 1.2, 2.9, 2.1],
-        [1.0, 1.0, 2.0, 2.0],
-        ["1", "1", "2", "2"],
-        [1.0, np.nan, 2.0, 2.0],
-        [True, True, True, True],
-    ],
-    ids=["fractional", "integral-float", "string", "nan", "bool"],
+    [[1.7, 1.2, 2.9, 2.1], [1.0, 1.0, 2.0, 2.0], [1.0, np.nan, 2.0, 2.0]],
+    ids=["fractional", "integral-float", "nan"],
 )
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda X, labels: mean_stats(CoefBundle(X=X, X0=np.zeros((0, 4))), labels),
-        lambda X, labels: Dataset(Y=X, labels=labels),
-        lambda X, labels: check_class_layout(labels, X.shape[1]),
-    ],
-    ids=["mean_stats", "Dataset", "check_class_layout"],
-)
-def test_labels_that_are_not_integers_rejected(call, labels):
-    # never truncated or parsed into a class layout
-    X = np.arange(16.0).reshape(4, 4)
-    with pytest.raises(DataError, match="integers"):
-        call(X, np.array(labels))
+@pytest.mark.parametrize("entry", AS_GIVEN)
+def test_float_labels_rejected_as_given(entry, labels):
+    # from_arrays alone casts integral floats (test_data.py checks its parse)
+    with pytest.raises(DataError) as info:
+        AS_GIVEN[entry](np.zeros((4, 4)), np.array(labels))
+    assert str(info.value) == "labels must be integers, got dtype float64"
 
 
 @settings(max_examples=40, deadline=None)

@@ -458,9 +458,9 @@ class TestBatchedClassify:
 
         shapes = []
 
-        def counting(M, warn=True):
+        def counting(M):
             shapes.append(np.shape(M))
-            return normalize_columns(M, warn=warn)
+            return normalize_columns(M)
 
         monkeypatch.setattr(classifier, "normalize_columns", counting)
         model = block_model()

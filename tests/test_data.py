@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -98,9 +99,10 @@ class TestDataset:
             ([1.0, np.nan], "finite"),
             ([1.0, 1e300], "int64 range"),
             ([1.0, 2.0**63], "int64 range"),
-            (np.array([1, 2**64 - 1], dtype=np.uint64), "int64 range"),
-            ([True, True], "booleans"),
-            (np.array([True, False]), "booleans"),
+            # integer and boolean labels meet errors.check_labels' messages
+            (np.array([1, 2**64 - 1], dtype=np.uint64), r"lie in 1\.\.9223372036854775807$"),
+            ([True, True], "integers, got dtype bool"),
+            (np.array([True, False]), "integers, got dtype bool"),
         ):
             with pytest.raises(DataError, match=msg):
                 Dataset.from_arrays(Y, bad)
@@ -158,10 +160,10 @@ class TestDictionaryBundle:
     def _bundle(self, d=4, C=2, k_c=3, k0=2, seed=0):
         rng = np.random.default_rng(seed)
         cds = tuple(
-            normalize_columns(rng.standard_normal((d, k_c)), warn=False)
+            normalize_columns(rng.standard_normal((d, k_c)))
             for _ in range(C)
         )
-        shared = normalize_columns(rng.standard_normal((d, k0)), warn=False)
+        shared = normalize_columns(rng.standard_normal((d, k0)))
         return DictionaryBundle(class_dicts=cds, shared_dict=shared)
 
     def test_concatenation_order(self):
@@ -295,9 +297,9 @@ class TestLearnedModel:
         rng = np.random.default_rng(3)
         dicts = DictionaryBundle(
             class_dicts=tuple(
-                normalize_columns(rng.standard_normal((5, 2)), warn=False) for _ in range(3)
+                normalize_columns(rng.standard_normal((5, 2))) for _ in range(3)
             ),
-            shared_dict=normalize_columns(rng.standard_normal((5, 2)), warn=False),
+            shared_dict=normalize_columns(rng.standard_normal((5, 2))),
         )
         means = MeanStats(class_means=class_means, shared_mean=shared_mean)
         return LearnedModel(dict_bundle=dicts, mean_stats=means, hyper=HyperParams(), trace=())
@@ -403,8 +405,10 @@ class TestGenerateSynthetic:
 
 
 def test_normalize_columns_keeps_zero_columns():
+    # silently: fit and classify log their zero samples themselves
     M = np.array([[3.0, 0.0], [4.0, 0.0]])
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = normalize_columns(M)
     assert np.allclose(out[:, 0], [0.6, 0.8])
     assert not out[:, 1].any()

@@ -43,11 +43,11 @@ def random_problem(seed, C=3, d=8, n_c=4, k_c=3, k0=2):
         shared_rank=min(2, k0), noise_sigma=0.1, seed=seed,
     )
     cds = tuple(
-        normalize_columns(rng.standard_normal((d, k_c)), warn=False)
+        normalize_columns(rng.standard_normal((d, k_c)))
         for _ in range(C)
     )
     shared = (
-        normalize_columns(rng.standard_normal((d, k0)), warn=False)
+        normalize_columns(rng.standard_normal((d, k0)))
         if k0
         else np.zeros((d, 0))
     )
@@ -173,7 +173,7 @@ class TestOdlUpdate:
         Y = rng.standard_normal((d, n))
         A = X @ X.T
         B = Y @ X.T
-        D0 = normalize_columns(rng.standard_normal((d, k)), warn=False)
+        D0 = normalize_columns(rng.standard_normal((d, k)))
         D = odl_update(A, B, D0, sweeps=30)
         ref = projected_gradient_dict(A, B, D0, steps=500)
         assert _quad_value(A, B, D) <= _quad_value(A, B, D0) + 1e-12
@@ -183,7 +183,7 @@ class TestOdlUpdate:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((4, 15))
         B = 200.0 * rng.standard_normal((5, 4))
-        D0 = normalize_columns(rng.standard_normal((5, 4)), warn=False)
+        D0 = normalize_columns(rng.standard_normal((5, 4)))
         D = odl_update(X @ X.T, B, D0)
         norms = np.linalg.norm(D, axis=0)
         assert np.all(norms <= 1 + 1e-12)
@@ -194,7 +194,7 @@ class TestOdlUpdate:
         rng = np.random.default_rng(8)
         A = np.diag([1.0, 0.0, 2.0])
         B = rng.standard_normal((4, 3))
-        D0 = normalize_columns(rng.standard_normal((4, 3)), warn=False)
+        D0 = normalize_columns(rng.standard_normal((4, 3)))
         D = odl_update(A, B, D0, sweeps=3)
         assert np.array_equal(D[:, 1], D0[:, 1])
 
@@ -203,7 +203,7 @@ class TestOdlUpdate:
         X = rng.standard_normal((5, 12))
         Y = rng.standard_normal((7, 12))
         A, B = X @ X.T, Y @ X.T
-        D = normalize_columns(rng.standard_normal((7, 5)), warn=False)
+        D = normalize_columns(rng.standard_normal((7, 5)))
         prev = _quad_value(A, B, D)
         for _ in range(4):
             D = odl_update(A, B, D, sweeps=1)
@@ -232,7 +232,7 @@ class TestUpdateSharedDict:
     def test_exact_fit_no_penalty(self):
         rng = np.random.default_rng(10)
         d, k0, n = 8, 3, 20
-        D_true = 0.9 * normalize_columns(rng.standard_normal((d, k0)), warn=False)
+        D_true = 0.9 * normalize_columns(rng.standard_normal((d, k0)))
         X0 = rng.standard_normal((k0, n))
         V = D_true @ X0
         D0 = update_shared_dict(V, X0, np.zeros((d, k0)), eta=0.0, iters=400)
@@ -351,12 +351,12 @@ def test_shared_step_never_raises_its_value(d, k0, n, eta, scale, start, iters, 
     # a candidate of a short solve, or one the rescale moved, often fits
     # worse than the last two
     rng = np.random.default_rng(seed)
-    truth = scale * normalize_columns(rng.standard_normal((d, k0)), warn=False)
+    truth = scale * normalize_columns(rng.standard_normal((d, k0)))
     X0 = rng.standard_normal((k0, n))
     V = truth @ X0 + 0.1 * rng.standard_normal((d, n))
     current = {
         "random": lambda: rng.uniform(0.0, 1.0, k0)
-        * normalize_columns(rng.standard_normal((d, k0)), warn=False),
+        * normalize_columns(rng.standard_normal((d, k0))),
         "planted": lambda: truth / scale,
         "converged": lambda: update_shared_dict(
             V, X0, np.zeros((d, k0)), eta=eta, iters=400

@@ -53,11 +53,11 @@ from test_coding_objectives import capture
 
 def random_bundle(rng, d, C, k_c, k0):
     cds = tuple(
-        normalize_columns(rng.standard_normal((d, k_c)), warn=False)
+        normalize_columns(rng.standard_normal((d, k_c)))
         for _ in range(C)
     )
     shared = (
-        normalize_columns(rng.standard_normal((d, k0)), warn=False)
+        normalize_columns(rng.standard_normal((d, k0)))
         if k0
         else np.zeros((d, 0))
     )
@@ -351,7 +351,7 @@ class TestGradSharedCodes:
     def test_finite_difference(self):
         rng = np.random.default_rng(31)
         d, k0, n = 7, 3, 5
-        D0 = normalize_columns(rng.standard_normal((d, k0)), warn=False)
+        D0 = normalize_columns(rng.standard_normal((d, k0)))
         Ybar = rng.standard_normal((d, n))
         Ytilde = rng.standard_normal((d, n))
         X0 = rng.standard_normal((k0, n))
@@ -370,7 +370,7 @@ class TestGradSharedCodes:
     def test_stationary_at_exact_fit(self):
         rng = np.random.default_rng(32)
         d, k0, n = 6, 2, 4
-        D0 = normalize_columns(rng.standard_normal((d, k0)), warn=False)
+        D0 = normalize_columns(rng.standard_normal((d, k0)))
         m0 = rng.standard_normal((k0, 1))
         X0 = np.repeat(m0, n, axis=1)  # the codes sit at their mean
         H, B = gram_shared_codes(D0, D0 @ X0, m0, lambda2=0.7)

@@ -7,7 +7,9 @@ weights) reaches the solver through its arguments only.
 
 Shapes are checked where they enter: check_shapes runs at the coders'
 shared step and at objective_terms only, and the builders between the
-entry points and the solvers check nothing and cast nothing.
+entry points and the solvers check nothing and cast nothing. Labels meet
+one rule: only errors.check_labels asks whether a dtype is an integer one,
+and Dataset.from_arrays counts no classes of its own.
 
 src holds only what the system runs: every public function is called
 from within the package, and each of its parameters with a default is set
@@ -129,6 +131,27 @@ def test_check_shapes_runs_only_at_entry_points():
         and n.func.id == "check_shapes"
     }
     assert callers == {("learner", "_code_classes"), ("gradients", "objective_terms")}
+
+
+def test_one_label_rule():
+    # labels are judged by errors.check_labels alone, wherever the call sits
+    # (methods and module level included); from_arrays parses floats and
+    # sorts, and leaves counting classes to check_class_layout
+    calls = [
+        (module, n.lineno)
+        for module in MODULES
+        for n in ast.walk(ast.parse((SRC / f"{module}.py").read_text()))
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "attr", None) == "issubdtype"
+        and getattr(n.args[1], "attr", None) == "integer"
+    ]
+    rule = top_functions("errors")["check_labels"]
+    assert [m for m, _ in calls] == ["errors"]
+    assert rule.lineno <= calls[0][1] <= rule.end_lineno
+    tree = ast.parse((SRC / "data.py").read_text())
+    dataset = next(n for n in tree.body if getattr(n, "name", None) == "Dataset")
+    from_arrays = next(n for n in dataset.body if getattr(n, "name", None) == "from_arrays")
+    assert "unique" not in {n.attr for n in ast.walk(from_arrays) if isinstance(n, ast.Attribute)}
 
 
 # Public functions that nothing in the package calls, each with its reason.

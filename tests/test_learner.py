@@ -6,6 +6,7 @@ objective in oracles.py at every traced iteration, and the objective never
 increasing is checked on generated problems for both coders.
 """
 
+import logging
 import warnings
 
 import numpy as np
@@ -45,7 +46,7 @@ def small_data(seed=0, C=4, d=20, n_c=8, k_c=4, k0=0, **kw):
 
 
 def normalized(data):
-    Yn = normalize_columns(data.Y, warn=False)
+    Yn = normalize_columns(data.Y)
     return Dataset(Y=Yn, labels=data.labels)
 
 
@@ -120,8 +121,6 @@ class TestInitialize:
 
     def test_oversampling_warns(self, caplog):
         data = normalized(small_data(6, n_c=3))
-        import logging
-
         with caplog.at_level(logging.WARNING, logger="lrsdl.learner"):
             dicts, _ = initialize(data, TrainConfig(k_c=6, k0=0), seed=0)
         assert dicts.k_c == 6
@@ -132,8 +131,6 @@ class TestInitialize:
         data = small_data(7)
         cols = np.concatenate([np.arange(8), np.arange(8, 11), np.arange(16, 29)])
         data = normalized(Dataset(Y=data.Y[:, cols], labels=data.labels[cols]))
-        import logging
-
         with caplog.at_level(logging.WARNING, logger="lrsdl.learner"):
             initialize(data, TrainConfig(k_c=4, k0=0), seed=0)
             initialize(data, TrainConfig(k_c=3, k0=0), seed=0)
@@ -349,8 +346,7 @@ class TestFitTraces:
 @settings(max_examples=150, deadline=None)
 @given(
     coder=st.sampled_from(["joint", "sequential"]),
-    C=st.integers(1, 3),
-    n_c=st.integers(1, 4),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
     k_c=st.integers(1, 5),
     k0=st.integers(0, 2),
     d=st.integers(2, 8),
@@ -361,27 +357,44 @@ class TestFitTraces:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_fit_objective_never_increases(
-    coder, C, n_c, k_c, k0, d, zero_column, lambda1, lambda2, eta, seed
+    coder, sizes, k_c, k0, d, zero_column, lambda1, lambda2, eta, seed
 ):
-    # k_c > n_c, C = 1, k0 = 0 (the empty shared layer) and an all-zero
-    # sample are all drawn; the bound is acceptance criterion 4's
-    assume(k0 <= min(d, C * n_c))
+    # a size per class in 1..4, k_c above a class's size, C = 1, k0 = 0
+    # (the empty shared layer) and an all-zero sample are all drawn; the
+    # bound is acceptance criterion 4's
+    N = sum(sizes)
+    assume(k0 <= min(d, N))
     rng = np.random.default_rng(seed)
-    Y = rng.standard_normal((d, C * n_c))
+    Y = rng.standard_normal((d, N))
     if zero_column:
-        Y[:, rng.integers(C * n_c)] = 0.0
-    data = Dataset.from_arrays(Y, np.repeat(np.arange(1, C + 1), n_c))
+        Y[:, rng.integers(N)] = 0.0
+    data = Dataset.from_arrays(Y, np.repeat(np.arange(1, len(sizes) + 1), sizes))
     hyper = HyperParams(
         lambda1=lambda1, lambda2=lambda2, eta=eta,
         outer_iters=3, fista_iters=30, admm_iters=30, seed=seed,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the zero sample's normalization warning
-        model = fit(data, TrainConfig(hyper=hyper, k_c=k_c, k0=k0), coder=coder)
+    model = fit(data, TrainConfig(hyper=hyper, k_c=k_c, k0=k0), coder=coder)
     assert not model.aborted and len(model.trace) == 3
     objs = [r.objective for r in model.trace]
     for a, b in zip(objs, objs[1:]):
         assert b <= a + 1e-6 * max(1.0, abs(a))
+
+
+def test_fit_logs_zero_training_samples(caplog):
+    # reported through the learner's logger, as classify reports zero test
+    # samples through the classifier's, and never as a Python warning
+    data = small_data(8, C=2, n_c=3)
+    Y = data.Y.copy()
+    Y[:, [1, 4]] = 0.0
+    hyper = HyperParams(outer_iters=1, fista_iters=5, admm_iters=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with caplog.at_level(logging.WARNING, logger="lrsdl.learner"):
+            model = fit(Dataset(Y=Y, labels=data.labels), TrainConfig(hyper=hyper, k_c=2))
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 zero-norm training sample(s) left unnormalized"
+    ]
+    assert len(model.trace) == 1
 
 
 class TestLargeConfig:

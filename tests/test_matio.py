@@ -1,5 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lrsdl.errors import DataError, DimensionError, FormatError
 from lrsdl.matio import load_labels, load_matrix, save_labels, save_matrix
@@ -193,3 +199,30 @@ def test_labels_must_be_positive(tmp_path):
     p.write_text("1\n0\n")
     with pytest.raises(DataError):
         load_labels(p)
+
+
+@st.composite
+def integer_label_arrays(draw):
+    """1-d arrays of any integer dtype, valid labels mixed with the edges of
+    the dtype, of the label range and of int64 (2**63 - 1, 2**63, 2**64 - 1)."""
+    dtype = np.dtype(draw(st.sampled_from(np.typecodes["AllInteger"])))
+    low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+    edges = [low, -1, 0, 1, 2**63 - 1, 2**63, 2**64 - 1, high]
+    values = st.sampled_from([v for v in edges if low <= v <= high])
+    values |= st.integers(max(low, 1), min(high, 2**63 - 1))
+    return draw(hnp.arrays(dtype, st.integers(0, 5), elements=values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=integer_label_arrays())
+def test_saved_labels_read_back_and_refused_ones_leave_no_file(labels):
+    # the writer refuses, before opening the file, what the reader would
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "labels.csv")
+        try:
+            save_labels(labels, p)
+        except DataError:
+            assert not os.path.exists(p)
+            return
+        back = load_labels(p)
+    assert back.dtype == np.int64 and back.tolist() == labels.tolist()
