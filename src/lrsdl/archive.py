@@ -10,8 +10,6 @@ and partially inspectable.
 import os
 from dataclasses import fields
 
-import numpy as np
-
 from .data import (
     DictionaryBundle,
     HyperParams,
@@ -166,7 +164,7 @@ def load_model(path):
     D0 = _load_checked(path, "D0.lmx", (d, k0))
     class_means = _load_checked(path, "means_mc.lmx", (K, C))
     m0 = _load_checked(path, "mean_m0.lmx", (k0, 1)).ravel()
-    dicts = DictionaryBundle(class_dicts=tuple(np.hsplit(D, C)), shared_dict=D0)
+    dicts = DictionaryBundle(D=D, shared_dict=D0, C=C)
     means = MeanStats(class_means=class_means, shared_mean=m0)
     hyper = HyperParams(**{f.name: meta[f.name] for f in fields(HyperParams)})
     trace = _parse_trace(os.path.join(path, "trace.csv"))

@@ -6,9 +6,10 @@ Conventions used throughout the package:
 * class labels are integers 1..C; a Dataset is class contiguous (C blocks
   of n_1, ..., n_C columns) and reads C and these sizes, the one class
   layout every class-blocked operation takes, off its labels when built,
-* a model holds C class dictionaries (d x k_c each) plus one shared
-  dictionary (d x k0, possibly empty), concatenated as D = [D_1 .. D_C]
-  and D_total = [D, D_shared],
+* a model holds C class dictionaries (d x k_c each) side by side in one
+  d x K matrix D = [D_1 .. D_C], which the DictionaryBundle stores (class c
+  is the view of its row_block(c) columns), plus one shared dictionary
+  (d x k0, possibly empty); D_total = [D, D_shared],
 * codes for the class dictionaries are K x N with K = C * k_c, codes for
   the shared dictionary are k0 x N; their blocks are the Dataset's class
   columns and the DictionaryBundle's k_c rows (gradients.check_shapes).
@@ -131,59 +132,55 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DictionaryBundle:
-    """C class dictionaries plus one shared dictionary.
+    """C class dictionaries side by side in one d x K matrix D = [D_1 .. D_C]
+    (K = C k_c, class c owning the k_c columns of row_block(c)) plus one
+    shared dictionary.
 
     Class dictionary columns must have norm in (0, 1 + 1e-9]; shared
     dictionary columns may be zero but never exceed unit norm.
     """
 
-    class_dicts: tuple
+    D: np.ndarray
     shared_dict: np.ndarray
-    D: np.ndarray = field(init=False, repr=False)
+    C: int
     D_total: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        cds = tuple(_freeze(Dc) for Dc in self.class_dicts)
-        if not cds or cds[0].ndim != 2:
-            raise DimensionError(f"need 2-d class dictionaries, got {[D.shape for D in cds]}")
-        d, k_c = cds[0].shape
-        for i, Dc in enumerate(cds):
-            if Dc.shape != (d, k_c):
-                raise DimensionError(
-                    f"class dictionary {i + 1} has shape {Dc.shape}, expected {(d, k_c)}"
-                )
-            if not np.isfinite(Dc).all():
-                raise DataError(f"class dictionary {i + 1} contains NaN or Inf")
-            norms = np.linalg.norm(Dc, axis=0)
-            if (norms <= 0).any() or (norms > 1 + 1e-9).any():
-                raise DataError(
-                    f"class dictionary {i + 1} column norms outside (0, 1]"
-                )
-        shared = _freeze(self.shared_dict)
-        if shared.ndim != 2 or shared.shape[0] != d:
+        check_integer("C", self.C, 1)
+        D, shared = _freeze(self.D), _freeze(self.shared_dict)
+        if D.ndim != 2 or not D.shape[1] or D.shape[1] % self.C:
             raise DimensionError(
-                f"shared dictionary shape {shared.shape} inconsistent with d={d}"
+                f"class dictionaries D of shape {D.shape} must be 2-d with K a positive"
+                f" multiple of C={self.C}"
             )
+        if shared.ndim != 2 or shared.shape[0] != D.shape[0]:
+            raise DimensionError(
+                f"shared dictionary shape {shared.shape} inconsistent with d={D.shape[0]}"
+            )
+        with np.errstate(over="ignore"):  # a norm that overflows is too long
+            norms, shared_norms = np.linalg.norm(D, axis=0), np.linalg.norm(shared, axis=0)
+        bad = ~((norms > 0) & (norms <= 1 + 1e-9))  # NaN and Inf columns too
+        if bad.any():
+            j = int(np.argmax(bad))
+            fault = "column norms outside (0, 1]"
+            if not np.isfinite(D[:, j]).all():
+                fault = "contains NaN or Inf"
+            raise DataError(f"class dictionary {j // (D.shape[1] // self.C) + 1} {fault}")
         if not np.isfinite(shared).all():
             raise DataError("shared dictionary contains NaN or Inf")
-        if (np.linalg.norm(shared, axis=0) > 1 + 1e-9).any():
+        if (shared_norms > 1 + 1e-9).any():
             raise DataError("shared dictionary column norm exceeds 1")
-        object.__setattr__(self, "class_dicts", cds)
+        object.__setattr__(self, "D", D)
         object.__setattr__(self, "shared_dict", shared)
-        object.__setattr__(self, "D", _freeze(np.hstack(cds)))
-        object.__setattr__(self, "D_total", _freeze(np.hstack(cds + (shared,))))
+        object.__setattr__(self, "D_total", _freeze(np.hstack((D, shared))))
 
     @property
     def d(self):
-        return self.class_dicts[0].shape[0]
-
-    @property
-    def C(self):
-        return len(self.class_dicts)
+        return self.D.shape[0]
 
     @property
     def k_c(self):
-        return self.class_dicts[0].shape[1]
+        return self.K // self.C
 
     @property
     def k0(self):
@@ -191,13 +188,15 @@ class DictionaryBundle:
 
     @property
     def K(self):
-        return self.C * self.k_c
+        return self.D.shape[1]
 
     def class_dict(self, c):
-        return self.class_dicts[_class_index(c, self.C)]
+        """Columns of class c (1-based): a view of D."""
+        return self.D[:, self.row_block(c)]
 
     def row_block(self, c):
-        """Row slice of the code matrix owned by class dictionary c (1-based)."""
+        """Row slice of the code matrix owned by class dictionary c (1-based),
+        which is also its column slice of D."""
         return slice(_class_index(c, self.C) * self.k_c, c * self.k_c)
 
 
@@ -415,10 +414,7 @@ def generate_synthetic(
         raise ParameterError(f"shared_scale must be finite, got {shared_scale}")
     rng = np.random.default_rng(seed)
 
-    class_dicts = []
-    for _ in range(C):
-        Dc = rng.standard_normal((d, k_c))
-        class_dicts.append(normalize_columns(Dc))
+    D = np.hstack([normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)])
 
     if k0 > 0 and shared_rank > 0:
         left = rng.standard_normal((d, shared_rank))
@@ -440,7 +436,7 @@ def generate_synthetic(
             a = np.zeros(k_c)
             idx = rng.choice(k_c, size=s_c, replace=False)
             a[idx] = rng.standard_normal(s_c)
-            block[:, j] = class_dicts[c] @ a
+            block[:, j] = D[:, c * k_c : (c + 1) * k_c] @ a
             if k0 > 0:
                 b = np.zeros(k0)
                 b[support] = shared_scale * (base + 0.3 * rng.standard_normal(s0))
@@ -455,6 +451,6 @@ def generate_synthetic(
             raise ParameterError(f"noise_sigma={noise_sigma} overflows the samples")
 
     dataset = Dataset.from_arrays(Y, labels)
-    truth = DictionaryBundle(class_dicts=tuple(class_dicts), shared_dict=shared)
+    truth = DictionaryBundle(D=D, shared_dict=shared, C=C)
     return dataset, truth
 

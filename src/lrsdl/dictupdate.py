@@ -116,15 +116,16 @@ def update_shared_dict(V, X0, D0, eta, iters):
     penalty (ADMM, penalty ADMM_RHO), rescale any column with norm above 1
     back to the unit sphere (rank preserving), and return the current D0
     instead when that candidate has the higher subproblem value. Logs, at
-    debug level, the ADMM sweeps used, whether the solve stopped on its
-    tolerance or ran all ``iters`` sweeps, the final residuals, and whether
-    the candidate was kept."""
-    cand, residuals = admm_nuclear(V, X0, eta, ADMM_RHO, iters, return_residuals=True)
+    debug level, the ADMM sweeps used, whether the solve met its tolerance
+    (admm_nuclear's verdict, also on the last allowed sweep) or stopped on
+    the ``iters`` cap, the final residuals, and whether the candidate was
+    kept."""
+    cand, residuals, converged = admm_nuclear(V, X0, eta, ADMM_RHO, iters)
     norms = np.linalg.norm(cand, axis=0)
     cand = cand / np.where(norms > 1.0, norms, 1.0)
     kept = _shared_value(V, X0, cand, eta) <= _shared_value(V, X0, D0, eta)
     r, s = residuals[-1]
-    stop = "tolerance" if len(residuals) < iters else "cap"
+    stop = "tolerance" if converged else "cap"
     log.debug(
         "shared-dictionary ADMM: %d of %d sweeps, stopped on %s, r=%.3g s=%.3g, candidate %s",
         len(residuals), iters, stop, r, s, "kept" if kept else "rejected",

@@ -58,13 +58,13 @@ class TrainConfig:
         check_integer("k0", self.k0, 0)
 
 
-def initialize(data, config, seed):
+def initialize(data, config):
     """Random-sample class dictionaries and an SVD-based shared dictionary.
 
     Class atoms are drawn from the class's own training columns (without
     replacement from a class of k_c or more) and renormalized. The shared
     dictionary starts from the top left-singular vectors of the full data
-    matrix, which are unit-norm already.
+    matrix, which are unit-norm already. The draws use config.hyper.seed.
     """
     k_c, k0 = config.k_c, config.k0
     if k0 > min(data.d, data.N):
@@ -76,7 +76,7 @@ def initialize(data, config, seed):
             "k_c=%d exceeds the %d samples of class %d, the smallest; drawn with replacement",
             k_c, min(data.sizes), np.argmin(data.sizes) + 1,
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.hyper.seed)
     class_dicts = []
     for c in range(1, data.C + 1):
         block = data.class_block(c)
@@ -93,7 +93,7 @@ def initialize(data, config, seed):
         shared = np.ascontiguousarray(U[:, :k0])
     else:
         shared = np.zeros((data.d, 0))
-    dicts = DictionaryBundle(class_dicts=tuple(class_dicts), shared_dict=shared)
+    dicts = DictionaryBundle(D=np.hstack(class_dicts), shared_dict=shared, C=data.C)
     coefs = CoefBundle(X=np.zeros((data.C * k_c, data.N)), X0=np.zeros((k0, data.N)))
     return dicts, coefs
 
@@ -184,7 +184,7 @@ def _update_class_dicts(data, dicts, coefs):
         D[:, rows] = odl_update(A, E[:, rows] - D @ cross[:, rows], D[:, rows])
     if dead:
         log.debug("skipped %d dead atoms in dictionary sweep", dead)
-    return replace(dicts, class_dicts=tuple(np.hsplit(D, dicts.C)))
+    return replace(dicts, D=D)
 
 
 def fit(data, config, coder="joint"):
@@ -202,7 +202,7 @@ def fit(data, config, coder="joint"):
     if zero.any():
         log.warning("%d zero-norm training sample(s) left unnormalized", zero.sum())
     data = replace(data, Y=normalize_columns(data.Y))
-    dicts, coefs = initialize(data, config, hyper.seed)
+    dicts, coefs = initialize(data, config)
 
     records = []
     aborted = False

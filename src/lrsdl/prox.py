@@ -265,7 +265,7 @@ def svt(M, tau):
 ADMM_TOL = 1e-8  # absolute and relative residual tolerance of admm_nuclear
 
 
-def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
+def admm_nuclear(V, Xcoef, eta, rho, iters=100):
     """Solve min_D ||V - D Xcoef||_F^2 + eta * ||D||_* by ADMM.
 
     Splits on Z = D with penalty rho. Each sweep runs, in order,
@@ -293,9 +293,10 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
 
     hold, eps = ADMM_TOL (Boyd et al., Distributed Optimization and
     Statistical Learning via ADMM, 2011, section 3.3.1), or after ``iters``
-    sweeps. Returns Q Z~, an exact svt image. With return_residuals the
-    per-sweep pairs (r, s) come back as a list. With no code rows (k = 0)
-    the first sweep stops with r = s = 0 and the result is d x 0.
+    sweeps. Returns (Z, residuals, converged): Z = Q Z~, an exact svt image,
+    the per-sweep pairs (r, s) as a list, and whether the tolerance was met,
+    which it may be on the last allowed sweep. With no code rows (k = 0) the
+    first sweep stops with r = s = 0, converged, and Z is d x 0.
     """
     V = np.asarray(V, dtype=float)
     Xcoef = np.asarray(Xcoef, dtype=float)
@@ -329,12 +330,13 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100, return_residuals=False):
         r = float(np.linalg.norm(D - Z))
         s = rho * float(np.linalg.norm(Z - Z_prev))
         residuals.append((r, s))
-        if r <= floor + ADMM_TOL * max(np.linalg.norm(D), np.linalg.norm(Z)) and (
-            s <= floor + ADMM_TOL * rho * np.linalg.norm(U)
-        ):
+        converged = bool(
+            r <= floor + ADMM_TOL * max(np.linalg.norm(D), np.linalg.norm(Z))
+            and s <= floor + ADMM_TOL * rho * np.linalg.norm(U)
+        )
+        if converged:
             break
-    Z = Q @ Z
-    return (Z, residuals) if return_residuals else Z
+    return Q @ Z, residuals, converged
 
 
 def power_iteration_lipschitz(G):

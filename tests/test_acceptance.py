@@ -81,16 +81,13 @@ def random_triple(seed, C=3, d=8, n_c=4, k_c=3, k0=2, sizes=None):
     )
     if sizes is not None:
         data = first_samples(data, sizes)
-    cds = tuple(
-        normalize_columns(rng.standard_normal((d, k_c)))
-        for _ in range(C)
-    )
+    D = np.hstack([normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)])
     shared = (
         normalize_columns(rng.standard_normal((d, k0)))
         if k0
         else np.zeros((d, 0))
     )
-    dicts = DictionaryBundle(class_dicts=cds, shared_dict=shared)
+    dicts = DictionaryBundle(D=D, shared_dict=shared, C=C)
     coefs = CoefBundle(
         X=rng.standard_normal((C * k_c, data.N)),
         X0=rng.standard_normal((k0, data.N)),
@@ -134,7 +131,7 @@ def test_criterion_1_gradient_check():
             def literal(X, X0):
                 # no l1 term: it is not smooth and lies outside obj.grad
                 return lrsdl_objective_literal(
-                    data.Y, list(dicts.class_dicts), dicts.shared_dict, X, X0,
+                    data.Y, np.hsplit(dicts.D, dicts.C), dicts.shared_dict, X, X0,
                     data.labels, 0.0, hyper.lambda2, hyper.eta,
                 )
 
@@ -176,7 +173,7 @@ def test_criterion_1_gradient_check():
                 classifier.encode_test(Yn, model)
             (test_obj,) = test
             m0 = model.mean_stats.shared_mean[:, None]
-            D_total = np.hstack(dicts.class_dicts + (dicts.shared_dict,))
+            D_total = np.hstack((dicts.D, dicts.shared_dict))
 
             def f_test(V):
                 fit_term = 0.5 * float(np.sum((Yn - D_total @ V) ** 2))
@@ -229,7 +226,7 @@ def test_criterion_2_solver_oracles():
         V = rng.standard_normal((6, 12))
         X = rng.standard_normal((4, 12))
         eta = 0.5
-        D = admm_nuclear(V, X, eta=eta, rho=1.0, iters=400)
+        D, _, _ = admm_nuclear(V, X, eta=eta, rho=1.0, iters=400)
         mine = float(np.sum((V - D @ X) ** 2)) + eta * nuclear_norm(D)
         ref = subgrad_nuclear_descent(V, X, eta, steps=100000, seed=0)
         assert mine <= ref + 1e-4, f"admm {mine:.10f} vs subgradient {ref:.10f}"
@@ -246,7 +243,7 @@ def test_criterion_3_no_shared_reduction():
             data, dicts, coefs = random_triple(seed, k0=0, **unequal)
             mine = objective_terms(data, dicts, coefs, hyper).total
             ref = fddl_objective(
-                data.Y, list(dicts.class_dicts), coefs.X, data.labels,
+                data.Y, np.hsplit(dicts.D, dicts.C), coefs.X, data.labels,
                 hyper.lambda1, hyper.lambda2,
             )
             assert abs(mine - ref) <= 1e-12 * max(1.0, abs(ref)), (
@@ -267,7 +264,7 @@ def test_criterion_3_no_shared_reduction():
             def snoop(ndata, dicts, coefs, hyper):
                 # fit evaluates the objective once per completed iteration
                 seen.append(fddl_objective(
-                    ndata.Y, list(dicts.class_dicts), coefs.X, ndata.labels,
+                    ndata.Y, np.hsplit(dicts.D, dicts.C), coefs.X, ndata.labels,
                     hyper.lambda1, hyper.lambda2,
                 ))
                 return objective_terms(ndata, dicts, coefs, hyper)

@@ -165,9 +165,7 @@ def models(draw):
     zero[np.argmax(np.abs(D), axis=0), np.arange(D.shape[1])] = False
     D[zero] = -0.0
     D[:, C * k_c :] *= rng.random(k0)  # shared atoms may be shorter
-    dicts = DictionaryBundle(
-        class_dicts=tuple(np.hsplit(D[:, : C * k_c], C)), shared_dict=D[:, C * k_c :]
-    )
+    dicts = DictionaryBundle(D=D[:, : C * k_c], shared_dict=D[:, C * k_c :], C=C)
     means = MeanStats(
         class_means=draw(hnp.arrays(float, (C * k_c, C), elements=finite)),
         shared_mean=draw(hnp.arrays(float, (k0,), elements=finite)),

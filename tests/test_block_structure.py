@@ -51,11 +51,9 @@ def problem(sizes, k_c, k0, d, seed, dead=()):
     labels = np.repeat(np.arange(1, C + 1), sizes)
     data = Dataset.from_arrays(rng.standard_normal((d, N)), labels)
     dicts = DictionaryBundle(
-        class_dicts=tuple(
-            normalize_columns(rng.standard_normal((d, k_c)))
-            for _ in range(C)
-        ),
+        D=np.hstack([normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)]),
         shared_dict=normalize_columns(rng.standard_normal((d, k0))),
+        C=C,
     )
     X = rng.standard_normal((C * k_c, N))
     X[[r % (C * k_c) for r in dead]] = 0.0
@@ -82,7 +80,7 @@ def test_augmented_gram_matches_class_loop(sizes, k_c, k0, d, seed):
     data, dicts, coefs = problem(sizes, k_c, k0, d, seed)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
     G, corr = build_augmented_gram(dicts, shifted, data.sizes, 0.0)
-    combined, corr_loop = augmented_gram_loop(dicts.class_dicts, shifted, sizes)
+    combined, corr_loop = augmented_gram_loop(np.hsplit(dicts.D, dicts.C), shifted, sizes)
     assert rel_err(G, combined) < 1e-12
     assert rel_err(corr, corr_loop) < 1e-12
     assert np.array_equal(G, G.T)
@@ -93,7 +91,7 @@ def test_augmented_gram_matches_class_loop(sizes, k_c, k0, d, seed):
 def test_residual_matrices_match_class_loop(sizes, k_c, k0, d, seed):
     data, dicts, coefs = problem(sizes, k_c, k0, d, seed)
     V = residual_matrices(data, dicts, coefs)
-    want_bar, want_tilde = residuals_loop(data.Y, dicts.class_dicts, coefs.X, sizes)
+    want_bar, want_tilde = residuals_loop(data.Y, np.hsplit(dicts.D, dicts.C), coefs.X, sizes)
     assert V.shape == data.Y.shape
     assert rel_err(V, 0.5 * (want_bar + want_tilde)) < 1e-12
 
@@ -108,7 +106,7 @@ def test_update_class_dicts_matches_residual_reference(sizes, k_c, k0, d, seed, 
         return odl_update(A, B, Dc, sweeps=ODL_SWEEPS)
 
     want = update_class_dicts_residual(
-        shifted, dicts.class_dicts, coefs.X, sizes, solve
+        shifted, np.hsplit(dicts.D, dicts.C), coefs.X, sizes, solve
     )
     got = _update_class_dicts(data, dicts, coefs)
     assert rel_err(got.D, np.hstack(want)) < 1e-12

@@ -136,7 +136,7 @@ def test_no_shared_dictionary_is_fddl(sizes, k_c, d, lambda1, lambda2, seed):
     class_dicts = tuple(
         normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)
     )
-    dicts = DictionaryBundle(class_dicts=class_dicts, shared_dict=np.zeros((d, 0)))
+    dicts = DictionaryBundle(D=np.hstack(class_dicts), shared_dict=np.zeros((d, 0)), C=C)
     X = rng.standard_normal((C * k_c, N))
     coefs = CoefBundle(X=X, X0=np.zeros((0, N)))
     hyper = HyperParams(lambda1=lambda1, lambda2=lambda2, eta=0.3)

@@ -43,8 +43,7 @@ def block_model(C=3, k_c=3, lambda1=1e-4, lambda2=0.0, w=1.0, class_means=None):
     """Model whose class dictionaries are disjoint coordinate blocks."""
     d = C * k_c
     eye = np.eye(d)
-    cds = tuple(eye[:, c * k_c : (c + 1) * k_c] for c in range(C))
-    dicts = DictionaryBundle(class_dicts=cds, shared_dict=np.zeros((d, 0)))
+    dicts = DictionaryBundle(D=eye, shared_dict=np.zeros((d, 0)), C=C)
     K = C * k_c
     if class_means is None:
         class_means = np.zeros((K, C))
@@ -202,7 +201,7 @@ class TestDecisionRule:
     def test_symmetric_tie_takes_lowest_label(self):
         d, k = 6, 2
         base = np.linalg.qr(np.random.default_rng(7).standard_normal((d, k)))[0]
-        dicts = DictionaryBundle(class_dicts=(base, base), shared_dict=np.zeros((d, 0)))
+        dicts = DictionaryBundle(D=np.hstack((base, base)), shared_dict=np.zeros((d, 0)), C=2)
         means = MeanStats(
             class_means=np.zeros((2 * k, 2)),
             shared_mean=np.zeros(0),
@@ -310,7 +309,7 @@ class TestEvaluate:
         # identical dictionaries and identical means force label 1 always
         d, k = 6, 2
         base = np.linalg.qr(np.random.default_rng(17).standard_normal((d, k)))[0]
-        dicts = DictionaryBundle(class_dicts=(base, base), shared_dict=np.zeros((d, 0)))
+        dicts = DictionaryBundle(D=np.hstack((base, base)), shared_dict=np.zeros((d, 0)), C=2)
         means = MeanStats(
             class_means=np.zeros((2 * k, 2)),
             shared_mean=np.zeros(0),
@@ -520,7 +519,7 @@ def test_batch_equals_per_sample(
         return M / np.linalg.norm(M, axis=0)
 
     dicts = DictionaryBundle(
-        class_dicts=tuple(unit((d, k_c)) for _ in range(C)), shared_dict=unit((d, k0))
+        D=np.hstack([unit((d, k_c)) for _ in range(C)]), shared_dict=unit((d, k0)), C=C
     )
     K = C * k_c
     class_means = 0.3 * rng.standard_normal((K, C))

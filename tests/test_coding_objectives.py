@@ -112,8 +112,9 @@ def test_site_values_match_literal_objectives(
         normalize_columns(rng.standard_normal((d, N))), np.repeat(np.arange(1, C + 1), sizes)
     )
     dicts = DictionaryBundle(
-        class_dicts=tuple(normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)),
+        D=np.hstack([normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)]),
         shared_dict=0.9 * normalize_columns(rng.standard_normal((d, k0))),
+        C=C,
     )
     K = dicts.K
     coefs = CoefBundle(X=rng.standard_normal((K, N)), X0=rng.standard_normal((k0, N)))

@@ -148,7 +148,7 @@ def test_class_accessors_reject_classes_outside_1_to_C(accessor, c):
     C = 3
     owners = {
         "class_columns": _rand_dataset(C=C),
-        "class_dict": DictionaryBundle(class_dicts=(np.eye(2),) * C, shared_dict=np.zeros((2, 0))),
+        "class_dict": DictionaryBundle(D=np.tile(np.eye(2), C), shared_dict=np.zeros((2, 0)), C=C),
         "class_mean": MeanStats(class_means=np.ones((2 * C, C)), shared_mean=np.zeros(0)),
     }
     owners["row_block"] = owners["class_dict"]
@@ -159,57 +159,73 @@ def test_class_accessors_reject_classes_outside_1_to_C(accessor, c):
 class TestDictionaryBundle:
     def _bundle(self, d=4, C=2, k_c=3, k0=2, seed=0):
         rng = np.random.default_rng(seed)
-        cds = tuple(
-            normalize_columns(rng.standard_normal((d, k_c)))
-            for _ in range(C)
-        )
+        D = np.hstack([normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)])
         shared = normalize_columns(rng.standard_normal((d, k0)))
-        return DictionaryBundle(class_dicts=cds, shared_dict=shared)
+        return DictionaryBundle(D=D, shared_dict=shared, C=C)
+
+    def test_holds_the_stack_only(self):
+        # the class dictionaries are stored stacked, never as a list beside D
+        assert [f.name for f in fields(DictionaryBundle)] == ["D", "shared_dict", "C", "D_total"]
 
     def test_concatenation_order(self):
         b = self._bundle()
         assert b.D.shape == (4, 6) and b.D_total.shape == (4, 8)
-        assert np.array_equal(b.D[:, :3], b.class_dict(1))
-        assert np.array_equal(b.D[:, 3:], b.class_dict(2))
+        assert (b.d, b.C, b.k_c, b.K, b.k0) == (4, 2, 3, 6, 2)
+        assert np.array_equal(b.D_total[:, :6], b.D)
         assert np.array_equal(b.D_total[:, 6:], b.shared_dict)
         assert b.row_block(2) == slice(3, 6)
+        for c, cols in ((1, slice(0, 3)), (2, slice(3, 6))):
+            assert np.array_equal(b.class_dict(c), b.D[:, cols])
+            assert np.shares_memory(b.class_dict(c), b.D)
 
     def test_zero_shared_columns_allowed(self):
-        b = DictionaryBundle(
-            class_dicts=(np.eye(3),),
-            shared_dict=np.zeros((3, 2)),
-        )
+        b = DictionaryBundle(D=np.eye(3), shared_dict=np.zeros((3, 2)), C=1)
         assert b.k0 == 2 and b.K == 3
 
     def test_empty_shared_dict(self):
-        b = DictionaryBundle(class_dicts=(np.eye(3),), shared_dict=np.zeros((3, 0)))
+        b = DictionaryBundle(D=np.eye(3), shared_dict=np.zeros((3, 0)), C=1)
         assert b.k0 == 0
         assert b.D_total.shape == (3, 3)
 
     def test_class_column_norm_bounds(self):
-        with pytest.raises(DataError):
-            DictionaryBundle(
-                class_dicts=(2.0 * np.eye(3),), shared_dict=np.zeros((3, 0))
-            )
-        zero_col = np.eye(3).copy()
-        zero_col[:, 0] = 0.0
-        with pytest.raises(DataError):
-            DictionaryBundle(class_dicts=(zero_col,), shared_dict=np.zeros((3, 0)))
+        # a column that is too long, zero, NaN or Inf; the error names the
+        # class of the first bad column (columns 4 and 6 of three classes)
+        for value, fault in (
+            (2.0, "column norms outside"),
+            (1e200, "column norms outside"),  # its norm overflows, with no warning
+            (0.0, "column norms outside"),
+            (np.nan, "contains NaN or Inf"),
+            (np.inf, "contains NaN or Inf"),
+        ):
+            D = np.eye(6)
+            D[[3, 5], [3, 5]] = value
+            with pytest.raises(DataError, match=f"class dictionary 2 {fault}"):
+                DictionaryBundle(D=D, shared_dict=np.zeros((6, 0)), C=3)
 
     def test_shared_norm_cap(self):
-        with pytest.raises(DataError):
-            DictionaryBundle(class_dicts=(np.eye(3),), shared_dict=1.5 * np.eye(3))
+        for scale in (1.5, 1e200):  # the norm of the second overflows
+            with pytest.raises(DataError, match="column norm exceeds 1"):
+                DictionaryBundle(D=np.eye(3), shared_dict=scale * np.eye(3), C=1)
 
     def test_shape_consistency(self):
+        # K = 3 columns do not split into 2 classes, K = 0 into none; the
+        # shared dictionary must have D's d rows
+        with pytest.raises(DimensionError, match="positive multiple of C=2"):
+            DictionaryBundle(D=np.eye(3), shared_dict=np.zeros((3, 0)), C=2)
+        with pytest.raises(DimensionError, match="positive multiple of C=1"):
+            DictionaryBundle(D=np.zeros((3, 0)), shared_dict=np.zeros((3, 0)), C=1)
         with pytest.raises(DimensionError):
-            DictionaryBundle(
-                class_dicts=(np.eye(3), np.eye(4)), shared_dict=np.zeros((3, 0))
-            )
+            DictionaryBundle(D=np.eye(3), shared_dict=np.zeros((4, 0)), C=1)
 
-    @pytest.mark.parametrize("first", [np.ones(3), np.ones((3, 3, 1))], ids=["1-d", "3-d"])
-    def test_class_dictionary_that_is_not_2d_rejected(self, first):
-        with pytest.raises(DimensionError, match="need 2-d class dictionaries"):
-            DictionaryBundle(class_dicts=(first, np.eye(3)), shared_dict=np.zeros((3, 0)))
+    @pytest.mark.parametrize("D", [np.ones(3), np.ones((3, 3, 1))], ids=["1-d", "3-d"])
+    def test_class_dictionary_that_is_not_2d_rejected(self, D):
+        with pytest.raises(DimensionError, match="must be 2-d"):
+            DictionaryBundle(D=D, shared_dict=np.zeros((3, 0)), C=1)
+
+    @pytest.mark.parametrize("C", [0, 1.0, True], ids=["zero", "float", "bool"])
+    def test_class_count_checked(self, C):
+        with pytest.raises(ParameterError):
+            DictionaryBundle(D=np.eye(2), shared_dict=np.zeros((2, 0)), C=C)
 
 
 class TestCoefBundle:
@@ -225,7 +241,7 @@ class TestCoefBundle:
     def test_zeros_constructor(self):
         # the zero codes a fit starts from: C k_c x N and k0 x N
         data = _rand_dataset(C=3, d=5, n_c=5)
-        _, coefs = initialize(data, TrainConfig(k_c=2, k0=4), seed=0)
+        _, coefs = initialize(data, TrainConfig(k_c=2, k0=4))
         assert coefs.X.shape == (6, 15) and coefs.X0.shape == (4, 15)
         assert not coefs.X.any() and not coefs.X0.any()
 
@@ -296,10 +312,9 @@ class TestLearnedModel:
     def _model(self, class_means, shared_mean):
         rng = np.random.default_rng(3)
         dicts = DictionaryBundle(
-            class_dicts=tuple(
-                normalize_columns(rng.standard_normal((5, 2))) for _ in range(3)
-            ),
+            D=np.hstack([normalize_columns(rng.standard_normal((5, 2))) for _ in range(3)]),
             shared_dict=normalize_columns(rng.standard_normal((5, 2))),
+            C=3,
         )
         means = MeanStats(class_means=class_means, shared_mean=shared_mean)
         return LearnedModel(dict_bundle=dicts, mean_stats=means, hyper=HyperParams(), trace=())

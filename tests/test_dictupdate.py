@@ -42,16 +42,13 @@ def random_problem(seed, C=3, d=8, n_c=4, k_c=3, k0=2):
         C=C, d=d, n_c=n_c, k_c=k_c, k0=k0,
         shared_rank=min(2, k0), noise_sigma=0.1, seed=seed,
     )
-    cds = tuple(
-        normalize_columns(rng.standard_normal((d, k_c)))
-        for _ in range(C)
-    )
+    D = np.hstack([normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)])
     shared = (
         normalize_columns(rng.standard_normal((d, k0)))
         if k0
         else np.zeros((d, 0))
     )
-    dicts = DictionaryBundle(class_dicts=cds, shared_dict=shared)
+    dicts = DictionaryBundle(D=D, shared_dict=shared, C=C)
     coefs = CoefBundle(
         X=rng.standard_normal((C * k_c, C * n_c)),
         X0=rng.standard_normal((k0, C * n_c)),
@@ -302,6 +299,19 @@ class TestUpdateSharedDict:
         assert capped.endswith("candidate kept") and stopped.endswith("candidate kept")
         assert rejected.endswith("candidate rejected")
 
+    def test_tolerance_met_on_the_last_sweep_logs_tolerance(self, caplog):
+        # this solve meets its tolerance on sweep 9: with a budget of exactly
+        # 9 sweeps it stopped on the tolerance, not on the cap
+        rng = np.random.default_rng(0)
+        V, X0 = rng.standard_normal((6, 9)), rng.standard_normal((3, 9))
+        with caplog.at_level(logging.DEBUG, logger="lrsdl.dictupdate"):
+            for iters in (8, 9, 10):
+                update_shared_dict(V, X0, np.zeros((6, 3)), eta=0.1, iters=iters)
+        short, last, spare = [r.getMessage() for r in caplog.records]
+        assert "8 of 8 sweeps, stopped on cap" in short
+        assert "9 of 9 sweeps, stopped on tolerance" in last
+        assert "9 of 10 sweeps, stopped on tolerance" in spare
+
     def test_worse_rescaled_candidate_keeps_current(self):
         # two nearly parallel code rows: the unconstrained fit needs a column
         # of norm 1.4, and rescaling it to the unit sphere fits far worse
@@ -317,7 +327,7 @@ class TestUpdateSharedDict:
         def obj(M):
             return float(np.sum((V - M @ X0) ** 2))
 
-        raw = admm_nuclear(V, X0, 0.0, 1.0, 400)
+        raw, _, _ = admm_nuclear(V, X0, 0.0, 1.0, 400)
         norms = np.linalg.norm(raw, axis=0)
         assert norms.max() > 1.0
         assert obj(raw) < obj(current) < obj(raw / np.maximum(norms, 1.0))

@@ -52,16 +52,13 @@ from test_coding_objectives import capture
 
 
 def random_bundle(rng, d, C, k_c, k0):
-    cds = tuple(
-        normalize_columns(rng.standard_normal((d, k_c)))
-        for _ in range(C)
-    )
+    D = np.hstack([normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)])
     shared = (
         normalize_columns(rng.standard_normal((d, k0)))
         if k0
         else np.zeros((d, 0))
     )
-    return DictionaryBundle(class_dicts=cds, shared_dict=shared)
+    return DictionaryBundle(D=D, shared_dict=shared, C=C)
 
 
 def random_problem(seed, C=3, d=8, n_c=4, k_c=3, k0=2):
@@ -160,8 +157,7 @@ class TestAugmentedGram:
         # columns of the full D orthonormal: combined operator is 2 I
         d, C, k_c, n_c = 10, 2, 3, 4
         Q = np.linalg.qr(np.random.default_rng(6).standard_normal((d, C * k_c)))[0]
-        cds = tuple(Q[:, c * k_c : (c + 1) * k_c] for c in range(C))
-        dicts = DictionaryBundle(class_dicts=cds, shared_dict=np.zeros((d, 0)))
+        dicts = DictionaryBundle(D=Q, shared_dict=np.zeros((d, 0)), C=C)
         Ys = np.random.default_rng(7).standard_normal((d, C * n_c))
         G, _ = build_augmented_gram(dicts, Ys, (n_c,) * C, 0.0)
         X = np.random.default_rng(8).standard_normal((C * k_c, C * n_c))
@@ -246,7 +242,7 @@ class TestGradFidelity:
         obj = class_code_objective(data, dicts, coefs, lambda2=0.0)
 
         def f(X):
-            return stacked_fidelity(shifted, list(dicts.class_dicts), X, data.labels)
+            return stacked_fidelity(shifted, np.hsplit(dicts.D, dicts.C), X, data.labels)
 
         fd = fd_grad(f, coefs.X, eps=1e-6)
         assert rel_err(obj.grad(coefs.X), fd) < 1e-4
@@ -259,7 +255,7 @@ class TestFidelityValue:
             shifted = data.Y - dicts.shared_dict @ coefs.X0
             mine = fidelity_value(shifted, dicts, coefs.X, data.sizes)
             ref = stacked_fidelity(
-                shifted, list(dicts.class_dicts), coefs.X, data.labels
+                shifted, np.hsplit(dicts.D, dicts.C), coefs.X, data.labels
             )
             assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
@@ -283,7 +279,7 @@ class TestFidelityValue:
         X = rng.standard_normal((C * k_c, C * n_c)) * (not zero_codes)
         labels = np.repeat(np.arange(1, C + 1), n_c)
         mine = fidelity_value(shifted, dicts, X, (n_c,) * C)
-        ref = stacked_fidelity(shifted, list(dicts.class_dicts), X, labels)
+        ref = stacked_fidelity(shifted, np.hsplit(dicts.D, dicts.C), X, labels)
         assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
     def test_zero_codes(self):
@@ -451,7 +447,7 @@ class TestObjective:
             data, dicts, coefs = random_problem(50 + seed, k0=0)
             mine = objective_terms(data, dicts, coefs, hyper).total
             ref = fddl_objective(
-                data.Y, list(dicts.class_dicts), coefs.X, data.labels,
+                data.Y, np.hsplit(dicts.D, dicts.C), coefs.X, data.labels,
                 hyper.lambda1, hyper.lambda2,
             )
             assert abs(mine - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -462,7 +458,7 @@ class TestObjective:
             data, dicts, coefs = random_problem(60 + seed, k0=2)
             mine = objective_terms(data, dicts, coefs, hyper).total
             ref = lrsdl_objective_literal(
-                data.Y, list(dicts.class_dicts), dicts.shared_dict,
+                data.Y, np.hsplit(dicts.D, dicts.C), dicts.shared_dict,
                 coefs.X, coefs.X0, data.labels,
                 hyper.lambda1, hyper.lambda2, hyper.eta,
             )

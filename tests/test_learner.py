@@ -73,7 +73,7 @@ class TestInitialize:
     def test_atoms_come_from_class_columns(self):
         data = normalized(small_data(1))
         cfg = TrainConfig(k_c=4, k0=0)
-        dicts, coefs = initialize(data, cfg, seed=0)
+        dicts, coefs = initialize(data, cfg)
         assert dicts.shared_dict.shape == (data.d, 0)
         assert coefs.X.shape == (data.C * 4, data.N)
         for c in range(1, data.C + 1):
@@ -86,7 +86,7 @@ class TestInitialize:
 
     def test_full_sampling_is_permutation(self):
         data = normalized(small_data(2, n_c=5))
-        dicts, _ = initialize(data, TrainConfig(k_c=5, k0=0), seed=3)
+        dicts, _ = initialize(data, TrainConfig(hyper=HyperParams(seed=3), k_c=5, k0=0))
         for c in range(1, data.C + 1):
             block = data.class_block(c)
             block_n = block / np.linalg.norm(block, axis=0)
@@ -102,27 +102,27 @@ class TestInitialize:
 
     def test_deterministic(self):
         data = normalized(small_data(3, k0=2))
-        cfg = TrainConfig(k_c=4, k0=2)
-        d1, _ = initialize(data, cfg, seed=5)
-        d2, _ = initialize(data, cfg, seed=5)
+        cfg = TrainConfig(hyper=HyperParams(seed=5), k_c=4, k0=2)
+        d1, _ = initialize(data, cfg)
+        d2, _ = initialize(data, cfg)
         assert np.array_equal(d1.D, d2.D)
         assert np.array_equal(d1.shared_dict, d2.shared_dict)
 
     def test_shared_start_orthonormal(self):
         data = normalized(small_data(4, k0=3))
-        dicts, _ = initialize(data, TrainConfig(k_c=4, k0=3), seed=0)
+        dicts, _ = initialize(data, TrainConfig(k_c=4, k0=3))
         G = dicts.shared_dict.T @ dicts.shared_dict
         assert np.max(np.abs(G - np.eye(3))) < 1e-10
 
     def test_oversized_shared_rejected(self):
         data = normalized(small_data(5))
         with pytest.raises(ParameterError):
-            initialize(data, TrainConfig(k_c=4, k0=data.d + data.N), seed=0)
+            initialize(data, TrainConfig(k_c=4, k0=data.d + data.N))
 
     def test_oversampling_warns(self, caplog):
         data = normalized(small_data(6, n_c=3))
         with caplog.at_level(logging.WARNING, logger="lrsdl.learner"):
-            dicts, _ = initialize(data, TrainConfig(k_c=6, k0=0), seed=0)
+            dicts, _ = initialize(data, TrainConfig(k_c=6, k0=0))
         assert dicts.k_c == 6
         assert any("replacement" in r.message for r in caplog.records)
 
@@ -132,8 +132,8 @@ class TestInitialize:
         cols = np.concatenate([np.arange(8), np.arange(8, 11), np.arange(16, 29)])
         data = normalized(Dataset(Y=data.Y[:, cols], labels=data.labels[cols]))
         with caplog.at_level(logging.WARNING, logger="lrsdl.learner"):
-            initialize(data, TrainConfig(k_c=4, k0=0), seed=0)
-            initialize(data, TrainConfig(k_c=3, k0=0), seed=0)
+            initialize(data, TrainConfig(k_c=4, k0=0))
+            initialize(data, TrainConfig(k_c=3, k0=0))
         assert [r.getMessage() for r in caplog.records] == [
             "k_c=4 exceeds the 3 samples of class 2, the smallest; drawn with replacement"
         ]
@@ -144,7 +144,7 @@ class TestSparseCodeTrain:
         self.data = normalized(small_data(10))
         self.hyper = HyperParams(lambda1=0.01, lambda2=0.05, fista_iters=30)
         self.cfg = TrainConfig(hyper=self.hyper, k_c=4, k0=0)
-        self.dicts, self.coefs = initialize(self.data, self.cfg, seed=0)
+        self.dicts, self.coefs = initialize(self.data, self.cfg)
 
     def test_huge_l1_kills_codes(self):
         rng = np.random.default_rng(0)
@@ -181,7 +181,7 @@ class TestSparseCodeTrain:
         data = normalized(small_data(11, k0=3))
         hyper = HyperParams(lambda1=0.01, lambda2=0.05, fista_iters=30)
         cfg = TrainConfig(hyper=hyper, k_c=4, k0=3)
-        dicts, coefs = initialize(data, cfg, seed=0)
+        dicts, coefs = initialize(data, cfg)
         out = sparse_code_train(data, dicts, coefs, hyper)
         assert out.X0.shape == (3, data.N)
         # shared directions carry signal here, so the solve must move X0
@@ -253,9 +253,7 @@ class TestFitTraces:
         assert model.aborted
         assert model.trace == ()
         # the survivor is the (deterministic) initialization
-        ref_dicts, _ = initialize(
-            normalized(data), TrainConfig(hyper=hyper, k_c=4, k0=2), hyper.seed
-        )
+        ref_dicts, _ = initialize(normalized(data), TrainConfig(hyper=hyper, k_c=4, k0=2))
         assert np.array_equal(model.dict_bundle.D, ref_dicts.D)
 
     def test_matches_reference_objective_without_shared(self, monkeypatch):
@@ -268,7 +266,7 @@ class TestFitTraces:
 
         def snoop(ndata, dicts, coefs, hyper):
             seen.append(fddl_objective(
-                ndata.Y, list(dicts.class_dicts), coefs.X, ndata.labels,
+                ndata.Y, np.hsplit(dicts.D, dicts.C), coefs.X, ndata.labels,
                 hyper.lambda1, hyper.lambda2,
             ))
             return objective_terms(ndata, dicts, coefs, hyper)
@@ -290,13 +288,13 @@ class TestFitTraces:
 
         def random_dict(V, X0, *args, **kwargs):
             candidates.append(normalize_columns(rng.standard_normal((V.shape[0], X0.shape[0]))))
-            return candidates[-1], [(0.0, 0.0)]
+            return candidates[-1], [(0.0, 0.0)], True
 
         monkeypatch.setattr(dictupdate, "admm_nuclear", random_dict)
         seen = []
 
         def snoop(ndata, dicts, coefs, hyper):
-            cand = DictionaryBundle(class_dicts=dicts.class_dicts, shared_dict=candidates[-1])
+            cand = DictionaryBundle(D=dicts.D, shared_dict=candidates[-1], C=dicts.C)
             terms = objective_terms(ndata, dicts, coefs, hyper)
             cand_total = objective_terms(ndata, cand, coefs, hyper).total
             seen.append((dicts.shared_dict, terms, cand_total))
@@ -304,7 +302,7 @@ class TestFitTraces:
 
         monkeypatch.setattr(learner, "objective_terms", snoop)
         model = fit(data, cfg)
-        init, _ = initialize(normalized(data), cfg, cfg.hyper.seed)
+        init, _ = initialize(normalized(data), cfg)
         assert len(candidates) == len(seen) == len(model.trace) == cfg.hyper.outer_iters
         for rec, (D0, terms, cand_total) in zip(model.trace, seen):
             assert cand_total > terms.total

@@ -789,7 +789,7 @@ class TestAdmmNuclear:
         rng = np.random.default_rng(11)
         V = rng.standard_normal((6, 10))
         X = rng.standard_normal((4, 10))
-        D = admm_nuclear(V, X, eta=0.0, rho=1.0, iters=400)
+        D, _, _ = admm_nuclear(V, X, eta=0.0, rho=1.0, iters=400)
         ref = np.linalg.lstsq(X.T, V.T, rcond=None)[0].T
         assert np.max(np.abs(D - ref)) < 1e-6
 
@@ -802,7 +802,7 @@ class TestAdmmNuclear:
         eta = 2.0 * np.linalg.norm(V @ X.T, 2) * np.linalg.norm(
             np.linalg.inv(G), 2
         ) * 10.0
-        D = admm_nuclear(V, X, eta=eta, rho=1.0, iters=300)
+        D, _, _ = admm_nuclear(V, X, eta=eta, rho=1.0, iters=300)
         assert np.max(np.abs(D)) < 1e-6
 
     def test_beats_subgradient_oracle(self):
@@ -810,7 +810,7 @@ class TestAdmmNuclear:
         V = rng.standard_normal((6, 12))
         X = rng.standard_normal((4, 12))
         eta = 0.5
-        D = admm_nuclear(V, X, eta=eta, rho=1.0, iters=400)
+        D, _, _ = admm_nuclear(V, X, eta=eta, rho=1.0, iters=400)
 
         def objective(M):
             return float(np.sum((V - M @ X) ** 2)) + eta * nuclear_norm(M)
@@ -821,16 +821,16 @@ class TestAdmmNuclear:
     def test_consensus_residual_shrinks(self):
         # the solve stops on its residuals before the budget, with the
         # primal residual under its bound (max(||D||, ||Z||) <= ||Z|| + r);
-        # a smaller budget still caps the sweeps
+        # a smaller budget still caps the sweeps, unconverged
         rng = np.random.default_rng(14)
         V = rng.standard_normal((8, 15))
         X = rng.standard_normal((5, 15))
-        Z, res = admm_nuclear(V, X, eta=0.3, rho=1.0, iters=100, return_residuals=True)
-        assert len(res) < 100
+        Z, res, converged = admm_nuclear(V, X, eta=0.3, rho=1.0, iters=100)
+        assert len(res) < 100 and converged is True
         r = res[-1][0]
         assert r <= np.sqrt(Z.size) * ADMM_TOL + ADMM_TOL * (np.linalg.norm(Z) + r)
-        _, capped = admm_nuclear(V, X, eta=0.3, rho=1.0, iters=3, return_residuals=True)
-        assert len(capped) == 3
+        _, capped, converged = admm_nuclear(V, X, eta=0.3, rho=1.0, iters=3)
+        assert len(capped) == 3 and converged is False
 
     def test_output_has_thresholded_structure(self):
         # returned Z is an exact svt image: no singular value in (0, tiny)
@@ -838,19 +838,15 @@ class TestAdmmNuclear:
         V = rng.standard_normal((6, 9))
         X = rng.standard_normal((6, 9))
         eta, rho = 1.5, 1.0
-        Z = admm_nuclear(V, X, eta=eta, rho=rho, iters=200)
+        Z, _, _ = admm_nuclear(V, X, eta=eta, rho=rho, iters=200)
         s = np.linalg.svd(Z, compute_uv=False)
         assert np.all((s > 1e-12) | (s == 0.0) | (s < 1e-12))
         # at least one direction is fully cut at this regularization level
         assert np.sum(s < 1e-12) >= 1 or s.size == 0
 
     def test_empty_code_rows(self):
-        Z = admm_nuclear(np.zeros((4, 7)), np.zeros((0, 7)), eta=0.5, rho=1.0)
-        assert Z.shape == (4, 0)
-        Z, res = admm_nuclear(
-            np.zeros((4, 7)), np.zeros((0, 7)), eta=0.5, rho=1.0, return_residuals=True
-        )
-        assert Z.shape == (4, 0) and res == [(0.0, 0.0)]
+        Z, res, converged = admm_nuclear(np.zeros((4, 7)), np.zeros((0, 7)), eta=0.5, rho=1.0)
+        assert Z.shape == (4, 0) and res == [(0.0, 0.0)] and converged
 
     def test_parameter_validation(self):
         V = np.zeros((3, 5))
@@ -900,12 +896,12 @@ class TestAdmmNuclear:
 def test_admm_matches_fixed_sweep_loop(d, k, n, eta, rho, iters, seed):
     """admm_nuclear (inverse formed once, residual stop) against
     admm_fixed_sweeps (a solve every sweep, no stop) run for the sweeps
-    admm_nuclear used, with k > n allowed. An early stop must have both
-    residuals under their bounds."""
+    admm_nuclear used, with k > n allowed. A stop on the tolerance, on the
+    last allowed sweep too, must have both residuals under their bounds."""
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((d, n))
     X = rng.standard_normal((k, n))
-    Z, res = admm_nuclear(V, X, eta=eta, rho=rho, iters=iters, return_residuals=True)
+    Z, res, converged = admm_nuclear(V, X, eta=eta, rho=rho, iters=iters)
     assert 1 <= len(res) <= iters
     D_o, Z_o, U_o, Z_prev_o = admm_fixed_sweeps(V, X, eta, rho, len(res))
     # relative to the iterates' size: D can be tiny next to U and Z
@@ -914,7 +910,8 @@ def test_admm_matches_fixed_sweep_loop(d, k, n, eta, rho, iters, seed):
     r, s = res[-1]
     assert abs(r - np.linalg.norm(D_o - Z_o)) <= 1e-10 * scale
     assert abs(s - rho * np.linalg.norm(Z_o - Z_prev_o)) <= 1e-10 * rho * scale
-    if len(res) < iters:
+    assert converged or len(res) == iters
+    if converged:
         floor = np.sqrt(d * k) * ADMM_TOL
         assert r <= floor + ADMM_TOL * max(np.linalg.norm(D_o), np.linalg.norm(Z_o))
         assert s <= floor + ADMM_TOL * rho * np.linalg.norm(U_o)
@@ -934,7 +931,7 @@ def test_admm_reduced_basis_matches_fixed_sweep_loop(d, k, n, codes):
     rng = np.random.default_rng(d * 100 + k)
     V = rng.standard_normal((d, 8)) @ rng.standard_normal((8, n))
     X = rng.standard_normal((k, n)) if codes == "random" else np.zeros((k, n))
-    Z, res = admm_nuclear(V, X, eta=2.0, rho=1.0, iters=100, return_residuals=True)
+    Z, res, _ = admm_nuclear(V, X, eta=2.0, rho=1.0, iters=100)
     assert Z.shape == (d, k)
     D_o, Z_o, U_o, Z_prev_o = admm_fixed_sweeps(V, X, 2.0, 1.0, len(res))
     scale = max(np.linalg.norm(D_o), np.linalg.norm(Z_o), np.linalg.norm(U_o))
