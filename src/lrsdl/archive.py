@@ -17,7 +17,7 @@ from .data import (
     LearnedModel,
     MeanStats,
 )
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 from .matio import load_matrix, save_matrix
 
 FORMAT_VERSION = 1
@@ -154,10 +154,14 @@ def _parse_trace(path):
 def load_model(path):
     """Read an archive back into a LearnedModel.
 
-    Shape mismatches between meta and the matrix files raise FormatError;
-    missing files surface as OSError.
+    Shape mismatches between meta and the matrix files, and hyperparameters
+    HyperParams refuses, raise FormatError; missing files surface as OSError.
     """
     meta = _parse_meta(os.path.join(path, "meta"))
+    try:
+        hyper = HyperParams(**{f.name: meta[f.name] for f in fields(HyperParams)})
+    except ParameterError as exc:
+        raise FormatError(f"meta {exc}") from exc
     C, d, k_c, k0 = (meta[key] for key in _SIZES)
     K = C * k_c
     D = _load_checked(path, "D.lmx", (d, K))
@@ -166,7 +170,6 @@ def load_model(path):
     m0 = _load_checked(path, "mean_m0.lmx", (k0, 1)).ravel()
     dicts = DictionaryBundle(D=D, shared_dict=D0, C=C)
     means = MeanStats(class_means=class_means, shared_mean=m0)
-    hyper = HyperParams(**{f.name: meta[f.name] for f in fields(HyperParams)})
     trace = _parse_trace(os.path.join(path, "trace.csv"))
     return LearnedModel(
         dict_bundle=dicts,

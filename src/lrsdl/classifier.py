@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, normalize_columns
-from .errors import DataError, DimensionError, NumericalError, ParameterError, check_labels
+from .errors import DataError, DimensionError, ParameterError, check_labels, check_real
 from .gradients import gram_test_code
 from .prox import SmoothObjective, fista, power_iteration_lipschitz
 
@@ -49,14 +49,12 @@ class Prediction:
 def _unit_samples(Y, d):
     """One sample (d,) or a batch (d, N), checked, as a unit-normalized (d, N)
     batch; zero samples stay zero and are logged, once per call."""
-    Y = np.asarray(Y, dtype=float)
+    Y = np.asarray(Y)
     if Y.ndim not in (1, 2) or Y.shape[0] != d:
         raise DimensionError(
             f"samples of shape {Y.shape} do not have the {d} features the model expects"
         )
-    if not np.all(np.isfinite(Y)):
-        raise NumericalError("test samples contain non-finite values")
-    Y = Y.reshape(d, -1)
+    Y = check_real(Y, "test samples").reshape(d, -1)
     zero = ~Y.any(axis=0)  # the samples are finite
     if zero.any():
         log.warning("%d zero-norm test sample(s) left unnormalized", zero.sum())

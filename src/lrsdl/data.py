@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DimensionError, DomainError, ParameterError
-from .errors import check_integer, check_labels
+from .errors import check_integer, check_labels, check_real
 
 
 def _freeze(a, dtype=float):
@@ -76,11 +76,9 @@ class Dataset:
     sizes: tuple = field(init=False)
 
     def __post_init__(self):
-        Y = _freeze(self.Y)
+        Y = _freeze(check_real(self.Y, "sample matrix"))
         if Y.ndim != 2:
             raise DimensionError(f"expected 2-d sample matrix, got {Y.shape}")
-        if not np.isfinite(Y).all():
-            raise DataError("sample matrix contains NaN or Inf")
         # checked before the cast to int, which would truncate 1.7 to 1
         sizes = check_class_layout(self.labels, Y.shape[1])
         object.__setattr__(self, "Y", Y)
@@ -109,8 +107,8 @@ class Dataset:
         """Dataset from samples and labels in any column order: finite integral
         real floats within int64 become integers, labels must pass
         errors.check_labels, and a stable sort by label keeps each class's
-        column order; the Dataset casts them to int64 and checks the layout."""
-        Y = np.asarray(Y, dtype=float)
+        column order; the Dataset checks Y, casts labels to int64, checks layout."""
+        Y = np.asarray(Y)
         labels = np.asarray(labels)
         if Y.ndim != 2:
             raise DimensionError(f"expected 2-d sample matrix, got {Y.shape}")
@@ -147,7 +145,7 @@ class DictionaryBundle:
 
     def __post_init__(self):
         check_integer("C", self.C, 1)
-        D, shared = _freeze(self.D), _freeze(self.shared_dict)
+        D, shared = np.asarray(self.D), check_real(self.shared_dict, "shared dictionary")
         if D.ndim != 2 or not D.shape[1] or D.shape[1] % self.C:
             raise DimensionError(
                 f"class dictionaries D of shape {D.shape} must be 2-d with K a positive"
@@ -157,6 +155,7 @@ class DictionaryBundle:
             raise DimensionError(
                 f"shared dictionary shape {shared.shape} inconsistent with d={D.shape[0]}"
             )
+        check_real(D[:0], "class dictionaries")  # dtype only: the norms catch NaN, Inf by class
         with np.errstate(over="ignore"):  # a norm that overflows is too long
             norms, shared_norms = np.linalg.norm(D, axis=0), np.linalg.norm(shared, axis=0)
         bad = ~((norms > 0) & (norms <= 1 + 1e-9))  # NaN and Inf columns too
@@ -166,12 +165,10 @@ class DictionaryBundle:
             if not np.isfinite(D[:, j]).all():
                 fault = "contains NaN or Inf"
             raise DataError(f"class dictionary {j // (D.shape[1] // self.C) + 1} {fault}")
-        if not np.isfinite(shared).all():
-            raise DataError("shared dictionary contains NaN or Inf")
         if (shared_norms > 1 + 1e-9).any():
             raise DataError("shared dictionary column norm exceeds 1")
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "shared_dict", shared)
+        object.__setattr__(self, "D", _freeze(D))
+        object.__setattr__(self, "shared_dict", _freeze(shared))
         object.__setattr__(self, "D_total", _freeze(np.hstack((D, shared))))
 
     @property
@@ -209,16 +206,13 @@ class CoefBundle:
     X0: np.ndarray
 
     def __post_init__(self):
-        X = _freeze(self.X)
-        X0 = _freeze(self.X0)
+        X, X0 = np.asarray(self.X), np.asarray(self.X0)
         if X.ndim != 2 or X0.ndim != 2:
             raise DimensionError("codes must be 2-d")
         if X0.shape[1] != X.shape[1]:
             raise DimensionError("X and X0 column counts differ")
-        if not (np.isfinite(X).all() and np.isfinite(X0).all()):
-            raise DataError("codes contain NaN or Inf")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "X0", X0)
+        object.__setattr__(self, "X", _freeze(check_real(X, "codes X")))
+        object.__setattr__(self, "X0", _freeze(check_real(X0, "codes X0")))
 
     @property
     def K(self):
@@ -245,8 +239,8 @@ class MeanStats:
     shared_mean: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "class_means", _freeze(self.class_means))
-        object.__setattr__(self, "shared_mean", _freeze(self.shared_mean))
+        for name in ("class_means", "shared_mean"):
+            object.__setattr__(self, name, _freeze(check_real(getattr(self, name), name)))
         if self.class_means.ndim != 2:
             raise DimensionError("class_means must be K x C")
 

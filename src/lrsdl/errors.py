@@ -1,6 +1,7 @@
 """Exception types raised by the toolkit, and the checks every module shares:
-check_integer for integer parameters (the solvers of prox too) and
-check_labels, the one rule for class labels wherever they enter.
+check_integer for integer parameters (the solvers of prox too),
+check_labels, the one rule for class labels wherever they enter, and
+check_real, the one rule for the numbers of samples, models and matrices.
 
 Every error the library raises deliberately derives from ToolkitError so
 callers can distinguish toolkit failures from programming mistakes.
@@ -57,3 +58,15 @@ def check_labels(labels, name="labels", C=None):
     # int() compares uint64 with these bounds exactly, on any numpy
     if labels.size and not 1 <= int(labels.min()) <= int(labels.max()) <= high:
         raise DataError(f"{name} must lie in 1..{high}")
+
+
+def check_real(a, name):
+    """a as a float64 array, not copied if it is one; DataError unless its
+    dtype is boolean, integer or real floating and every entry is finite."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise DataError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise DataError(f"{name} contains NaN or Inf")
+    return a

@@ -15,18 +15,16 @@ The writers refuse, before opening the file, what the readers would refuse.
 
 import numpy as np
 
-from .errors import DataError, DimensionError, FormatError, check_labels
+from .errors import DimensionError, FormatError, check_labels, check_real
 
 _MAGIC = b"LMX "
 
 
 def save_matrix(M, path):
-    """Write a 2-d finite float matrix to ``path`` in LMX binary form."""
-    M = np.asarray(M, dtype=float)
+    """Write a 2-d finite real matrix to ``path`` in LMX binary form."""
+    M = check_real(M, "matrix")
     if M.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise DataError("matrix contains NaN or Inf")
     header = f"LMX {M.shape[0]} {M.shape[1]}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -58,17 +56,14 @@ def _parse_binary(blob, path):
         raise FormatError(f"{path}: non-integer dimensions in header") from exc
     if rows < 0 or cols < 0:
         raise FormatError(f"{path}: negative dimensions in header")
-    payload = blob[nl + 1 :]
+    payload = bytearray(memoryview(blob)[nl + 1 :])  # one writable copy, the matrix's
     expected = rows * cols * 8
     if len(payload) != expected:
         raise DimensionError(
             f"{path}: payload has {len(payload)} bytes, expected {expected} "
             f"for a {rows}x{cols} matrix"
         )
-    M = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(float)
-    if M.size and not np.isfinite(M).all():
-        raise DataError(f"{path}: matrix contains NaN or Inf")
-    return M
+    return check_real(np.frombuffer(payload, dtype="<f8").reshape(rows, cols), f"{path}: matrix")
 
 
 def _parse_csv(blob, path):
@@ -95,10 +90,7 @@ def _parse_csv(blob, path):
             rows.append([float(f) for f in fields])
         except ValueError as exc:
             raise FormatError(f"{path}: unparseable value on row {i + 1}") from exc
-    M = np.array(rows, dtype=float).reshape(len(rows), width or 0)
-    if M.size and not np.isfinite(M).all():
-        raise DataError(f"{path}: matrix contains NaN or Inf")
-    return M
+    return check_real(np.array(rows).reshape(len(rows), width or 0), f"{path}: matrix")
 
 
 def save_labels(labels, path):

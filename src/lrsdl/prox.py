@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericalError, ParameterError, check_integer
+from .errors import DimensionError, NumericalError, ParameterError, check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -247,13 +247,11 @@ def svt(M, tau):
     """
     if not tau >= 0:  # also rejects NaN
         raise ParameterError(f"threshold must be >= 0, got {tau}")
-    M = np.asarray(M, dtype=float)
+    M = check_real(M, "matrix")
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {M.shape}")
     if min(M.shape) == 0:
         return M.copy()
-    if not np.isfinite(M).all():
-        raise DataError("matrix contains NaN or Inf")
     try:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:

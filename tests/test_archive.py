@@ -324,6 +324,21 @@ class TestCorruption:
         with pytest.raises(FormatError, match=f"meta {key}={value} "):
             load_model(str(arc))
 
+    @pytest.mark.parametrize(
+        "key,value", [("w", 2), ("outer_iters", 0), ("lambda1", -1), ("seed", -1)]
+    )
+    def test_meta_hyperparameter_out_of_range(self, trained, tmp_path, key, value):
+        # a value HyperParams refuses is a fault of the file, like a bad size
+        arc = self.write(trained, tmp_path)
+        meta = arc / "meta"
+        lines = [
+            f"{key}={value}" if ln.startswith(f"{key}=") else ln
+            for ln in meta.read_text().splitlines()
+        ]
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="^meta "):
+            load_model(str(arc))
+
     def test_matrix_shape_mismatch(self, trained, tmp_path):
         from lrsdl.matio import save_matrix
 

@@ -144,7 +144,7 @@ class TestEncodeTest:
             classify(np.zeros(model.d + 1), model)
         with pytest.raises(DimensionError):
             classify(np.zeros((model.d + 1, 2)), model)
-        with pytest.raises(NumericalError):
+        with pytest.raises(DataError):
             classify(np.full(model.d, np.nan), model)
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
@@ -478,7 +478,7 @@ class TestBatchedClassify:
             classify(np.zeros((model.d, 2, 2)), model)
         Y = np.ones((model.d, 3))
         Y[0, 1] = np.inf
-        with pytest.raises(NumericalError):
+        with pytest.raises(DataError):
             classify(Y, model)
 
 

@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,11 @@ from lrsdl.errors import (
     DomainError,
     ParameterError,
 )
-from lrsdl.learner import TrainConfig, initialize
+from lrsdl.classifier import classify
+from lrsdl.errors import check_real
+from lrsdl.learner import TrainConfig, fit, initialize
+from lrsdl.matio import save_matrix
+from lrsdl.prox import svt
 
 
 def _rand_dataset(seed=0, C=2, d=5, n_c=3):
@@ -442,3 +446,77 @@ def test_normalize_columns_survives_extreme_scales(scale):
     out = normalize_columns(M * scale)
     assert np.allclose(np.linalg.norm(out, axis=0), 1.0, rtol=1e-14)
     assert np.allclose(out, normalize_columns(M), rtol=1e-14, atol=1e-15)
+
+
+def _two_class_model():
+    dicts = DictionaryBundle(D=np.eye(4), shared_dict=np.zeros((4, 0)), C=2)
+    means = MeanStats(class_means=np.zeros((4, 2)), shared_mean=np.zeros(0))
+    return LearnedModel(dict_bundle=dicts, mean_stats=means, hyper=HyperParams(), trace=())
+
+
+# every entry point for numbers, called with a spoiler s of its valid input;
+# the dictionaries' entries are small, so a complex entry keeps the norms in
+# range and only the dtype refuses it, as it refuses an object array
+NUMBER_SITES = {
+    "Dataset": lambda s, _: Dataset(Y=s(np.ones((3, 4))), labels=[1, 1, 2, 2]),
+    "Dataset.from_arrays": lambda s, _: Dataset.from_arrays(s(np.ones((3, 4))), [2, 1, 2, 1]),
+    "DictionaryBundle.D": lambda s, _: DictionaryBundle(
+        D=s(np.eye(4) / 2), shared_dict=np.zeros((4, 1)), C=2
+    ),
+    "DictionaryBundle.shared_dict": lambda s, _: DictionaryBundle(
+        D=np.eye(4), shared_dict=s(np.full((4, 1), 0.25)), C=2
+    ),
+    "CoefBundle.X": lambda s, _: CoefBundle(X=s(np.ones((4, 3))), X0=np.ones((1, 3))),
+    "CoefBundle.X0": lambda s, _: CoefBundle(X=np.ones((4, 3)), X0=s(np.ones((1, 3)))),
+    "MeanStats.class_means": lambda s, _: MeanStats(
+        class_means=s(np.ones((4, 2))), shared_mean=np.ones(1)
+    ),
+    "MeanStats.shared_mean": lambda s, _: MeanStats(
+        class_means=np.ones((4, 2)), shared_mean=s(np.ones(1))
+    ),
+    "classify-one": lambda s, _: classify(s(np.ones(4)), _two_class_model()),
+    "classify-batch": lambda s, _: classify(s(np.ones((4, 3))), _two_class_model()),
+    "save_matrix": lambda s, path: save_matrix(s(np.ones((2, 3))), path),
+    "svt": lambda s, _: svt(s(np.ones((3, 2))), 0.1),
+}
+BAD_NUMBERS = {"complex": 0.5j, "object": 0, "NaN": np.nan, "Inf": np.inf}
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS)
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_numbers_refused_alike(site, bad, tmp_path):
+    # errors.check_real is the one rule: a complex entry would lose its
+    # imaginary part, and a NaN or Inf one would poison the result
+    value = BAD_NUMBERS[bad]
+
+    def spoil(a):
+        a = np.array(a, dtype=object if bad == "object" else np.result_type(a, value))
+        a.flat[0] += value
+        return a
+
+    path = tmp_path / "M.lmx"
+    with pytest.raises(DataError, match="NaN or Inf" if bad in ("NaN", "Inf") else "real numbers"):
+        NUMBER_SITES[site](spoil, path)
+    assert not path.exists()
+
+
+def test_check_real_casts_without_copying_floats():
+    a = np.ones((2, 2))
+    assert check_real(a, "a") is a
+    for other in (np.ones(2, dtype=bool), np.arange(2), np.ones(2, dtype=np.float32)):
+        assert check_real(other, "a").dtype == np.float64
+    with pytest.raises(DataError, match="a must hold real numbers, got dtype <U1"):
+        check_real(np.array(["1"]), "a")
+
+
+def test_nan_class_mean_is_refused():
+    # a NaN in class 3's mean made every class-3 score NaN, and argmin then
+    # gave all 12 training samples label 3
+    data, _ = generate_synthetic(
+        C=3, d=8, n_c=4, k_c=2, k0=0, shared_rank=0, noise_sigma=0.05, seed=0
+    )
+    model = fit(data, TrainConfig(hyper=HyperParams(outer_iters=2), k_c=2, k0=0))
+    means = model.mean_stats.class_means.copy()
+    means[0, 2] = np.nan
+    with pytest.raises(DataError, match="class_means contains NaN or Inf"):
+        replace(model.mean_stats, class_means=means)

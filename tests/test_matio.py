@@ -28,6 +28,16 @@ def test_binary_direct_parse(tmp_path):
     assert np.array_equal(M, np.arange(6.0).reshape(2, 3))
 
 
+def test_loaded_matrices_are_writable_float64(tmp_path):
+    # a caller may scale a loaded matrix in place, from either format
+    (tmp_path / "m.lmx").write_bytes(b"LMX 1 2\n" + np.ones(2, dtype="<f8").tobytes())
+    (tmp_path / "m.csv").write_text("1,2\n")
+    for name in ("m.lmx", "m.csv"):
+        M = load_matrix(tmp_path / name)
+        assert M.dtype == np.float64 and M.flags.writeable
+        M *= 2.0
+
+
 def test_binary_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     M = rng.standard_normal((5, 7))
