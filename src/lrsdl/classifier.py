@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, normalize_columns
-from .errors import DataError, DimensionError, ParameterError, check_labels, check_real
+from .errors import DataError, DimensionError, check_labels, check_number, check_real
 from .gradients import gram_test_code
 from .prox import SmoothObjective, fista, power_iteration_lipschitz
 
@@ -99,8 +99,7 @@ def classify(Y, model, w=None):
     as in training: sparse code, then argmin of the class scores. See
     :class:`Prediction` for shapes."""
     w = model.hyper.w if w is None else w
-    if not 0.0 <= w <= 1.0:
-        raise ParameterError(f"w must lie in [0, 1], got {w}")
+    check_number("w", w, 0, 1)
     Yn = _unit_samples(Y, model.d)
     code = encode_test(Yn, model)
     scores = class_scores(Yn, model, code, w)

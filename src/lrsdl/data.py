@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DimensionError, DomainError, ParameterError
-from .errors import check_integer, check_labels, check_real
+from .errors import check_labels, check_number, check_real
 
 
 def _freeze(a, dtype=float):
@@ -144,7 +144,7 @@ class DictionaryBundle:
     D_total: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_integer("C", self.C, 1)
+        check_number("C", self.C, 1, integer=True)
         D, shared = np.asarray(self.D), check_real(self.shared_dict, "shared dictionary")
         if D.ndim != 2 or not D.shape[1] or D.shape[1] % self.C:
             raise DimensionError(
@@ -325,14 +325,12 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        weights = (self.lambda1, self.lambda2, self.eta)
-        if not all(0 <= v < np.inf for v in weights):  # also rejects NaN
-            raise ParameterError(f"regularization weights must be finite, >= 0: {weights}")
-        if not 0 <= self.w <= 1:
-            raise ParameterError(f"w={self.w} outside [0, 1]")
+        for name in ("lambda1", "lambda2", "eta"):
+            check_number(name, getattr(self, name), 0)
+        check_number("w", self.w, 0, 1)
         for name in ("outer_iters", "fista_iters", "admm_iters"):
-            check_integer(name, getattr(self, name), 1)
-        check_integer("seed", self.seed, 0)
+            check_number(name, getattr(self, name), 1, integer=True)
+        check_number("seed", self.seed, 0, integer=True)
 
 
 @dataclass(frozen=True)
@@ -395,17 +393,15 @@ def generate_synthetic(
     supposed to look alike across samples). Labels come out contiguous.
     """
     for name, value in dict(C=C, d=d, n_c=n_c, k_c=k_c).items():
-        check_integer(name, value, 1)
+        check_number(name, value, 1, integer=True)
     for name, value in dict(k0=k0, shared_rank=shared_rank, seed=seed).items():
-        check_integer(name, value, 0)
+        check_number(name, value, 0, integer=True)
     if shared_rank > min(d, k0):
         raise ParameterError(
             f"shared_rank={shared_rank} must lie in [0, min(d={d}, k0={k0})]"
         )
-    if not 0 <= noise_sigma < np.inf:  # also rejects NaN
-        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    if not np.isfinite(shared_scale):
-        raise ParameterError(f"shared_scale must be finite, got {shared_scale}")
+    check_number("noise_sigma", noise_sigma, 0)
+    check_number("shared_scale", shared_scale, -np.inf)
     rng = np.random.default_rng(seed)
 
     D = np.hstack([normalize_columns(rng.standard_normal((d, k_c))) for _ in range(C)])

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .data import block_diagonal
-from .errors import DimensionError, NumericalError, check_integer
+from .errors import DimensionError, NumericalError, check_number
 from .gradients import nuclear_term
 from .prox import admm_nuclear
 
@@ -76,7 +76,7 @@ def odl_update(A, B, D_init, sweeps=ODL_SWEEPS):
     across sweeps (checked, since the update is exact per column), and a
     non-finite A, B or D_init raises NumericalError through its start value.
     """
-    check_integer("sweeps", sweeps, 1)
+    check_number("sweeps", sweeps, 1, integer=True)
     D = np.array(D_init, dtype=float)
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if D.ndim != 2 or B.shape != D.shape or A.shape != (D.shape[1],) * 2:

@@ -1,5 +1,5 @@
 """Exception types raised by the toolkit, and the checks every module shares:
-check_integer for integer parameters (the solvers of prox too),
+check_number, the one rule for scalar settings (the solvers of prox too),
 check_labels, the one rule for class labels wherever they enter, and
 check_real, the one rule for the numbers of samples, models and matrices.
 
@@ -7,9 +7,12 @@ Every error the library raises deliberately derives from ToolkitError so
 callers can distinguish toolkit failures from programming mistakes.
 """
 
+import math
 import numbers
 
 import numpy as np
+
+POSITIVE = math.ulp(0.0)  # the least positive float: as a low, it refuses 0
 
 
 class ToolkitError(Exception):
@@ -40,11 +43,18 @@ class NumericalError(ToolkitError):
     """A computation produced non-finite values or a decomposition failed."""
 
 
-def check_integer(name, value, low):
-    """Raise ParameterError unless value is an integer (numpy integers
-    pass, bool does not) of at least low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+def check_number(name, value, low, high=math.inf, integer=False):
+    """Raise ParameterError, naming the setting, unless value is a real number
+    (an integer if integer is set; numpy scalars pass, bool and arrays do not),
+    finite and in [low, high]. Integers compare exactly, other reals as floats."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, kind) and not isinstance(value, bool):
+        x = value if isinstance(value, numbers.Integral) else float(value)
+        if -math.inf < x < math.inf and low <= x <= high:
+            return
+    what = "an integer" if integer else "finite and"
+    rule = f"be {what} >= {low}" if high == math.inf else f"lie in [{low}, {high}]"
+    raise ParameterError(f"{name} must {rule}, got {value!r}")
 
 
 def check_labels(labels, name="labels", C=None):
@@ -66,7 +76,8 @@ def check_real(a, name):
     a = np.asarray(a)
     if a.dtype.kind not in "biuf":
         raise DataError(f"{name} must hold real numbers, got dtype {a.dtype}")
-    a = a.astype(float, copy=False)
+    with np.errstate(over="ignore"):  # a longdouble beyond float64 becomes Inf
+        a = a.astype(float, copy=False)
     if not np.isfinite(a).all():
         raise DataError(f"{name} contains NaN or Inf")
     return a

@@ -30,7 +30,7 @@ from .data import (
     normalize_columns,
 )
 from .dictupdate import class_dict_gram, count_dead_atoms, odl_update, update_shared_dict
-from .errors import NumericalError, ParameterError, check_integer
+from .errors import NumericalError, ParameterError, check_number
 from .gradients import (
     build_augmented_gram,
     check_shapes,
@@ -54,8 +54,8 @@ class TrainConfig:
     k0: int = 0
 
     def __post_init__(self):
-        check_integer("k_c", self.k_c, 1)
-        check_integer("k0", self.k0, 0)
+        check_number("k_c", self.k_c, 1, integer=True)
+        check_number("k0", self.k0, 0, integer=True)
 
 
 def initialize(data, config):

@@ -6,7 +6,7 @@ Two on-disk matrix formats:
   exactly rows*cols IEEE-754 float64 values, little-endian, row-major.
   ``save_matrix`` writes it.
 * CSV: comma-separated values, one matrix row per line, no header line.
-  An input format only: ``load_matrix`` reads it.
+  An input format only, read by ``load_matrix``; a UTF-8 BOM is skipped.
 
 ``load_matrix`` sniffs the format from the file content. Label files hold
 one integer per line, each a class id under errors.check_labels (1..2**63 - 1).
@@ -68,7 +68,7 @@ def _parse_binary(blob, path):
 
 def _parse_csv(blob, path):
     try:
-        text = blob.decode("utf-8")
+        text = blob.decode("utf-8-sig")  # Excel's "CSV UTF-8" starts with a BOM
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid text") from exc
     lines = text.split("\n")
@@ -105,7 +105,7 @@ def save_labels(labels, path):
 
 
 def load_labels(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # skips a BOM, as CSV matrices do
         lines = [ln.strip() for ln in fh if ln.strip() != ""]
     try:
         labels = np.array([int(ln) for ln in lines], dtype=int)

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError, check_integer, check_real
+from .errors import POSITIVE, DimensionError, NumericalError, check_number, check_real
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class SmoothObjective:
     raw_grad: Callable | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.lipschitz) or self.lipschitz <= 0:
-            raise ParameterError(f"lipschitz must be positive, got {self.lipschitz}")
+        check_number("lipschitz", self.lipschitz, POSITIVE)
         if self.raw_grad is None:
             object.__setattr__(self, "raw_grad", self.grad)
 
@@ -78,8 +77,7 @@ def soft_threshold(W, tau):
     exactly zero. fista shrinks through the same _clip in place; tests check
     its steps against this standalone form.
     """
-    if not tau >= 0:  # also rejects NaN
-        raise ParameterError(f"threshold must be >= 0, got {tau}")
+    check_number("tau", tau, 0)
     W = np.asarray(W, dtype=float)
     clip = _clip(W, tau, None)
     return np.subtract(W, clip, out=clip)
@@ -115,7 +113,7 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
 
     Args:
         obj: SmoothObjective with a quadratic g (affine gradient).
-        lam: l1 weight, >= 0.
+        lam: l1 weight, finite and >= 0.
         W0: warm start (copied, never modified).
         max_iter: iteration budget, an integer >= 1.
         tol: stop when the relative iterate change
@@ -161,11 +159,9 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     within its iteration, then neither kept nor written to. The shrink
     threshold lam / L is checked once, before the loop.
     """
-    if not lam >= 0:  # also rejects NaN
-        raise ParameterError(f"l1 weight must be >= 0, got {lam}")
-    check_integer("max_iter", max_iter, 1)
-    if not 0 <= tol < math.inf:  # also rejects NaN
-        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
+    check_number("lam", lam, 0)
+    check_number("max_iter", max_iter, 1, integer=True)
+    check_number("tol", tol, 0)
     L = obj.lipschitz
     W = np.array(W0, dtype=float)
     GW = obj.raw_grad(W)
@@ -245,8 +241,7 @@ def svt(M, tau):
 
     The proximal operator of tau * ||.||_* (nuclear norm).
     """
-    if not tau >= 0:  # also rejects NaN
-        raise ParameterError(f"threshold must be >= 0, got {tau}")
+    check_number("tau", tau, 0)
     M = check_real(M, "matrix")
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {M.shape}")
@@ -302,11 +297,9 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100):
         raise DimensionError(
             f"incompatible shapes {V.shape} and {Xcoef.shape} (columns must match)"
         )
-    if not eta >= 0:  # also rejects NaN
-        raise ParameterError(f"eta must be >= 0, got {eta}")
-    if not 0 < rho < math.inf:  # also rejects NaN
-        raise ParameterError(f"rho must be finite and positive, got {rho}")
-    check_integer("iters", iters, 1)
+    check_number("eta", eta, 0)
+    check_number("rho", rho, POSITIVE)
+    check_number("iters", iters, 1, integer=True)
     d = V.shape[0]
     k = Xcoef.shape[0]
     try:

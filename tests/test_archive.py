@@ -336,7 +336,7 @@ class TestCorruption:
             for ln in meta.read_text().splitlines()
         ]
         meta.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="^meta "):
+        with pytest.raises(FormatError, match=f"^meta {key}"):
             load_model(str(arc))
 
     def test_matrix_shape_mismatch(self, trained, tmp_path):

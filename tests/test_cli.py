@@ -165,7 +165,7 @@ class TestTrain:
         out = str(tmp_path / "model")
         code, _, err = train(capsys, dataset, out, extra=(flag, "nan"))
         assert code == 2
-        assert "regularization weights" in err
+        assert f"{flag[2:]} must be finite and >= 0" in err
         assert not os.path.exists(out)
 
     def test_negative_seed_exit_2(self, capsys, tmp_path, dataset):

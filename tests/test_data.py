@@ -26,7 +26,7 @@ from lrsdl.classifier import classify
 from lrsdl.errors import check_real
 from lrsdl.learner import TrainConfig, fit, initialize
 from lrsdl.matio import save_matrix
-from lrsdl.prox import svt
+from lrsdl.prox import SmoothObjective, admm_nuclear, fista, soft_threshold, svt
 
 
 def _rand_dataset(seed=0, C=2, d=5, n_c=3):
@@ -498,6 +498,92 @@ def test_numbers_refused_alike(site, bad, tmp_path):
     with pytest.raises(DataError, match="NaN or Inf" if bad in ("NaN", "Inf") else "real numbers"):
         NUMBER_SITES[site](spoil, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("site", ["check_real", "Dataset", "save_matrix"])
+def test_longdouble_beyond_the_float_range_is_refused(site, tmp_path):
+    # 1e400 is finite as an x86-64 long double; its cast to float64 is Inf,
+    # which the rule refuses, not numpy's overflow warning
+    with np.errstate(over="ignore"):  # Inf already where long double is float64
+        huge = np.longdouble(1e300) * np.longdouble(1e100)
+
+    def spoil(a):
+        a = np.array(a, dtype=np.longdouble)
+        a.flat[0] = huge
+        return a
+
+    sites = dict(NUMBER_SITES, check_real=lambda s, _: check_real(s(np.ones(2)), "a"))
+    path = tmp_path / "M.lmx"
+    with pytest.raises(DataError, match="NaN or Inf"):
+        sites[site](spoil, path)
+    assert not path.exists()
+
+
+def _quadratic():
+    return SmoothObjective.quadratic(np.eye(2), np.ones(2), 1.0)
+
+
+def _synthetic(**settings):
+    return generate_synthetic(C=2, d=4, n_c=2, k_c=2, k0=0, shared_rank=0, seed=0, **settings)
+
+
+# every real-valued setting: (its name, a call that sets it, values just
+# outside its range)
+NEXT_BELOW_0, NEXT_ABOVE_1 = np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)
+SETTINGS = {
+    "SmoothObjective.lipschitz": (
+        "lipschitz", lambda v: SmoothObjective(grad=abs, lipschitz=v), [0.0]
+    ),
+    "soft_threshold.tau": ("tau", lambda v: soft_threshold(np.ones(3), v), [NEXT_BELOW_0]),
+    "svt.tau": ("tau", lambda v: svt(np.ones((3, 2)), v), [NEXT_BELOW_0]),
+    "fista.lam": ("lam", lambda v: fista(_quadratic(), v, np.zeros(2)), [NEXT_BELOW_0]),
+    "fista.tol": ("tol", lambda v: fista(_quadratic(), 0.1, np.zeros(2), tol=v), [NEXT_BELOW_0]),
+    "admm_nuclear.eta": (
+        "eta", lambda v: admm_nuclear(np.ones((3, 2)), np.ones((1, 2)), v, 1.0), [NEXT_BELOW_0]
+    ),
+    "admm_nuclear.rho": (
+        "rho", lambda v: admm_nuclear(np.ones((3, 2)), np.ones((1, 2)), 0.1, v), [0.0]
+    ),
+    "HyperParams.lambda1": ("lambda1", lambda v: HyperParams(lambda1=v), [NEXT_BELOW_0]),
+    "HyperParams.lambda2": ("lambda2", lambda v: HyperParams(lambda2=v), [NEXT_BELOW_0]),
+    "HyperParams.eta": ("eta", lambda v: HyperParams(eta=v), [NEXT_BELOW_0]),
+    "HyperParams.w": ("w", lambda v: HyperParams(w=v), [NEXT_BELOW_0, NEXT_ABOVE_1]),
+    "classify.w": (
+        "w", lambda v: classify(np.ones(4), _two_class_model(), w=v), [NEXT_BELOW_0, NEXT_ABOVE_1]
+    ),
+    "generate_synthetic.noise_sigma": (
+        "noise_sigma", lambda v: _synthetic(noise_sigma=v), [NEXT_BELOW_0]
+    ),
+    "generate_synthetic.shared_scale": (
+        "shared_scale", lambda v: _synthetic(noise_sigma=0.0, shared_scale=v), []
+    ),
+}
+BAD_SETTINGS = {
+    "string": "0.5", "None": None, "complex": 0.5j, "bool": True,
+    "array": np.array([0.5, 0.5]), "NaN": np.nan, "Inf": np.inf,
+}
+
+
+@pytest.mark.parametrize(
+    "site, value",
+    [
+        pytest.param(site, value, id=f"{site}-{bad}")
+        for site, (_, _, outside) in SETTINGS.items()
+        for bad, value in [*BAD_SETTINGS.items(), *(("outside", v) for v in outside)]
+        if (site, bad) != ("classify.w", "None")  # None there means the model's own w
+    ],
+)
+def test_settings_refused_alike(site, value):
+    # errors.check_number is the one rule for scalar settings: whatever the
+    # fault, a ParameterError that starts with the setting's name
+    name, call, _ = SETTINGS[site]
+    with pytest.raises(ParameterError, match=f"^{name} must "):
+        call(value)
+
+
+def test_integer_setting_beyond_the_float_range_is_accepted():
+    # an integer needs no finiteness test, which would overflow here
+    assert HyperParams(seed=10**400).seed == 10**400
 
 
 def test_check_real_casts_without_copying_floats():

@@ -73,7 +73,7 @@ def is_private(name):
 
 def test_every_module_is_scanned():
     assert {"prox", "learner", "classifier", "data", "errors"} <= set(MODULES)
-    assert ("errors", "ParameterError") in package_imports("prox")
+    assert ("errors", "check_number") in package_imports("prox")
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -92,6 +92,14 @@ def test_prox_imports_only_errors_from_the_package():
     # nor does it reshape by a block count: a spread is handed to it whole
     tree = ast.parse((SRC / "prox.py").read_text())
     assert "reshape" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+@pytest.mark.parametrize("module", ["prox", "classifier"])
+def test_settings_are_judged_by_the_one_rule(module):
+    # their scalar settings go through errors.check_number, which raises
+    # the ParameterError; they hold no range check of their own
+    assert ("errors", "ParameterError") not in package_imports(module)
+    assert ("errors", "check_number") in package_imports(module)
 
 
 def top_functions(module):

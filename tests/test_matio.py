@@ -19,6 +19,13 @@ def test_csv_direct_parse(tmp_path):
     assert np.array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_csv_may_start_with_a_utf8_bom(tmp_path):
+    # Excel's "CSV UTF-8" export writes one
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+    assert np.array_equal(load_matrix(p), [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_binary_direct_parse(tmp_path):
     p = tmp_path / "m.lmx"
     payload = np.arange(6, dtype="<f8").tobytes()
@@ -188,6 +195,12 @@ def test_labels_round_trip(tmp_path):
     save_labels(labels, p)
     assert np.array_equal(load_labels(p), labels)
     assert p.read_text() == "1\n1\n2\n2\n3\n3\n"
+
+
+def test_labels_may_start_with_a_utf8_bom(tmp_path):
+    p = tmp_path / "labels.csv"
+    p.write_bytes(b"\xef\xbb\xbf2\n1\n")
+    assert np.array_equal(load_labels(p), [2, 1])
 
 
 def test_labels_must_be_integers(tmp_path):
