@@ -46,10 +46,15 @@ class NumericalError(ToolkitError):
 def check_number(name, value, low, high=math.inf, integer=False):
     """Raise ParameterError, naming the setting, unless value is a real number
     (an integer if integer is set; numpy scalars pass, bool and arrays do not),
-    finite and in [low, high]. Integers compare exactly, other reals as floats."""
+    finite and in [low, high]. An integer setting compares exactly, however
+    large; a real setting is judged as float(value), so an int beyond the
+    float range counts as infinite."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, kind) and not isinstance(value, bool):
-        x = value if isinstance(value, numbers.Integral) else float(value)
+        try:
+            x = value if integer else float(value)
+        except OverflowError:
+            x = math.inf
         if -math.inf < x < math.inf and low <= x <= high:
             return
     what = "an integer" if integer else "finite and"

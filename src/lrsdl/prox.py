@@ -92,19 +92,6 @@ def _pick(keep, a, b):
     return a if keep else b
 
 
-def _rejected_whole(accepted):
-    """Index of the rejected part of a one-block solve (None for none)."""
-    return None if accepted else ...
-
-
-def _rejected_columns(accepted):
-    """Index of the rejected columns (None for none)."""
-    if accepted.all():
-        return None
-    rejected = np.flatnonzero(~accepted)
-    return ... if rejected.size == accepted.size else (slice(None), rejected)
-
-
 FISTA_TOL = 1e-6  # relative iterate change that ends every coding solve
 
 
@@ -114,7 +101,8 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     Args:
         obj: SmoothObjective with a quadratic g (affine gradient).
         lam: l1 weight, finite and >= 0.
-        W0: warm start (copied, never modified).
+        W0: warm start of real, finite numbers (copied, never modified);
+            DataError otherwise.
         max_iter: iteration budget, an integer >= 1.
         tol: stop when the relative iterate change
             ||W_k - W_{k-1}||_F / max(1, ||W_{k-1}||_F) drops below tol
@@ -149,10 +137,15 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     block either way). A column block is accepted or rejected, restarts
     and stops on its own values and its own relative change, with its own
     momentum weight t; once stopped it is frozen, and the solve ends when
-    every block has stopped or the budget is spent. A block's t depends
-    only on its own accepts and rejects, so when grad computes each column
-    by the same arithmetic in a batch as alone, each column takes the steps
-    a solve of it alone takes, bar a safeguard test tied in its last bit.
+    every block has stopped or the budget is spent. A column block's inner
+    products are summed by np.einsum, each column on its own, and its
+    scalars are length-N vectors; the whole block keeps Python floats and
+    bools. Both share one restart, a masked copy of P(W) into P(Z) and of
+    W into the candidate where the block is rejected, and one stop rule.
+    A block's t depends only on its own accepts and rejects, so when grad
+    computes each column by the same arithmetic in a batch as alone, each
+    column takes the steps a solve of it alone takes, bar a safeguard test
+    tied in its last bit.
 
     The loop runs in place: the iterates, prox points and scratch space
     are allocated once per solve. Each array obj.grad returns is read
@@ -163,27 +156,18 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     check_number("max_iter", max_iter, 1, integer=True)
     check_number("tol", tol, 0)
     L = obj.lipschitz
-    W = np.array(W0, dtype=float)
+    W = check_real(W0, "warm start").copy()
     GW = obj.raw_grad(W)
     G0 = obj.raw_grad(np.zeros_like(W))
     cand, clip, scratch = (np.empty_like(W) for _ in range(3))
     if obj.per_column and W.ndim == 2 and W.shape[1] > 1:
-        # one block per column: each column is summed as a contiguous row
-        # of a transposed copy, so its sum does not depend on the others
-        prod, rows = np.empty_like(W), np.empty(W.shape[::-1])
+        # one block per column, each column summed on its own
 
         def inner(A, B):
-            np.copyto(rows, np.multiply(A, B, out=prod).T)
-            return rows.sum(axis=1)
+            return np.einsum("ij,ij->j", A, B)
 
-        def finite(F):
-            return np.isfinite(F).all()
-
-        def still_live(live, accepted, rel):
-            return live & ~(accepted & (rel < tol))
-
-        sqrt, larger, select, any_live = np.sqrt, np.maximum, np.where, np.ndarray.any
-        rejected_part = _rejected_columns
+        sqrt, larger, select, finite = np.sqrt, np.maximum, np.where, np.isfinite
+        all_of, any_live = np.ndarray.all, np.ndarray.any
         live = np.ones(W.shape[1], dtype=bool)
         t_start = np.ones(W.shape[1])
     else:
@@ -192,11 +176,8 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
         def inner(A, B):
             return float(np.vdot(A, B))
 
-        def still_live(live, accepted, rel):
-            return live and not (accepted and rel < tol)
-
-        sqrt, larger, select, any_live = math.sqrt, max, _pick, bool
-        rejected_part, finite = _rejected_whole, math.isfinite
+        sqrt, larger, select, finite = math.sqrt, max, _pick, math.isfinite
+        all_of = any_live = bool
         live = True
         t_start = 1.0
 
@@ -213,7 +194,7 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
             np.subtract(P_Z, _clip(P_Z, tau, clip), out=cand)
             G = obj.grad(cand)
             F_cand = 0.5 * inner(cand, np.add(G, G0, out=scratch)) + L * inner(cand, clip)
-            if not finite(F_cand):
+            if not all_of(finite(F_cand)):
                 raise NumericalError(f"non-finite gradient or objective at iteration {k}")
             accepted = live & (F_cand <= F)
             F = select(accepted, F_cand, F)
@@ -223,14 +204,15 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
             rel = sqrt(inner(step, step)) / larger(1.0, sqrt(inner(W, W)))
             P_C = np.subtract(cand, np.divide(G, L, out=scratch), out=scratch)
             np.add(P_C, np.multiply(np.subtract(P_C, P_W, out=P_Z), b, out=P_Z), out=P_Z)
-            rejected = rejected_part(accepted)
-            if rejected is not None:  # restart: P(Z) = P(W) and t = 1
-                P_Z[rejected] = P_C[rejected] = P_W[rejected]
-                cand[rejected] = W[rejected]  # so the swaps below keep W, P(W)
+            if not all_of(accepted):  # restart: P(Z) = P(W) and t = 1
+                rejected = np.logical_not(accepted)
+                np.copyto(P_Z, P_W, where=rejected)
+                np.copyto(P_C, P_W, where=rejected)
+                np.copyto(cand, W, where=rejected)  # so the swaps below keep W, P(W)
             W, cand = cand, W
             P_W, scratch = P_C, P_W
             t = select(accepted, t_new, t_start)
-            live = still_live(live, accepted, rel)
+            live = select(accepted & (rel < tol), False, live)
             if not any_live(live):
                 break
     return W
@@ -291,8 +273,8 @@ def admm_nuclear(V, Xcoef, eta, rho, iters=100):
     which it may be on the last allowed sweep. With no code rows (k = 0) the
     first sweep stops with r = s = 0, converged, and Z is d x 0.
     """
-    V = np.asarray(V, dtype=float)
-    Xcoef = np.asarray(Xcoef, dtype=float)
+    V = check_real(V, "target V")
+    Xcoef = check_real(Xcoef, "codes Xcoef")
     if V.ndim != 2 or Xcoef.ndim != 2 or V.shape[1] != Xcoef.shape[1]:
         raise DimensionError(
             f"incompatible shapes {V.shape} and {Xcoef.shape} (columns must match)"

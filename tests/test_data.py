@@ -561,6 +561,7 @@ SETTINGS = {
 BAD_SETTINGS = {
     "string": "0.5", "None": None, "complex": 0.5j, "bool": True,
     "array": np.array([0.5, 0.5]), "NaN": np.nan, "Inf": np.inf,
+    "huge-int": 10**400,  # a Python int beyond the float range is infinite
 }
 
 

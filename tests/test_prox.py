@@ -225,6 +225,34 @@ def counted(obj):
     return dataclasses.replace(obj, grad=grad, value=value), calls
 
 
+def spoil(a, fault):
+    """a with one NaN, Inf or imaginary entry, or as numeric strings."""
+    if fault == "strings":
+        return a.astype(str)
+    a = a.astype(complex if fault == "complex" else float)
+    a.flat[0] = {"NaN": np.nan, "Inf": np.inf, "complex": 1j}[fault]
+    return a
+
+
+SOLVER_MATRICES = {
+    "warm start": lambda bad: fista(
+        SmoothObjective.quadratic(np.eye(2), np.ones((2, 3)), 1.0), 0.1, bad(np.zeros((2, 3)))
+    ),
+    "target V": lambda bad: admm_nuclear(bad(np.ones((3, 2))), np.ones((1, 2)), 0.1, 1.0),
+    "codes Xcoef": lambda bad: admm_nuclear(np.ones((3, 2)), bad(np.ones((1, 2))), 0.1, 1.0),
+}
+
+
+@pytest.mark.parametrize("fault", ["NaN", "Inf", "strings", "complex"])
+@pytest.mark.parametrize("name", list(SOLVER_MATRICES), ids=["W0", "V", "Xcoef"])
+def test_solver_matrices_meet_the_number_rule(name, fault):
+    # errors.check_real names the input: no numpy warning from a product,
+    # no NumericalError naming nothing, no string parsed or imaginary
+    # part dropped
+    with pytest.raises(DataError, match=f"^{name} "):
+        SOLVER_MATRICES[name](lambda a: spoil(a, fault))
+
+
 class TestFistaColumnBlocks:
     """fista with per_column set: one safeguard block per column."""
 
@@ -304,15 +332,17 @@ class TestFistaColumnBlocks:
 
     def test_rejected_steps_match_one_block_reference_bit_for_bit(self):
         # a step size below the Lipschitz constant makes the safeguard
-        # reject steps, which restart the momentum at W
+        # reject steps, which restart the momentum at W: of the whole
+        # matrix, and of each column solved alone as a vector
         A, B, L, W0 = rejecting_problem()
+        for cols in [slice(None), *range(B.shape[1])]:
 
-        def grad(W):
-            return A.T @ (A @ W - B)
+            def grad(W, b=B[:, cols]):
+                return A.T @ (A @ W - b)
 
-        out = fista(SmoothObjective(grad=grad, lipschitz=L), 0.05, W0, 60, 0.0)
-        ref, _ = fista_one_product(grad, L, 0.05, W0, 60, 0.0)
-        assert out.tobytes() == ref.tobytes()
+            out = fista(SmoothObjective(grad=grad, lipschitz=L), 0.05, W0[:, cols], 60, 0.0)
+            ref, _ = fista_one_product(grad, L, 0.05, W0[:, cols], 60, 0.0)
+            assert out.tobytes() == ref.tobytes(), cols
 
     def test_mixed_column_steps_match_each_column_alone(self):
         # some columns accept a step while others reject it
