@@ -48,9 +48,13 @@ def normalize_columns(M):
     Where squaring the entries overflowed or underflowed (norm not finite,
     zero, or below _MIN_PLAIN_NORM) while the column is nonzero, the column
     is scaled by its largest magnitude first, so every nonzero finite
-    column comes out unit norm. Zero columns stay zero.
+    column comes out unit norm. Zero columns stay zero. M is a matrix or
+    one vector (DimensionError otherwise) of real, finite numbers
+    (errors.check_real; DataError otherwise).
     """
-    M = np.asarray(M, dtype=float)
+    M = check_real(M, "matrix")
+    if M.ndim not in (1, 2):
+        raise DimensionError(f"expected a matrix or a vector, got shape {M.shape}")
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(M, axis=0)
     peak = np.max(np.abs(M), axis=0, initial=0.0)

@@ -75,10 +75,11 @@ def soft_threshold(W, tau):
 
     The proximal operator of tau * ||.||_1. Entries with |w| <= tau map to
     exactly zero. fista shrinks through the same _clip in place; tests check
-    its steps against this standalone form.
+    its steps against this standalone form. W holds real, finite numbers
+    (errors.check_real; DataError otherwise).
     """
     check_number("tau", tau, 0)
-    W = np.asarray(W, dtype=float)
+    W = check_real(W, "array")
     clip = _clip(W, tau, None)
     return np.subtract(W, clip, out=clip)
 
@@ -95,7 +96,7 @@ def _pick(keep, a, b):
 FISTA_TOL = 1e-6  # relative iterate change that ends every coding solve
 
 
-def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
+def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
     """Accelerated proximal gradient descent for g(W) + lam * ||W||_1.
 
     Args:
@@ -107,6 +108,9 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
         tol: stop when the relative iterate change
             ||W_k - W_{k-1}||_F / max(1, ||W_{k-1}||_F) drops below tol
             on an accepted step; finite and >= 0.
+        check_every: test the stop rule only on iterations k that are
+            multiples of it, an integer >= 1; a block then stops on one
+            of those iterations or at the budget.
 
     Returns the final iterate. A candidate that would increase the
     composite objective is rejected: the previous iterate is kept and the
@@ -136,25 +140,33 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     obj.per_column is set and W has two or more columns (one column is one
     block either way). A column block is accepted or rejected, restarts
     and stops on its own values and its own relative change, with its own
-    momentum weight t; once stopped it is frozen, and the solve ends when
-    every block has stopped or the budget is spent. A column block's inner
-    products are summed by np.einsum, each column on its own, and its
-    scalars are length-N vectors; the whole block keeps Python floats and
-    bools. Both share one restart, a masked copy of P(W) into P(Z) and of
-    W into the candidate where the block is rejected, and one stop rule.
-    A block's t depends only on its own accepts and rejects, so when grad
-    computes each column by the same arithmetic in a batch as alone, each
-    column takes the steps a solve of it alone takes, bar a safeguard test
-    tied in its last bit.
+    momentum weight t. A column that stops is written once into the
+    result array, which only column-block solves allocate, and is no
+    longer restored: it keeps stepping with the batch, its values unread,
+    so the restart copies run only when a column is rejected on its own
+    values. The solve ends when every block has stopped or the budget is
+    spent, and columns still live at the budget are written last. The
+    whole block ends the loop when it stops and returns W. A column
+    block's inner products are summed by np.einsum, each column on its
+    own, and its scalars are length-N vectors; the whole block keeps
+    Python floats and bools. Both share one restart, a masked copy of P(W)
+    into P(Z) and of W into the candidate where the block is rejected, and
+    one stop rule. A block's t depends only on its own accepts and
+    rejects, and the stop is tested on the same iterations in a batch as
+    alone, so when grad computes each column by the same arithmetic in a
+    batch as alone, each column takes the steps a solve of it alone
+    takes, bar a safeguard test tied in its last bit.
 
-    The loop runs in place: the iterates, prox points and scratch space
-    are allocated once per solve. Each array obj.grad returns is read
-    within its iteration, then neither kept nor written to. The shrink
-    threshold lam / L is checked once, before the loop.
+    The loop runs in place: the iterates, prox points and scratch space,
+    and a column-block solve's result, are allocated once per solve. Each
+    array obj.grad returns is read within its iteration, then neither kept
+    nor written to. The shrink threshold lam / L is checked once, before
+    the loop.
     """
     check_number("lam", lam, 0)
     check_number("max_iter", max_iter, 1, integer=True)
     check_number("tol", tol, 0)
+    check_number("check_every", check_every, 1, integer=True)
     L = obj.lipschitz
     W = check_real(W0, "warm start").copy()
     GW = obj.raw_grad(W)
@@ -167,9 +179,11 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
             return np.einsum("ij,ij->j", A, B)
 
         sqrt, larger, select, finite = np.sqrt, np.maximum, np.where, np.isfinite
-        all_of, any_live = np.ndarray.all, np.ndarray.any
+        all_of, any_of = np.ndarray.all, np.ndarray.any
         live = np.ones(W.shape[1], dtype=bool)
+        no_stop = np.zeros(W.shape[1], dtype=bool)
         t_start = np.ones(W.shape[1])
+        out = np.empty_like(W)  # each column is written once, when it stops
     else:
         # the whole matrix is one block: plain Python scalars and bools
 
@@ -177,9 +191,10 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
             return float(np.vdot(A, B))
 
         sqrt, larger, select, finite = math.sqrt, max, _pick, math.isfinite
-        all_of = any_live = bool
-        live = True
+        all_of = any_of = bool
+        no_stop = False
         t_start = 1.0
+        out = None  # the solve ends when the block stops and returns W
 
     F = 0.5 * inner(W, np.add(GW, G0, out=scratch)) + lam * inner(W, np.sign(W, out=clip))
     P_W = np.subtract(W, np.divide(GW, L, out=scratch))
@@ -196,12 +211,15 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
             F_cand = 0.5 * inner(cand, np.add(G, G0, out=scratch)) + L * inner(cand, clip)
             if not all_of(finite(F_cand)):
                 raise NumericalError(f"non-finite gradient or objective at iteration {k}")
-            accepted = live & (F_cand <= F)
+            accepted = F_cand <= F
             F = select(accepted, F_cand, F)
             t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
             b = (t - 1.0) / t_new
-            step = np.subtract(cand, W, out=scratch)
-            rel = sqrt(inner(step, step)) / larger(1.0, sqrt(inner(W, W)))
+            stopped = no_stop
+            if k % check_every == 0:  # the stop test
+                step = np.subtract(cand, W, out=scratch)
+                rel = sqrt(inner(step, step)) / larger(1.0, sqrt(inner(W, W)))
+                stopped = accepted & (rel < tol)
             P_C = np.subtract(cand, np.divide(G, L, out=scratch), out=scratch)
             np.add(P_C, np.multiply(np.subtract(P_C, P_W, out=P_Z), b, out=P_Z), out=P_Z)
             if not all_of(accepted):  # restart: P(Z) = P(W) and t = 1
@@ -212,10 +230,18 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
             W, cand = cand, W
             P_W, scratch = P_C, P_W
             t = select(accepted, t_new, t_start)
-            live = select(accepted & (rel < tol), False, live)
-            if not any_live(live):
-                break
-    return W
+            if any_of(stopped):
+                if out is None:
+                    break
+                stopped &= live  # the columns that stop here
+                np.copyto(out, W, where=stopped)
+                live ^= stopped
+                if not live.any():
+                    break
+    if out is None:
+        return W
+    np.copyto(out, W, where=live)  # the columns still live at the budget
+    return out
 
 
 def svt(M, tau):

@@ -80,6 +80,25 @@ def nuclear_norm(M):
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
+def span_basis(M):
+    """Orthonormal basis of the column span of M, from its SVD with the
+    rank tolerance of np.linalg.matrix_rank."""
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    if not s.size:
+        return U
+    return U[:, s > s[0] * max(M.shape) * np.finfo(float).eps]
+
+
+def shared_span_capture(planted, D0):
+    """Share of the planted shared span's energy that span(D0) holds:
+    ||Q^T U||_F^2 / r for orthonormal bases U of span(planted), of rank r,
+    and Q of span(D0). It is the mean squared cosine of the principal
+    angles between the spans: 1 when span(D0) holds the planted span, and
+    k0 / d on average for a random k0-dim subspace of R^d."""
+    U, Q = span_basis(planted), span_basis(D0)
+    return float(np.sum((Q.T @ U) ** 2) / U.shape[1])
+
+
 def subgrad_nuclear_descent(V, X, eta, steps=100000, seed=0):
     """Best-iterate subgradient descent on ||V - D X||_F^2 + eta ||D||_*."""
     rng = np.random.default_rng(seed)

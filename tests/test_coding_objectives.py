@@ -49,7 +49,7 @@ STEP_REL = 1e-12
 def capture(mp, module):
     seen = []
 
-    def stub(obj, lam, W0, max_iter=100, tol=1e-6):
+    def stub(obj, lam, W0, max_iter=100, tol=1e-6, check_every=1):
         seen.append(obj)
         return np.array(W0, dtype=float)
 

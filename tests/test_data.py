@@ -478,6 +478,8 @@ NUMBER_SITES = {
     "classify-batch": lambda s, _: classify(s(np.ones((4, 3))), _two_class_model()),
     "save_matrix": lambda s, path: save_matrix(s(np.ones((2, 3))), path),
     "svt": lambda s, _: svt(s(np.ones((3, 2))), 0.1),
+    "soft_threshold": lambda s, _: soft_threshold(s(np.ones((3, 2))), 0.1),
+    "normalize_columns": lambda s, _: normalize_columns(s(np.ones((3, 2)))),
 }
 BAD_NUMBERS = {"complex": 0.5j, "object": 0, "NaN": np.nan, "Inf": np.inf}
 
@@ -517,6 +519,13 @@ def test_longdouble_beyond_the_float_range_is_refused(site, tmp_path):
     with pytest.raises(DataError, match="NaN or Inf"):
         sites[site](spoil, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 2)], ids=["scalar", "3-d"])
+def test_normalize_columns_takes_a_matrix_or_a_vector(shape):
+    with pytest.raises(DimensionError):
+        normalize_columns(np.ones(shape))
+    assert np.array_equal(normalize_columns([3.0, 4.0]), [0.6, 0.8])
 
 
 def _quadratic():

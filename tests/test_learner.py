@@ -34,7 +34,7 @@ from lrsdl.learner import (
     sparse_code_train,
 )
 
-from oracles import fddl_objective
+from oracles import fddl_objective, shared_span_capture
 
 
 def small_data(seed=0, C=4, d=20, n_c=8, k_c=4, k0=0, **kw):
@@ -426,3 +426,23 @@ class TestBenchHarness:
             assert len(objs) == 6
             for a, b in zip(objs, objs[1:]):
                 assert b <= a + 1e-6 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_dictionary_recovers_the_planted_shared_span(seed):
+    # the paper's simulated-data claim: the learned shared dictionary holds
+    # the patterns common to all classes. Its span must hold more of the
+    # planted shared span than twice the k0 / d = 0.15 a random subspace
+    # holds on average, and more than a seeded random k0-dim subspace
+    C, d, k0 = 5, 40, 6
+    data, truth = generate_synthetic(
+        C=C, d=d, n_c=15, k_c=4, k0=k0, shared_rank=3, noise_sigma=0.05, seed=seed
+    )
+    hyper = HyperParams(lambda1=0.01, lambda2=0.05, eta=0.1, outer_iters=6, seed=seed)
+    model = fit(data, TrainConfig(hyper=hyper, k_c=4, k0=k0))
+    captured = shared_span_capture(truth.shared_dict, model.dict_bundle.shared_dict)
+    random = shared_span_capture(
+        truth.shared_dict, np.random.default_rng(seed).standard_normal((d, k0))
+    )
+    assert captured > 2 * k0 / d
+    assert captured > random

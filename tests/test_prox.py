@@ -175,9 +175,14 @@ class TestFista:
             dict(tol=np.nan),
             dict(tol=-1.0),
             dict(tol=np.inf),
+            dict(check_every=0),
+            dict(check_every=2.5),
+            dict(check_every=True),
+            dict(check_every=np.float64(3.0)),
         ],
         ids=["max_iter-fraction", "max_iter-bool", "max_iter-float", "tol-nan",
-             "tol-negative", "tol-inf"],
+             "tol-negative", "tol-inf", "check_every-zero", "check_every-fraction",
+             "check_every-bool", "check_every-float"],
     )
     def test_budget_and_tolerance_checked(self, kwargs):
         # a fractional or boolean budget, or a tolerance that would turn the
@@ -265,26 +270,34 @@ class TestFistaColumnBlocks:
         L = 1.01 * float(np.linalg.eigvalsh(A.T @ A)[-1])
         return A, B, L
 
-    def solve(self, A, B, L, lam, W0, max_iter, tol):
+    def solve(self, A, B, L, lam, W0, max_iter, tol, check_every=1):
         obj = SmoothObjective(
             grad=least_squares_columns(A, B), lipschitz=L, per_column=True
         )
         obj, calls = counted(obj)
-        return fista(obj, lam, W0, max_iter=max_iter, tol=tol), len(calls)
+        out = fista(obj, lam, W0, max_iter=max_iter, tol=tol, check_every=check_every)
+        return out, len(calls)
 
-    def test_batch_equals_each_column_alone(self):
+    @pytest.mark.parametrize("check_every", [1, 10])
+    def test_batch_equals_each_column_alone(self, check_every):
         # the budget sits below the 330 iterations column 3 needs to stop
-        # on tolerance and above the 282 of column 1
+        # on tolerance and above the 282 of column 1 (290 when the stop is
+        # tested every tenth iteration)
         A, B, L = self.problem()
         W0 = np.zeros((8, 4))
         budget = 300
-        batch, batch_iters = self.solve(A, B, L, 0.05, W0, budget, 1e-6)
+        batch, batch_iters = self.solve(A, B, L, 0.05, W0, budget, 1e-6, check_every)
         iters = []
         for j in range(4):
-            alone, n = self.solve(A, B[:, [j]], L, 0.05, W0[:, [j]], budget, 1e-6)
+            alone, n = self.solve(
+                A, B[:, [j]], L, 0.05, W0[:, [j]], budget, 1e-6, check_every
+            )
             assert np.array_equal(batch[:, j], alone[:, 0]), f"column {j}"
             iters.append(n)
-        assert iters[0] == 1  # all-zero target: accepted, no change, stop
+        # a solve stops on tolerance only on a tested iteration
+        assert all(n % check_every == 0 for n in iters if n < budget)
+        # all-zero target: accepted, no change, stop at the first test
+        assert iters[0] == check_every
         assert max(iters) == budget  # the slowest column spends the budget
         assert batch_iters == max(iters)
         # column 2 stops on tolerance while further steps would still move
@@ -292,6 +305,31 @@ class TestFistaColumnBlocks:
         assert 1 < iters[2] < budget
         longer, _ = self.solve(A, B[:, [2]], L, 0.05, W0[:, [2]], budget, 0.0)
         assert not np.array_equal(batch[:, 2], longer[:, 0])
+
+    def test_columns_stopping_at_different_tests_match_each_column_alone(self):
+        # with the stop tested every tenth iteration, the columns stop on
+        # three different tests, and a column still live after the first
+        # stop has a step rejected, so the restart runs while stopped
+        # columns sit in the batch: each must be the iterate it stopped at
+        A, B, L, W0 = rejecting_problem()
+        batch, batch_iters = self.solve(A, B, L, 0.05, W0, 200, 1e-3, check_every=10)
+        stops = []
+        for j in range(4):
+            alone, n = self.solve(A, B[:, [j]], L, 0.05, W0[:, [j]], 200, 1e-3, check_every=10)
+            assert np.array_equal(batch[:, j], alone[:, 0]), f"column {j}"
+            stops.append(n)
+        assert batch_iters == max(stops) < 200
+        assert all(n % 10 == 0 for n in stops)
+        assert len(set(stops)) == 3
+
+        def rejected(j, k):
+            # step k left the iterate of column j, solved alone, unchanged
+            before, _ = self.solve(A, B[:, [j]], L, 0.05, W0[:, [j]], k - 1, 0.0)
+            after, _ = self.solve(A, B[:, [j]], L, 0.05, W0[:, [j]], k, 0.0)
+            return np.array_equal(before, after)
+
+        first = min(stops)
+        assert any(rejected(j, k) for j in range(4) for k in range(first + 1, stops[j] + 1))
 
     def test_stops_when_every_column_has_stopped(self):
         A, B, L = self.problem()
