@@ -1,10 +1,10 @@
 """Model persistence: a directory of matrix files plus a text meta file.
 
-Layout: meta (key=value lines), D.lmx (stacked class dictionaries),
-D0.lmx (shared dictionary, possibly zero columns), means_mc.lmx (class
-code means, one column per class), mean_m0.lmx (shared code mean as a
-column), trace.csv (training trace). Plain files keep archives diffable
-and partially inspectable.
+Layout: meta (key=value lines), D.lmx (stacked class dictionaries), D0.lmx
+(shared dictionary, possibly zero columns), means_mc.lmx (class code means,
+one column per class), mean_m0.lmx (shared code mean as a column), trace.csv
+(training trace). Plain files keep archives diffable and inspectable; this
+module holds their schema only, and matio reads and writes every one.
 """
 
 import os
@@ -18,7 +18,7 @@ from .data import (
     MeanStats,
 )
 from .errors import FormatError, ParameterError
-from .matio import load_matrix, save_matrix
+from .matio import load_matrix, read_lines, save_matrix, write_lines
 
 FORMAT_VERSION = 1
 
@@ -57,16 +57,16 @@ def _meta_lines(model):
         "format_version": FORMAT_VERSION,
         "status": "aborted" if model.aborted else "ok",
     }
-    return [f"{key}={kind(values[key])}\n" for key, kind, _ in _META]
+    return [f"{key}={kind(values[key])}" for key, kind, _ in _META]
 
 
 def write_trace(trace, path):
     """Write iteration records as CSV (also used for benchmark traces)."""
-    with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for r in trace:
-            row = (format(getattr(r, f.name), _TRACE_FORMAT[f.type]) for f in _TRACE_FIELDS)
-            fh.write(",".join(row) + "\n")
+    rows = (
+        ",".join(format(getattr(r, f.name), _TRACE_FORMAT[f.type]) for f in _TRACE_FIELDS)
+        for r in trace
+    )
+    write_lines(path, (TRACE_HEADER, *rows))
 
 
 def save_model(model, path):
@@ -74,8 +74,7 @@ def save_model(model, path):
     os.makedirs(path, exist_ok=True)
     dicts = model.dict_bundle
     means = model.mean_stats
-    with open(os.path.join(path, "meta"), "w") as fh:
-        fh.writelines(_meta_lines(model))
+    write_lines(os.path.join(path, "meta"), _meta_lines(model))
     save_matrix(dicts.D, os.path.join(path, "D.lmx"))
     save_matrix(dicts.shared_dict, os.path.join(path, "D0.lmx"))
     save_matrix(means.class_means, os.path.join(path, "means_mc.lmx"))
@@ -85,18 +84,14 @@ def save_model(model, path):
 
 def _parse_meta(path):
     meta = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"meta line {ln} is not key=value: {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in meta:
-                raise FormatError(f"duplicate meta key {key!r}")
-            meta[key] = value.strip()
+    for ln, line in read_lines(path):
+        if "=" not in line:
+            raise FormatError(f"meta line {ln} is not key=value: {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in meta:
+            raise FormatError(f"duplicate meta key {key!r}")
+        meta[key] = value.strip()
     parsed = {}
     for key, kind, default in _META:
         if key not in meta and default is None:
@@ -128,26 +123,21 @@ def _load_checked(path, name, shape):
 
 
 def _parse_trace(path):
+    lines = read_lines(path)
+    header = lines[0][1] if lines else ""
+    if header != TRACE_HEADER:
+        raise FormatError(f"unexpected trace header {header!r}")
     records = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != TRACE_HEADER:
-            raise FormatError(f"unexpected trace header {header!r}")
-        for ln, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(_TRACE_FIELDS):
-                raise FormatError(
-                    f"trace line {ln} has {len(parts)} fields, expected {len(_TRACE_FIELDS)}"
-                )
-            try:
-                records.append(
-                    IterationRecord(*(f.type(p) for f, p in zip(_TRACE_FIELDS, parts)))
-                )
-            except ValueError as exc:
-                raise FormatError(f"unparseable trace line {ln}: {exc}") from exc
+    for ln, line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(_TRACE_FIELDS):
+            raise FormatError(
+                f"trace line {ln} has {len(parts)} fields, expected {len(_TRACE_FIELDS)}"
+            )
+        try:
+            records.append(IterationRecord(*(f.type(p) for f, p in zip(_TRACE_FIELDS, parts))))
+        except ValueError as exc:
+            raise FormatError(f"unparseable trace line {ln}: {exc}") from exc
     return tuple(records)
 
 

@@ -13,7 +13,7 @@ from .classifier import classify, evaluate, score_predictions
 from .data import Dataset, HyperParams, generate_synthetic
 from .errors import NumericalError, ToolkitError
 from .learner import TrainConfig, bench_joint_vs_sequential, fit
-from .matio import load_labels, load_matrix, save_labels, save_matrix
+from .matio import load_labels, load_matrix, save_labels, save_matrix, write_lines
 
 
 def _build_parser():
@@ -128,16 +128,16 @@ def _cmd_classify(args):
         accuracy, confusion = score_predictions(labels, pred.label, model.C)
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "predictions.csv"), "w") as fh:
-        fh.write("index,true_label,pred_label,score_pred\n")
-        for j, label in enumerate(pred.label):
-            true = int(labels[j]) if labels is not None else 0
-            score = pred.per_class_scores[label - 1, j]
-            fh.write(f"{j + 1},{true},{label},{score:.17g}\n")
+    true = labels if labels is not None else [0] * len(pred.label)
+    rows = (
+        f"{j + 1},{true[j]},{label},{pred.per_class_scores[label - 1, j]:.17g}"
+        for j, label in enumerate(pred.label)
+    )
+    header = "index,true_label,pred_label,score_pred"
+    write_lines(os.path.join(args.out, "predictions.csv"), (header, *rows))
     if labels is not None:
-        with open(os.path.join(args.out, "confusion.csv"), "w") as fh:
-            for row in confusion:
-                fh.write(",".join(str(v) for v in row) + "\n")
+        rows = (",".join(map(str, row)) for row in confusion)
+        write_lines(os.path.join(args.out, "confusion.csv"), rows)
         print(f"accuracy={accuracy:.4f}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Matrix and label file I/O.
+"""Matrix, label and text file I/O: the only module that opens files.
 
 Two on-disk matrix formats:
 
@@ -6,12 +6,19 @@ Two on-disk matrix formats:
   exactly rows*cols IEEE-754 float64 values, little-endian, row-major.
   ``save_matrix`` writes it.
 * CSV: comma-separated values, one matrix row per line, no header line.
-  An input format only, read by ``load_matrix``; a UTF-8 BOM is skipped.
+  An input format only, read by ``load_matrix``.
 
 ``load_matrix`` sniffs the format from the file content. Label files hold
 one integer per line, each a class id under errors.check_labels (1..2**63 - 1).
 The writers refuse, before opening the file, what the readers would refuse.
+
+Every text file, here and in an archive, is read by ``read_lines`` and
+written by ``write_lines`` under one rule: UTF-8, a leading BOM skipped, lines
+ended by \\n, \\r\\n or \\r (\\n when written) and blank ones skipped; a file
+that is not UTF-8 text is a FormatError naming it.
 """
+
+import io
 
 import numpy as np
 
@@ -67,30 +74,40 @@ def _parse_binary(blob, path):
 
 
 def _parse_csv(blob, path):
-    try:
-        text = blob.decode("utf-8-sig")  # Excel's "CSV UTF-8" starts with a BOM
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not valid text") from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        return np.zeros((0, 0))
     rows = []
-    width = None
-    for i, line in enumerate(lines):
-        fields = [] if line.strip() == "" else line.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
+    for n, line in _text_lines(blob, path):
+        fields = line.split(",")
+        if rows and len(fields) != len(rows[0]):
             raise DimensionError(
-                f"{path}: row {i + 1} has {len(fields)} fields, expected {width}"
+                f"{path}: line {n} has {len(fields)} fields, expected {len(rows[0])}"
             )
         try:
             rows.append([float(f) for f in fields])
         except ValueError as exc:
-            raise FormatError(f"{path}: unparseable value on row {i + 1}") from exc
-    return check_real(np.array(rows).reshape(len(rows), width or 0), f"{path}: matrix")
+            raise FormatError(f"{path}: unparseable value on line {n}") from exc
+    width = len(rows[0]) if rows else 0
+    return check_real(np.array(rows).reshape(len(rows), width), f"{path}: matrix")
+
+
+def read_lines(path):
+    """(line number, stripped text) of each non-blank line of a UTF-8 text file."""
+    with open(path, "rb") as fh:
+        return _text_lines(fh.read(), path)
+
+
+def _text_lines(blob, path):
+    try:
+        text = blob.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text") from exc
+    numbered = enumerate(io.StringIO(text, newline=None), start=1)
+    return [(n, line) for n, raw in numbered if (line := raw.strip())]
+
+
+def write_lines(path, lines):
+    """Write each string as one UTF-8 line ended by a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def save_labels(labels, path):
@@ -99,16 +116,12 @@ def save_labels(labels, path):
     if labels.ndim != 1:
         raise DimensionError(f"expected a 1-d label array, got shape {labels.shape}")
     check_labels(labels)
-    with open(path, "w") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+    write_lines(path, (str(int(v)) for v in labels))
 
 
 def load_labels(path):
-    with open(path, encoding="utf-8-sig") as fh:  # skips a BOM, as CSV matrices do
-        lines = [ln.strip() for ln in fh if ln.strip() != ""]
     try:
-        labels = np.array([int(ln) for ln in lines], dtype=int)
+        labels = np.array([int(line) for _, line in read_lines(path)], dtype=int)
     except (ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: labels must be 64-bit integers") from exc
     check_labels(labels, f"{path}: labels")

@@ -181,8 +181,6 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
         sqrt, larger, select, finite = np.sqrt, np.maximum, np.where, np.isfinite
         all_of, any_of = np.ndarray.all, np.ndarray.any
         live = np.ones(W.shape[1], dtype=bool)
-        no_stop = np.zeros(W.shape[1], dtype=bool)
-        t_start = np.ones(W.shape[1])
         out = np.empty_like(W)  # each column is written once, when it stops
     else:
         # the whole matrix is one block: plain Python scalars and bools
@@ -192,15 +190,13 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
 
         sqrt, larger, select, finite = math.sqrt, max, _pick, math.isfinite
         all_of = any_of = bool
-        no_stop = False
-        t_start = 1.0
         out = None  # the solve ends when the block stops and returns W
 
     F = 0.5 * inner(W, np.add(GW, G0, out=scratch)) + lam * inner(W, np.sign(W, out=clip))
     P_W = np.subtract(W, np.divide(GW, L, out=scratch))
     P_Z = P_W.copy()
     del GW  # the loop keeps prox points, not gradients
-    t = t_start
+    t = 1.0
     tau = lam / L
     # a non-finite gradient entry meets a zero of the candidate as 0 * inf:
     # that NaN is caught by the finiteness check, not warned about
@@ -215,11 +211,6 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
             F = select(accepted, F_cand, F)
             t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
             b = (t - 1.0) / t_new
-            stopped = no_stop
-            if k % check_every == 0:  # the stop test
-                step = np.subtract(cand, W, out=scratch)
-                rel = sqrt(inner(step, step)) / larger(1.0, sqrt(inner(W, W)))
-                stopped = accepted & (rel < tol)
             P_C = np.subtract(cand, np.divide(G, L, out=scratch), out=scratch)
             np.add(P_C, np.multiply(np.subtract(P_C, P_W, out=P_Z), b, out=P_Z), out=P_Z)
             if not all_of(accepted):  # restart: P(Z) = P(W) and t = 1
@@ -229,7 +220,13 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
                 np.copyto(cand, W, where=rejected)  # so the swaps below keep W, P(W)
             W, cand = cand, W
             P_W, scratch = P_C, P_W
-            t = select(accepted, t_new, t_start)
+            t = select(accepted, t_new, 1.0)
+            if k % check_every:
+                continue
+            # the stop test: cand now holds the previous iterate
+            step = np.subtract(W, cand, out=scratch)
+            rel = sqrt(inner(step, step)) / larger(1.0, sqrt(inner(cand, cand)))
+            stopped = accepted & (rel < tol)
             if any_of(stopped):
                 if out is None:
                     break

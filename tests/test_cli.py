@@ -151,6 +151,19 @@ class TestTrain:
                 with open(os.path.join(b, name), "rb") as fb:
                     assert fa.read() == fb.read()
 
+    def test_swapped_data_and_labels_exit_2(self, capsys, tmp_path, dataset):
+        # the label file parses as a one-column matrix; the .lmx file is no UTF-8 text
+        out = str(tmp_path / "model")
+        code, _, err = run(
+            capsys, "train",
+            "--data", os.path.join(dataset, "labels.csv"),
+            "--labels", os.path.join(dataset, "Y.lmx"),
+            "--kc", "3", "--out", out,
+        )
+        assert code == 2
+        assert err.splitlines() == [f"error: {os.path.join(dataset, 'Y.lmx')}: not UTF-8 text"]
+        assert not os.path.exists(out)
+
     def test_missing_data_exit_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "train", "--data", str(tmp_path / "nope.lmx"),
@@ -330,6 +343,20 @@ class TestClassify:
         )
         assert code == 2
         assert "error:" in err
+        assert not os.path.exists(out)
+
+    def test_undecodable_meta_exit_2(self, capsys, tmp_path, dataset):
+        model_dir = self.fit_model(capsys, tmp_path, dataset)
+        meta = os.path.join(model_dir, "meta")
+        with open(meta, "ab") as fh:
+            fh.write(b"note=\xff\n")
+        out = str(tmp_path / "preds")
+        code, _, err = run(
+            capsys, "classify", "--model", model_dir,
+            "--data", os.path.join(dataset, "Y.lmx"), "--out", out,
+        )
+        assert code == 2
+        assert err.splitlines() == [f"error: {meta}: not UTF-8 text"]
         assert not os.path.exists(out)
 
     def test_feature_mismatch_exit_2(self, capsys, tmp_path, dataset):

@@ -17,6 +17,9 @@ by some call there, bar a named few. Importing the command line
 loads nothing beyond numpy and the standard library. Every function the
 benchmark's span tracer wraps by name is defined where it looks for it, and
 the tracer counts the iterations of every fista role on a tiny run.
+
+Files are opened in one place: only matio calls open, so every text file
+the package reads or writes meets matio's one rule for encoding and lines.
 """
 
 import ast
@@ -100,6 +103,24 @@ def test_settings_are_judged_by_the_one_rule(module):
     # the ParameterError; they hold no range check of their own
     assert ("errors", "ParameterError") not in package_imports(module)
     assert ("errors", "check_number") in package_imports(module)
+
+
+def open_calls(module):
+    """Line numbers of the calls named open (open, io.open, os.open,
+    Path.open) in a package module."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and "open" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+
+
+def test_only_matio_opens_files():
+    openers = {module: open_calls(module) for module in MODULES}
+    assert openers.pop("matio")
+    assert not any(openers.values()), {m: lines for m, lines in openers.items() if lines}
 
 
 def top_functions(module):

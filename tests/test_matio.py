@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lrsdl.archive import load_model, save_model
+from lrsdl.data import DictionaryBundle, HyperParams, IterationRecord, LearnedModel, MeanStats
 from lrsdl.errors import DataError, DimensionError, FormatError
-from lrsdl.matio import load_labels, load_matrix, save_labels, save_matrix
+from lrsdl.matio import load_labels, load_matrix, save_labels, save_matrix, write_lines
 
 
 def test_csv_direct_parse(tmp_path):
@@ -249,3 +251,91 @@ def test_saved_labels_read_back_and_refused_ones_leave_no_file(labels):
             return
         back = load_labels(p)
     assert back.dtype == np.int64 and back.tolist() == labels.tolist()
+
+
+# The one text rule, reader by reader: each row writes a plain text file and
+# returns it with a function that loads it back to comparable values.
+
+
+def csv_row(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("1,2\n3,4\n5,6\n")
+    return p, lambda: load_matrix(p).tolist()
+
+
+def labels_row(tmp_path):
+    p = tmp_path / "labels.csv"
+    p.write_text("2\n1\n3\n")
+    return p, lambda: load_labels(p).tolist()
+
+
+def archive_row(name):
+    def row(tmp_path):
+        arc = tmp_path / "arc"
+        records = [IterationRecord(i, 2.0 / i, 1.5, 0.25, 0.125, 0.0, 0.01) for i in (1, 2)]
+        model = LearnedModel(
+            dict_bundle=DictionaryBundle(D=np.eye(2), shared_dict=np.zeros((2, 0)), C=2),
+            mean_stats=MeanStats(class_means=np.eye(2), shared_mean=np.zeros(0)),
+            hyper=HyperParams(lambda1=0.03, seed=4),
+            trace=tuple(records),
+            aborted=False,
+        )
+        save_model(model, arc)
+
+        def load():
+            m = load_model(str(arc))
+            return m.hyper, m.dict_bundle.D.tolist(), m.trace, m.aborted
+
+        return arc / name, load
+
+    return row
+
+
+TEXT_READERS = {
+    "csv-matrix": csv_row,
+    "labels": labels_row,
+    "meta": archive_row("meta"),
+    "trace": archive_row("trace.csv"),
+}
+
+TEXT_VARIANTS = {
+    "bom": lambda text: b"\xef\xbb\xbf" + text,
+    "crlf": lambda text: text.replace(b"\n", b"\r\n"),
+    "lone-cr": lambda text: text.replace(b"\n", b"\r"),
+    "blank-lines": lambda text: b"\n \n" + text.replace(b"\n", b"\n\t\n") + b"\r\n\n",
+}
+
+
+@pytest.mark.parametrize("variant", TEXT_VARIANTS)
+@pytest.mark.parametrize("reader", TEXT_READERS)
+def test_text_files_load_alike_under_one_rule(tmp_path, reader, variant):
+    path, load = TEXT_READERS[reader](tmp_path)
+    plain = load()
+    path.write_bytes(TEXT_VARIANTS[variant](path.read_bytes()))
+    assert load() == plain
+
+
+@pytest.mark.parametrize("reader", TEXT_READERS)
+def test_a_file_that_is_not_utf8_is_a_format_error_naming_it(tmp_path, reader):
+    path, load = TEXT_READERS[reader](tmp_path)
+    text = path.read_bytes()
+    path.write_bytes(text[:3] + b"\xff" + text[3:])
+    with pytest.raises(FormatError) as info:
+        load()
+    assert str(info.value) == f"{path}: not UTF-8 text"
+
+
+def test_csv_errors_name_the_files_line(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("1,2\n\n3\n")
+    with pytest.raises(DimensionError, match="line 3 has 1 fields, expected 2"):
+        load_matrix(p)
+    p.write_text("1,2\n\n3,x\n")
+    with pytest.raises(FormatError, match="unparseable value on line 3"):
+        load_matrix(p)
+
+
+def test_write_lines_ends_each_line_with_a_newline(tmp_path):
+    p = tmp_path / "out.txt"
+    write_lines(p, ["a", "b"])
+    assert p.read_bytes() == b"a\nb\n"
