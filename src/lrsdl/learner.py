@@ -65,6 +65,9 @@ def initialize(data, config):
     replacement from a class of k_c or more) and renormalized. The shared
     dictionary starts from the top left-singular vectors of the full data
     matrix, which are unit-norm already. The draws use config.hyper.seed.
+    When k0 > 0 each class atom a is then replaced by a - u u^T a, renormalized,
+    with u the unit data mean, so what all classes share starts in D0 alone.
+    An atom (near) along u, or every atom when the mean is (near) zero, stays.
     """
     k_c, k0 = config.k_c, config.k0
     if k0 > min(data.d, data.N):
@@ -88,12 +91,19 @@ def initialize(data, config):
             atoms[:, j] = v / np.linalg.norm(v)
         norms = np.linalg.norm(atoms, axis=0)
         class_dicts.append(atoms / norms)
+    D = np.hstack(class_dicts)
     if k0 > 0:
         U, _, _ = np.linalg.svd(data.Y, full_matrices=False)
         shared = np.ascontiguousarray(U[:, :k0])
+        u = data.Y.mean(axis=1)
+        if np.linalg.norm(u) > 1e-8 * np.abs(data.Y).max():  # above round-off
+            u /= np.linalg.norm(u)
+            P = D - np.outer(u, u @ D)
+            norms = np.linalg.norm(P, axis=0)
+            D = np.where(norms > 1e-8, P / np.maximum(norms, 1e-8), D)
     else:
         shared = np.zeros((data.d, 0))
-    dicts = DictionaryBundle(D=np.hstack(class_dicts), shared_dict=shared, C=data.C)
+    dicts = DictionaryBundle(D=D, shared_dict=shared, C=data.C)
     coefs = CoefBundle(X=np.zeros((data.C * k_c, data.N)), X0=np.zeros((k0, data.N)))
     return dicts, coefs
 

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lrsdl import dictupdate, learner
+from lrsdl.archive import load_model, save_model
 from lrsdl.data import (
     CoefBundle,
     Dataset,
@@ -137,6 +138,92 @@ class TestInitialize:
         assert [r.getMessage() for r in caplog.records] == [
             "k_c=4 exceeds the 3 samples of class 2, the smallest; drawn with replacement"
         ]
+
+    def test_class_atoms_start_orthogonal_to_the_data_mean(self):
+        # the k0 = 0 start makes the same draws, so each k0 > 0 atom is the
+        # normalized projection of the k0 = 0 atom off the unit data mean u
+        data = normalized(small_data(11, k0=2))
+        hyper = HyperParams(seed=6)
+        plain, _ = initialize(data, TrainConfig(hyper=hyper, k_c=4, k0=0))
+        dicts, _ = initialize(data, TrainConfig(hyper=hyper, k_c=4, k0=2))
+        u = data.Y.mean(axis=1)
+        u /= np.linalg.norm(u)
+        P = plain.D - np.outer(u, u @ plain.D)
+        assert np.linalg.norm(P, axis=0).min() > 0.1  # every projection kept
+        assert np.allclose(dicts.D, P / np.linalg.norm(P, axis=0), rtol=0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(dicts.D, axis=0), 1.0, rtol=0, atol=1e-12)
+        assert np.abs(u @ dicts.D).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_start_off_the_mean_is_better_conditioned(self, seed):
+        # the benchmark's train_shared shape: the raw class atoms all carry
+        # the common mean, so D^T D has one large eigenvalue
+        data, _ = generate_synthetic(
+            C=10, d=250, n_c=25, k_c=10, k0=25, shared_rank=8, noise_sigma=0.05, seed=seed
+        )
+        data = normalized(data)
+        hyper = HyperParams(seed=seed)
+        lam = []
+        for k0 in (0, 25):
+            dicts, _ = initialize(data, TrainConfig(hyper=hyper, k_c=10, k0=k0))
+            lam.append(np.linalg.eigvalsh(dicts.D_total.T @ dicts.D_total)[-1])
+        assert lam[1] < lam[0]
+
+
+def fit_save_load(data, k_c, k0, tmp_path):
+    """Fit with a shared layer, check the trace never rises, and round-trip
+    the model through an archive."""
+    hyper = HyperParams(lambda1=0.01, lambda2=0.05, eta=0.1, outer_iters=4, fista_iters=30)
+    model = fit(data, TrainConfig(hyper=hyper, k_c=k_c, k0=k0))
+    objs = [r.objective for r in model.trace]
+    assert not model.aborted and len(objs) == 4
+    for a, b in zip(objs, objs[1:]):
+        assert b <= a + 1e-6 * max(1.0, abs(a))
+    save_model(model, str(tmp_path / "arc"))
+    back = load_model(str(tmp_path / "arc"))
+    assert np.array_equal(back.dict_bundle.D, model.dict_bundle.D)
+
+
+class TestStartOffTheMeanEdgeCases:
+    """Starts whose atoms lie along the data mean, or whose mean is round-off
+    only: none may be refused by DictionaryBundle."""
+
+    def test_one_feature(self, tmp_path):
+        # d = 1: every atom lies along the mean, so every atom stays as drawn
+        Y = np.array([[1.0, 2.0, -0.5, 3.0, 0.7, 1.5]])
+        data = Dataset.from_arrays(Y, np.repeat([1, 2], 3))
+        unit = normalized(data)
+        plain, _ = initialize(unit, TrainConfig(k_c=2, k0=0))
+        dicts, _ = initialize(unit, TrainConfig(k_c=2, k0=1))
+        assert np.array_equal(dicts.D, plain.D)
+        fit_save_load(data, 2, 1, tmp_path)
+
+    def test_zero_data_mean(self, tmp_path):
+        # each column y comes with -y: the mean is round-off (about 1e-17
+        # in the order numpy sums), not a direction to project off
+        Z = np.random.default_rng(3).standard_normal((6, 4))
+        data = Dataset.from_arrays(np.hstack([Z, -Z]), np.tile([1, 2], 4))
+        unit = normalized(data)
+        assert np.linalg.norm(unit.Y.mean(axis=1)) < 1e-12
+        plain, _ = initialize(unit, TrainConfig(k_c=3, k0=0))
+        dicts, _ = initialize(unit, TrainConfig(k_c=3, k0=2))
+        assert np.array_equal(dicts.D, plain.D)
+        fit_save_load(data, 3, 2, tmp_path)
+
+    def test_mean_along_one_class(self, tmp_path):
+        # class 1 holds multiples of u and class 2 holds +-b pairs, so the
+        # mean lies along u: class 1's atoms stay, class 2's are projected
+        rng = np.random.default_rng(4)
+        u, b = rng.standard_normal(8), rng.standard_normal(8)
+        Y = np.column_stack([u, 2 * u, 0.5 * u, 3 * u, b, -b, 2 * b, -2 * b])
+        data = Dataset.from_arrays(Y, np.repeat([1, 2], 4))
+        unit = normalized(data)
+        plain, _ = initialize(unit, TrainConfig(k_c=3, k0=0))
+        dicts, _ = initialize(unit, TrainConfig(k_c=3, k0=1))
+        assert np.array_equal(dicts.class_dict(1), plain.class_dict(1))
+        u /= np.linalg.norm(u)
+        assert np.abs(u @ dicts.class_dict(2)).max() <= 1e-12
+        fit_save_load(data, 3, 1, tmp_path)
 
 
 class TestSparseCodeTrain:
