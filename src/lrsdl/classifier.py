@@ -13,17 +13,10 @@ Test coding codes one sample as a batch of one column, in one FISTA solve
 over the precomputed Gram matrix; in a batch of two or more, the safeguard
 accepts, rejects, restarts and stops each column on its own, so each sample
 takes the steps a solve of it alone takes. Only round-off differs (BLAS sums
-a matrix product in another order than a matrix-vector one).
-
-Every test-coding solve, batch or lone, tests its stop rule on every
-TEST_STOP_EVERY-th iteration only, so a column stops on the same iteration
-in a batch as alone. The test (the step, its relative size and the stop
-mask) took about a fifth of a column solve's loop. Run on every tenth
-iteration it costs a tenth of that, and a column stops on the first tested
-iteration whose accepted step is below the tolerance, after a few more
-monotone steps. A test every fifth iteration saved less time, and one
-every twentieth kept landing on rejected steps, so batches ran their whole
-budget.
+a matrix product in another order than a matrix-vector one). A column stops
+on the first accepted step that lowers its objective by at most
+prox.FISTA_TOL relative, read off the values the safeguard compares, so it
+stops on the same iteration in a batch as alone.
 """
 
 import logging
@@ -39,10 +32,6 @@ from .prox import SmoothObjective, fista, power_iteration_lipschitz
 log = logging.getLogger(__name__)
 
 TEST_CODING_ITERS = 300
-# the stop rule is tested on every tenth test-coding iteration: every fifth
-# saved less time, and at every twentieth the test kept landing on rejected
-# steps, so batches ran their whole budget (see the module docstring)
-TEST_STOP_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -89,13 +78,7 @@ def encode_test(Yn, model):
     dicts = model.dict_bundle
     H, B = gram_test_code(dicts, Yn, model.mean_stats.shared_mean, model.hyper.lambda2)
     obj = SmoothObjective.quadratic(H, B, test_coding_lipschitz(H), per_column=True)
-    return fista(
-        obj,
-        model.hyper.lambda1,
-        np.zeros(B.shape),
-        max_iter=TEST_CODING_ITERS,
-        check_every=TEST_STOP_EVERY,
-    )
+    return fista(obj, model.hyper.lambda1, np.zeros(B.shape), max_iter=TEST_CODING_ITERS)
 
 
 def class_scores(Yn, model, code, w):

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .data import block_diagonal
-from .errors import DimensionError, NumericalError, check_number
+from .errors import DimensionError, NumericalError
 from .gradients import nuclear_term
 from .prox import admm_nuclear
 
@@ -63,10 +63,10 @@ def count_dead_atoms(A):
     return int(np.sum(np.diag(A) <= DEAD_ATOM_TOL))
 
 
-def odl_update(A, B, D_init, sweeps=ODL_SWEEPS):
-    """Block-coordinate column sweeps for min tr(D^T D A) - 2 tr(D^T B)
-    over d x k dictionaries D with column norms <= 1, for a k x k code Gram
-    A and a d x k correlation B.
+def odl_update(A, B, D_init):
+    """ODL_SWEEPS block-coordinate column sweeps for
+    min tr(D^T D A) - 2 tr(D^T B) over d x k dictionaries D with column
+    norms <= 1, for a k x k code Gram A and a d x k correlation B.
 
     Each column j with code energy A_jj above DEAD_ATOM_TOL moves to
 
@@ -76,7 +76,6 @@ def odl_update(A, B, D_init, sweeps=ODL_SWEEPS):
     across sweeps (checked, since the update is exact per column), and a
     non-finite A, B or D_init raises NumericalError through its start value.
     """
-    check_number("sweeps", sweeps, 1, integer=True)
     D = np.array(D_init, dtype=float)
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if D.ndim != 2 or B.shape != D.shape or A.shape != (D.shape[1],) * 2:
@@ -85,7 +84,7 @@ def odl_update(A, B, D_init, sweeps=ODL_SWEEPS):
         prev = _quad_value(A, B, D)
     if not np.isfinite(prev):
         raise NumericalError("dictionary subproblem is non-finite at the start")
-    for _ in range(sweeps):
+    for _ in range(ODL_SWEEPS):
         for j in range(D.shape[1]):
             ajj = A[j, j]
             if ajj <= DEAD_ATOM_TOL:

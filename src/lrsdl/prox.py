@@ -93,10 +93,10 @@ def _pick(keep, a, b):
     return a if keep else b
 
 
-FISTA_TOL = 1e-6  # relative iterate change that ends every coding solve
+FISTA_TOL = 1e-12  # relative objective decrease that ends every coding solve
 
 
-def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
+def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL):
     """Accelerated proximal gradient descent for g(W) + lam * ||W||_1.
 
     Args:
@@ -105,12 +105,8 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
         W0: warm start of real, finite numbers (copied, never modified);
             DataError otherwise.
         max_iter: iteration budget, an integer >= 1.
-        tol: stop when the relative iterate change
-            ||W_k - W_{k-1}||_F / max(1, ||W_{k-1}||_F) drops below tol
-            on an accepted step; finite and >= 0.
-        check_every: test the stop rule only on iterations k that are
-            multiples of it, an integer >= 1; a block then stops on one
-            of those iterations or at the budget.
+        tol: stop on an accepted candidate that lowers the safeguard's
+            value F by at most tol * max(1, |F|); finite and >= 0.
 
     Returns the final iterate. A candidate that would increase the
     composite objective is rejected: the previous iterate is kept and the
@@ -119,7 +115,10 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
     Candes, Adaptive restart for accelerated gradient schemes, 2015).
     Recorded objective values are therefore non-increasing. An accepted
     candidate moves the momentum point to Z = cand + b (cand - W) with
-    b = (t - 1) / t_new.
+    b = (t - 1) / t_new. The same comparison ends the solve: it stops on
+    an accepted candidate whose value F_cand is at most tol * max(1, |F|)
+    below the iterate's F, so accept, restart and stop read one pair of
+    values and the stop needs no pass of its own.
 
     The loop carries prox points P(M) = M - grad(M) / L in place of
     gradients: the iterate W with P(W), and P(Z) for a momentum point Z it
@@ -139,23 +138,22 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
     The safeguard works on blocks: the whole matrix, or each column when
     obj.per_column is set and W has two or more columns (one column is one
     block either way). A column block is accepted or rejected, restarts
-    and stops on its own values and its own relative change, with its own
-    momentum weight t. A column that stops is written once into the
-    result array, which only column-block solves allocate, and is no
-    longer restored: it keeps stepping with the batch, its values unread,
-    so the restart copies run only when a column is rejected on its own
-    values. The solve ends when every block has stopped or the budget is
-    spent, and columns still live at the budget are written last. The
-    whole block ends the loop when it stops and returns W. A column
-    block's inner products are summed by np.einsum, each column on its
-    own, and its scalars are length-N vectors; the whole block keeps
-    Python floats and bools. Both share one restart, a masked copy of P(W)
-    into P(Z) and of W into the candidate where the block is rejected, and
-    one stop rule. A block's t depends only on its own accepts and
-    rejects, and the stop is tested on the same iterations in a batch as
-    alone, so when grad computes each column by the same arithmetic in a
-    batch as alone, each column takes the steps a solve of it alone
-    takes, bar a safeguard test tied in its last bit.
+    and stops on its own values, with its own momentum weight t. A column
+    that stops is written once into the result array, which only
+    column-block solves allocate, and is no longer restored: it keeps
+    stepping with the batch, its values unread, so the restart copies run
+    only when a column is rejected on its own values. The solve ends when
+    every block has stopped or the budget is spent, and columns still live
+    at the budget are written last. The whole block ends the loop when it
+    stops and returns W. A column block's inner products are summed by
+    np.einsum, each column on its own, and its scalars are length-N
+    vectors; the whole block keeps Python floats and bools. Both share one
+    restart, a masked copy of P(W) into P(Z) and of W into the candidate
+    where the block is rejected, and one stop rule. A block's t and its
+    stop depend only on its own values, so when grad computes each column
+    by the same arithmetic in a batch as alone, each column takes the
+    steps a solve of it alone takes, bar a safeguard test tied in its last
+    bit.
 
     The loop runs in place: the iterates, prox points and scratch space,
     and a column-block solve's result, are allocated once per solve. Each
@@ -166,7 +164,6 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
     check_number("lam", lam, 0)
     check_number("max_iter", max_iter, 1, integer=True)
     check_number("tol", tol, 0)
-    check_number("check_every", check_every, 1, integer=True)
     L = obj.lipschitz
     W = check_real(W0, "warm start").copy()
     GW = obj.raw_grad(W)
@@ -208,6 +205,7 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
             if not all_of(finite(F_cand)):
                 raise NumericalError(f"non-finite gradient or objective at iteration {k}")
             accepted = F_cand <= F
+            stopped = accepted & (F - F_cand <= tol * larger(1.0, abs(F)))
             F = select(accepted, F_cand, F)
             t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
             b = (t - 1.0) / t_new
@@ -221,12 +219,6 @@ def fista(obj, lam, W0, max_iter=100, tol=FISTA_TOL, check_every=1):
             W, cand = cand, W
             P_W, scratch = P_C, P_W
             t = select(accepted, t_new, 1.0)
-            if k % check_every:
-                continue
-            # the stop test: cand now holds the previous iterate
-            step = np.subtract(W, cand, out=scratch)
-            rel = sqrt(inner(step, step)) / larger(1.0, sqrt(inner(cand, cand)))
-            stopped = accepted & (rel < tol)
             if any_of(stopped):
                 if out is None:
                     break

@@ -254,10 +254,10 @@ def mfista_one_block(grad, value, L, lam, W0, max_iter, tol):
     safeguard block and the function restart scheme (O'Donoghue & Candes
     2015), written out with Python scalars: a candidate is kept only if it
     does not raise g + lam ||.||_1, a rejected one restarts the momentum
-    (Z = W, t = 1), and the solve stops on an accepted step whose relative
-    change is below tol. It evaluates the gradient at every momentum point
-    and g through its own value function, so it needs no linearity: the
-    direct reference for prox.fista.
+    (Z = W, t = 1), and the solve stops on an accepted step that lowers
+    F = g(W) - g(0) + lam ||W||_1 by at most tol max(1, |F|). It evaluates
+    the gradient at every momentum point and g through its own value
+    function, so it needs no linearity: the direct reference for prox.fista.
     """
     W = np.array(W0, dtype=float)
     Z = W
@@ -266,19 +266,20 @@ def mfista_one_block(grad, value, L, lam, W0, max_iter, tol):
     def shrink(V, tau):
         return np.sign(V) * np.maximum(np.abs(V) - tau, 0.0)
 
-    F = value(W) + lam * np.abs(W).sum()
+    g0 = value(np.zeros_like(W))
+    F = value(W) - g0 + lam * np.abs(W).sum()
     for _ in range(max_iter):
         cand = shrink(Z - grad(Z) / L, lam / L)
-        F_cand = value(cand) + lam * np.abs(cand).sum()
+        F_cand = value(cand) - g0 + lam * np.abs(cand).sum()
         if F_cand > F:
             Z, t = W, 1.0
             continue
+        stop = F - F_cand <= tol * max(1.0, abs(F))
         F = F_cand
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         Z = cand + ((t - 1.0) / t_new) * (cand - W)
-        rel = np.linalg.norm(cand - W) / max(1.0, np.linalg.norm(W))
         W, t = cand, t_new
-        if rel < tol:
+        if stop:
             break
     return W
 
@@ -291,7 +292,8 @@ def fista_one_product(grad, L, lam, W0, max_iter, tol):
     kept prox points as the point itself. The candidate is
     P(Z) - clip(P(Z), -lam / L, lam / L), its l1 term lam ||cand||_1 is
     read off that clip as L <cand, clip>, and g(W) - g(0) =
-    1/2 <W, grad(W) + grad(0)>. Operation for operation this is the
+    1/2 <W, grad(W) + grad(0)>; it stops on an accepted step that lowers
+    that F by at most tol max(1, |F|). Operation for operation this is the
     arithmetic prox.fista uses with the whole matrix as one block, so the
     two agree bit for bit. Returns the final iterate and the number of
     iterations run.
@@ -312,14 +314,14 @@ def fista_one_product(grad, L, lam, W0, max_iter, tol):
         if F_cand > F:
             P_Z, t = P_W, 1.0
             continue
+        stop = F - F_cand <= tol * max(1.0, abs(F))
         F = F_cand
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         b = (t - 1.0) / t_new
         P_C = cand - G / L
         P_Z = P_C + b * (P_C - P_W)
-        rel = np.linalg.norm(cand - W) / max(1.0, np.linalg.norm(W))
         W, P_W, t = cand, P_C, t_new
-        if rel < tol:
+        if stop:
             break
     return W, k
 

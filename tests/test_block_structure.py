@@ -21,7 +21,7 @@ from lrsdl.data import (
     block_diagonal,
     normalize_columns,
 )
-from lrsdl.dictupdate import ODL_SWEEPS, odl_update
+from lrsdl.dictupdate import odl_update
 from lrsdl.gradients import build_augmented_gram, residual_matrices
 from lrsdl.learner import _update_class_dicts
 
@@ -101,12 +101,8 @@ def test_residual_matrices_match_class_loop(sizes, k_c, k0, d, seed):
 def test_update_class_dicts_matches_residual_reference(sizes, k_c, k0, d, seed, dead):
     data, dicts, coefs = problem(sizes, k_c, k0, d, seed, dead)
     shifted = data.Y - dicts.shared_dict @ coefs.X0
-
-    def solve(A, B, Dc):
-        return odl_update(A, B, Dc, sweeps=ODL_SWEEPS)
-
     want = update_class_dicts_residual(
-        shifted, np.hsplit(dicts.D, dicts.C), coefs.X, sizes, solve
+        shifted, np.hsplit(dicts.D, dicts.C), coefs.X, sizes, odl_update
     )
     got = _update_class_dicts(data, dicts, coefs)
     assert rel_err(got.D, np.hstack(want)) < 1e-12

@@ -223,7 +223,6 @@ def test_every_public_function_is_called_in_src():
 # reason; any other such parameter is an option only tests use.
 DEFAULT_UNSET_IN_SRC = {
     "prox.fista.tol": "criterion 2 and the solver tests run tight or zero tolerances",
-    "dictupdate.odl_update.sweeps": "tests check single sweeps",
     "data.generate_synthetic.shared_scale": "a planted-model parameter, like noise_sigma",
     "cli.main.argv": "the console-script entry point",
 }

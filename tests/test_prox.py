@@ -175,14 +175,9 @@ class TestFista:
             dict(tol=np.nan),
             dict(tol=-1.0),
             dict(tol=np.inf),
-            dict(check_every=0),
-            dict(check_every=2.5),
-            dict(check_every=True),
-            dict(check_every=np.float64(3.0)),
         ],
         ids=["max_iter-fraction", "max_iter-bool", "max_iter-float", "tol-nan",
-             "tol-negative", "tol-inf", "check_every-zero", "check_every-fraction",
-             "check_every-bool", "check_every-float"],
+             "tol-negative", "tol-inf"],
     )
     def test_budget_and_tolerance_checked(self, kwargs):
         # a fractional or boolean budget, or a tolerance that would turn the
@@ -270,35 +265,30 @@ class TestFistaColumnBlocks:
         L = 1.01 * float(np.linalg.eigvalsh(A.T @ A)[-1])
         return A, B, L
 
-    def solve(self, A, B, L, lam, W0, max_iter, tol, check_every=1):
+    def solve(self, A, B, L, lam, W0, max_iter, tol):
         obj = SmoothObjective(
             grad=least_squares_columns(A, B), lipschitz=L, per_column=True
         )
         obj, calls = counted(obj)
-        out = fista(obj, lam, W0, max_iter=max_iter, tol=tol, check_every=check_every)
+        out = fista(obj, lam, W0, max_iter=max_iter, tol=tol)
         return out, len(calls)
 
-    @pytest.mark.parametrize("check_every", [1, 10])
-    def test_batch_equals_each_column_alone(self, check_every):
-        # the budget sits below the 330 iterations column 3 needs to stop
-        # on tolerance and above the 282 of column 1 (290 when the stop is
-        # tested every tenth iteration)
+    def test_batch_equals_each_column_alone(self):
+        # at tol 1e-12 the columns stop on tolerance after 1, 391, 25 and
+        # 328 iterations: the budget sits between the two slowest
         A, B, L = self.problem()
         W0 = np.zeros((8, 4))
-        budget = 300
-        batch, batch_iters = self.solve(A, B, L, 0.05, W0, budget, 1e-6, check_every)
+        budget = 360
+        batch, batch_iters = self.solve(A, B, L, 0.05, W0, budget, 1e-12)
         iters = []
         for j in range(4):
-            alone, n = self.solve(
-                A, B[:, [j]], L, 0.05, W0[:, [j]], budget, 1e-6, check_every
-            )
+            alone, n = self.solve(A, B[:, [j]], L, 0.05, W0[:, [j]], budget, 1e-12)
             assert np.array_equal(batch[:, j], alone[:, 0]), f"column {j}"
             iters.append(n)
-        # a solve stops on tolerance only on a tested iteration
-        assert all(n % check_every == 0 for n in iters if n < budget)
-        # all-zero target: accepted, no change, stop at the first test
-        assert iters[0] == check_every
-        assert max(iters) == budget  # the slowest column spends the budget
+        # all-zero target: accepted, no decrease, stop at the first step
+        assert iters[0] == 1
+        assert iters[1] == budget  # the slowest column spends the budget
+        assert 1 < iters[3] < budget
         assert batch_iters == max(iters)
         # column 2 stops on tolerance while further steps would still move
         # it, so the batch must freeze it there
@@ -306,21 +296,20 @@ class TestFistaColumnBlocks:
         longer, _ = self.solve(A, B[:, [2]], L, 0.05, W0[:, [2]], budget, 0.0)
         assert not np.array_equal(batch[:, 2], longer[:, 0])
 
-    def test_columns_stopping_at_different_tests_match_each_column_alone(self):
-        # with the stop tested every tenth iteration, the columns stop on
-        # three different tests, and a column still live after the first
-        # stop has a step rejected, so the restart runs while stopped
-        # columns sit in the batch: each must be the iterate it stopped at
+    def test_columns_stopping_apart_match_each_column_alone(self):
+        # on rejecting_problem the columns stop on four different
+        # iterations, and a column still live after the first stop has a
+        # step rejected, so the restart runs while stopped columns sit in
+        # the batch: each must be the iterate it stopped at
         A, B, L, W0 = rejecting_problem()
-        batch, batch_iters = self.solve(A, B, L, 0.05, W0, 200, 1e-3, check_every=10)
+        batch, batch_iters = self.solve(A, B, L, 0.05, W0, 200, FISTA_TOL)
         stops = []
         for j in range(4):
-            alone, n = self.solve(A, B[:, [j]], L, 0.05, W0[:, [j]], 200, 1e-3, check_every=10)
+            alone, n = self.solve(A, B[:, [j]], L, 0.05, W0[:, [j]], 200, FISTA_TOL)
             assert np.array_equal(batch[:, j], alone[:, 0]), f"column {j}"
             stops.append(n)
         assert batch_iters == max(stops) < 200
-        assert all(n % 10 == 0 for n in stops)
-        assert len(set(stops)) == 3
+        assert len(set(stops)) == 4
 
         def rejected(j, k):
             # step k left the iterate of column j, solved alone, unchanged
@@ -603,7 +592,7 @@ class TestFistaIterationCount:
             "per-column": SmoothObjective.quadratic(H, B, L, per_column=True),
         }
 
-    def run(self, obj, max_iter, tol=1e-6):
+    def run(self, obj, max_iter, tol=FISTA_TOL):
         wrapped, calls = counted(obj)
         return fista(wrapped, 0.05, np.zeros((6, 2)), max_iter=max_iter, tol=tol), len(calls)
 
@@ -616,6 +605,7 @@ class TestFistaIterationCount:
             assert not out.any(), name
 
     def test_tolerance_stop_at_iteration_k(self):
+        # at FISTA_TOL each form stops on tolerance after 46 iterations
         H, B, L = self.problem()
         for name, obj in self.objectives(H, B, L).items():
             out, n = self.run(obj, 400)
@@ -626,7 +616,9 @@ class TestFistaIterationCount:
             more, n_more = self.run(obj, n + 20)
             assert n_more == n and np.array_equal(more, out), name
             if not obj.per_column:
-                ref, iters = fista_one_product(obj.grad, L, 0.05, np.zeros((6, 2)), 400, 1e-6)
+                ref, iters = fista_one_product(
+                    obj.grad, L, 0.05, np.zeros((6, 2)), 400, FISTA_TOL
+                )
                 assert iters == n and np.array_equal(ref, out), name
 
     def test_full_budget(self):
@@ -634,6 +626,62 @@ class TestFistaIterationCount:
         for name, obj in self.objectives(H, B, L).items():
             assert self.run(obj, 7)[1] == 7, name
             assert self.run(obj, 40, tol=0.0)[1] == 40, name
+
+
+def one_step_problem(per_column):
+    """g(W) = 1/2 ||W||^2 - <1, W> on a 1 x 2 start of zeros with L = 1 and
+    no l1 term: the first step lands on the minimizer, all ones, and lowers
+    F = g(W) - g(0) from 0 to -1/2 per column, exactly in floating point;
+    every later step lowers it by nothing. Returns the objective and the
+    decrease of the first step for each block."""
+    obj = SmoothObjective.quadratic(np.eye(1), np.ones((1, 2)), 1.0, per_column=per_column)
+    return obj, 0.5 if per_column else 1.0
+
+
+def count_iterations(obj, W0, max_iter, tol, lam=0.0):
+    wrapped, calls = counted(obj)
+    return fista(wrapped, lam, W0, max_iter=max_iter, tol=tol), len(calls)
+
+
+@pytest.mark.parametrize("per_column", [False, True], ids=["whole", "columns"])
+def test_decrease_at_the_threshold_stops(per_column):
+    """A block stops on an accepted step that lowers F by at most
+    tol * max(1, |F|): a decrease equal to that threshold stops, one a bit
+    above it does not. F starts at 0, so the threshold is tol."""
+    obj, drop = one_step_problem(per_column)
+    out, n = count_iterations(obj, np.zeros((1, 2)), 10, drop)
+    assert n == 1 and np.array_equal(out, np.ones((1, 2)))
+    out, n = count_iterations(obj, np.zeros((1, 2)), 10, np.nextafter(drop, 0.0))
+    assert n == 2 and np.array_equal(out, np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("per_column", [False, True], ids=["whole", "columns"])
+def test_rejected_step_never_stops_a_block(per_column):
+    """A rejected candidate raises F, so its decrease is negative and below
+    any threshold; the stop reads only accepted steps. At a step size of
+    0.2 lambda_max(A^T A) every step is rejected, and even a tolerance that
+    stops on the first step at the true Lipschitz constant runs the whole
+    budget and returns the warm start."""
+    A, B, L, W0 = rejecting_problem()
+    H, AtB = A.T @ A, A.T @ B
+    lipschitz = float(np.linalg.eigvalsh(H)[-1])
+    obj = SmoothObjective.quadratic(H, AtB, lipschitz, per_column=per_column)
+    assert count_iterations(obj, W0, 10, 1e3, lam=0.05)[1] == 1
+    obj = SmoothObjective.quadratic(H, AtB, L * 0.2 / 0.7, per_column=per_column)
+    out, n = count_iterations(obj, W0, 10, 1e3, lam=0.05)
+    assert n == 10 and np.array_equal(out, W0)
+
+
+@pytest.mark.parametrize("per_column", [False, True], ids=["whole", "columns"])
+def test_zero_tolerance_stops_only_on_a_zero_decrease(per_column):
+    """At tol = 0 the first step of one_step_problem, which lowers F, does
+    not stop the solve; the second, which leaves F as it is, does. A solve
+    whose every step lowers F runs its whole budget."""
+    obj, _ = one_step_problem(per_column)
+    assert count_iterations(obj, np.zeros((1, 2)), 10, 0.0)[1] == 2
+    H, B, L = TestFistaIterationCount().problem()
+    obj = SmoothObjective.quadratic(H, B, L, per_column=per_column)
+    assert count_iterations(obj, np.zeros((6, 2)), 40, 0.0, lam=0.05)[1] == 40
 
 
 @settings(max_examples=500, deadline=None)
