@@ -656,6 +656,22 @@ def test_decrease_at_the_threshold_stops(per_column):
 
 
 @pytest.mark.parametrize("per_column", [False, True], ids=["whole", "columns"])
+def test_threshold_scales_with_the_value_above_one(per_column):
+    """Where |F| > 1 the threshold is tol * |F|. g(W) = 1/2 ||W||^2 -
+    <3, W> from a warm start of twos with L = 1: F = g(W) - g(0) is -4 per
+    column, and the first step lands on the minimizer, threes, where F is
+    -4.5, all exact in floating point. At tol = 1/8 the decrease of 1/2
+    per column meets tol * |F| and stops the solve; an absolute threshold
+    of tol would not."""
+    obj = SmoothObjective.quadratic(np.eye(1), np.full((1, 2), 3.0), 1.0, per_column=per_column)
+    W0 = np.full((1, 2), 2.0)
+    out, n = count_iterations(obj, W0, 10, 0.125)
+    assert n == 1 and np.array_equal(out, np.full((1, 2), 3.0))
+    out, n = count_iterations(obj, W0, 10, np.nextafter(0.125, 0.0))
+    assert n == 2 and np.array_equal(out, np.full((1, 2), 3.0))
+
+
+@pytest.mark.parametrize("per_column", [False, True], ids=["whole", "columns"])
 def test_rejected_step_never_stops_a_block(per_column):
     """A rejected candidate raises F, so its decrease is negative and below
     any threshold; the stop reads only accepted steps. At a step size of
